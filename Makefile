@@ -4,6 +4,7 @@
         bench-service-smoke bench-serve bench-serve-smoke bench-fabric \
         bench-fabric-smoke bench-sketch bench-sketch-smoke bench-hybrid \
         bench-hybrid-smoke bench-projected bench-projected-smoke serve-smoke \
+        cnbench-smoke \
         check-metrics check-races lint lint-hybrids examples clean doc
 
 all: build
@@ -82,6 +83,13 @@ bench-hybrid-smoke:
 # clean quiescent drain.  See doc/protocol.md for the wire format.
 serve-smoke: build
 	sh scripts/serve_smoke.sh
+
+# The benchmark of record's smoke run (about 3 s): the real countnetd
+# driven from outside over loopback, every cnbench correctness gate on
+# every workload (distinct Inc values, Read = Inc - Dec, wire Drain ok,
+# SIGTERM exit 0 with "drain ok").  See cnbench/README.md.
+cnbench-smoke:
+	dune build @cnbench/smoke
 
 # Measured + contention-model-projected curves: certifies the
 # precompiled routing image (Csr_lint), calibrates the single-core

@@ -109,8 +109,6 @@ let write_all fd s =
     off := !off + k
   done
 
-let send fd frame = write_all fd (Frame.to_string frame)
-
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* Every registry access funnels through here: the lock guards
@@ -160,42 +158,62 @@ let handle_request t session (req : Frame.request) =
         (Frame.Drained { ok = V.passed report; summary = V.summary report })
   | Frame.Stats -> Frame.Response (Frame.Stats_reply (stats_json t))
 
+(* Replies queued past this many bytes are written before the rest of
+   the read is served, so a pipelined burst of large replies ([Stats])
+   cannot grow a connection's buffer without bound. *)
+let flush_bytes = 65536
+
+let error_reply code message =
+  Frame.Response (Frame.Error_reply { code; message })
+
+(* One read in, one write out: every complete frame of a read is served
+   in order and its reply encoded into [out], then [out] goes to the
+   socket in a single write.  With TCP_NODELAY that write leaves at
+   once; without coalescing, NODELAY would cost one segment per reply,
+   and without NODELAY, Nagle holds a reply back until the peer ACKs
+   the previous one. *)
 let handler t conn =
   let session = t.be.be_session () in
   let dec = Frame.decoder ~max_payload:t.max_payload () in
   let buf = Bytes.create 4096 in
-  let running = ref true in
+  let out = Buffer.create 4096 in
+  let flush () =
+    if Buffer.length out > 0 then begin
+      let s = Buffer.contents out in
+      Buffer.clear out;
+      write_all conn.fd s
+    end
+  in
+  let reply frame =
+    Frame.encode out frame;
+    if Buffer.length out >= flush_bytes then flush ()
+  in
+  (* Serve the decoded frames; [false] once the connection must end. *)
+  let rec serve () =
+    match Frame.next dec with
+    | Frame.Need_more -> true
+    | Frame.Frame (Frame.Request req) ->
+        reply (handle_request t session req);
+        serve ()
+    | Frame.Frame (Frame.Response _) ->
+        (* A valid frame pointed the wrong way; refuse and drop the
+           connection — the peer is confused. *)
+        reply (error_reply Frame.Bad_opcode "response frame sent to a server");
+        false
+    | Frame.Corrupt { code; detail } ->
+        reply (error_reply code detail);
+        false
+  in
   (try
+     Unix.setsockopt conn.fd Unix.TCP_NODELAY true;
+     let running = ref true in
      while !running do
        let n = Unix.read conn.fd buf 0 (Bytes.length buf) in
        if n = 0 then running := false
        else begin
          Frame.feed dec buf ~off:0 ~len:n;
-         let draining = ref true in
-         while !draining && !running do
-           match Frame.next dec with
-           | Frame.Need_more -> draining := false
-           | Frame.Frame (Frame.Request req) ->
-               send conn.fd (handle_request t session req)
-           | Frame.Frame (Frame.Response _) ->
-               (* A valid frame pointed the wrong way; refuse and drop
-                  the connection — the peer is confused. *)
-               send conn.fd
-                 (Frame.Response
-                    (Frame.Error_reply
-                       {
-                         code = Frame.Bad_opcode;
-                         message = "response frame sent to a server";
-                       }));
-               running := false
-           | Frame.Corrupt { code; detail } ->
-               (try
-                  send conn.fd
-                    (Frame.Response
-                       (Frame.Error_reply { code; message = detail }))
-                with Unix.Unix_error _ | End_of_file -> ());
-               running := false
-         done
+         running := serve ();
+         flush ()
        end
      done
    with

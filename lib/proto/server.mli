@@ -24,6 +24,21 @@
     [Error_reply] and the connection is dropped; other connections are
     unaffected.
 
+    {2 Pipelining and writes}
+
+    Replies go out in request order, one per request.  The handler
+    decodes every complete frame one [read] delivered, encodes their
+    replies (a terminal [Error_reply] included) into one reusable
+    per-connection buffer, and writes that buffer once; replies past
+    64 KiB are written before the rest of the read is served, so the
+    buffer stays bounded.  A [Drain] or [Stats] inside a pipelined burst
+    therefore delays the replies that share its write.  Every accepted
+    socket has [TCP_NODELAY] set, so that one write leaves at once rather
+    than waiting on Nagle for the peer's ACK; pipelining clients should
+    set it too.  A half-closed peer gets every reply, then EOF.  A peer
+    that never reads blocks only its own handler's write, which
+    {!stop}'s socket shutdown wakes.
+
     {2 Graceful shutdown}
 
     {!request_stop} is the SIGTERM entry point (async-signal-safe in

@@ -273,7 +273,9 @@ let satellite =
         let cdf = W.session_cdf (W.Zipf 1.2) n in
         let hit_last = ref (n = 1) in
         let ok = ref true in
-        for _ = 1 to 200 do
+        (* Enough draws that missing a last session of Zipf weight ~3.5%
+           (n = 8) has probability ~e^-72, not ~e^-7 per case. *)
+        for _ = 1 to 2000 do
           let i = W.pick rng cdf in
           if i < 0 || i >= n then ok := false;
           if i = n - 1 then hit_last := true
@@ -371,6 +373,48 @@ let with_server ?(net = net44) ?queue f =
 
 let connect server = Client.connect ~port:(Server.port server) ()
 
+(* A bare socket, for byte-exact traffic the blocking client cannot
+   send: pipelined bursts, garbage, half-close. *)
+let raw_connect server =
+  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+  fd
+
+let write_string fd s =
+  let off = ref 0 in
+  while !off < String.length s do
+    off := !off + Unix.write_substring fd s !off (String.length s - !off)
+  done
+
+(* Decode replies until [upto] frames have arrived or the server ends
+   the connection; returns the frames in arrival order and whether the
+   connection ended. *)
+let read_frames ?(upto = max_int) fd =
+  let d = F.decoder () in
+  let buf = Bytes.create 4096 in
+  let rec go acc count =
+    if count = upto then (List.rev acc, false)
+    else
+      match F.next d with
+      | F.Frame f -> go (f :: acc) (count + 1)
+      | F.Corrupt { detail; _ } -> Alcotest.fail ("corrupt reply stream: " ^ detail)
+      | F.Need_more -> (
+          match Unix.read fd buf 0 (Bytes.length buf) with
+          | 0 | (exception Unix.Unix_error (Unix.ECONNRESET, _, _)) -> (List.rev acc, true)
+          | k ->
+              F.feed d buf ~off:0 ~len:k;
+              go acc count)
+  in
+  go [] 0
+
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+let incs n = List.init n (fun _ -> F.Request F.Inc)
+let values lo n = List.init n (fun i -> F.Response (F.Value (lo + i)))
+
 let server_tests =
   [
     tc "inc/dec/read over the wire" (fun () ->
@@ -428,16 +472,11 @@ let server_tests =
             Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
             ignore (Client.increment c);
             let json = Client.stats c in
-            let contains needle =
-              let nl = String.length needle and hl = String.length json in
-              let rec go i = i + nl <= hl && (String.sub json i nl = needle || go (i + 1)) in
-              go 0
-            in
             List.iter
               (fun needle ->
                 Alcotest.(check bool)
                   (Printf.sprintf "stats carries %S" needle)
-                  true (contains needle))
+                  true (contains json needle))
               [ "\"server\""; "\"connections\""; "\"value\""; "\"report\"" ]));
     tc "a framing error gets an error reply and only kills that connection" (fun () ->
         with_server (fun server ->
@@ -445,32 +484,116 @@ let server_tests =
             Fun.protect ~finally:(fun () -> Client.close good) @@ fun () ->
             ignore (Client.increment good);
             (* Hand-roll a bad frame on a second connection. *)
-            let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-            Unix.connect fd
-              (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", Server.port server));
-            let junk = raw ~len:3 "\x00\x01\x01" in
-            ignore (Unix.write fd (Bytes.of_string junk) 0 (String.length junk));
-            (* The server answers Error_reply then closes: read until EOF
-               and decode what came back. *)
-            let d = F.decoder () in
-            let buf = Bytes.create 256 in
-            let rec slurp acc =
-              match Unix.read fd buf 0 256 with
-              | 0 -> acc
-              | n ->
-                  F.feed d buf ~off:0 ~len:n;
-                  slurp acc
-              | exception Unix.Unix_error _ -> acc
-            in
-            ignore (slurp ());
-            (match F.next d with
-            | F.Frame (F.Response (F.Error_reply { code = F.Bad_magic; _ })) -> ()
-            | _ -> Alcotest.fail "expected a Bad_magic error reply");
+            let fd = raw_connect server in
+            write_string fd (raw ~len:3 "\x00\x01\x01");
+            (* The server answers Error_reply then closes. *)
+            (match read_frames fd with
+            | [ F.Response (F.Error_reply { code = F.Bad_magic; _ }) ], true -> ()
+            | _ -> Alcotest.fail "expected a Bad_magic error reply, then EOF");
             Unix.close fd;
             (* The well-behaved connection is unaffected. *)
             match Client.increment good with
             | Ok _ -> ()
             | Error _ -> Alcotest.fail "good connection must survive"));
+    tc "pipelined burst in one write: replies in request order" (fun () ->
+        with_server (fun server ->
+            let fd = raw_connect server in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            write_string fd (wire_of (incs 64 @ [ F.Request F.Read ]));
+            let got, _ = read_frames ~upto:65 fd in
+            Alcotest.(check (list frame)) "Value 0..63, then Read = 64" (values 0 65) got));
+    tc "garbage after pipelined frames: replies, error, EOF" (fun () ->
+        with_server (fun server ->
+            let good = connect server in
+            Fun.protect ~finally:(fun () -> Client.close good) @@ fun () ->
+            let fd = raw_connect server in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            write_string fd (wire_of (incs 5) ^ raw ~len:3 "\x00\x01\x01" ^ "trailing junk");
+            (match read_frames fd with
+            | got, true ->
+                (match List.rev got with
+                | F.Response (F.Error_reply { code = F.Bad_magic; _ }) :: rest ->
+                    Alcotest.(check (list frame)) "Inc replies first, in order" (values 0 5)
+                      (List.rev rest)
+                | _ -> Alcotest.fail "expected a terminal Bad_magic error reply")
+            | _ -> Alcotest.fail "expected EOF after the error reply");
+            match Client.increment good with
+            | Ok v -> Alcotest.(check int) "other connection unaffected" 5 v
+            | Error _ -> Alcotest.fail "good connection must survive"));
+    tc "half-close: every reply, then EOF" (fun () ->
+        with_server (fun server ->
+            let fd = raw_connect server in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            write_string fd (wire_of (incs 12));
+            Unix.shutdown fd Unix.SHUTDOWN_SEND;
+            let got, eof = read_frames fd in
+            Alcotest.(check (list frame)) "all replies" (values 0 12) got;
+            Alcotest.(check bool) "then EOF" true eof));
+    tc "stats burst past the flush threshold: every reply, in order" (fun () ->
+        with_server (fun server ->
+            let fd = raw_connect server in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            let pairs = 400 in
+            write_string fd
+              (wire_of (List.concat (List.init pairs (fun _ -> [ F.Request F.Inc; F.Request F.Stats ]))));
+            let got, _ = read_frames ~upto:(2 * pairs) fd in
+            let bytes = ref 0 in
+            List.iteri
+              (fun i f ->
+                bytes := !bytes + String.length (F.to_string f);
+                match (i mod 2, f) with
+                | 0, F.Response (F.Value v) -> Alcotest.(check int) "inc value" (i / 2) v
+                | 1, F.Response (F.Stats_reply json) ->
+                    (* Each Stats sees exactly the Incs before it. *)
+                    let needle = Printf.sprintf "\"value\": %d }" ((i / 2) + 1) in
+                    if not (contains json needle) then
+                      Alcotest.failf "stats reply %d lacks %s" i needle
+                | _ -> Alcotest.failf "reply %d out of order" i)
+              got;
+            Alcotest.(check int) "every reply" (2 * pairs) (List.length got);
+            Alcotest.(check bool) "replies exceed one flush" true (!bytes > 65536)));
+    tc "a peer that never reads cannot hang a Strict stop" (fun () ->
+        let svc = Svc.create ~validate:V.Strict (net44 ()) in
+        let server = Server.start svc in
+        (* The replies to 4 MiB of Inc frames, about 9 MiB, cannot all
+           fit in the socket buffers (Linux autotunes a send buffer up to
+           4 MiB by default, and a receive buffer grows only as its owner
+           reads): the handler ends up blocked writing. *)
+        let fd = raw_connect server in
+        let sent = (4 lsl 20) / 7 in
+        let writer =
+          Thread.create
+            (fun () -> try write_string fd (wire_of (incs sent)) with Unix.Unix_error _ -> ())
+            ()
+        in
+        (* Wait for the wedge: the counter stops moving short of the burst. *)
+        let probe = connect server in
+        let rec stalled last tries =
+          Thread.delay 0.05;
+          let v = Client.read probe in
+          if v = last || tries = 0 then v else stalled v (tries - 1)
+        in
+        let wedged_at = stalled (-1) 100 in
+        Client.close probe;
+        Alcotest.(check bool) "handler blocked before the burst was served" true (wedged_at < sent);
+        let result = ref None in
+        ignore
+          (Thread.create
+             (fun () ->
+               result := Some (try Ok (Server.stop ~policy:V.Strict server) with e -> Error e))
+             ());
+        let deadline = Unix.gettimeofday () +. 10. in
+        while !result = None && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        (match !result with
+        | None -> Alcotest.fail "stop did not return within 10 s"
+        | Some (Error e) -> Alcotest.failf "stop raised %s" (Printexc.to_string e)
+        | Some (Ok report) -> Alcotest.(check bool) "strict drain passed" true (V.passed report));
+        Alcotest.(check int) "every handler joined" 0 (Server.connections server);
+        (try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
+        Thread.join writer;
+        Unix.close fd);
     tc "connection churn: sessions outnumber connections harmlessly" (fun () ->
         with_server ~net:net1616 (fun server ->
             for _ = 1 to 30 do
