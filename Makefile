@@ -27,8 +27,8 @@ bench-runtime:
 bench-smoke:
 	dune exec bench/main.exe -- runtime --smoke
 
-# Combining/elimination front-end vs the naive per-op baseline; appends
-# a "service" section to BENCH_runtime.json.
+# Combining/elimination front-end vs the naive per-op baseline; records
+# the "service" key of BENCH_runtime.json.
 bench-service:
 	dune exec bench/main.exe -- service
 
@@ -38,8 +38,8 @@ bench-service-smoke:
 # Loopback SLO rows for the wire-protocol server: in-process countnetd
 # driven by the TCP load rig over 127.0.0.1 (uniform/zipf/mixed/bursty
 # scenarios, connection churn, mid-load SIGTERM-equivalent stop with a
-# Strict-validated drain).  Appends a "serve" section with rtt
-# p50/p95/p99 rows to BENCH_runtime.json.
+# Strict-validated drain).  Records the "serve" key (rtt p50/p95/p99
+# rows) of BENCH_runtime.json.
 bench-serve:
 	dune exec bench/main.exe -- serve
 
@@ -48,8 +48,8 @@ bench-serve-smoke:
 
 # Elastic sharded fabric: shard-scaling sweep at 1/2/4 shards (fixed vs
 # auto-tuned dimensions) plus a hot-resize-under-load row, every run
-# gated on token conservation and a Strict shutdown.  Appends a
-# "fabric" section to BENCH_runtime.json.
+# gated on token conservation and a Strict shutdown.  Records the
+# "fabric" key of BENCH_runtime.json.
 bench-fabric:
 	dune exec bench/main.exe -- fabric
 
@@ -60,7 +60,7 @@ bench-fabric-smoke:
 # the HLL and sparse-graph backends against the exact network-backed
 # counter.  Gated on the HLL 95% error bound and the >= 10x sparse
 # memory win at 100k keys; the smoke variant shrinks the streams but
-# keeps both correctness gates.  Appends a "sketch" section to
+# keeps both correctness gates.  Records the "sketch" key of
 # BENCH_runtime.json.
 bench-sketch:
 	dune exec bench/main.exe -- sketch
@@ -70,8 +70,8 @@ bench-sketch-smoke:
 
 # Merger-strategy comparison at C(16,16): depth, size and throughput of
 # the classic difference merger vs the periodic3 and pk hybrids, each
-# row tagged with its two-token step-battery verdict.  Appends a
-# "hybrid" section to BENCH_runtime.json.
+# row tagged with its two-token step-battery verdict.  Records the
+# "hybrid" key of BENCH_runtime.json.
 bench-hybrid:
 	dune exec bench/main.exe -- hybrid
 
@@ -93,8 +93,8 @@ cnbench-smoke:
 
 # Measured + contention-model-projected curves: certifies the
 # precompiled routing image (Csr_lint), calibrates the single-core
-# crossing cost, and appends projected 2-64 domain central-vs-network
-# rows (Cn_analysis.Projection) to BENCH_runtime.json next to the
+# crossing cost, and records projected 2-64 domain central-vs-network
+# rows (Cn_analysis.Projection) in BENCH_runtime.json next to the
 # measured sweeps.
 bench-projected:
 	dune exec bench/main.exe -- runtime --projected
@@ -110,7 +110,7 @@ bench-projected-smoke:
 check-races:
 	dune exec bin/countnet.exe -- check -p 3 --selftest
 
-# Static certification: every portfolio family in both compiled layouts,
+# Static certification: every portfolio family down to its compiled runtime,
 # the merger-substituted hybrid campaign (certified or refuted with
 # pinned counterexamples), the seeded mutant battery (all must be
 # rejected with their pinned diagnostics), and the source-level atomics

@@ -2,8 +2,9 @@
    Run with no argument for the full E1-E8 table set, with an experiment
    id ("e1" .. "e8") for one table, with "micro" for the Bechamel
    micro-benchmarks (one Test.make per experiment family), or with
-   "runtime" [--smoke] for the memory-layout sweep (padded+CSR vs
-   unpadded+nested; writes BENCH_runtime.json).
+   "runtime" [--smoke] for the runtime sweep (counting network vs the
+   central-FAA and lock baselines, plus the batched and pipelined walks).
+   Every measuring suite records its section in BENCH_runtime.json.
    See EXPERIMENTS.md for the experiment index. *)
 
 module T = Cn_network.Topology
@@ -14,6 +15,93 @@ module Bounds = Cn_analysis.Bounds
 
 let header title = Printf.printf "\n=== %s ===\n" title
 let line fmt = Printf.printf (fmt ^^ "\n")
+
+(* ------------------------------------------------------------------ *)
+(* BENCH_runtime.json: one JSON object whose top-level keys are owned
+   by the suites.  [record_keys] sets a suite's keys — replacing any that
+   already exist, in place — and keeps every other key's value text
+   byte for byte, so suites can run in any order and re-run without
+   duplicating a key.  Only the top level is scanned: a value ends at
+   the first ',' or '}' outside strings and brackets. *)
+
+let bench_file = "BENCH_runtime.json"
+
+let top_level_entries text =
+  let n = String.length text in
+  let i = ref 0 in
+  let fail what = failwith (Printf.sprintf "%s: %s at byte %d" bench_file what !i) in
+  let skip_ws () =
+    while !i < n && String.contains " \t\r\n" text.[!i] do
+      incr i
+    done
+  in
+  let skip_string () =
+    incr i;
+    while !i < n && text.[!i] <> '"' do
+      if text.[!i] = '\\' then incr i;
+      incr i
+    done;
+    if !i >= n then fail "unterminated string";
+    incr i
+  in
+  let value () =
+    let start = !i and depth = ref 0 in
+    while !i < n && not (!depth = 0 && (text.[!i] = ',' || text.[!i] = '}')) do
+      match text.[!i] with
+      | '"' -> skip_string ()
+      | '{' | '[' ->
+          incr depth;
+          incr i
+      | '}' | ']' ->
+          decr depth;
+          incr i
+      | _ -> incr i
+    done;
+    String.trim (String.sub text start (!i - start))
+  in
+  skip_ws ();
+  if !i >= n || text.[!i] <> '{' then fail "expected '{'";
+  incr i;
+  let rec entries acc =
+    skip_ws ();
+    if !i >= n then fail "unterminated object";
+    match text.[!i] with
+    | '}' -> List.rev acc
+    | ',' ->
+        incr i;
+        entries acc
+    | '"' ->
+        let k0 = !i + 1 in
+        skip_string ();
+        let key = String.sub text k0 (!i - k0 - 1) in
+        skip_ws ();
+        if !i >= n || text.[!i] <> ':' then fail "expected ':'";
+        incr i;
+        skip_ws ();
+        let v = value () in
+        entries ((key, v) :: acc)
+    | _ -> fail "expected a key"
+  in
+  entries []
+
+let record_keys keys =
+  let existing =
+    if Sys.file_exists bench_file then
+      top_level_entries (In_channel.with_open_bin bench_file In_channel.input_all)
+    else []
+  in
+  (* Later bindings win, at the position of the first: this replaces a
+     suite's keys and also heals duplicates an older writer left. *)
+  let merged =
+    List.fold_left
+      (fun acc (k, v) ->
+        if List.mem_assoc k acc then List.map (fun (k', v') -> (k', if k' = k then v else v')) acc
+        else acc @ [ (k, v) ])
+      [] (existing @ keys)
+  in
+  Out_channel.with_open_bin bench_file (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n"
+        (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  \"%s\": %s" k v) merged)))
 
 (* ------------------------------------------------------------------ *)
 (* E1: Theorem 4.1 — depth of C(w, t) is (lg2 w + lg w)/2, independent
@@ -513,13 +601,13 @@ let projected_json ?(smoke = false) ~w net =
     (match crossover with Some n -> string_of_int n | None -> "null")
 
 (* ------------------------------------------------------------------ *)
-(* runtime: the memory-layout sweep.  Compares the padded+CSR layout
-   against the seed unpadded+nested layout (and the central-FAA / lock
-   baselines) across 1-8 domains, reusing one warmed domain pool for
-   every cell, and emits machine-readable BENCH_runtime.json.           *)
+(* runtime: the compiled counting networks against the central-FAA and
+   lock baselines across 1-8 domains, plus the batched and pipelined
+   walks, reusing one warmed domain pool for every cell; records the
+   "results" and "metrics" keys of BENCH_runtime.json.                  *)
 
 let runtime ?(smoke = false) ?(projected = false) () =
-  header "runtime  memory-layout sweep: padded+CSR vs unpadded+nested (writes BENCH_runtime.json)";
+  header "runtime  network vs central baselines, batched and pipelined walks (BENCH_runtime.json)";
   line "(host note: single-core container -> domains timeshare; relative shapes only)";
   let w = 16 in
   let ops_total = if smoke then 4_000 else 64_000 in
@@ -527,33 +615,22 @@ let runtime ?(smoke = false) ?(projected = false) () =
   let c16 = C.network ~w ~t:w in
   let bitonic16 = Cn_baselines.Bitonic.network w in
   let module RT = Cn_runtime.Network_runtime in
-  let layouts = [ ("padded-csr", RT.Padded_csr); ("unpadded-nested", RT.Unpadded_nested) ] in
-  let net_configs =
-    List.concat_map
-      (fun (net_name, net) ->
-        List.map
-          (fun (layout_name, layout) ->
-            ( net_name,
-              layout_name,
-              fun () -> Cn_runtime.Shared_counter.of_topology ~layout net ))
-          layouts)
-      [ (Printf.sprintf "C(%d,%d)" w w, c16); (Printf.sprintf "bitonic-%d" w, bitonic16) ]
-  in
   let configs =
-    net_configs
-    @ [
-        ("central-faa", "-", fun () -> Cn_runtime.Shared_counter.central_faa ());
-        ("lock", "-", fun () -> Cn_runtime.Shared_counter.with_lock ());
-      ]
+    [
+      (Printf.sprintf "C(%d,%d)" w w, fun () -> Cn_runtime.Shared_counter.of_topology c16);
+      (Printf.sprintf "bitonic-%d" w, fun () -> Cn_runtime.Shared_counter.of_topology bitonic16);
+      ("central-faa", Cn_runtime.Shared_counter.central_faa);
+      ("lock", Cn_runtime.Shared_counter.with_lock);
+    ]
   in
   let domain_counts = [ 1; 2; 4; 8 ] in
   let results = ref [] in
   Cn_runtime.Domain_pool.with_pool 8 (fun pool ->
-      line "%-12s %-16s %s" "counter" "layout"
+      line "%-14s %s" "counter"
         (String.concat " "
            (List.map (fun d -> Printf.sprintf "%11s" (Printf.sprintf "%dd ops/s" d)) domain_counts));
       List.iter
-        (fun (name, layout_name, make) ->
+        (fun (name, make) ->
           let row =
             List.map
               (fun domains ->
@@ -571,15 +648,14 @@ let runtime ?(smoke = false) ?(projected = false) () =
                     seconds := r.Cn_runtime.Harness.seconds
                   end
                 done;
-                results :=
-                  (name, layout_name, domains, ops_total, !seconds, !best) :: !results;
+                results := (name, domains, ops_total, !seconds, !best) :: !results;
                 Printf.sprintf "%11.0f" !best)
               domain_counts
           in
-          line "%-12s %-16s %s" name layout_name (String.concat " " row))
+          line "%-14s %s" name (String.concat " " row))
         configs;
-      (* The batched traversal API on the padded layout: bounds check and
-         dispatch amortized across each domain's whole quota. *)
+      (* The batched traversal API: bounds check and dispatch amortized
+         across each domain's whole quota. *)
       let rt = RT.compile c16 in
       let batch_row =
         List.map
@@ -599,18 +675,12 @@ let runtime ?(smoke = false) ?(projected = false) () =
               end
             done;
             results :=
-              ( Printf.sprintf "C(%d,%d)+batch" w w,
-                "padded-csr",
-                domains,
-                ops_total,
-                !seconds,
-                !best )
+              (Printf.sprintf "C(%d,%d)+batch" w w, domains, ops_total, !seconds, !best)
               :: !results;
             Printf.sprintf "%11.0f" !best)
           domain_counts
       in
-      line "%-12s %-16s %s" (Printf.sprintf "C(%d,%d)+batch" w w) "padded-csr"
-        (String.concat " " batch_row);
+      line "%-14s %s" (Printf.sprintf "C(%d,%d)+batch" w w) (String.concat " " batch_row);
       (* The layer-pipelined batch walk: a wavefront of tokens advances
          one crossing per round, overlapping independent crossings.
          Buffers are per-domain — they are single-owner scratch. *)
@@ -634,23 +704,17 @@ let runtime ?(smoke = false) ?(projected = false) () =
               end
             done;
             results :=
-              ( Printf.sprintf "C(%d,%d)+pipe" w w,
-                "padded-csr",
-                domains,
-                ops_total,
-                !seconds,
-                !best )
+              (Printf.sprintf "C(%d,%d)+pipe" w w, domains, ops_total, !seconds, !best)
               :: !results;
             Printf.sprintf "%11.0f" !best)
           domain_counts
       in
-      line "%-12s %-16s %s" (Printf.sprintf "C(%d,%d)+pipe" w w) "padded-csr"
-        (String.concat " " pipe_row));
+      line "%-14s %s" (Printf.sprintf "C(%d,%d)+pipe" w w) (String.concat " " pipe_row));
   (* Observability pass: one metrics-instrumented CAS run on C(16,16)
      at 4 domains.  The validator runs Strict — any lost update or
      broken step property fails the whole sweep — and the per-layer
      stall profile (the empirical shape Theorem 6.7 bounds) is printed
-     and embedded in BENCH_runtime.json. *)
+     and recorded in BENCH_runtime.json. *)
   let metrics_json =
     let rt = RT.compile ~mode:RT.Cas ~metrics:true c16 in
     let domains = 4 in
@@ -676,27 +740,25 @@ let runtime ?(smoke = false) ?(projected = false) () =
     | None -> line "  token latency: (none sampled)");
     Cn_runtime.Metrics.to_json ~layers snap
   in
-  let projected_section = if projected then Some (projected_json ~smoke ~w c16) else None in
-  let oc = open_out "BENCH_runtime.json" in
   let entries =
     List.rev_map
-      (fun (name, layout_name, domains, total_ops, seconds, rate) ->
+      (fun (name, domains, total_ops, seconds, rate) ->
         Printf.sprintf
-          "    { \"counter\": %S, \"layout\": %S, \"domains\": %d, \"total_ops\": %d, \
-           \"seconds\": %.6f, \"ops_per_sec\": %.1f }"
-          name layout_name domains total_ops seconds rate)
+          "    { \"counter\": %S, \"domains\": %d, \"total_ops\": %d, \"seconds\": %.6f, \
+           \"ops_per_sec\": %.1f }"
+          name domains total_ops seconds rate)
       !results
   in
-  Printf.fprintf oc
-    "{\n  \"suite\": \"runtime\",\n  \"w\": %d,\n  \"results\": [\n%s\n  ],\n%s  \"metrics\": %s}\n"
-    w
-    (String.concat ",\n" entries)
-    (match projected_section with
-    | Some p -> Printf.sprintf "  \"projected\": %s,\n" p
-    | None -> "")
-    metrics_json;
-  close_out oc;
-  line "wrote BENCH_runtime.json (%d measurements%s + metrics profile)" (List.length !results)
+  record_keys
+    ([
+       ("suite", "\"runtime\"");
+       ("w", string_of_int w);
+       ("results", Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" entries));
+       ("metrics", String.trim metrics_json);
+     ]
+    @ if projected then [ ("projected", projected_json ~smoke ~w c16) ] else []);
+  line "recorded runtime in BENCH_runtime.json (%d measurements%s + metrics profile)"
+    (List.length !results)
     (if projected then " + projected curves" else "")
 
 (* ------------------------------------------------------------------ *)
@@ -706,10 +768,10 @@ let runtime ?(smoke = false) ?(projected = false) () =
    round so the elected combiner serves them as one batch — the
    batching the per-op caller cannot express — and the mixed rows let
    elimination pair tokens with antitokens before they reach the
-   network.  Appends a "service" section to BENCH_runtime.json.         *)
+   network.  Records the "service" key of BENCH_runtime.json.           *)
 
 let service ?(smoke = false) ?(projected = false) () =
-  header "service  combining front-end vs naive per-op traverse (appends to BENCH_runtime.json)";
+  header "service  combining front-end vs naive per-op traverse (BENCH_runtime.json)";
   line "(host note: single-core container -> domains timeshare; relative shapes only)";
   let module RT = Cn_runtime.Network_runtime in
   let module DP = Cn_runtime.Domain_pool in
@@ -779,10 +841,10 @@ let service ?(smoke = false) ?(projected = false) () =
       (* Service driver: each domain owns [k] sessions pinned to its
          wire and pipelines one submit per session before awaiting, so
          every round is served as one combined batch. *)
-      let serve ?(pipeline = false) name ~mixed ~elim =
+      let serve name ~mixed ~elim =
         let best = ref 0. and secs = ref 0. and best_stats = ref None in
         for _ = 1 to repeats do
-          let svc = Svc.create ~max_batch:k ~elim ~pipeline c16 in
+          let svc = Svc.create ~max_batch:k ~elim c16 in
           let sessions =
             Array.init domains (fun pid ->
                 Array.init k (fun _ -> Svc.session ~wire:(pid mod w) svc))
@@ -839,8 +901,6 @@ let service ?(smoke = false) ?(projected = false) () =
       serve "service-batched" ~mixed:false ~elim:true;
       serve "service-batched" ~mixed:true ~elim:true;
       serve "service-noelim" ~mixed:true ~elim:false;
-      serve "service-pipelined" ~mixed:false ~elim:true ~pipeline:true;
-      serve "service-pipelined" ~mixed:true ~elim:true ~pipeline:true;
       (* Closed-loop workload coverage on the same pool: blocking
          increments/decrements under Zipf skew, metrics-instrumented,
          strict-drained; its combined service+network snapshot is
@@ -912,26 +972,8 @@ let service ?(smoke = false) ?(projected = false) () =
       (String.concat ",\n" entries)
       speedup_mixed speedup_inc (String.trim !report_json) projected_field
   in
-  let path = "BENCH_runtime.json" in
-  let fresh () =
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"suite\": \"service\",\n  \"service\": %s\n}\n" section;
-    close_out oc
-  in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match String.rindex_opt content '}' with
-    | Some i ->
-        let oc = open_out path in
-        output_string oc (String.sub content 0 i);
-        Printf.fprintf oc ",\n  \"service\": %s\n}\n" section;
-        close_out oc
-    | None -> fresh ()
-  end
-  else fresh ();
-  line "appended service section to BENCH_runtime.json (%d rows)" (List.length !rows)
+  record_keys [ ("service", section) ];
+  line "recorded service in BENCH_runtime.json (%d rows)" (List.length !rows)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the countnetd wire protocol on loopback — an in-process
@@ -940,10 +982,10 @@ let service ?(smoke = false) ?(projected = false) () =
    arrivals, a mixed inc/dec run) and carries SLO-style round-trip
    latency percentiles (p50/p95/p99, ns).  A churn phase and a
    mid-load Strict stop exercise the lifecycle edges; the section is
-   appended to BENCH_runtime.json.                                      *)
+   recorded in BENCH_runtime.json.                                      *)
 
 let serve ?(smoke = false) () =
-  header "serve  countnetd loopback: wire-protocol SLO latencies (appends to BENCH_runtime.json)";
+  header "serve  countnetd loopback: wire-protocol SLO latencies (BENCH_runtime.json)";
   line "(host note: loopback TCP on a single core; rtt includes both protocol stacks)";
   let module V = Cn_runtime.Validator in
   let module M = Cn_runtime.Metrics in
@@ -1058,26 +1100,8 @@ let serve ?(smoke = false) () =
       (String.concat ",\n" entries)
       churn accepted_after_churn drain_ok (V.summary report) rig_done rig_disc rig_closed
   in
-  let path = "BENCH_runtime.json" in
-  let fresh () =
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"suite\": \"serve\",\n  \"serve\": %s\n}\n" section;
-    close_out oc
-  in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match String.rindex_opt content '}' with
-    | Some i ->
-        let oc = open_out path in
-        output_string oc (String.sub content 0 i);
-        Printf.fprintf oc ",\n  \"serve\": %s\n}\n" section;
-        close_out oc
-    | None -> fresh ()
-  end
-  else fresh ();
-  line "appended serve section to BENCH_runtime.json (%d SLO rows)" (List.length !rows)
+  record_keys [ ("serve", section) ];
+  line "recorded serve in BENCH_runtime.json (%d SLO rows)" (List.length !rows)
 
 (* ------------------------------------------------------------------ *)
 (* fabric: the elastic sharded counter fabric — shard-scaling sweep at
@@ -1088,10 +1112,10 @@ let serve ?(smoke = false) () =
    conservation asserted at the Strict drain.  The projected rows come
    from the Theorem 6.7 contention model and show the analytic shard
    scaling even when this host timeshares domains on one core.
-   Appends a "fabric" section to BENCH_runtime.json.                    *)
+   Records the "fabric" key of BENCH_runtime.json.                      *)
 
 let fabric ?(smoke = false) () =
-  header "fabric  sharded counter fabric: shard scaling + hot resize (appends to BENCH_runtime.json)";
+  header "fabric  sharded counter fabric: shard scaling + hot resize (BENCH_runtime.json)";
   line "(host note: single-core container -> domains timeshare; relative shapes only)";
   let module DP = Cn_runtime.Domain_pool in
   let module V = Cn_runtime.Validator in
@@ -1281,26 +1305,8 @@ let fabric ?(smoke = false) () =
       (String.concat ",\n" projected_entries)
       measured_4v1 projected_4v1
   in
-  let path = "BENCH_runtime.json" in
-  let fresh () =
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"suite\": \"fabric\",\n  \"fabric\": %s\n}\n" section;
-    close_out oc
-  in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match String.rindex_opt content '}' with
-    | Some i ->
-        let oc = open_out path in
-        output_string oc (String.sub content 0 i);
-        Printf.fprintf oc ",\n  \"fabric\": %s\n}\n" section;
-        close_out oc
-    | None -> fresh ()
-  end
-  else fresh ();
-  line "appended fabric section to BENCH_runtime.json (%d rows)" (List.length !rows)
+  record_keys [ ("fabric", section) ];
+  line "recorded fabric in BENCH_runtime.json (%d rows)" (List.length !rows)
 
 (* ------------------------------------------------------------------ *)
 (* Approximate counting tier: the accuracy / throughput / memory
@@ -1318,10 +1324,10 @@ let fabric ?(smoke = false) () =
      plus the sparse decode regimes (exact below the peeling
      threshold, bounded-error above).
 
-   Appends a "sketch" section to BENCH_runtime.json.                    *)
+   Records the "sketch" key of BENCH_runtime.json.                      *)
 
 let sketch ?(smoke = false) () =
-  header "sketch  approximate tier: accuracy/throughput/memory frontier (appends to BENCH_runtime.json)";
+  header "sketch  approximate tier: accuracy/throughput/memory frontier (BENCH_runtime.json)";
   line "(host note: single-core container -> domains timeshare; relative shapes only)";
   let module Hll = Cn_sketch.Hll in
   let module Sparse = Cn_sketch.Sparse in
@@ -1438,26 +1444,8 @@ let sketch ?(smoke = false) () =
       (String.concat ",\n" tp_entries)
       n_keys exact_bytes sparse_bytes ratio over_err
   in
-  let path = "BENCH_runtime.json" in
-  let fresh () =
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"suite\": \"sketch\",\n  \"sketch\": %s\n}\n" section;
-    close_out oc
-  in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match String.rindex_opt content '}' with
-    | Some i ->
-        let oc = open_out path in
-        output_string oc (String.sub content 0 i);
-        Printf.fprintf oc ",\n  \"sketch\": %s\n}\n" section;
-        close_out oc
-    | None -> fresh ()
-  end
-  else fresh ();
-  line "appended sketch section to BENCH_runtime.json (%d hll rows, %d throughput rows)"
+  record_keys [ ("sketch", section) ];
+  line "recorded sketch in BENCH_runtime.json (%d hll rows, %d throughput rows)"
     (List.length hll_rows) (List.length tp_rows)
 
 (* ------------------------------------------------------------------ *)
@@ -1469,7 +1457,7 @@ let sketch ?(smoke = false) () =
    benchmarking a broken network as if it counted).                     *)
 
 let hybrid ?(smoke = false) () =
-  header "hybrid  merger strategies at C(16,16): depth/size/throughput (appends to BENCH_runtime.json)";
+  header "hybrid  merger strategies at C(16,16): depth/size/throughput (BENCH_runtime.json)";
   line "(host note: single-core container -> domains timeshare; relative shapes only)";
   let module M = Cn_core.Merger in
   let module H = Cn_runtime.Harness in
@@ -1530,26 +1518,8 @@ let hybrid ?(smoke = false) () =
       w w domains ops (List.length battery)
       (String.concat ",\n" entries)
   in
-  let path = "BENCH_runtime.json" in
-  let fresh () =
-    let oc = open_out path in
-    Printf.fprintf oc "{\n  \"suite\": \"hybrid\",\n  \"hybrid\": %s\n}\n" section;
-    close_out oc
-  in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let content = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match String.rindex_opt content '}' with
-    | Some i ->
-        let oc = open_out path in
-        output_string oc (String.sub content 0 i);
-        Printf.fprintf oc ",\n  \"hybrid\": %s\n}\n" section;
-        close_out oc
-    | None -> fresh ()
-  end
-  else fresh ();
-  line "appended hybrid section to BENCH_runtime.json (%d merger rows, %d battery loads)"
+  record_keys [ ("hybrid", section) ];
+  line "recorded hybrid in BENCH_runtime.json (%d merger rows, %d battery loads)"
     (List.length rows) (List.length battery)
 
 (* ------------------------------------------------------------------ *)

@@ -362,29 +362,6 @@ let mode_arg =
         ~doc:"Balancer implementation: $(b,faa) (wait-free fetch-and-add) or $(b,cas) \
               (instrumented compare-and-set with bounded backoff).")
 
-let layout_conv =
-  let parse = function
-    | "padded" | "padded-csr" | "csr" -> Ok Cn_runtime.Network_runtime.Padded_csr
-    | "unpadded" | "unpadded-nested" | "nested" -> Ok Cn_runtime.Network_runtime.Unpadded_nested
-    | s -> Error (`Msg (Printf.sprintf "unknown layout %S (expected padded or unpadded)" s))
-  in
-  let print ppf l =
-    Format.pp_print_string ppf
-      (match l with
-      | Cn_runtime.Network_runtime.Padded_csr -> "padded"
-      | Cn_runtime.Network_runtime.Unpadded_nested -> "unpadded")
-  in
-  Arg.conv (parse, print)
-
-let layout_arg =
-  Arg.(
-    value
-    & opt layout_conv Cn_runtime.Network_runtime.Padded_csr
-    & info [ "layout" ] ~docv:"LAYOUT"
-        ~doc:"Runtime memory layout: $(b,padded) (cache-line-padded balancer states, flat CSR \
-              wiring; default) or $(b,unpadded) (adjacent atomics, nested-array wiring; for \
-              comparison).")
-
 let batch_arg =
   Arg.(
     value
@@ -401,9 +378,7 @@ let pipeline_arg =
     & info [ "pipeline" ] ~docv:"CAP"
         ~doc:"Drive each domain through the layer-pipelined batch walk \
               ($(b,traverse_batch_pipelined)) with a wavefront buffer of $(docv) tokens (bare \
-              $(b,--pipeline): 64) instead of one $(b,traverse) call per increment. With \
-              $(b,--service), drains combined batches through the pipelined walk instead; lane \
-              buffers are sized by $(b,--max-batch) and $(docv) is ignored.")
+              $(b,--pipeline): 64) instead of one $(b,traverse) call per increment.")
 
 let projected_flag =
   Arg.(
@@ -610,13 +585,13 @@ let throughput_cmd =
      measured run above answers "what did this host do"; these rows
      answer "what would n truly concurrent domains do" (Theorem 6.7's
      regime), from depth x crossing_ns plus simulated stalls. *)
-  let print_projection net ~mode ~layout ~ops ~stall_factor =
+  let print_projection net ~mode ~ops ~stall_factor =
     let module P = Cn_analysis.Projection in
     let depth = T.depth net in
     let crossing_ns =
       Cn_runtime.Harness.calibrate_crossing_ns
         ~ops_per_domain:(max 1_000 (min ops 200_000))
-        ~make:(fun () -> Cn_runtime.Shared_counter.of_topology ~mode ~layout net)
+        ~make:(fun () -> Cn_runtime.Shared_counter.of_topology ~mode net)
         ~depth ()
     in
     let c = P.calibrate ?stall_factor ~crossing_ns () in
@@ -639,7 +614,7 @@ let throughput_cmd =
   in
   let parse_skew = parse_skew ~fail:fail_usage in
   let parse_arrival = parse_arrival ~fail:fail_usage in
-  let run net domains ops mode layout batch pipeline metrics policy service elim max_batch
+  let run net domains ops mode batch pipeline metrics policy service elim max_batch
       sessions dec_ratio skew arrival projected stall_factor fabric fabric_shards autotune
       backend =
     if domains <= 0 then fail_usage (Printf.sprintf "--domains must be positive (got %d)" domains);
@@ -689,6 +664,8 @@ let throughput_cmd =
     end;
     if (service || fabric) && batch <> None then
       fail_usage "--batch and --service/--fabric are mutually exclusive (they batch internally)";
+    if (service || fabric) && pipeline <> None then
+      fail_usage "--pipeline and --service/--fabric are mutually exclusive (they batch internally)";
     (match max_batch with
     | Some b when b <= 0 -> fail_usage (Printf.sprintf "--max-batch must be positive (got %d)" b)
     | _ -> ());
@@ -795,8 +772,7 @@ let throughput_cmd =
       in
       let fab =
         try
-          Fab.create ~mode ~layout ~metrics ?max_batch ?elim
-            ~pipeline:(pipeline <> None) ~validate:policy ~shards net
+          Fab.create ~mode ~metrics ?max_batch ?elim ~validate:policy ~shards net
         with Fab.Rejected msg -> fail_usage ("topology rejected: " ^ msg)
       in
       if autotune then begin
@@ -804,7 +780,7 @@ let throughput_cmd =
         let crossing_ns =
           Cn_runtime.Harness.calibrate_crossing_ns
             ~ops_per_domain:(max 1_000 (min ops 200_000))
-            ~make:(fun () -> Cn_runtime.Shared_counter.of_topology ~mode ~layout net)
+            ~make:(fun () -> Cn_runtime.Shared_counter.of_topology ~mode net)
             ~depth ()
         in
         let c = P.calibrate ?stall_factor ~crossing_ns () in
@@ -857,14 +833,11 @@ let throughput_cmd =
                   i.Fab.out_width i.Fab.gen i.Fab.value)
               (Fab.shard_infos fab)));
       if metrics then print_endline (Fab.report_json fab);
-      if projected then print_projection net ~mode ~layout ~ops ~stall_factor;
+      if projected then print_projection net ~mode ~ops ~stall_factor;
       exit 0
     end;
     if service then begin
-      let svc =
-        Svc.create ~mode ~layout ~metrics ?max_batch ?elim ~pipeline:(pipeline <> None)
-          ~validate:policy net
-      in
+      let svc = Svc.create ~mode ~metrics ?max_batch ?elim ~validate:policy net in
       let spec =
         {
           W.default with
@@ -889,7 +862,7 @@ let throughput_cmd =
         sst.Svc.total_batches sst.Svc.mean_batch sst.Svc.total_eliminated_pairs
         sst.Svc.elimination_rate;
       if metrics then print_endline (Svc.report_json svc);
-      if projected then print_projection net ~mode ~layout ~ops ~stall_factor;
+      if projected then print_projection net ~mode ~ops ~stall_factor;
       exit 0
     end;
     let enforce_or_exit rt =
@@ -902,7 +875,7 @@ let throughput_cmd =
     let json = ref None in
     let r =
       if metrics || batch <> None || pipeline <> None then begin
-        let rt = RT.compile ~mode ~layout ~metrics net in
+        let rt = RT.compile ~mode ~metrics net in
         let seconds =
           match pipeline with
           | Some cap -> pool_round_pipelined rt ~domains ~ops ~capacity:(min cap ops)
@@ -930,7 +903,7 @@ let throughput_cmd =
            validator can inspect its quiesced network. *)
         let last = ref None in
         let make () =
-          let c = Cn_runtime.Shared_counter.of_topology ~mode ~layout net in
+          let c = Cn_runtime.Shared_counter.of_topology ~mode net in
           last := Some c;
           c
         in
@@ -945,13 +918,13 @@ let throughput_cmd =
       r.Cn_runtime.Harness.counter domains ops r.Cn_runtime.Harness.total_ops
       r.Cn_runtime.Harness.seconds r.Cn_runtime.Harness.ops_per_sec;
     Option.iter print_endline !json;
-    if projected then print_projection net ~mode ~layout ~ops ~stall_factor
+    if projected then print_projection net ~mode ~ops ~stall_factor
   in
   Cmd.v
     (Cmd.info "throughput"
        ~doc:"Measure Fetch&Increment throughput of the network-backed shared counter.")
     Term.(
-      const run $ network_term $ domains_arg $ ops_arg $ mode_arg $ layout_arg $ batch_arg
+      const run $ network_term $ domains_arg $ ops_arg $ mode_arg $ batch_arg
       $ pipeline_arg $ metrics_flag $ validate_arg $ service_flag $ elim_arg $ max_batch_arg
       $ sessions_arg $ dec_ratio_arg $ skew_arg $ arrival_arg $ projected_flag
       $ stall_factor_arg $ fabric_flag $ fabric_shards_arg $ autotune_flag $ backend_arg)
@@ -1239,8 +1212,8 @@ let lint_cmd =
       value
       & flag
       & info [ "all" ]
-          ~doc:"Certify the whole built-in portfolio (every family at widths 2..64, both \
-                compiled layouts) instead of one network.")
+          ~doc:"Certify the whole built-in portfolio (every family at widths 2..64, down to \
+                the compiled runtime) instead of one network.")
   in
   let hybrids_flag =
     Arg.(
@@ -1273,27 +1246,6 @@ let lint_cmd =
       & opt int 20_000
       & info [ "budget" ] ~docv:"N"
           ~doc:"Bounded-exhaustive input-space budget per certificate (default 20000).")
-  in
-  let layouts_arg =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("padded", [ Cn_runtime.Network_runtime.Padded_csr ]);
-               ("unpadded", [ Cn_runtime.Network_runtime.Unpadded_nested ]);
-               ( "both",
-                 [
-                   Cn_runtime.Network_runtime.Padded_csr;
-                   Cn_runtime.Network_runtime.Unpadded_nested;
-                 ] );
-             ])
-          [
-            Cn_runtime.Network_runtime.Padded_csr; Cn_runtime.Network_runtime.Unpadded_nested;
-          ]
-      & info [ "layout" ] ~docv:"LAYOUT"
-          ~doc:"Compiled layout(s) for the CSR-faithfulness pass: $(b,padded), $(b,unpadded) or \
-                $(b,both) (default).")
   in
   let lint_file_arg =
     Arg.(
@@ -1378,7 +1330,7 @@ let lint_cmd =
           lgw,
           Some ((fun () -> Cn_core.Blocks.c_prime ~w ~t:t'), "Lemma 6.6"), None, None )
   in
-  let run family w t delta merger scope all hybrids mutate json budget layouts file =
+  let run family w t delta merger scope all hybrids mutate json budget file =
     let failed = ref false in
     let certs = ref [] in
     let mutants = ref [] in
@@ -1401,7 +1353,7 @@ let lint_cmd =
                 failed := true
             | Ok net ->
                 let cert =
-                  L.certify ~exhaustive_budget:budget ~layouts ~subject:path
+                  L.certify ~exhaustive_budget:budget ~subject:path
                     ~expectation:L.Counting net
                 in
                 certs := [ cert ];
@@ -1409,13 +1361,13 @@ let lint_cmd =
                 if not (L.ok cert) then failed := true))
     | None ->
         if all then begin
-          let cs = P.run ~exhaustive_budget:budget ~layouts () in
+          let cs = P.run ~exhaustive_budget:budget () in
           certs := !certs @ cs;
           Format.printf "%a@?" P.pp_summary cs;
           if not (P.all_ok cs) then failed := true
         end;
         if hybrids then begin
-          let cs = P.run_hybrids ~exhaustive_budget:budget ~layouts () in
+          let cs = P.run_hybrids ~exhaustive_budget:budget () in
           certs := !certs @ cs;
           Format.printf "%a@?" P.pp_hybrid_summary cs;
           (* A refuted hybrid is an adjudicated result, not a failure;
@@ -1430,7 +1382,7 @@ let lint_cmd =
             let net = build family ~w ~t ~delta ~merger ~scope in
             let reference = Option.map (fun (f, cite) -> (f (), cite)) reference in
             L.certify ?reference ?iso_hint ?merger:merger_tag ~expected_depth
-              ~exhaustive_budget:budget ~layouts ~subject ~expectation net
+              ~exhaustive_budget:budget ~subject ~expectation net
           with
           | exception Invalid_argument m ->
               prerr_endline m;
@@ -1470,12 +1422,12 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:"Statically certify topologies and their compiled runtimes: well-formedness, \
              abstract interpretation, bounded-exhaustive and structural step certificates \
-             with two-token escalation, CSR faithfulness in both layouts, the \
+             with two-token escalation, CSR faithfulness of the compiled runtime, the \
              merger-substituted hybrid campaign, and the seeded mutant battery.")
     Term.(
       const run $ family_arg $ width_arg $ out_width_arg $ delta_arg $ merger_arg
       $ merger_scope_arg $ all_flag $ hybrids_flag $ mutate_flag $ json_arg $ budget_arg
-      $ layouts_arg $ lint_file_arg)
+      $ lint_file_arg)
 
 (* ---------------------------------------------------------------- *)
 (* serve / load: the countnetd wire protocol, from this binary. *)

@@ -81,15 +81,6 @@ let traverse_batch_decrement t ~wire ~n ~f =
     f i (traverse_decrement t ~wire)
   done
 
-(* The model runtime has no memory hierarchy to pipeline against; the
-   pipelined entry points exist so the checker explores the same service
-   protocol whichever drain shape production uses. *)
-type buffer = unit
-
-let buffer ~capacity:_ = ()
-let traverse_batch_pipelined t () ~wire ~n ~f = traverse_batch t ~wire ~n ~f
-let traverse_batch_pipelined_decrement t () ~wire ~n ~f = traverse_batch_decrement t ~wire ~n ~f
-
 let exit_distribution t =
   Array.init t.output_width (fun i ->
       (A.get t.values.(i) - i) / t.output_width)

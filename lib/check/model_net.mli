@@ -2,7 +2,7 @@
     [RUNTIME] argument the checker feeds to {!Cn_service.Service_core.Make}.
 
     Semantically it is {!Cn_runtime.Network_runtime} in [Faa] mode with
-    every padding/layout/metrics concern stripped: the same encoded-dest
+    every padding and metrics concern stripped: the same encoded-dest
     walk, the same symmetric-modulo port arithmetic, the same
     [values.(i) = i, i + t, ...] exit tallies.  Every balancer crossing
     and exit bump is a scheduler decision point, so a traversal that
@@ -27,17 +27,6 @@ val traverse_batch : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
 val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
 (** Batched antitoken runs, one schedulable crossing at a time — the
     model analogue of [Network_runtime.traverse_batch_decrement]. *)
-
-type buffer = unit
-(** The model has no memory hierarchy to pipeline against; its pipelined
-    entry points delegate to the sequential batch walks so the checker
-    still explores services built with [~pipeline:true]. *)
-
-val buffer : capacity:int -> buffer
-val traverse_batch_pipelined : t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
-
-val traverse_batch_pipelined_decrement :
-  t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
 
 val quiescent : t -> Cn_runtime.Validator.report
 (** Step-property plus token-conservation checks on the current exit

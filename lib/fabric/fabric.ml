@@ -63,13 +63,10 @@ let certify_topology ?exhaustive_budget net =
 
 (* ------------------------------------------------------------------ *)
 
-let create ?mode ?layout ?(metrics = false) ?max_batch ?queue ?elim ?pipeline
-    ?(validate = V.Strict) ?max_shards ?vnodes ?exhaustive_budget ~shards net =
+let create ?mode ?(metrics = false) ?max_batch ?queue ?elim ?(validate = V.Strict)
+    ?max_shards ?vnodes ?exhaustive_budget ~shards net =
   if shards < 1 then invalid_arg "Fabric.create: shards must be positive";
-  let spawn topo =
-    Svc.create ?mode ?layout ~metrics ?max_batch ?queue ?elim ?pipeline
-      ~validate topo
-  in
+  let spawn topo = Svc.create ?mode ~metrics ?max_batch ?queue ?elim ~validate topo in
   let certify topo =
     match certify_topology ?exhaustive_budget topo with
     | Ok _ -> Ok ()

@@ -35,12 +35,10 @@ include
 
 val create :
   ?mode:Cn_runtime.Network_runtime.mode ->
-  ?layout:Cn_runtime.Network_runtime.layout ->
   ?metrics:bool ->
   ?max_batch:int ->
   ?queue:int ->
   ?elim:bool ->
-  ?pipeline:bool ->
   ?validate:Cn_runtime.Validator.policy ->
   ?max_shards:int ->
   ?vnodes:int ->
@@ -50,8 +48,8 @@ val create :
   t
 (** [create ~shards net] certifies [net], then builds [shards]
     identical service shards over it.  The service knobs ([?mode],
-    [?layout], [?metrics], [?max_batch], [?queue], [?elim],
-    [?pipeline], [?validate]) pass through to
+    [?metrics], [?max_batch], [?queue], [?elim], [?validate]) pass
+    through to
     {!Cn_service.Service.create} for every spawned shard — including
     the ones hot-resize swaps in later.  [?exhaustive_budget] (default
     [2_000]) caps the certifier's bounded-exhaustive pass per topology.

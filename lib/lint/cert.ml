@@ -148,7 +148,7 @@ let escalation_loads w =
       (List.init w Fun.id)
 
 let certify ?reference ?iso_hint ?expected_depth ?merger ?(exhaustive_budget = 20_000)
-    ?(layouts = [ Rt.Padded_csr; Rt.Unpadded_nested ]) ~subject ~expectation net =
+    ~subject ~expectation net =
   let w = Topology.input_width net in
   let t_out = Topology.output_width net in
   let refuted = ref None in
@@ -421,19 +421,13 @@ let certify ?reference ?iso_hint ?expected_depth ?merger ?(exhaustive_budget = 2
                     })
         end
   in
-  (* 8. Compiled-runtime faithfulness, per layout. *)
+  (* 8. Compiled-runtime faithfulness. *)
   let csr =
-    let diags =
-      List.concat_map
-        (fun layout ->
-          let rt = Rt.compile ~layout net in
-          Csr_lint.check ~subject net (Rt.view rt))
-        layouts
-    in
-    let names =
-      List.map (function Rt.Padded_csr -> "padded-csr" | Rt.Unpadded_nested -> "unpadded-nested") layouts
-    in
-    { pass = "csr"; facts = [ ("layouts", String.concat ", " names) ]; diagnostics = diags }
+    {
+      pass = "csr";
+      facts = [];
+      diagnostics = Csr_lint.check ~subject net (Rt.view (Rt.compile net));
+    }
   in
   let passes = [ wellformed; shape; absint; probe; exhaustive; escalate; structural; csr ] in
   let evidence =

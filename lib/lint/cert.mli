@@ -40,8 +40,8 @@
       (counting, merging, half-split) only when the derived output
       correspondence is the identity — an output permutation preserves
       smoothness but not the step property.  Failure is [STEP001].
-    + {b csr} — compile with each requested layout and run
-      {!Csr_lint.check} on the {!Cn_runtime.Network_runtime.view}.
+    + {b csr} — compile the runtime and run {!Csr_lint.check} on its
+      {!Cn_runtime.Network_runtime.view}.
 
     The evidence order is [Refuted > Exhaustive > By_construction >
     By_isomorphism > Unverified]: a concrete counterexample trumps
@@ -99,7 +99,6 @@ val certify :
   ?expected_depth:int ->
   ?merger:string ->
   ?exhaustive_budget:int ->
-  ?layouts:Cn_runtime.Network_runtime.layout list ->
   subject:string ->
   expectation:expectation ->
   Cn_network.Topology.t ->
@@ -116,8 +115,7 @@ val certify :
     of a hybrid subject; it flows into the JSON row as the top-level
     ["merger"] field ([null] for classic families).
     [exhaustive_budget] (default [20_000]) caps the bounded-exhaustive
-    input space.  [layouts] (default both) selects the compiled
-    representations to certify. *)
+    input space. *)
 
 val ok : t -> bool
 (** No error-severity diagnostic in any pass. *)

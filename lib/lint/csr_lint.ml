@@ -24,7 +24,6 @@ let check ~subject net (v : Rt.view) =
     emit "CSR008" "compiled output width %d but the topology has %d" v.Rt.v_output_width t;
   let offsets = v.Rt.v_offsets in
   let next = v.Rt.v_next in
-  let nested = v.Rt.v_next_nested in
   (* Structural soundness of the tables themselves (CSR001). *)
   let offsets_ok = ref (Array.length offsets = n + 1) in
   if not !offsets_ok then
@@ -52,8 +51,6 @@ let check ~subject net (v : Rt.view) =
       (Array.length v.Rt.v_init_states) n;
   if Array.length v.Rt.v_fan_out <> n then
     emit "CSR001" "fan-out table has %d entries for %d balancers" (Array.length v.Rt.v_fan_out) n;
-  if Array.length nested <> n then
-    emit "CSR001" "nested jump table has %d rows for %d balancers" (Array.length nested) n;
   if Array.length v.Rt.v_entry <> w then
     emit "CSR001" "entry table has %d entries for input width %d" (Array.length v.Rt.v_entry) w;
   (* Per-balancer metadata: initial states (CSR007) and row widths /
@@ -83,33 +80,17 @@ let check ~subject net (v : Rt.view) =
             d.Balancer.fan_out
         else rows_ok.(b) <- true)
       descriptor;
-  let nested_ok = Array.make n false in
-  if Array.length nested = n then
-    Array.iteri
-      (fun b d ->
-        let width = Array.length nested.(b) in
-        if width <> d.Balancer.fan_out then
-          emit "CSR002" "nested row of balancer %d has width %d, topology fan-out is %d" b width
-            d.Balancer.fan_out
-        else nested_ok.(b) <- true)
-      descriptor;
   (* Precompiled routing table (CSR010): the stride-2 route image must
      carry each balancer's CSR row base and its port strategy — the mask
      [fan_out - 1] exactly when the fan-out is a power of two,
-     [-fan_out] otherwise — and the per-balancer strategy table read by
-     the nested walk must agree with it.  Expectations are re-derived
-     from the topology, independent of the (possibly corrupted)
-     [v_offsets]. *)
+     [-fan_out] otherwise.  Expectations are re-derived from the
+     topology, independent of the (possibly corrupted) [v_offsets]. *)
   let strategy_of q = if q land (q - 1) = 0 then q - 1 else -q in
   let route = v.Rt.v_route in
-  let strategy = v.Rt.v_strategy in
   let route_ok = ref (Array.length route = 2 * n) in
   if not !route_ok then
     emit "CSR010" "routing table has %d entries for %d balancers (want %d)" (Array.length route) n
       (2 * n);
-  let strategy_ok = Array.length strategy = n in
-  if not strategy_ok then
-    emit "CSR010" "strategy table has %d entries for %d balancers" (Array.length strategy) n;
   let ex_base = ref 0 in
   Array.iteri
     (fun b d ->
@@ -122,13 +103,10 @@ let check ~subject net (v : Rt.view) =
           emit "CSR010" "balancer %d compiled with port strategy %d, fan-out %d wants %d" b
             route.((2 * b) + 1) q (strategy_of q)
       end;
-      if strategy_ok && strategy.(b) <> strategy_of q then
-        emit "CSR010" "balancer %d: nested-walk port strategy %d, fan-out %d wants %d" b
-          strategy.(b) q (strategy_of q);
       ex_base := !ex_base + q)
     descriptor;
-  (* Destination range (CSR003), topology diff (CSR006/CSR009), layout
-     agreement (CSR005).  [in_range] is against the topology's widths:
+  (* Destination range (CSR003) and topology diff (CSR006/CSR009).
+     [in_range] is against the topology's widths:
      the runtime may only jump to an existing balancer or exit on an
      existing output wire. *)
   let in_range e = e < n && e >= -t in
@@ -151,29 +129,14 @@ let check ~subject net (v : Rt.view) =
           expected
     done;
   for b = 0 to n - 1 do
-    let fan_out = descriptor.(b).Balancer.fan_out in
-    for port = 0 to fan_out - 1 do
-      let expected = encode (Topology.consumer net (Topology.Bal_output { bal = b; port })) in
-      let where = Printf.sprintf "port %d of balancer %d" port b in
-      let flat = if rows_ok.(b) then Some next.(offsets.(b) + port) else None in
-      (match flat with
-      | Some actual ->
-          if check_dest ~where actual && actual <> expected then
-            emit "CSR009" "%s jumps to %a, topology says %a" where pp_dest actual pp_dest expected
-      | None -> ());
-      if nested_ok.(b) then begin
-        let nv = nested.(b).(port) in
-        match flat with
-        | Some actual when nv <> actual ->
-            emit "CSR005" "%s: nested layout jumps to %a but the CSR table says %a" where pp_dest
-              nv pp_dest actual
-        | Some _ -> ()
-        | None ->
-            if check_dest ~where:(where ^ " (nested)") nv && nv <> expected then
-              emit "CSR009" "%s (nested) jumps to %a, topology says %a" where pp_dest nv pp_dest
-                expected
-      end
-    done
+    if rows_ok.(b) then
+      for port = 0 to descriptor.(b).Balancer.fan_out - 1 do
+        let expected = encode (Topology.consumer net (Topology.Bal_output { bal = b; port })) in
+        let where = Printf.sprintf "port %d of balancer %d" port b in
+        let actual = next.(offsets.(b) + port) in
+        if check_dest ~where actual && actual <> expected then
+          emit "CSR009" "%s jumps to %a, topology says %a" where pp_dest actual pp_dest expected
+      done
   done;
   (* Coverage (CSR004): over the in-range targets of the entry table
      and the flat rows, each balancer must be reached on exactly fan-in

@@ -2,8 +2,8 @@
     encoding of its source topology.
 
     {!Cn_runtime.Network_runtime.view} exposes everything the walk loops
-    read — CSR offsets, the flat and nested jump tables, port-mask
-    bases, entry table, initial states — as plain arrays.  {!check}
+    read — CSR offsets, the flat jump table, the routing table,
+    port-mask bases, entry table, initial states — as plain arrays.  {!check}
     decompiles that representation and diffs it against the source
     topology, emitting pinned diagnostics:
 
@@ -15,7 +15,9 @@
     - [CSR004] coverage: a balancer is targeted by a number of wires
       other than its fan-in, or an output wire by other than exactly
       one;
-    - [CSR005] the flat CSR table and the nested layout disagree;
+    - [CSR005] retired, not reused: it flagged a disagreement between
+      the flat table and a second, nested wiring layout the runtime no
+      longer has;
     - [CSR006] entry table does not match the topology's input wiring;
     - [CSR007] initial state mismatch;
     - [CSR008] input/output width mismatch;
@@ -24,8 +26,7 @@
     - [CSR010] the precompiled routing image is wrong: a stride-2
       route entry carries a row base off its CSR row, or a port
       strategy that is not the mask [fan_out - 1] for a power-of-two
-      fan-out (resp. [-fan_out] for the double-[mod] path), in either
-      the route table or the nested walk's strategy table.
+      fan-out (resp. [-fan_out] for the double-[mod] path).
 
     The destination encoding mirrors the runtime's: a non-negative
     entry is a balancer id, a negative entry [-(wire + 1)] is network

@@ -208,17 +208,9 @@ let hybrid_mutants ~w ~t =
    the CSR faithfulness pass. --------------------------------------- *)
 
 let csr_mutant ~name ~description ~expected net mutate =
-  let v = mutate (Rt.view (Rt.compile ~layout:Rt.Padded_csr net)) in
+  let v = mutate (Rt.view (Rt.compile net)) in
   finish ~name ~description ~expected
     (List.map (fun d -> d.Diagnostic.code) (Csr_lint.check ~subject:name net v))
-
-(* Flat index -> (balancer, port) under intact offsets. *)
-let locate (v : Rt.view) idx =
-  let b = ref 0 in
-  while v.Rt.v_offsets.(!b + 1) <= idx do
-    incr b
-  done;
-  (!b, idx - v.Rt.v_offsets.(!b))
 
 let csr_mutants net =
   let n = Topology.size net in
@@ -239,18 +231,15 @@ let csr_mutants net =
         v.Rt.v_next.(0) <- n + 3;
         v);
     csr_mutant ~name:"csr-rewire" ~expected:"CSR009"
-      ~description:"two jump-table entries with different targets swapped (flat and nested)" net
+      ~description:"two jump-table entries with different targets swapped" net
       (fun v ->
         let j = ref 1 in
         while v.Rt.v_next.(!j) = v.Rt.v_next.(0) do
           incr j
         done;
-        let b0, p0 = locate v 0 and b1, p1 = locate v !j in
         let tmp = v.Rt.v_next.(0) in
         v.Rt.v_next.(0) <- v.Rt.v_next.(!j);
         v.Rt.v_next.(!j) <- tmp;
-        v.Rt.v_next_nested.(b0).(p0) <- v.Rt.v_next.(0);
-        v.Rt.v_next_nested.(b1).(p1) <- v.Rt.v_next.(!j);
         v);
     csr_mutant ~name:"csr-entry-corrupt" ~expected:"CSR006"
       ~description:"input wire 0 enters at input wire 1's balancer" net
@@ -265,13 +254,6 @@ let csr_mutants net =
     csr_mutant ~name:"csr-width" ~expected:"CSR008"
       ~description:"compiled output width off by one" net
       (fun v -> { v with Rt.v_output_width = v.Rt.v_output_width + 1 });
-    csr_mutant ~name:"csr-nested-diverge" ~expected:"CSR005"
-      ~description:"nested layout of one port disagrees with the CSR table" net
-      (fun v ->
-        let b, p = locate v 0 in
-        let e = v.Rt.v_next_nested.(b).(p) in
-        v.Rt.v_next_nested.(b).(p) <- (if e >= 0 then -1 else 0);
-        v);
     csr_mutant ~name:"csr-route-strategy" ~expected:"CSR010"
       ~description:"balancer 0's precompiled port strategy downgraded to the double-mod path" net
       (fun v ->
@@ -282,11 +264,6 @@ let csr_mutants net =
       (fun v ->
         v.Rt.v_route.(2) <- v.Rt.v_route.(2) + 1;
         v);
-    csr_mutant ~name:"csr-strategy-diverge" ~expected:"CSR010"
-      ~description:"nested-walk strategy of balancer 0 widened past its fan-out" net
-      (fun v ->
-        v.Rt.v_strategy.(0) <- (2 * v.Rt.v_fan_out.(0)) - 1;
-        v);
     csr_mutant ~name:"csr-drop-output" ~expected:"CSR004"
       ~description:"the jump to output wire 0 redirected to output wire 1" net
       (fun v ->
@@ -295,8 +272,6 @@ let csr_mutants net =
           incr j
         done;
         v.Rt.v_next.(!j) <- -2;
-        let b, p = locate v !j in
-        v.Rt.v_next_nested.(b).(p) <- -2;
         v);
   ]
 

@@ -189,18 +189,18 @@ let hybrid_entries () =
           hybrid_strategies)
       [ 4; 8; 16; 32; 64 ]
 
-let certify ?exhaustive_budget ?layouts entry =
+let certify ?exhaustive_budget entry =
   Cert.certify
     ?reference:(Option.map (fun (f, cite) -> (f (), cite)) entry.reference)
     ?iso_hint:(Option.map (fun f -> f ()) entry.iso_hint)
-    ?merger:entry.merger ~expected_depth:entry.expected_depth ?exhaustive_budget ?layouts
+    ?merger:entry.merger ~expected_depth:entry.expected_depth ?exhaustive_budget
     ~subject:entry.name ~expectation:entry.expectation (entry.build ())
 
-let run ?exhaustive_budget ?layouts () =
-  List.map (certify ?exhaustive_budget ?layouts) (entries ())
+let run ?exhaustive_budget () =
+  List.map (certify ?exhaustive_budget) (entries ())
 
-let run_hybrids ?exhaustive_budget ?layouts () =
-  List.map (certify ?exhaustive_budget ?layouts) (hybrid_entries ())
+let run_hybrids ?exhaustive_budget () =
+  List.map (certify ?exhaustive_budget) (hybrid_entries ())
 
 let all_ok certs = List.for_all Cert.ok certs
 

@@ -1,5 +1,5 @@
 (** The built-in certification portfolio: every constructible family at
-    the standard widths, certified in both compiled layouts — plus the
+    the standard widths, certified down to the compiled runtime — plus the
     merger-substituted hybrid campaign.
 
     [entries] covers, for [w ∈ {2, 4, 8, 16, 32, 64}]:
@@ -58,19 +58,16 @@ val hybrid_entries : unit -> entry list
 
 val certify :
   ?exhaustive_budget:int ->
-  ?layouts:Cn_runtime.Network_runtime.layout list ->
   entry ->
   Cert.t
 
 val run :
   ?exhaustive_budget:int ->
-  ?layouts:Cn_runtime.Network_runtime.layout list ->
   unit ->
   Cert.t list
 
 val run_hybrids :
   ?exhaustive_budget:int ->
-  ?layouts:Cn_runtime.Network_runtime.layout list ->
   unit ->
   Cert.t list
 

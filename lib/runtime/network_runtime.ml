@@ -2,7 +2,6 @@ module Topology = Cn_network.Topology
 module Balancer = Cn_network.Balancer
 
 type mode = Faa | Cas
-type layout = Padded_csr | Unpadded_nested
 
 (* Destinations are encoded as ints: a non-negative value is a balancer
    id; a negative value [-(wire + 1)] is a network output wire. *)
@@ -26,7 +25,6 @@ let[@inline] port_of_strategy s strat =
 
 type t = {
   mode : mode;
-  layout : layout;
   input_width : int;
   output_width : int;
   states : Padded_atomic.t; (* per balancer: monotone transition count *)
@@ -36,22 +34,19 @@ type t = {
                           balancer b's fan-out *)
   next : int array; (* CSR: encoded destination of port p of balancer b
                        at [offsets.(b) + p] *)
-  next_nested : int array array; (* seed layout: per balancer, per port *)
   fan_out : int array;
   route : int array; (* stride-2 routing table: [route.(2b)] is balancer
                         b's CSR row base (= offsets.(b)), [route.(2b+1)]
                         its port strategy — one adjacent pair per
                         crossing instead of two [offsets] reads plus a
                         power-of-two test *)
-  strategy : int array; (* per balancer: the same strategy, for the
-                           nested walk's fast path *)
   entry : int array; (* per input wire: encoded destination *)
   values : Padded_atomic.t; (* per output wire: next value to hand out *)
   failures : Padded_atomic.t; (* single slot, always padded *)
   metrics : Metrics.t option;
 }
 
-let compile ?(mode = Faa) ?(layout = Padded_csr) ?(metrics = false) net =
+let compile ?(mode = Faa) ?(metrics = false) net =
   let n = Topology.size net in
   let t = Topology.output_width net in
   (* One topology query per balancer; every per-balancer field below is
@@ -66,43 +61,35 @@ let compile ?(mode = Faa) ?(layout = Padded_csr) ?(metrics = false) net =
   for b = 0 to n - 1 do
     offsets.(b + 1) <- offsets.(b) + fan_out.(b)
   done;
-  let next_nested =
-    Array.init n (fun b ->
-        Array.init fan_out.(b) (fun port ->
-            encode_dest (Topology.consumer net (Topology.Bal_output { bal = b; port }))))
-  in
   let next = Array.make offsets.(n) 0 in
-  Array.iteri (fun b row -> Array.blit row 0 next offsets.(b) (Array.length row)) next_nested;
-  let strategy = Array.map strategy_of fan_out in
   let route = Array.make (2 * n) 0 in
   for b = 0 to n - 1 do
+    for port = 0 to fan_out.(b) - 1 do
+      next.(offsets.(b) + port) <-
+        encode_dest (Topology.consumer net (Topology.Bal_output { bal = b; port }))
+    done;
     route.(2 * b) <- offsets.(b);
-    route.((2 * b) + 1) <- strategy.(b)
+    route.((2 * b) + 1) <- strategy_of fan_out.(b)
   done;
-  let padded = layout = Padded_csr in
   {
     mode;
-    layout;
     input_width = Topology.input_width net;
     output_width = t;
-    states = Padded_atomic.make ~padded n ~init:(Array.get init_states);
+    states = Padded_atomic.make n ~init:(Array.get init_states);
     init_states;
     offsets;
     next;
-    next_nested;
     fan_out;
     route;
-    strategy;
     entry =
       Array.init (Topology.input_width net) (fun i ->
           encode_dest (Topology.consumer net (Topology.Net_input i)));
-    values = Padded_atomic.make ~padded t ~init:Fun.id;
+    values = Padded_atomic.make t ~init:Fun.id;
     failures = Padded_atomic.make 1 ~init:(fun _ -> 0);
     metrics = (if metrics then Some (Metrics.create ~balancers:n ~wires:t ()) else None);
   }
 
 let mode rt = rt.mode
-let layout rt = rt.layout
 let input_width rt = rt.input_width
 let output_width rt = rt.output_width
 let metrics rt = rt.metrics
@@ -195,34 +182,20 @@ let metered_fn mode ~anti =
   | Cas, false -> metered_cas
   | Cas, true -> metered_dec_cas
 
-(* Walk loops, specialized per wiring layout.  In the CSR walk a token
-   crossing is one adjacent [route] pair read, one read of [next], and
-   the atomic transition — no nested array to chase, no per-crossing
-   power-of-two test.  The unsafe reads are sound: [Topology.create]
-   validated the wiring, so every encoded destination and every
-   [route]/[next] index is in range. *)
+(* The walk loop.  A token crossing is one adjacent [route] pair read,
+   one read of [next], and the atomic transition — no nested array to
+   chase, no per-crossing power-of-two test.  The unsafe reads are
+   sound: [Topology.create] validated the wiring, so every encoded
+   destination and every [route]/[next] index is in range. *)
 
-let rec walk_csr rt sk cross dest =
+let rec walk rt sk cross dest =
   if dest >= 0 then begin
     let s = cross rt sk dest in
     let base = Array.unsafe_get rt.route (2 * dest) in
     let strat = Array.unsafe_get rt.route ((2 * dest) + 1) in
-    walk_csr rt sk cross (Array.unsafe_get rt.next (base + port_of_strategy s strat))
+    walk rt sk cross (Array.unsafe_get rt.next (base + port_of_strategy s strat))
   end
   else dest
-
-let rec walk_nested rt sk cross dest =
-  if dest >= 0 then begin
-    let s = cross rt sk dest in
-    let strat = Array.unsafe_get rt.strategy dest in
-    walk_nested rt sk cross rt.next_nested.(dest).(port_of_strategy s strat)
-  end
-  else dest
-
-let walk rt sk cross dest =
-  match rt.layout with
-  | Padded_csr -> walk_csr rt sk cross dest
-  | Unpadded_nested -> walk_nested rt sk cross dest
 
 let exit_increment rt dest =
   let out = -dest - 1 in
@@ -277,28 +250,17 @@ let batch_loop rt ~wire ~n ~f ~anti =
       for i = 0 to n - 1 do
         f i (metered_one rt sk cross entry ~anti)
       done
-  | None -> (
+  | None ->
       let cross = cross_fn rt.mode ~anti in
       let sk = Metrics.null in
-      match rt.layout with
-      | Padded_csr ->
-          if anti then
-            for i = 0 to n - 1 do
-              f i (exit_decrement rt (walk_csr rt sk cross entry))
-            done
-          else
-            for i = 0 to n - 1 do
-              f i (exit_increment rt (walk_csr rt sk cross entry))
-            done
-      | Unpadded_nested ->
-          if anti then
-            for i = 0 to n - 1 do
-              f i (exit_decrement rt (walk_nested rt sk cross entry))
-            done
-          else
-            for i = 0 to n - 1 do
-              f i (exit_increment rt (walk_nested rt sk cross entry))
-            done)
+      if anti then
+        for i = 0 to n - 1 do
+          f i (exit_decrement rt (walk rt sk cross entry))
+        done
+      else
+        for i = 0 to n - 1 do
+          f i (exit_increment rt (walk rt sk cross entry))
+        done
 
 let traverse_batch rt ~wire ~n ~f =
   check_batch_args rt ~who:"traverse_batch" ~wire ~n;
@@ -324,7 +286,7 @@ let buffer ?(capacity = 64) () =
 
 let buffer_capacity buf = Array.length buf.dests
 
-let wavefront_csr rt sk cross dests k base ~metered ~anti f =
+let wavefront rt sk cross dests k base ~metered ~anti f =
   let live = ref k in
   while !live > 0 do
     for i = 0 to k - 1 do
@@ -334,29 +296,6 @@ let wavefront_csr rt sk cross dests k base ~metered ~anti f =
         let rbase = Array.unsafe_get rt.route (2 * d) in
         let strat = Array.unsafe_get rt.route ((2 * d) + 1) in
         let nd = Array.unsafe_get rt.next (rbase + port_of_strategy s strat) in
-        Array.unsafe_set dests i nd;
-        if nd < 0 then begin
-          decr live;
-          let out = -nd - 1 in
-          let v = if anti then exit_decrement rt nd else exit_increment rt nd in
-          if metered then
-            if anti then Metrics.antitoken_exit sk ~wire:out
-            else Metrics.token_exit sk ~wire:out;
-          f (base + i) v
-        end
-      end
-    done
-  done
-
-let wavefront_nested rt sk cross dests k base ~metered ~anti f =
-  let live = ref k in
-  while !live > 0 do
-    for i = 0 to k - 1 do
-      let d = Array.unsafe_get dests i in
-      if d >= 0 then begin
-        let s = cross rt sk d in
-        let strat = Array.unsafe_get rt.strategy d in
-        let nd = rt.next_nested.(d).(port_of_strategy s strat) in
         Array.unsafe_set dests i nd;
         if nd < 0 then begin
           decr live;
@@ -387,9 +326,7 @@ let pipelined_loop rt buf ~wire ~n ~f ~anti =
   while !base < n do
     let k = if n - !base < cap then n - !base else cap in
     Array.fill dests 0 k entry;
-    (match rt.layout with
-    | Padded_csr -> wavefront_csr rt sk cross dests k !base ~metered ~anti f
-    | Unpadded_nested -> wavefront_nested rt sk cross dests k !base ~metered ~anti f);
+    wavefront rt sk cross dests k !base ~metered ~anti f;
     base := !base + k
   done
 
@@ -408,32 +345,26 @@ let exit_distribution rt =
 
 type view = {
   v_mode : mode;
-  v_layout : layout;
   v_input_width : int;
   v_output_width : int;
   v_init_states : int array;
   v_fan_out : int array;
   v_offsets : int array;
   v_next : int array;
-  v_next_nested : int array array;
   v_route : int array;
-  v_strategy : int array;
   v_entry : int array;
 }
 
 let view rt =
   {
     v_mode = rt.mode;
-    v_layout = rt.layout;
     v_input_width = rt.input_width;
     v_output_width = rt.output_width;
     v_init_states = Array.copy rt.init_states;
     v_fan_out = Array.copy rt.fan_out;
     v_offsets = Array.copy rt.offsets;
     v_next = Array.copy rt.next;
-    v_next_nested = Array.map Array.copy rt.next_nested;
     v_route = Array.copy rt.route;
-    v_strategy = Array.copy rt.strategy;
     v_entry = Array.copy rt.entry;
   }
 

@@ -15,15 +15,12 @@
 
     {2 Memory layout}
 
-    The default [Padded_csr] layout is built for the hardware the
-    paper's contention bounds care about: balancer states and assignment
-    cells live in {!Padded_atomic} banks (one cache line per slot, no
-    false sharing between adjacent balancers), and the wiring is a flat
-    CSR-style jump table — crossing a balancer reads one adjacent
-    routing-table pair and one [next] entry, with no nested-array
-    pointer chase.  The [Unpadded_nested] layout reproduces the original
-    adjacent-atomics, array-of-arrays representation and is kept so the
-    [runtime] bench suite can measure what the layout is worth.
+    There is one layout, built for the hardware the paper's contention
+    bounds care about: balancer states and assignment cells live in
+    {!Padded_atomic} banks (one cache line per slot, no false sharing
+    between adjacent balancers), and the wiring is a flat CSR-style jump
+    table — crossing a balancer reads one adjacent routing-table pair
+    and one [next] entry, with no nested-array pointer chase.
 
     {2 Precompiled routing}
 
@@ -49,18 +46,13 @@ type mode = Faa | Cas
 (** Balancer implementation: atomic fetch-and-add, or an instrumented
     CAS retry loop. *)
 
-type layout = Padded_csr | Unpadded_nested
-(** Memory representation: cache-line-padded states with flat CSR
-    wiring (default), or the naive adjacent-atomics nested-array
-    layout, kept for benchmarking. *)
-
 type t
 (** A compiled network ready for concurrent traversals. *)
 
-val compile : ?mode:mode -> ?layout:layout -> ?metrics:bool -> Cn_network.Topology.t -> t
-(** [compile net] builds the runtime representation (defaults: mode
-    [Faa], layout [Padded_csr]).  The topology is queried once per
-    balancer.  With [~metrics:true] the runtime carries a {!Metrics}
+val compile : ?mode:mode -> ?metrics:bool -> Cn_network.Topology.t -> t
+(** [compile net] builds the runtime representation (default mode
+    [Faa]).  The topology is queried once per balancer.  With
+    [~metrics:true] the runtime carries a {!Metrics}
     recorder (per-balancer crossing/stall counters, per-wire tallies,
     sampled token latency) reachable through {!metrics}; without it
     (the default) the traversal paths are exactly the uninstrumented
@@ -73,9 +65,6 @@ val metrics : t -> Metrics.t option
 (** The observability recorder, when compiled with [~metrics:true].
     Take a {!Metrics.snapshot} at quiescence; [Validator.quiescent_runtime]
     cross-checks it against the assignment cells. *)
-
-val layout : t -> layout
-(** Memory layout chosen at compile time. *)
 
 val input_width : t -> int
 (** Network input width [w]. *)
@@ -93,7 +82,7 @@ val traverse_batch : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
 (** [traverse_batch rt ~wire ~n ~f] shepherds [n] tokens from input
     wire [wire], calling [f i value] with each token's index and
     assigned counter value.  Equivalent to [n] calls to {!traverse},
-    but the bounds check and mode/layout dispatch are paid once for
+    but the bounds check and mode dispatch are paid once for
     the whole batch — the preferred shape for throughput loops.
     @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
 
@@ -156,7 +145,6 @@ val exit_distribution : t -> Cn_sequence.Sequence.t
 
 type view = {
   v_mode : mode;
-  v_layout : layout;
   v_input_width : int;
   v_output_width : int;
   v_init_states : int array;  (** per balancer: initial state *)
@@ -167,16 +155,12 @@ type view = {
           balancer [b] at [v_offsets.(b) + p]; a non-negative entry is a
           balancer id, a negative entry [-(wire + 1)] is network output
           wire [wire] *)
-  v_next_nested : int array array;  (** seed layout: per balancer, per port *)
   v_route : int array;
       (** stride-2 precompiled routing table: [v_route.(2b)] is balancer
           [b]'s CSR row base (= [v_offsets.(b)]), [v_route.(2b + 1)] its
           port strategy — [fan_out - 1] (a mask) when the fan-out is a
           power of two, [-fan_out] selecting the symmetric double-[mod]
           path otherwise *)
-  v_strategy : int array;
-      (** per balancer: the same port strategy, as read by the nested
-          walk *)
   v_entry : int array;  (** per input wire: encoded destination *)
 }
 (** A decompilable snapshot of the compiled representation: everything

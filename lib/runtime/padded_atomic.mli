@@ -25,8 +25,9 @@ val pad : 'a -> 'a
 val make : ?padded:bool -> int -> init:(int -> int) -> t
 (** [make n ~init] is a bank of [n] slots, slot [i] starting at
     [init i].  [~padded] (default [true]) gives every slot a private
-    cache line; [~padded:false] reproduces the naive adjacent layout,
-    kept for benchmarking the difference.
+    cache line; [~padded:false] packs the slots adjacently, for banks
+    that trade false sharing for footprint (sharded tallies, sketch
+    registers).
     @raise Invalid_argument if [n < 0]. *)
 
 val length : t -> int

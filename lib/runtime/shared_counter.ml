@@ -13,8 +13,8 @@ type impl =
 
 type t = impl
 
-let of_topology ?mode ?layout ?metrics net =
-  Network (Network_runtime.compile ?mode ?layout ?metrics net)
+let of_topology ?mode ?metrics net =
+  Network (Network_runtime.compile ?mode ?metrics net)
 
 let runtime = function
   | Network rt -> Some rt

@@ -17,13 +17,12 @@ type t
 
 val of_topology :
   ?mode:Network_runtime.mode ->
-  ?layout:Network_runtime.layout ->
   ?metrics:bool ->
   Cn_network.Topology.t ->
   t
 (** [of_topology net] is a counter backed by the counting network [net]:
-    the caller's token enters on wire [pid mod w].  [?mode], [?layout]
-    and [?metrics] are passed through to {!Network_runtime.compile}. *)
+    the caller's token enters on wire [pid mod w].  [?mode] and
+    [?metrics] are passed through to {!Network_runtime.compile}. *)
 
 val runtime : t -> Network_runtime.t option
 (** The compiled network behind a {!of_topology} counter ([None] for

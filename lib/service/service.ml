@@ -9,29 +9,25 @@ module Metrics = Cn_runtime.Metrics
 
 module Rt_real = struct
   type t = RT.t
-  type buffer = RT.buffer
 
   let input_width = RT.input_width
   let traverse = RT.traverse
   let traverse_decrement = RT.traverse_decrement
   let traverse_batch = RT.traverse_batch
   let traverse_batch_decrement = RT.traverse_batch_decrement
-  let buffer ~capacity = RT.buffer ~capacity ()
-  let traverse_batch_pipelined = RT.traverse_batch_pipelined
-  let traverse_batch_pipelined_decrement = RT.traverse_batch_pipelined_decrement
   let quiescent = V.quiescent_runtime
 end
 
 module Core = Service_core.Make (Cn_runtime.Atomics.Real) (Rt_real)
 include Core
 
-let create ?mode ?layout ?metrics ?max_batch ?queue ?elim ?pipeline ?validate net =
-  let rt = RT.compile ?mode ?layout ?metrics net in
+let create ?mode ?metrics ?max_batch ?queue ?elim ?validate net =
+  let rt = RT.compile ?mode ?metrics net in
   let layers =
     let module T = Cn_network.Topology in
     Array.init (T.size net) (T.balancer_depth net)
   in
-  Core.make ?max_batch ?queue ?elim ?pipeline ?validate ~layers rt
+  Core.make ?max_batch ?queue ?elim ?validate ~layers rt
 
 let report_json t =
   let network =

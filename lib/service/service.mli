@@ -94,26 +94,20 @@ type stats = {
 
 val create :
   ?mode:Cn_runtime.Network_runtime.mode ->
-  ?layout:Cn_runtime.Network_runtime.layout ->
   ?metrics:bool ->
   ?max_batch:int ->
   ?queue:int ->
   ?elim:bool ->
-  ?pipeline:bool ->
   ?validate:Cn_runtime.Validator.policy ->
   Cn_network.Topology.t ->
   t
 (** [create net] compiles [net] and builds a lane per input wire.
-    [?mode], [?layout], [?metrics] pass through to
-    {!Network_runtime.compile}.  [?max_batch] (default [64]) bounds the
-    operations one combined batch may serve; [?queue] (default
-    [max_batch]) is the submission-slot count per lane; [?elim]
-    (default [true]) enables inc/dec elimination; [?pipeline] (default
-    [false]) drains combined runs through the runtime's layer-pipelined
-    batch walks ({!Network_runtime.traverse_batch_pipelined}) using a
-    per-lane preallocated wavefront buffer; [?validate] (default
-    [Strict]) is the policy {!drain} and {!shutdown} apply when not
-    overridden.
+    [?mode] and [?metrics] pass through to {!Network_runtime.compile}.
+    [?max_batch] (default [64]) bounds the operations one combined
+    batch may serve; [?queue] (default [max_batch]) is the
+    submission-slot count per lane; [?elim] (default [true]) enables
+    inc/dec elimination; [?validate] (default [Strict]) is the policy
+    {!drain} and {!shutdown} apply when not overridden.
     @raise Invalid_argument if [max_batch < 1] or [queue < 1]. *)
 
 val runtime : t -> Cn_runtime.Network_runtime.t

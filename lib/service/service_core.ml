@@ -3,21 +3,11 @@ module V = Cn_runtime.Validator
 module type RUNTIME = sig
   type t
 
-  type buffer
-  (** Caller-owned scratch for the pipelined batch walks; each combining
-      lane holds one. *)
-
   val input_width : t -> int
   val traverse : t -> wire:int -> int
   val traverse_decrement : t -> wire:int -> int
   val traverse_batch : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
   val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
-  val buffer : capacity:int -> buffer
-  val traverse_batch_pipelined : t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
-
-  val traverse_batch_pipelined_decrement :
-    t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
-
   val quiescent : t -> V.report
 end
 
@@ -47,7 +37,6 @@ module type S = sig
     ?max_batch:int ->
     ?queue:int ->
     ?elim:bool ->
-    ?pipeline:bool ->
     ?validate:V.policy ->
     ?layers:int array ->
     rt ->
@@ -99,7 +88,6 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
     cells_scr : cell array;
     inc_scr : int array;
     dec_scr : int array;
-    pipe_scr : R.buffer;
     batches : int A.t;
     ops_combined : int A.t;
     max_batch_observed : int A.t;
@@ -117,7 +105,6 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
     empty : cell;  (* shared slot sentinel, never a real operation *)
     max_batch : int;
     elim : bool;
-    pipeline : bool;  (* drain combined runs through the pipelined batch walks *)
     validate : V.policy;
     state : int A.t;
     stop_requested : bool A.t;
@@ -164,7 +151,6 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       cells_scr = Array.make max_batch empty;
       inc_scr = Array.make max_batch 0;
       dec_scr = Array.make max_batch 0;
-      pipe_scr = R.buffer ~capacity:max_batch;
       batches = A.make_stat 0;
       ops_combined = A.make_stat 0;
       max_batch_observed = A.make_stat 0;
@@ -172,8 +158,8 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       rejected = A.make_stat 0;
     }
 
-  let make ?(max_batch = 64) ?queue ?(elim = true) ?(pipeline = false)
-      ?(validate = V.Strict) ?(layers = [||]) rt =
+  let make ?(max_batch = 64) ?queue ?(elim = true) ?(validate = V.Strict)
+      ?(layers = [||]) rt =
     if max_batch < 1 then
       invalid_arg "Service.create: max_batch must be at least 1";
     let queue = Option.value queue ~default:max_batch in
@@ -186,7 +172,6 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       empty;
       max_batch;
       elim;
-      pipeline;
       validate;
       state = A.make st_running;
       stop_requested = A.make false;
@@ -290,24 +275,12 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       in
       let run_incs = incs - elim and run_decs = decs - elim in
       let inc_vals = lane.inc_scr and dec_vals = lane.dec_scr in
-      (* Both halves of a mixed batch drain through batched walks — the
-         decrement run no longer falls back to per-operation
-         traversals — and with [pipeline] the lane's preallocated
-         wavefront buffer overlaps the crossings layer by layer. *)
       if run_incs > 0 then
-        if svc.pipeline then
-          R.traverse_batch_pipelined svc.rt lane.pipe_scr ~wire:lane.wire ~n:run_incs
-            ~f:(fun i v -> inc_vals.(i) <- v)
-        else
-          R.traverse_batch svc.rt ~wire:lane.wire ~n:run_incs ~f:(fun i v ->
-              inc_vals.(i) <- v);
+        R.traverse_batch svc.rt ~wire:lane.wire ~n:run_incs ~f:(fun i v ->
+            inc_vals.(i) <- v);
       if run_decs > 0 then
-        if svc.pipeline then
-          R.traverse_batch_pipelined_decrement svc.rt lane.pipe_scr ~wire:lane.wire
-            ~n:run_decs ~f:(fun i v -> dec_vals.(i) <- v)
-        else
-          R.traverse_batch_decrement svc.rt ~wire:lane.wire ~n:run_decs ~f:(fun i v ->
-              dec_vals.(i) <- v);
+        R.traverse_batch_decrement svc.rt ~wire:lane.wire ~n:run_decs ~f:(fun i v ->
+            dec_vals.(i) <- v);
       let anchor =
         if run_incs > 0 then inc_vals.(0)
         else if run_decs > 0 then dec_vals.(0)

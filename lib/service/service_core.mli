@@ -23,10 +23,6 @@
 module type RUNTIME = sig
   type t
 
-  type buffer
-  (** Caller-owned scratch for the pipelined batch walks; each combining
-      lane holds one (a model runtime may use [unit]). *)
-
   val input_width : t -> int
   val traverse : t -> wire:int -> int
   val traverse_decrement : t -> wire:int -> int
@@ -35,16 +31,6 @@ module type RUNTIME = sig
   val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
   (** Batched antitoken runs: the combiner drains the decrement half of
       a mixed batch through this instead of per-operation traversals. *)
-
-  val buffer : capacity:int -> buffer
-
-  val traverse_batch_pipelined : t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
-  (** Layer-pipelined batch walk used when the service is built with
-      [~pipeline:true]; may be implemented as [traverse_batch] by model
-      runtimes. *)
-
-  val traverse_batch_pipelined_decrement :
-    t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
 
   val quiescent : t -> Cn_runtime.Validator.report
   (** Quiescent-state validation ({!Cn_runtime.Validator}-shaped): only
@@ -77,15 +63,14 @@ module type S = sig
     ?max_batch:int ->
     ?queue:int ->
     ?elim:bool ->
-    ?pipeline:bool ->
     ?validate:Cn_runtime.Validator.policy ->
     ?layers:int array ->
     rt ->
     t
-  (** Build a service over an already-compiled runtime.  [?pipeline]
-      (default [false]) drains combined runs through the runtime's
-      layer-pipelined batch walks.  [?layers] is opaque per-balancer
-      depth metadata carried for reporting (default [[||]]). *)
+  (** Build a service over an already-compiled runtime.  Combined runs
+      drain through the runtime's batch walks.  [?layers] is opaque
+      per-balancer depth metadata carried for reporting (default
+      [[||]]). *)
 
   val runtime : t -> rt
   val layers : t -> int array

@@ -37,9 +37,9 @@ let check_gc_free run =
     true (d < 64.)
 
 let zero_alloc =
-  let case name ~mode ~layout ~metrics run =
+  let case name ~mode ~metrics run =
     tc name (fun () ->
-        let rt = RT.compile ~mode ~layout ~metrics (net48 ()) in
+        let rt = RT.compile ~mode ~metrics (net48 ()) in
         check_gc_free (run rt))
   in
   let traverse rt n =
@@ -58,37 +58,27 @@ let zero_alloc =
     RT.traverse_batch rt ~wire:1 ~n ~f:sink;
     RT.traverse_batch_decrement rt ~wire:1 ~n ~f:sink
   in
+  let pipelined rt =
+    let buf = RT.buffer ~capacity:32 () in
+    fun n -> RT.traverse_batch_pipelined rt buf ~wire:2 ~n ~f:sink
+  in
+  let pipelined_dec rt =
+    let buf = RT.buffer ~capacity:32 () in
+    fun n ->
+      RT.traverse_batch_pipelined rt buf ~wire:0 ~n ~f:sink;
+      RT.traverse_batch_pipelined_decrement rt buf ~wire:0 ~n ~f:sink
+  in
   [
-    case "traverse, faa, padded csr" ~mode:RT.Faa ~layout:RT.Padded_csr ~metrics:false traverse;
-    case "traverse, faa, unpadded nested" ~mode:RT.Faa ~layout:RT.Unpadded_nested ~metrics:false
-      traverse;
-    case "traverse, cas, padded csr" ~mode:RT.Cas ~layout:RT.Padded_csr ~metrics:false traverse;
-    case "traverse, cas, unpadded nested" ~mode:RT.Cas ~layout:RT.Unpadded_nested ~metrics:false
-      traverse;
-    case "traverse + antitoken, faa, padded csr" ~mode:RT.Faa ~layout:RT.Padded_csr
-      ~metrics:false traverse_dec;
-    case "batch, faa, padded csr" ~mode:RT.Faa ~layout:RT.Padded_csr ~metrics:false batch;
-    case "batch, faa, unpadded nested" ~mode:RT.Faa ~layout:RT.Unpadded_nested ~metrics:false
-      batch;
-    case "batch + batched antitokens, cas, padded csr" ~mode:RT.Cas ~layout:RT.Padded_csr
-      ~metrics:false batch_dec;
-    case "metered traverse, faa, padded csr" ~mode:RT.Faa ~layout:RT.Padded_csr ~metrics:true
-      traverse;
-    case "metered batch, faa, unpadded nested" ~mode:RT.Faa ~layout:RT.Unpadded_nested
-      ~metrics:true batch;
-    tc "pipelined batch, both layouts" (fun () ->
-        List.iter
-          (fun layout ->
-            let rt = RT.compile ~layout (net48 ()) in
-            let buf = RT.buffer ~capacity:32 () in
-            check_gc_free (fun n -> RT.traverse_batch_pipelined rt buf ~wire:2 ~n ~f:sink))
-          [ RT.Padded_csr; RT.Unpadded_nested ]);
-    tc "pipelined batched antitokens" (fun () ->
-        let rt = RT.compile (net48 ()) in
-        let buf = RT.buffer ~capacity:32 () in
-        check_gc_free (fun n ->
-            RT.traverse_batch_pipelined rt buf ~wire:0 ~n ~f:sink;
-            RT.traverse_batch_pipelined_decrement rt buf ~wire:0 ~n ~f:sink));
+    case "traverse, faa, padded csr" ~mode:RT.Faa ~metrics:false traverse;
+    case "traverse, cas, padded csr" ~mode:RT.Cas ~metrics:false traverse;
+    case "traverse + antitoken, faa, padded csr" ~mode:RT.Faa ~metrics:false traverse_dec;
+    case "batch, faa, padded csr" ~mode:RT.Faa ~metrics:false batch;
+    case "batch + batched antitokens, cas, padded csr" ~mode:RT.Cas ~metrics:false batch_dec;
+    case "metered traverse, faa, padded csr" ~mode:RT.Faa ~metrics:true traverse;
+    case "metered batch, faa, padded csr" ~mode:RT.Faa ~metrics:true batch;
+    case "pipelined batch" ~mode:RT.Faa ~metrics:false pipelined;
+    case "pipelined batched antitokens" ~mode:RT.Faa ~metrics:false pipelined_dec;
+    case "metered pipelined batch + antitokens, cas" ~mode:RT.Cas ~metrics:true pipelined_dec;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -104,17 +94,12 @@ let pipelined =
     tc "pipelined batch matches the evaluator's quiescent distribution" (fun () ->
         let net = Cn_core.Counting.network ~w:8 ~t:16 in
         let x = [| 5; 2; 0; 9; 3; 1; 7; 4 |] in
-        List.iter
-          (fun layout ->
-            let rt = RT.compile ~layout net in
-            let buf = RT.buffer ~capacity:4 () in
-            Array.iteri
-              (fun wire n ->
-                if n > 0 then RT.traverse_batch_pipelined rt buf ~wire ~n ~f:sink)
-              x;
-            Alcotest.check Util.seq "distribution" (E.quiescent net x)
-              (RT.exit_distribution rt))
-          [ RT.Padded_csr; RT.Unpadded_nested ]);
+        let rt = RT.compile net in
+        let buf = RT.buffer ~capacity:4 () in
+        Array.iteri
+          (fun wire n -> if n > 0 then RT.traverse_batch_pipelined rt buf ~wire ~n ~f:sink)
+          x;
+        Alcotest.check Util.seq "distribution" (E.quiescent net x) (RT.exit_distribution rt));
     tc "pipelined batch hands out the same value multiset as traverse_batch" (fun () ->
         let net = net48 () in
         let n = 77 in

@@ -160,19 +160,21 @@ let cert_tests =
 
 let csr_tests =
   [
-    tc "faithful compilation in both layouts" (fun () ->
-        let net = Counting.network ~w:8 ~t:8 in
+    tc "faithful compilation in C(8,8) and C(4,12)" (fun () ->
+        (* C(4,12) has (2,6) transition balancers: the double-mod port
+           strategy next to the power-of-two masks. *)
         List.iter
-          (fun layout ->
-            let rt = Rt.compile ~layout net in
+          (fun (w, t) ->
+            let net = Counting.network ~w ~t in
             Alcotest.(check (list string)) "clean" []
               (List.map
                  (fun (d : L.Diagnostic.t) -> d.L.Diagnostic.code)
-                 (L.Csr_lint.check ~subject:"C(8,8)" net (Rt.view rt))))
-          [ Rt.Padded_csr; Rt.Unpadded_nested ]);
+                 (L.Csr_lint.check ~subject:(Printf.sprintf "C(%d,%d)" w t) net
+                    (Rt.view (Rt.compile net)))))
+          [ (8, 8); (4, 12) ]);
     tc "output-width corruption is CSR008" (fun () ->
         let net = Counting.network ~w:8 ~t:8 in
-        let v = Rt.view (Rt.compile ~layout:Rt.Padded_csr net) in
+        let v = Rt.view (Rt.compile net) in
         let v = { v with Rt.v_output_width = v.Rt.v_output_width + 1 } in
         Alcotest.(check bool) "CSR008" true
           (List.exists
@@ -225,15 +227,13 @@ let pinned_mutants =
     ("pad-layer", "ABS003", [ "ABS003"; "STEP001" ]);
     ("csr-truncate-row", "CSR001", [ "CSR001" ]);
     ("csr-mask-corrupt", "CSR002", [ "CSR002" ]);
-    ("csr-dangling", "CSR003", [ "CSR003"; "CSR005" ]);
+    ("csr-dangling", "CSR003", [ "CSR003" ]);
     ("csr-rewire", "CSR009", [ "CSR009" ]);
     ("csr-entry-corrupt", "CSR006", [ "CSR006"; "CSR004" ]);
     ("csr-init-corrupt", "CSR007", [ "CSR007" ]);
     ("csr-width", "CSR008", [ "CSR008" ]);
-    ("csr-nested-diverge", "CSR005", [ "CSR005" ]);
     ("csr-route-strategy", "CSR010", [ "CSR010" ]);
     ("csr-route-shift", "CSR010", [ "CSR010" ]);
-    ("csr-strategy-diverge", "CSR010", [ "CSR010" ]);
     ("csr-drop-output", "CSR004", [ "CSR009"; "CSR004" ]);
     ("periodic-wire-flip", "ABS004", [ "ABS004"; "STEP002" ]);
     ("periodic-init-corrupt", "STEP002", [ "STEP002" ]);
@@ -272,7 +272,7 @@ let portfolio_tests =
           L.Portfolio.entries ()
           |> List.filter (fun (e : L.Portfolio.entry) ->
                  List.mem e.L.Portfolio.name [ "C(4,4)"; "E(16)"; "M(8,2)"; "L(8)" ])
-          |> List.map (L.Portfolio.certify ~layouts:[ Rt.Padded_csr ])
+          |> List.map L.Portfolio.certify
         in
         Alcotest.(check int) "count" 4 (List.length certs);
         Alcotest.(check bool) "all ok" true (L.Portfolio.all_ok certs));
@@ -316,7 +316,7 @@ let hybrid_tests =
                 (fun (e : L.Portfolio.entry) -> e.L.Portfolio.name = name)
                 (L.Portfolio.hybrid_entries ())
             in
-            let c = L.Portfolio.certify ~layouts:[ Rt.Padded_csr ] e in
+            let c = L.Portfolio.certify e in
             Alcotest.(check bool) (name ^ " ok") true (L.Cert.ok c);
             match c.L.Cert.evidence with
             | L.Cert.Exhaustive _ -> ()
@@ -330,7 +330,7 @@ let hybrid_tests =
                 (fun (e : L.Portfolio.entry) -> e.L.Portfolio.name = name)
                 (L.Portfolio.hybrid_entries ())
             in
-            let c = L.Portfolio.certify ~layouts:[ Rt.Padded_csr ] e in
+            let c = L.Portfolio.certify e in
             Alcotest.(check bool) (name ^ " refuted") true (L.Portfolio.refuted c);
             match c.L.Cert.evidence with
             | L.Cert.Refuted cex ->
@@ -349,7 +349,7 @@ let hybrid_tests =
             (fun (e : L.Portfolio.entry) -> e.L.Portfolio.name = "C(32,32)[periodic3/top]")
             (L.Portfolio.hybrid_entries ())
         in
-        let c = L.Portfolio.certify ~layouts:[ Rt.Padded_csr ] e in
+        let c = L.Portfolio.certify e in
         Alcotest.(check bool) "refuted" true (L.Portfolio.refuted c);
         Alcotest.(check bool) "STEP003" true (List.mem "STEP003" (L.Cert.codes c));
         match c.L.Cert.evidence with
@@ -366,7 +366,7 @@ let hybrid_tests =
                      "C(4,4)[periodic3/top]"; "C(4,8)[pk2/all]"; "C(8,8)[periodic3/all]";
                      "M(8,4)[periodic3]"; "M(8,4)[pk6]";
                    ])
-          |> List.map (L.Portfolio.certify ~layouts:[ Rt.Padded_csr ])
+          |> List.map L.Portfolio.certify
         in
         Alcotest.(check int) "count" 5 (List.length certs);
         Alcotest.(check bool) "all adjudicated" true (L.Portfolio.all_adjudicated certs);

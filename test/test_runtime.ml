@@ -59,30 +59,17 @@ let single_threaded =
     tc "modes and widths exposed" (fun () ->
         let rt = RT.compile ~mode:RT.Cas (net48 ()) in
         Alcotest.(check bool) "mode" true (RT.mode rt = RT.Cas);
-        Alcotest.(check bool) "layout" true (RT.layout rt = RT.Padded_csr);
         Alcotest.(check int) "w" 4 (RT.input_width rt);
         Alcotest.(check int) "t" 8 (RT.output_width rt));
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Memory layouts: the padded+CSR and seed layouts are observationally
-   identical; both agree with the combinatorial evaluator token for
-   token, including on randomly generated wiring. *)
-
-let drain rt ~tokens =
-  List.init tokens (fun i -> RT.traverse rt ~wire:(i mod RT.input_width rt))
+(* Memory layout: the padded-bank, flat-CSR runtime agrees with the
+   combinatorial evaluator token for token, including on randomly
+   generated wiring. *)
 
 let layouts =
   [
-    tc "unpadded-nested layout exposed" (fun () ->
-        let rt = RT.compile ~layout:RT.Unpadded_nested (net48 ()) in
-        Alcotest.(check bool) "layout" true (RT.layout rt = RT.Unpadded_nested));
-    tc "layouts agree token-for-token on C(8,16)" (fun () ->
-        let net = Cn_core.Counting.network ~w:8 ~t:16 in
-        let padded = RT.compile ~layout:RT.Padded_csr net in
-        let nested = RT.compile ~layout:RT.Unpadded_nested net in
-        Alcotest.(check (list int)) "same values" (drain padded ~tokens:64)
-          (drain nested ~tokens:64));
     tc "csr runtime = Eval token run on C(4,8)" (fun () ->
         let net = net48 () in
         let rt = RT.compile net in
@@ -95,20 +82,17 @@ let layouts =
           (fun seed ->
             let net = Cn_network.Random_net.layered ~seed ~layers:5 8 in
             let x = Array.init 8 (fun i -> (i * 7 * (seed + 1)) mod 11) in
-            List.iter
-              (fun layout ->
-                let rt = RT.compile ~layout net in
-                Array.iteri
-                  (fun wire count ->
-                    for _ = 1 to count do
-                      ignore (RT.traverse rt ~wire)
-                    done)
-                  x;
-                Alcotest.check Util.seq
-                  (Printf.sprintf "seed %d" seed)
-                  (Cn_network.Eval.quiescent net x)
-                  (RT.exit_distribution rt))
-              [ RT.Padded_csr; RT.Unpadded_nested ])
+            let rt = RT.compile net in
+            Array.iteri
+              (fun wire count ->
+                for _ = 1 to count do
+                  ignore (RT.traverse rt ~wire)
+                done)
+              x;
+            Alcotest.check Util.seq
+              (Printf.sprintf "seed %d" seed)
+              (Cn_network.Eval.quiescent net x)
+              (RT.exit_distribution rt))
           [ 0; 1; 2; 3; 4 ]);
     tc "csr runtime = Eval.quiescent on random sparse nets" (fun () ->
         List.iter
@@ -200,8 +184,6 @@ let concurrent =
         SC.of_topology (Cn_core.Counting.network ~w:8 ~t:8));
     concurrent_case "network counter C(8,24) cas" (fun () ->
         SC.of_topology ~mode:RT.Cas (Cn_core.Counting.network ~w:8 ~t:24));
-    concurrent_case "network counter C(8,8) unpadded layout" (fun () ->
-        SC.of_topology ~layout:RT.Unpadded_nested (Cn_core.Counting.network ~w:8 ~t:8));
     concurrent_case "bitonic-backed counter" (fun () ->
         SC.of_topology (Cn_baselines.Bitonic.network 8));
     concurrent_case "periodic-backed counter" (fun () ->

@@ -147,6 +147,24 @@ let elimination =
         (* Only the anchor pair traversed. *)
         Alcotest.(check int) "tokens" 1 snap.Cn_runtime.Metrics.tokens;
         Alcotest.(check int) "antitokens" 1 snap.Cn_runtime.Metrics.antitokens);
+    tc "a pure-decrement batch reclaims issued values (batched antitokens)" (fun () ->
+        (* Fill the counter, then park 3 decrements on one lane and
+           combine them in a single batch: the drain runs the batched
+           antitoken walk, and the reclaimed values are 3 of the issued
+           ones with the distribution still a step afterwards. *)
+        let svc = Svc.create ~elim:false (net48 ()) in
+        let s = Svc.session ~wire:0 svc in
+        for _ = 1 to 8 do
+          ignore (check_ok "fill" (Svc.increment s))
+        done;
+        let ds = Array.init 3 (fun _ -> Svc.session ~wire:0 svc) in
+        Array.iter (fun d -> ignore (Svc.submit d Svc.Dec)) ds;
+        let reclaimed = Array.map Svc.await ds in
+        Array.iter
+          (fun v -> Alcotest.(check bool) "reclaimed an issued value" true (v >= 0 && v < 8))
+          reclaimed;
+        Alcotest.(check int) "net five" 5 (S.sum (RT.exit_distribution (Svc.runtime svc)));
+        V.enforce V.Strict (V.quiescent_runtime (Svc.runtime svc)));
     Util.raises_invalid "double submit on one session" (fun () ->
         let svc = Svc.create (net48 ()) in
         let s = Svc.session svc in
@@ -191,63 +209,6 @@ let backpressure =
         Alcotest.(check bool) "rejected field" true (contains json "\"rejected\": 1");
         Alcotest.(check bool) "elimination_rate field" true
           (contains json "\"elimination_rate\""));
-  ]
-
-(* The pipelined drain (create ~pipeline:true) must be observationally
-   the same service: same values, same elimination accounting, same
-   quiescent distribution — only the walk the combiner uses differs. *)
-let pipelined =
-  [
-    tc "pipelined service hands out 0.. sequentially" (fun () ->
-        let svc = Svc.create ~pipeline:true (net48 ()) in
-        let s = Svc.session svc in
-        for expect = 0 to 19 do
-          Alcotest.(check int)
-            (Printf.sprintf "value %d" expect)
-            expect
-            (check_ok "inc" (Svc.increment s))
-        done);
-    tc "pipelined combined batch keeps elimination semantics" (fun () ->
-        let svc = Svc.create ~pipeline:true ~metrics:true (net48 ()) in
-        let ss = Array.init 4 (fun _ -> Svc.session ~wire:0 svc) in
-        let ops = [| Svc.Dec; Svc.Dec; Svc.Inc; Svc.Inc |] in
-        Array.iteri (fun i op -> ignore (Svc.submit ss.(i) op)) ops;
-        let values = Array.map Svc.await ss in
-        Alcotest.check Util.seq "all borrow the anchor value" [| 0; 0; 0; 0 |] values;
-        let st = Svc.stats svc in
-        Alcotest.(check int) "one pair eliminated" 1 st.Svc.total_eliminated_pairs;
-        Alcotest.(check int) "net zero" 0 (S.sum (RT.exit_distribution (Svc.runtime svc)));
-        V.enforce V.Strict (V.quiescent_runtime (Svc.runtime svc)));
-    tc "a pure-decrement batch reclaims issued values (batched antitokens)" (fun () ->
-        (* Fill the counter, then park 3 decrements on one lane and
-           combine them in a single batch: the drain runs the batched
-           antitoken walk, and the reclaimed values are 3 of the issued
-           ones with the distribution still a step afterwards. *)
-        let svc = Svc.create ~elim:false (net48 ()) in
-        let s = Svc.session ~wire:0 svc in
-        for _ = 1 to 8 do
-          ignore (check_ok "fill" (Svc.increment s))
-        done;
-        let ds = Array.init 3 (fun _ -> Svc.session ~wire:0 svc) in
-        Array.iter (fun d -> ignore (Svc.submit d Svc.Dec)) ds;
-        let reclaimed = Array.map Svc.await ds in
-        Array.iter
-          (fun v -> Alcotest.(check bool) "reclaimed an issued value" true (v >= 0 && v < 8))
-          reclaimed;
-        Alcotest.(check int) "net five" 5 (S.sum (RT.exit_distribution (Svc.runtime svc)));
-        V.enforce V.Strict (V.quiescent_runtime (Svc.runtime svc)));
-    tc "pipelined workload: concurrent mixed traffic drains clean" (fun () ->
-        let svc = Svc.create ~pipeline:true ~metrics:true (net48 ()) in
-        let spec =
-          { W.default with W.domains = 4; ops_per_domain = 300; dec_ratio = 0.5 }
-        in
-        let st = W.run svc spec in
-        Alcotest.(check int) "nothing lost" (4 * 300) (st.W.completed + st.W.rejected);
-        let report = Svc.drain svc in
-        Alcotest.(check bool) "strict drain" true (V.passed report);
-        Alcotest.(check int) "net flow matches accounting"
-          (st.W.increments - st.W.decrements)
-          (S.sum (RT.exit_distribution (Svc.runtime svc))));
   ]
 
 let concurrent =
@@ -486,7 +447,6 @@ let suite =
     ("service.sessions", sessions);
     ("service.sequential", sequential);
     ("service.elimination", elimination);
-    ("service.pipelined", pipelined);
     ("service.backpressure", backpressure);
     ("service.concurrent", concurrent);
     ("service.races", races);
