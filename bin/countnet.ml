@@ -1121,7 +1121,7 @@ let check_cmd =
       & info [ "selftest" ]
           ~doc:
             "Also run the checker against the deliberately buggy pre-fix \
-             models; both must fail, and their pinned schedules must replay.")
+             models; each must fail, and its pinned schedule must replay.")
   in
   let run preemptions scenario replay list selftest =
     let catalogue = Cn_check.Scenarios.all @ Cn_check.Fabric_scenarios.all in
@@ -1186,7 +1186,9 @@ let check_cmd =
         expect_fail "selftest-lifecycle" Cn_check.Selftest.lifecycle_race
           Cn_check.Selftest.lifecycle_schedule;
         expect_fail "selftest-admission" Cn_check.Selftest.admission_race
-          Cn_check.Selftest.admission_schedule
+          Cn_check.Selftest.admission_schedule;
+        expect_fail "selftest-run" Cn_check.Selftest.run_race
+          Cn_check.Selftest.run_schedule
       end;
       if !failed then exit 1
     end

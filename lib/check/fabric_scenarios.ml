@@ -15,7 +15,11 @@ end
 
 module Fab = Cn_fabric.Fabric_core.Make (Instrumented) (MS)
 
-type outcome = Val of int | Rejected | Refused
+type outcome =
+  | Val of int
+  | Rejected
+  | Refused
+  | Unset  (* reported served, but no value was ever written *)
 
 let op_outcome = function
   | Ok v -> Val v
@@ -39,6 +43,26 @@ let worker run sess op () =
     | Fab.Dec -> Fab.decrement sess
   in
   run.results := (op, op_outcome r) :: !(run.results)
+
+(* A fabric run: every operation is recorded with the outcome the run
+   reported for it. *)
+let runner run sess ops () =
+  let n = Array.length ops in
+  let vals = Array.make n min_int in
+  let served, refusal =
+    match Fab.run sess ops vals ~off:0 ~len:n with
+    | Ok () -> (n, Refused)
+    | Error (k, e) -> (k, op_outcome (Error e))
+  in
+  Array.iteri
+    (fun i op ->
+      run.results :=
+        (op,
+         if i >= served then refusal
+         else if vals.(i) = min_int then Unset
+         else Val vals.(i))
+        :: !(run.results))
+    ops
 
 let resizer run ~shard topo () =
   run.resizes := Fab.resize run.fab ~shard topo :: !(run.resizes)
@@ -281,6 +305,34 @@ let shrink_grow_vs_session () =
     finish = check run;
   }
 
+let run_vs_resize () =
+  (* A 3-op mixed run on the shard being hot-resized: routed once, it
+     either runs whole on the old service before its validation point,
+     loses the race and retries its remainder, or parks op by op while
+     the shard is [Resizing] and replays on the new service.  Every
+     operation must resolve to a value (the fabric never closes here),
+     exactly once, with the read conserved. *)
+  let run = make_run ~shards:1 () in
+  let s = Fab.session ~key:0 run.fab in
+  let ops = [| Fab.Inc; Fab.Dec; Fab.Inc |] in
+  let finish () =
+    match check run () with
+    | Some _ as failure -> failure
+    | None ->
+        if
+          List.length !(run.results) <> Array.length ops
+          || List.exists
+               (fun (_, r) -> match r with Val _ -> false | _ -> true)
+               !(run.results)
+        then Some "an operation of the run did not resolve to a value"
+        else None
+  in
+  {
+    Engine.name = "fabric-run-vs-resize";
+    fibers = [| runner run s ops; resizer run ~shard:0 (Counting.network ~w:2 ~t:2) |];
+    finish;
+  }
+
 let all =
   [
     ("fabric-resize-vs-submit", resize_vs_submit);
@@ -291,4 +343,5 @@ let all =
     ("fabric-grow-vs-submit", grow_vs_submit);
     ("fabric-shrink-grow-vs-session", shrink_grow_vs_session);
     ("fabric-shutdown-vs-submit", shutdown_vs_submit);
+    ("fabric-run-vs-resize", run_vs_resize);
   ]

@@ -73,5 +73,12 @@ val shutdown_vs_submit : unit -> Engine.scenario
 (** A worker racing the terminal fabric [shutdown]; the operation
     completes before the validation point or fails [Closed]. *)
 
+val run_vs_resize : unit -> Engine.scenario
+(** A 3-op mixed {!Cn_fabric.Fabric_core.S.run} on the shard a
+    hot-resize swaps: routed once, the run completes on the old service
+    before its validation point, retries its unserved remainder, or
+    parks op by op while the shard resizes.  Every operation must
+    resolve to a value exactly once, with the read conserved. *)
+
 val all : (string * (unit -> Engine.scenario)) list
 (** Every scenario above, keyed by name, in a stable order. *)

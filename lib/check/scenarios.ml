@@ -8,7 +8,11 @@ module Svc = Cn_service.Service_core.Make (Instrumented) (Model_net)
 
 (* Per-run recording.  One OS thread, so plain refs are safe; results
    are (operation, outcome) pairs in completion order. *)
-type outcome = Val of int | Rejected | Refused
+type outcome =
+  | Val of int
+  | Rejected
+  | Refused
+  | Unset  (* reported served, but no value was ever written *)
 
 let op_outcome = function
   | Ok v -> Val v
@@ -28,6 +32,27 @@ let worker run sess op () =
     match op with Svc.Inc -> Svc.increment sess | Svc.Dec -> Svc.decrement sess
   in
   run.results := (op, op_outcome r) :: !(run.results)
+
+(* A run entry: every operation is recorded with the outcome the run
+   reported for it — a value for the served prefix, the run's error for
+   the rest. *)
+let runner run sess ops () =
+  let n = Array.length ops in
+  let vals = Array.make n min_int in
+  let served, refusal =
+    match Svc.run sess ops vals ~off:0 ~len:n with
+    | Ok () -> (n, Refused)
+    | Error (k, e) -> (k, op_outcome (Error e))
+  in
+  Array.iteri
+    (fun i op ->
+      run.results :=
+        (op,
+         if i >= served then refusal
+         else if vals.(i) = min_int then Unset
+         else Val vals.(i))
+        :: !(run.results))
+    ops
 
 let drainer run () = ignore (Svc.drain run.svc)
 
@@ -146,6 +171,37 @@ let c44_shutdown () =
     finish = check run;
   }
 
+(* A 3-op mixed run on a lane another session contends for, so the run
+   either holds the flag and combines or is published as one entry.
+   On top of the shared oracle: every operation of the run resolved to
+   a value or [Closed] (queue 2 holds both entries, so [Overloaded] is a
+   bug), exactly once. *)
+let run_vs name ~lifecycle () =
+  let run = make_run ~elim:true ~w:2 ~t:2 ~distinct_incs:false () in
+  let s0 = Svc.session ~wire:0 run.svc in
+  let s1 = Svc.session ~wire:0 run.svc in
+  let ops = [| Svc.Inc; Svc.Dec; Svc.Inc |] in
+  let finish () =
+    match check run () with
+    | Some _ as failure -> failure
+    | None ->
+        if List.exists (fun (_, r) -> r = Rejected || r = Unset) !(run.results)
+        then Some "an operation of the run resolved to neither a value nor Closed"
+        else if List.length !(run.results) <> Array.length ops + 1 then
+          Some
+            (Printf.sprintf "%d outcomes recorded for %d operations"
+               (List.length !(run.results)) (Array.length ops + 1))
+        else None
+  in
+  {
+    Engine.name;
+    fibers = [| runner run s0 ops; worker run s1 Svc.Dec; lifecycle run |];
+    finish;
+  }
+
+let run_vs_drain () = run_vs "run-vs-drain" ~lifecycle:drainer ()
+let run_vs_shutdown () = run_vs "run-vs-shutdown" ~lifecycle:stopper ()
+
 let all =
   [
     ("drain-vs-shutdown", drain_vs_shutdown);
@@ -153,4 +209,6 @@ let all =
     ("mixed-ops-drain", mixed_ops_drain);
     ("submit-await-shutdown", submit_await_shutdown);
     ("c44-shutdown", c44_shutdown);
+    ("run-vs-drain", run_vs_drain);
+    ("run-vs-shutdown", run_vs_shutdown);
   ]

@@ -46,5 +46,15 @@ val c44_shutdown : unit -> Engine.scenario
 (** Three workers on distinct wires of a C(4,4) network racing a
     [shutdown] — wider network, checks the oracles beyond one lane. *)
 
+val run_vs_drain : unit -> Engine.scenario
+(** A 3-op mixed {!Cn_service.Service_core.S.run} on a lane a second
+    session contends for (elimination on), racing a [drain].  Beyond
+    the shared oracle, every operation of the run must resolve to a
+    value or [Closed], exactly once. *)
+
+val run_vs_shutdown : unit -> Engine.scenario
+(** The same run racing a [shutdown]: nothing of the run may traverse
+    past the validated quiescence point. *)
+
 val all : (string * (unit -> Engine.scenario)) list
 (** Every scenario above, keyed by name, in a stable order. *)

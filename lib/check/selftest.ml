@@ -95,6 +95,29 @@ let increment t cell =
   else if publish t cell then Ok (wait_for t cell)
   else Error Overloaded
 
+(* BUG (run admission): the run path passes the admission check, wins
+   the flag and traverses its whole run without re-checking the state
+   under the flag — the fixed [Service_core] run re-checks after the
+   flag CAS, because a drain that flipped the state in between will
+   find the lane quiet and validate without waiting for the flag. *)
+let run t n =
+  let rec go () =
+    if A.get t.state <> st_running then Error Closed
+    else if A.compare_and_set t.combining false true then begin
+      if A.get t.parked > 0 then combine t;
+      for _ = 1 to n do
+        ignore (A.fetch_and_add t.counter 1)
+      done;
+      A.set t.combining false;
+      Ok ()
+    end
+    else begin
+      A.relax ();
+      go ()
+    end
+  in
+  go ()
+
 let quiesced t = A.get t.parked = 0 && not (A.get t.combining)
 
 let sweep t =
@@ -174,6 +197,21 @@ let admission_race () =
     finish = finish t shutdowns;
   }
 
+let run_race () =
+  let t = make ~queue:2 () in
+  let shutdowns = ref 0 in
+  {
+    Engine.name = "selftest-run";
+    fibers =
+      [|
+        (fun () -> ignore (run t 3));
+        (fun () ->
+          shutdown t;
+          incr shutdowns);
+      |];
+    finish = finish t shutdowns;
+  }
+
 (* Reproducers found by [Engine.explore] on the scenarios above (first
    failing schedule in DFS order); regenerate by printing
    [failure.schedule] if the models change. *)
@@ -184,3 +222,5 @@ let admission_schedule =
     0; 0; 0; 0; 0; 0; 1; 1; 1; 0; 2; 2; 2; 2; 2; 2; 2; 1; 1; 1; 1; 1; 1; 1; 1;
     1; 1; 1; 1; 1; 1; 1;
   ]
+
+let run_schedule = [ 0; 0; 1; 1; 1; 1; 1; 1; 0; 0; 0; 0; 0; 0; 1 ]

@@ -1,5 +1,5 @@
 (** The checker checking itself: a miniature of the {e pre-fix} service
-    protocol with both original bugs deliberately preserved, so the test
+    protocol with its bugs deliberately preserved, so the test
     suite can prove the explorer still finds them.
 
     The model is one combining lane in front of a single shared counter
@@ -18,7 +18,15 @@
       past the validated quiescence point (the parked-before-probe +
       re-check-and-withdraw fix).
 
-    Exploring either scenario must produce a failure; the pinned
+    - {b run admission bug}: [run] passes the admission check, wins
+      the combining flag and traverses its whole run without
+      re-checking the service state under the flag — a shutdown that
+      flipped the state in between finds the lane quiet, validates,
+      and the run then traverses past the validated quiescence point
+      (the re-check-under-the-flag in {!Cn_service.Service_core}'s run
+      entry).
+
+    Exploring any of the scenarios must produce a failure; the pinned
     schedules are minimal reproducers found by the explorer, checked in
     as engine regression tests. *)
 
@@ -28,6 +36,9 @@ val lifecycle_race : unit -> Engine.scenario
 val admission_race : unit -> Engine.scenario
 (** Two increments racing a [shutdown] through the buggy publish. *)
 
+val run_race : unit -> Engine.scenario
+(** A 3-op run racing a [shutdown] through the buggy run entry. *)
+
 val lifecycle_schedule : int list
 (** A pinned schedule on which {!lifecycle_race} resurrects the stopped
     service. *)
@@ -35,3 +46,7 @@ val lifecycle_schedule : int list
 val admission_schedule : int list
 (** A pinned schedule on which {!admission_race} mutates the counter
     after the validated quiescence point. *)
+
+val run_schedule : int list
+(** A pinned schedule on which {!run_race} traverses after the
+    validated quiescence point. *)

@@ -21,7 +21,6 @@ module V = Cn_runtime.Validator
 module Svc = Cn_service.Service
 module Projection = Cn_analysis.Projection
 module Cert = Cn_lint.Cert
-module Sequence = Cn_sequence.Sequence
 
 (* Service, extended with the one accessor the fabric's accounting
    needs: the logical counter value behind a service (net tokens
@@ -29,7 +28,7 @@ module Sequence = Cn_sequence.Sequence
 module Service_ext = struct
   include Svc
 
-  let net_count svc = Sequence.sum (RT.exit_distribution (Svc.runtime svc))
+  let net_count svc = RT.net_count (Svc.runtime svc)
 end
 
 module Core = Fabric_core.Make (Cn_runtime.Atomics.Real) (Service_ext)

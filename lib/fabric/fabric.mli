@@ -32,6 +32,8 @@ include
   Fabric_core.S
     with type svc = Cn_service.Service.t
      and type topo_key = Cn_network.Topology.t
+     and type op = Cn_service.Service.op
+     and type error = Cn_service.Service.error
 
 val create :
   ?mode:Cn_runtime.Network_runtime.mode ->

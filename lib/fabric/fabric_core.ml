@@ -38,8 +38,10 @@ module type SERVICE = sig
   type error = Overloaded | Closed
 
   val session : ?wire:int -> t -> session
-  val increment : session -> (int, error) result
-  val decrement : session -> (int, error) result
+
+  val run :
+    session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
+
   val lifecycle : t -> [ `Running | `Draining | `Stopped ]
   val drain : ?policy:V.policy -> t -> V.report
   val shutdown : ?policy:V.policy -> t -> V.report
@@ -77,6 +79,10 @@ module type S = sig
 
   val session : ?key:int -> t -> session
   val session_key : session -> int
+
+  val run :
+    session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
+
   val increment : session -> (int, error) result
   val decrement : session -> (int, error) result
   val read : t -> int
@@ -96,11 +102,15 @@ module type S = sig
 end
 
 module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
-  S with type svc = S.t and type topo_key = Topology.t = struct
+  S
+    with type svc = S.t
+     and type topo_key = Topology.t
+     and type op = S.op
+     and type error = S.error = struct
   type svc = S.t
   type topo_key = Topology.t
-  type op = Inc | Dec
-  type error = Overloaded | Closed
+  type op = S.op = Inc | Dec
+  type error = S.error = Overloaded | Closed
 
   type resize_error =
     | Cert_rejected of string
@@ -169,6 +179,8 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
     (* single-owner cache of the per-shard service session, keyed by
        (shard, generation) so a resize invalidates it *)
     mutable cache : (int * int * S.session) option;
+    op1 : op array;  (* the run of one behind increment/decrement *)
+    val1 : int array;
   }
 
   let make ?(max_shards = 16) ?(vnodes = Router.default_vnodes)
@@ -217,7 +229,7 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
     let key =
       match key with Some k -> k | None -> A.fetch_and_add t.session_ctr 1
     in
-    { fab = t; key; cache = None }
+    { fab = t; key; cache = None; op1 = [| Inc |]; val1 = [| 0 |] }
 
   let session_key s = s.key
 
@@ -239,9 +251,14 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
   (* ---------------------------------------------------------------- *)
   (* The operation loop. *)
 
-  let rec exec sess op =
+  (* Serve [ops.(i) .. ops.(stop-1)].  A session's key pins it to one
+     shard, so an open shard takes the whole remainder as one service
+     run; only while the shard is [Resizing] does the run fall back to
+     parking one operation at a time. *)
+  let rec exec sess ops vals i stop =
     let fab = sess.fab in
-    if A.get fab.closed_ then Error Closed
+    if i >= stop then Ok ()
+    else if A.get fab.closed_ then Error (i, Closed)
     else begin
       let sid = Router.route (A.get fab.router) sess.key in
       match A.get fab.states.(sid) with
@@ -250,52 +267,59 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
              narrower ring is published before any shard retires, so an
              immediate re-read resolves to a live shard (no relax — the
              write we need has already landed) *)
-          exec sess op
-      | Resizing -> park sess sid op
+          exec sess ops vals i stop
+      | Resizing -> (
+          match park sess sid ops.(i) with
+          | Some (Ok v) ->
+              vals.(i) <- v;
+              exec sess ops vals (i + 1) stop
+          | Some (Error e) -> Error (i, e)
+          | None ->
+              (* resize finished (or not yet accepting): resolve afresh *)
+              A.relax ();
+              exec sess ops vals i stop)
       | Open -> (
           match A.get fab.slots.(sid) with
           | Tomb _ | Empty ->
               (* shrink window: the slot tombstones before the state
                  flips to Retired — the state we read above is stale *)
               A.relax ();
-              exec sess op
-          | Live sh ->
+              exec sess ops vals i stop
+          | Live sh -> (
               let ss =
                 match sess.cache with
-                | Some (i, g, ss) when i = sid && g = sh.gen -> ss
+                | Some (c, g, ss) when c = sid && g = sh.gen -> ss
                 | _ ->
                     let ss = S.session sh.svc in
                     sess.cache <- Some (sid, sh.gen, ss);
                     ss
               in
-              let r =
-                match op with
-                | Inc -> S.increment ss
-                | Dec -> S.decrement ss
-              in
-              (match r with
-              | Ok v -> Ok (sh.base + v)
-              | Error S.Overloaded -> Error Overloaded
-              | Error S.Closed ->
+              let r = S.run ss ops vals ~off:i ~len:(stop - i) in
+              let served = match r with Ok () -> stop | Error (k, _) -> k in
+              for j = i to served - 1 do
+                vals.(j) <- sh.base + vals.(j)
+              done;
+              match r with
+              | Ok () | Error (_, Overloaded) -> r
+              | Error (k, Closed) ->
                   (* the shard's service is draining, resizing or shut
                      down under us; the fabric-level state says which —
                      go around (a pure retry against unchanged state
                      would fail again, so the relax is sound under the
                      instrumented scheduler too) *)
-                  if A.get fab.closed_ then Error Closed
+                  if A.get fab.closed_ then r
                   else begin
                     A.relax ();
-                    exec sess op
+                    exec sess ops vals k stop
                   end))
     end
 
+  (* Park one operation on a resizing shard and wait for its replay;
+     [None] when the park list is sealed (the resize is over). *)
   and park sess sid op =
     let fab = sess.fab in
     match A.get fab.parked.(sid) with
-    | Sealed ->
-        (* resize finished (or not yet accepting): resolve afresh *)
-        A.relax ();
-        exec sess op
+    | Sealed -> None
     | Accepting l as cur ->
         let cell =
           { kind = op; key = sess.key; value = 0; failed = false; done_ = A.make 0 }
@@ -306,12 +330,26 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
             incr spins;
             if !spins < 64 then A.relax () else A.nap ()
           done;
-          if cell.failed then Error Closed else Ok cell.value
+          Some (if cell.failed then Error Closed else Ok cell.value)
         end
         else park sess sid op
 
-  let increment s = exec s Inc
-  let decrement s = exec s Dec
+  let run sess ops vals ~off ~len =
+    if
+      off < 0 || len < 0
+      || off + len > Array.length ops
+      || off + len > Array.length vals
+    then invalid_arg "Fabric.run: range out of bounds";
+    exec sess ops vals off (off + len)
+
+  let run_one sess op =
+    sess.op1.(0) <- op;
+    match exec sess sess.op1 sess.val1 0 1 with
+    | Ok () -> Ok sess.val1.(0)
+    | Error (_, e) -> Error e
+
+  let increment s = run_one s Inc
+  let decrement s = run_one s Dec
 
   (* ---------------------------------------------------------------- *)
   (* Hot resize: certify, seal, drain, swap, replay. *)
@@ -323,8 +361,7 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
      means the fabric itself closed — the caller gets the same refusal
      it would have gotten arriving a moment later. *)
   let rec replay_cell fab (cell : pending) =
-    let sess = { fab; key = cell.key; cache = None } in
-    match exec sess cell.kind with
+    match run_one (session ~key:cell.key fab) cell.kind with
     | Ok v ->
         cell.value <- v;
         A.set cell.done_ 1

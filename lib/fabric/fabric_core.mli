@@ -24,9 +24,10 @@
 
 module V := Cn_runtime.Validator
 
-(** What the fabric needs from a service: sessions, the two counter
-    operations, the validated drain/shutdown lifecycle, and the net
-    token count that becomes the [base] offset at a resize.
+(** What the fabric needs from a service: sessions, the run entry
+    (a single operation is a run of one), the validated drain/shutdown
+    lifecycle, and the net token count that becomes the [base] offset
+    at a resize.
     {!Cn_service.Service} matches this signature once extended with
     [net_count] (see {!Fabric}); the checker's model service is
     [Service_core.Make (Instrumented) (Model_net)] plus the same
@@ -38,8 +39,13 @@ module type SERVICE = sig
   type error = Overloaded | Closed
 
   val session : ?wire:int -> t -> session
-  val increment : session -> (int, error) result
-  val decrement : session -> (int, error) result
+
+  val run :
+    session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
+  (** {!Cn_service.Service.run}: the operations [ops.(off ..)] as one
+      concurrent run, values into [vals]; [Error (k, e)] when the
+      operations from index [k] on were not performed. *)
+
   val lifecycle : t -> [ `Running | `Draining | `Stopped ]
   val drain : ?policy:V.policy -> t -> V.report
   val shutdown : ?policy:V.policy -> t -> V.report
@@ -105,6 +111,21 @@ module type S = sig
 
   val session_key : session -> int
 
+  val run :
+    session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
+  (** [run s ops vals ~off ~len] performs [ops.(off) .. ops.(off+len-1)]
+      as one concurrent run on the session's shard and writes each
+      stream value ([base + service value]) to the same index of
+      [vals].  The session's key pins it to one shard, so the run is
+      routed once and handed to that shard's service as one
+      {!SERVICE.run}; only while the shard is resizing does it fall
+      back to parking (and replaying) one operation at a time.  A run
+      that loses a race with a resize retries its unserved remainder.
+      [Error (k, e)]: the operations before [k] completed, none from
+      [k] on was performed ([Overloaded]: the shard's backpressure;
+      [Closed]: the fabric is shut down).
+      @raise Invalid_argument if the range is out of bounds. *)
+
   val increment : session -> (int, error) result
   (** One [Fetch&Increment] through the session's shard.  The value is
       the shard's stream value ([base + service value]); streams of
@@ -113,7 +134,7 @@ module type S = sig
       the operation either completes on the pre-resize service before
       its validation point or parks and is replayed on the new one.
       [Error Overloaded] propagates the shard's backpressure verbatim;
-      [Error Closed] means the fabric is shut down. *)
+      [Error Closed] means the fabric is shut down.  A {!run} of one. *)
 
   val decrement : session -> (int, error) result
 
@@ -189,4 +210,8 @@ module type S = sig
 end
 
 module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
-  S with type svc = S.t and type topo_key = Cn_network.Topology.t
+  S
+    with type svc = S.t
+     and type topo_key = Cn_network.Topology.t
+     and type op = S.op
+     and type error = S.error

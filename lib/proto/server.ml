@@ -12,18 +12,16 @@ module V = Cn_runtime.Validator
 
 (* What the wire protocol needs from whatever is behind it — a single
    combining service or the sharded fabric.  A record of closures, not
-   a functor: the server is all slow-path (one record lookup per frame
+   a functor: the server is all slow-path (one record lookup per run
    next to a syscall), and the two instantiations differ only here. *)
 
-type op_error = Op_overloaded | Op_closed
-
-type backend_session = {
-  bs_inc : unit -> (int, op_error) result;
-  bs_dec : unit -> (int, op_error) result;
-}
+(* A connection's run entry: [ops.(0 .. len-1)] as one concurrent run,
+   values into [vals] ({!Svc.run} / {!Fab.run}). *)
+type run = Svc.op array -> int array -> len:int -> (unit, int * Svc.error) result
 
 type backend = {
-  be_session : unit -> backend_session;
+  be_session : unit -> run;
+  be_max_batch : int;  (* the longest run handed over in one call *)
   be_value : unit -> int;  (* quiescently-consistent counter read *)
   be_drain : unit -> V.report;  (* policy Off: verdict rides the reply *)
   be_shutdown : V.policy option -> V.report;
@@ -31,41 +29,27 @@ type backend = {
 }
 
 let service_backend svc =
-  let op = function
-    | Ok v -> Ok v
-    | Error Svc.Overloaded -> Error Op_overloaded
-    | Error Svc.Closed -> Error Op_closed
-  in
   {
     be_session =
       (fun () ->
         let s = Svc.session svc in
-        {
-          bs_inc = (fun () -> op (Svc.increment s));
-          bs_dec = (fun () -> op (Svc.decrement s));
-        });
-    be_value =
-      (fun () ->
-        Cn_sequence.Sequence.sum (RT.exit_distribution (Svc.runtime svc)));
+        fun ops vals ~len -> Svc.run s ops vals ~off:0 ~len);
+    be_max_batch = Svc.max_batch svc;
+    be_value = (fun () -> RT.net_count (Svc.runtime svc));
     be_drain = (fun () -> Svc.drain ~policy:V.Off svc);
     be_shutdown = (fun policy -> Svc.shutdown ?policy svc);
     be_report_json = (fun () -> Svc.report_json svc);
   }
 
 let fabric_backend fab =
-  let op = function
-    | Ok v -> Ok v
-    | Error Fab.Overloaded -> Error Op_overloaded
-    | Error Fab.Closed -> Error Op_closed
-  in
   {
     be_session =
       (fun () ->
         let s = Fab.session fab in
-        {
-          bs_inc = (fun () -> op (Fab.increment s));
-          bs_dec = (fun () -> op (Fab.decrement s));
-        });
+        fun ops vals ~len -> Fab.run s ops vals ~off:0 ~len);
+    (* every shard, swapped-in ones included, is spawned with the
+       fabric's one [max_batch] *)
+    be_max_batch = Svc.max_batch (Fab.shard_service fab 0);
     be_value = (fun () -> Fab.read fab);
     be_drain = (fun () -> Fab.drain ~policy:V.Off fab);
     be_shutdown = (fun policy -> Fab.shutdown ?policy fab);
@@ -140,24 +124,6 @@ let stats_json t =
     (t.be.be_value ())
     (t.be.be_report_json ())
 
-let reply_of_op = function
-  | Ok v -> Frame.Response (Frame.Value v)
-  | Error Op_overloaded -> Frame.Response Frame.Overloaded
-  | Error Op_closed -> Frame.Response Frame.Closed
-
-let handle_request t session (req : Frame.request) =
-  match req with
-  | Frame.Inc -> reply_of_op (session.bs_inc ())
-  | Frame.Dec -> reply_of_op (session.bs_dec ())
-  | Frame.Read -> Frame.Response (Frame.Value (t.be.be_value ()))
-  | Frame.Drain ->
-      (* Policy Off: the verdict rides in the reply instead of raising
-         server-side; the service re-admits afterwards either way. *)
-      let report = t.be.be_drain () in
-      Frame.Response
-        (Frame.Drained { ok = V.passed report; summary = V.summary report })
-  | Frame.Stats -> Frame.Response (Frame.Stats_reply (stats_json t))
-
 (* Replies queued past this many bytes are written before the rest of
    the read is served, so a pipelined burst of large replies ([Stats])
    cannot grow a connection's buffer without bound. *)
@@ -171,9 +137,19 @@ let error_reply code message =
    socket in a single write.  With TCP_NODELAY that write leaves at
    once; without coalescing, NODELAY would cost one segment per reply,
    and without NODELAY, Nagle holds a reply back until the peer ACKs
-   the previous one. *)
+   the previous one.
+
+   One read, one batch: the consecutive Inc/Dec frames of a read are
+   collected and handed to the backend as one run, so the combiner sees
+   them together (one admission, elimination across the run).  A
+   [Read], [Drain] or [Stats], a framing error, the end of the read, or
+   a full run ([be_max_batch] frames) ends the run; its replies are
+   encoded before whatever ended it, so replies keep request order. *)
 let handler t conn =
-  let session = t.be.be_session () in
+  let run = t.be.be_session () in
+  let cap = t.be.be_max_batch in
+  let ops = Array.make cap Svc.Inc and vals = Array.make cap 0 in
+  let pending = ref 0 in
   let dec = Frame.decoder ~max_payload:t.max_payload () in
   let buf = Bytes.create 4096 in
   let out = Buffer.create 4096 in
@@ -188,19 +164,63 @@ let handler t conn =
     Frame.encode out frame;
     if Buffer.length out >= flush_bytes then flush ()
   in
+  let end_run () =
+    let n = !pending in
+    if n > 0 then begin
+      pending := 0;
+      let served, refusal =
+        match run ops vals ~len:n with
+        | Ok () -> (n, Frame.Closed)
+        | Error (k, Svc.Overloaded) -> (k, Frame.Overloaded)
+        | Error (k, Svc.Closed) -> (k, Frame.Closed)
+      in
+      for i = 0 to n - 1 do
+        reply (Frame.Response (if i < served then Frame.Value vals.(i) else refusal))
+      done
+    end
+  in
+  let push op =
+    ops.(!pending) <- op;
+    incr pending;
+    if !pending = cap then end_run ()
+  in
   (* Serve the decoded frames; [false] once the connection must end. *)
   let rec serve () =
     match Frame.next dec with
-    | Frame.Need_more -> true
-    | Frame.Frame (Frame.Request req) ->
-        reply (handle_request t session req);
+    | Frame.Need_more ->
+        end_run ();
+        true
+    | Frame.Frame (Frame.Request Frame.Inc) ->
+        push Svc.Inc;
+        serve ()
+    | Frame.Frame (Frame.Request Frame.Dec) ->
+        push Svc.Dec;
+        serve ()
+    | Frame.Frame (Frame.Request Frame.Read) ->
+        end_run ();
+        reply (Frame.Response (Frame.Value (t.be.be_value ())));
+        serve ()
+    | Frame.Frame (Frame.Request Frame.Drain) ->
+        end_run ();
+        (* Policy Off: the verdict rides in the reply instead of raising
+           server-side; the service re-admits afterwards either way. *)
+        let report = t.be.be_drain () in
+        reply
+          (Frame.Response
+             (Frame.Drained { ok = V.passed report; summary = V.summary report }));
+        serve ()
+    | Frame.Frame (Frame.Request Frame.Stats) ->
+        end_run ();
+        reply (Frame.Response (Frame.Stats_reply (stats_json t)));
         serve ()
     | Frame.Frame (Frame.Response _) ->
         (* A valid frame pointed the wrong way; refuse and drop the
            connection — the peer is confused. *)
+        end_run ();
         reply (error_reply Frame.Bad_opcode "response frame sent to a server");
         false
     | Frame.Corrupt { code; detail } ->
+        end_run ();
         reply (error_reply code detail);
         false
   in

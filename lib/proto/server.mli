@@ -6,10 +6,13 @@
     is exactly one-to-one); request frames are served in order on that
     session:
 
-    - [Inc]/[Dec] run {!Service.increment}/{!Service.decrement} and
-      reply [Value]; the service's bounded-queue backpressure
-      ([Error Overloaded]) and lifecycle refusals ([Error Closed])
-      surface as the protocol-level [Overloaded]/[Closed] replies —
+    - [Inc]/[Dec] reply [Value]: the consecutive [Inc]/[Dec] frames of
+      one [read] are handed to the session as one {!Service.run}, so
+      the combiner serves them as one batch and eliminates
+      token/antitoken pairs across it.  The service's bounded-queue
+      backpressure ([Error Overloaded]) and lifecycle refusals
+      ([Error Closed]) surface as the protocol-level
+      [Overloaded]/[Closed] replies for the refused part of the run —
       the client decides whether to retry, shed, or back off;
     - [Read] replies with the counter's current value (net tokens
       handed out, derived from the runtime's assignment cells) without
@@ -27,9 +30,13 @@
     {2 Pipelining and writes}
 
     Replies go out in request order, one per request.  The handler
-    decodes every complete frame one [read] delivered, encodes their
-    replies (a terminal [Error_reply] included) into one reusable
-    per-connection buffer, and writes that buffer once; replies past
+    decodes every complete frame one [read] delivered.  It collects
+    consecutive [Inc]/[Dec] frames into one run (up to the service's
+    [max_batch]); a [Read], [Drain] or [Stats], a framing error or the
+    end of the read ends the run, whose replies are encoded before the
+    frame that ended it is served.  All replies (a terminal
+    [Error_reply] included) go into one reusable per-connection
+    buffer, which is written once; replies past
     64 KiB are written before the rest of the read is served, so the
     buffer stays bounded.  A [Drain] or [Stats] inside a pipelined burst
     therefore delays the replies that share its write.  Every accepted
@@ -61,12 +68,14 @@ type backend
     plug into the same accept/handler/stop machinery. *)
 
 val service_backend : Cn_service.Service.t -> backend
-(** [Inc]/[Dec] run on a per-connection {!Cn_service.Service.session};
-    [Read] is the runtime's net exit count. *)
+(** [Inc]/[Dec] runs go to a per-connection
+    {!Cn_service.Service.session}; [Read] is the runtime's net exit
+    count ({!Cn_runtime.Network_runtime.net_count}, allocation-free). *)
 
 val fabric_backend : Cn_fabric.Fabric.t -> backend
-(** [Inc]/[Dec] run on a per-connection {!Cn_fabric.Fabric.session}
-    (round-robin routing keys, so connections spread over the shards);
+(** [Inc]/[Dec] runs go to a per-connection {!Cn_fabric.Fabric.session}
+    (round-robin routing keys, so connections spread over the shards;
+    a run is routed once, since a key pins its shard);
     [Read] is the fabric's second-level combining {!Cn_fabric.Fabric.read};
     [Drain]/stop walk every shard's validated quiescence path. *)
 

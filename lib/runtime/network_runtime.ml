@@ -343,6 +343,17 @@ let exit_distribution rt =
      encodes the number of exits as [(v - i) / t]. *)
   Array.init rt.output_width (fun i -> (Padded_atomic.get rt.values i - i) / rt.output_width)
 
+let net_count rt =
+  (* Every cell moves in steps of [t] from its wire index, so the sum of
+     the cells minus [0 + 1 + ... + (t - 1)] is [t] times the net exit
+     count: one exact division, no array. *)
+  let t = rt.output_width in
+  let sum = ref 0 in
+  for i = 0 to t - 1 do
+    sum := !sum + Padded_atomic.get rt.values i
+  done;
+  (!sum - (t * (t - 1) / 2)) / t
+
 type view = {
   v_mode : mode;
   v_input_width : int;

@@ -143,6 +143,13 @@ val exit_distribution : t -> Cn_sequence.Sequence.t
     each output wire so far (derived from the assignment cells);  a step
     sequence in any quiescent state of a counting network. *)
 
+val net_count : t -> int
+(** [net_count rt] is [Sequence.sum (exit_distribution rt)] — tokens
+    minus antitokens exited so far — computed from the assignment cells
+    in one pass with a single division and no allocation (the counter
+    [Read] path of the service and the fabric).  Exact, including a
+    negative net, because every cell moves in steps of [t]. *)
+
 type view = {
   v_mode : mode;
   v_input_width : int;

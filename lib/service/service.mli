@@ -14,7 +14,12 @@
     - under contention, operations park in a bounded array of lock-free
       submission slots and the current combiner drains them into a
       single {!Network_runtime.traverse_batch} call — batch sizes adapt
-      to the arrival rate and are bounded by [max_batch];
+      to the arrival rate, and a combiner stops sweeping once its batch
+      holds [max_batch] operations;
+    - a client that already holds several operations (a pipelined
+      connection's frames) hands them over as one {!run}: one
+      admission, one lane entry, one combined batch — the batching
+      does not depend on arrivals overlapping in time;
     - pending [Fetch&Increment] / [Fetch&Decrement] operations in the
       same batch {e eliminate} in pairs using the antitoken semantics
       (paper, Section 1.4.2; Shavit-Zemach elimination): a token and an
@@ -46,7 +51,7 @@
     ([Error Closed] thereafter).
 
     A [session] is owned by one domain at a time and carries at most one
-    outstanding operation; distinct sessions are safe to use from
+    outstanding operation or run; distinct sessions are safe to use from
     distinct domains concurrently.
 
     {2 Checked concurrency}
@@ -103,8 +108,10 @@ val create :
   t
 (** [create net] compiles [net] and builds a lane per input wire.
     [?mode] and [?metrics] pass through to {!Network_runtime.compile}.
-    [?max_batch] (default [64]) bounds the operations one combined
-    batch may serve; [?queue] (default [max_batch]) is the
+    [?max_batch] (default [64]) bounds the operations one {!run}
+    entry carries and the batch size at which a combiner stops
+    sweeping (entries are taken whole, so one combined batch serves at
+    most [2 * max_batch - 1] operations); [?queue] (default [max_batch]) is the
     submission-slot count per lane; [?elim] (default [true]) enables
     inc/dec elimination; [?validate] (default [Strict]) is the policy
     {!drain} and {!shutdown} apply when not overridden.
@@ -138,10 +145,46 @@ val session : ?wire:int -> t -> session
 val session_wire : session -> int
 (** The input wire this session is pinned to. *)
 
+val max_batch : t -> int
+(** The [max_batch] the service was created with: the most operations
+    one {!run} entry carries. *)
+
+val run :
+  session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
+(** [run s ops vals ~off ~len] performs the operations
+    [ops.(off) .. ops.(off+len-1)] as one concurrent run and writes
+    each one's value to the same index of [vals] — the batch entry a
+    pipelining client (countnetd, one read of frames) uses instead of
+    [len] separate calls.
+
+    A run is admitted with one state check and one combining-flag CAS.
+    The flag holder drains the run through the combiner together with
+    any entries other sessions parked on the lane, so elimination
+    covers the whole batch; when the flag is busy the run is published
+    as {e one} lane entry (one cell, one completion flag) and the
+    current combiner drains it whole.  A run of one keeps the
+    uncontended single-traversal fast path.  A run longer than
+    {!max_batch} is split into [max_batch] chunks, each admitted on its
+    own.
+
+    The operations of a run are concurrent, not sequential: values obey
+    the service's quiescently consistent contract (see "Elimination
+    value semantics"), so an [Inc] and a [Dec] of one run may both
+    return the anchor value.
+
+    [Ok ()]: every operation completed.  [Error (k, e)]: the operations
+    before index [k] completed (their values are in [vals]); none from
+    [k] on was performed, and [e] says why ([Overloaded]: the lane had
+    no free slot for that chunk; [Closed]: the service is draining or
+    stopped).  What a run allocates is bounded per chunk, never per
+    operation (a combining flag holder allocates nothing).
+    @raise Invalid_argument if the range is out of bounds for [ops] or
+    [vals], or the session has an outstanding {!submit}. *)
+
 val increment : session -> (int, error) result
 (** [increment s] performs one [Fetch&Increment] through the session's
     lane, blocking (spinning, then sleeping) until a combiner delivers
-    the value.  Fails fast with [Error Overloaded] under backpressure
+    the value — a {!run} of one.  Fails fast with [Error Overloaded] under backpressure
     and [Error Closed] once the service is draining or stopped.
     @raise Invalid_argument if the session has an outstanding
     {!submit}. *)

@@ -47,6 +47,11 @@ module type S = sig
   val input_width : t -> int
   val session : ?wire:int -> t -> session
   val session_wire : session -> int
+  val max_batch : t -> int
+
+  val run :
+    session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
+
   val increment : session -> (int, error) result
   val decrement : session -> (int, error) result
   val submit : session -> op -> (unit, error) result
@@ -63,12 +68,19 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
   type op = Inc | Dec
   type error = Overloaded | Closed
 
-  (* One parked operation.  [state] is 0 while pending, 1 once [result]
-     holds the operation's value; the combiner writes [result] before
-     the atomic flip, so a client that observes state = 1 reads a
-     published result.  Cells are owned by sessions and reused across
-     operations. *)
-  type cell = { mutable kind : op; mutable result : int; done_ : int A.t }
+  (* One lane entry: a run of [len] operations [ops.(off ..)] whose
+     values go to [vals.(off ..)].  [done_] is 0 while pending, 1 once
+     every value is published; the combiner writes the values before
+     the atomic flip, so a client that observes done_ = 1 reads
+     published results.  The arrays belong to the caller; cells are
+     owned by sessions and reused across runs. *)
+  type cell = {
+    mutable ops : op array;
+    mutable vals : int array;
+    mutable off : int;
+    mutable len : int;
+    done_ : int A.t;
+  }
 
   (* A combining lane, one per input wire.  [slots] is the bounded
      submission queue: publish = CAS [empty] -> cell, take = CAS cell ->
@@ -88,6 +100,8 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
     cells_scr : cell array;
     inc_scr : int array;
     dec_scr : int array;
+    inc_f : int -> int -> unit;  (* stores into [inc_scr]; built once *)
+    dec_f : int -> int -> unit;
     batches : int A.t;
     ops_combined : int A.t;
     max_batch_observed : int A.t;
@@ -120,6 +134,9 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
     svc : t;
     lane : lane;
     cell : cell;
+    own : cell option;  (* [Some cell], built once for [combine] *)
+    op1 : op array;  (* the run of one behind increment/decrement/submit *)
+    val1 : int array;
     slot_base : int;  (* where this session starts its slot scan *)
     mutable outstanding : bool;
   }
@@ -139,9 +156,14 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
     elimination_rate : float;
   }
 
-  let dummy_cell () = { kind = Inc; result = 0; done_ = A.make 1 }
+  let dummy_cell () = { ops = [||]; vals = [||]; off = 0; len = 0; done_ = A.make 1 }
 
   let make_lane ~empty ~wire ~queue ~max_batch =
+    (* A combiner stops sweeping once its batch holds [max_batch]
+       operations but takes every entry whole, so a batch never exceeds
+       [2 * max_batch - 1] operations in at most [max_batch] cells. *)
+    let inc_scr = Array.make (2 * max_batch) 0 in
+    let dec_scr = Array.make (2 * max_batch) 0 in
     {
       wire;
       slots = Array.init queue (fun _ -> A.make empty);
@@ -149,8 +171,10 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       parked = A.make 0;
       next_scan = 0;
       cells_scr = Array.make max_batch empty;
-      inc_scr = Array.make max_batch 0;
-      dec_scr = Array.make max_batch 0;
+      inc_scr;
+      dec_scr;
+      inc_f = (fun i v -> inc_scr.(i) <- v);
+      dec_f = (fun i v -> dec_scr.(i) <- v);
       batches = A.make_stat 0;
       ops_combined = A.make_stat 0;
       max_batch_observed = A.make_stat 0;
@@ -183,6 +207,7 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
   let runtime t = t.rt
   let layers t = t.layers
   let input_width t = Array.length t.lanes
+  let max_batch t = t.max_batch
 
   let session ?wire t =
     let w = input_width t in
@@ -196,10 +221,14 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       | None -> A.fetch_and_add t.next_wire 1 mod w
     in
     let lane = t.lanes.(wire) in
+    let cell = dummy_cell () in
     {
       svc = t;
       lane;
-      cell = dummy_cell ();
+      cell;
+      own = Some cell;
+      op1 = [| Inc |];
+      val1 = [| 0 |];
       (* Pre-reduced so the publish probe loop never divides. *)
       slot_base = A.fetch_and_add t.next_session 1 mod Array.length lane.slots;
       outstanding = false;
@@ -219,36 +248,41 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
   let raise_to a n = if n > A.get a then A.set a n
 
   (* Drain the lane's slots into [cells_scr] (slot [own] first, when the
-     combiner brought its own operation), run the survivors through the
-     network as one batch, eliminate matched inc/dec pairs, publish
-     results.  Caller holds [lane.combining].  Returns how many cells
-     were grabbed from the slots, so a sweeper can tell an actual grab
-     from a fruitless scan and back off instead of hammering the flag. *)
-  let combine svc lane own =
+     combiner brought its own run), run the survivors through the
+     network as one batch, eliminate matched inc/dec pairs across every
+     entry, publish results.  Caller holds [lane.combining].  [~sweep]
+     false skips the slot scan (the caller saw no parked work).
+     Returns how many cells were grabbed from the slots, so a sweeper
+     can tell an actual grab from a fruitless scan and back off instead
+     of hammering the flag. *)
+  let combine svc lane ~sweep own =
     let cells = lane.cells_scr in
-    let n = ref 0 in
+    let nc = ref 0 and nops = ref 0 in
     (match own with
     | Some c ->
         cells.(0) <- c;
-        n := 1
+        nc := 1;
+        nops := c.len
     | None -> ());
     let cap = Array.length lane.slots in
-    let own_n = !n in
+    let own_n = !nc in
     (* Keep sweeping while new arrivals land and the batch has room: the
-       batch grows with the arrival rate, up to [max_batch]. *)
-    let grabbed = ref true in
-    while !grabbed && !n < svc.max_batch do
+       batch grows with the arrival rate.  An entry is taken whole, so
+       the last one may carry the batch past [max_batch]. *)
+    let grabbed = ref sweep in
+    while !grabbed && !nops < svc.max_batch do
       grabbed := false;
       let start = lane.next_scan in
       let j = ref 0 in
-      while !j < cap && !n < svc.max_batch do
+      while !j < cap && !nops < svc.max_batch do
         let i = start + !j in
         let i = if i >= cap then i - cap else i in
         let slot = lane.slots.(i) in
         let c = A.get slot in
         if c != svc.empty && A.compare_and_set slot c svc.empty then begin
-          cells.(!n) <- c;
-          incr n;
+          cells.(!nc) <- c;
+          incr nc;
+          nops := !nops + c.len;
           grabbed := true
         end;
         incr j
@@ -257,12 +291,15 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
     done;
     (* One aggregate update instead of a fenced decrement per take; the
        combiner still holds the flag, so quiescence checks stay sound. *)
-    if !n > own_n then ignore (A.fetch_and_add lane.parked (own_n - !n));
-    let n = !n in
+    let nc = !nc and n = !nops in
+    if nc > own_n then ignore (A.fetch_and_add lane.parked (own_n - nc));
     if n > 0 then begin
       let incs = ref 0 in
-      for k = 0 to n - 1 do
-        if cells.(k).kind = Inc then incr incs
+      for k = 0 to nc - 1 do
+        let c = cells.(k) in
+        for i = c.off to c.off + c.len - 1 do
+          if c.ops.(i) = Inc then incr incs
+        done
       done;
       let incs = !incs in
       let decs = n - incs in
@@ -276,36 +313,36 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       let run_incs = incs - elim and run_decs = decs - elim in
       let inc_vals = lane.inc_scr and dec_vals = lane.dec_scr in
       if run_incs > 0 then
-        R.traverse_batch svc.rt ~wire:lane.wire ~n:run_incs ~f:(fun i v ->
-            inc_vals.(i) <- v);
+        R.traverse_batch svc.rt ~wire:lane.wire ~n:run_incs ~f:lane.inc_f;
       if run_decs > 0 then
-        R.traverse_batch_decrement svc.rt ~wire:lane.wire ~n:run_decs ~f:(fun i v ->
-            dec_vals.(i) <- v);
+        R.traverse_batch_decrement svc.rt ~wire:lane.wire ~n:run_decs ~f:lane.dec_f;
       let anchor =
         if run_incs > 0 then inc_vals.(0)
         else if run_decs > 0 then dec_vals.(0)
         else 0 (* unreachable: elim > 0 forces run_incs > 0 or run_decs > 0 *)
       in
       let ii = ref 0 and di = ref 0 in
-      for k = 0 to n - 1 do
+      for k = 0 to nc - 1 do
         let c = cells.(k) in
-        let v =
-          match c.kind with
-          | Inc ->
-              if !ii < run_incs then (
-                let v = inc_vals.(!ii) in
-                incr ii;
-                v)
-              else anchor
-          | Dec ->
-              if !di < run_decs then (
-                let v = dec_vals.(!di) in
-                incr di;
-                v)
-              else anchor
-        in
-        c.result <- v;
-        A.set c.done_ 1;
+        let ops = c.ops and vals = c.vals in
+        for i = c.off to c.off + c.len - 1 do
+          vals.(i) <-
+            (match ops.(i) with
+            | Inc ->
+                if !ii < run_incs then (
+                  let v = inc_vals.(!ii) in
+                  incr ii;
+                  v)
+                else anchor
+            | Dec ->
+                if !di < run_decs then (
+                  let v = dec_vals.(!di) in
+                  incr di;
+                  v)
+                else anchor)
+        done;
+        (* the combiner's own run has no waiter *)
+        if k >= own_n then A.set c.done_ 1;
         cells.(k) <- svc.empty (* drop the reference; cells are session-owned *)
       done;
       bump lane.batches 1;
@@ -313,24 +350,34 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       bump lane.eliminated_pairs elim;
       raise_to lane.max_batch_observed n
     end;
-    n - own_n
+    nc - own_n
 
   let spin_limit = 1024
 
-  (* Publish the session's cell into a free slot, or fail Overloaded.
-     The parked count is raised BEFORE the slot probe and the service
-     state re-checked AFTER the slot CAS: together these close the
-     admission hole where a client that passed the [st_running] check
-     could park after [sweep_until_quiet] saw the lane empty, handing a
-     traversal to a helper past the validated quiescence point.  A
-     publisher that parked against a draining or stopped service
-     withdraws its cell (unless a combiner already took it, in which
-     case the operation was folded into a pre-validation batch and
-     completes normally). *)
-  let publish sess op =
+  (* Point the session's cell at a run.  The arrays are stored only when
+     they change: a cell lives in the major heap, so each pointer store
+     pays the write barrier, and a session's runs of one always reuse
+     the same two arrays. *)
+  let load cell ops vals off len =
+    if cell.ops != ops then cell.ops <- ops;
+    if cell.vals != vals then cell.vals <- vals;
+    cell.off <- off;
+    cell.len <- len
+
+  (* Publish the session's cell, loaded with a run, into a free slot, or
+     fail Overloaded.  The parked count is raised BEFORE the slot probe
+     and the service state re-checked AFTER the slot CAS: together these
+     close the admission hole where a client that passed the
+     [st_running] check could park after [sweep_until_quiet] saw the
+     lane empty, handing a traversal to a helper past the validated
+     quiescence point.  A publisher that parked against a draining or
+     stopped service withdraws its cell (unless a combiner already took
+     it, in which case the whole run was folded into a pre-validation
+     batch and completes normally). *)
+  let publish sess ops vals off len =
     let lane = sess.lane and svc = sess.svc in
     let cell = sess.cell in
-    cell.kind <- op;
+    load cell ops vals off len;
     A.set cell.done_ 0;
     A.incr lane.parked;
     let cap = Array.length lane.slots in
@@ -351,22 +398,22 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
               ignore (A.fetch_and_add lane.parked (-1));
               Error Closed
             end
-            else Ok () (* a combiner already owns it; result incoming *)
+            else Ok () (* a combiner already owns it; results incoming *)
           else Ok ()
         else find (j + 1)
     in
     find 0
 
-  (* Wait for the cell's result, helping combine whenever the lane has no
-     combiner.  A combiner that took the cell but has not yet published
-     holds [combining], so helping cannot race with it. *)
+  (* Wait for the cell's results, helping combine whenever the lane has
+     no combiner.  A combiner that took the cell but has not yet
+     published holds [combining], so helping cannot race with it. *)
   let wait_for sess =
     let lane = sess.lane and svc = sess.svc in
     let cell = sess.cell in
     let spins = ref 0 in
     while A.get cell.done_ = 0 do
       if A.compare_and_set lane.combining false true then begin
-        if A.get cell.done_ = 0 then ignore (combine svc lane None);
+        if A.get cell.done_ = 0 then ignore (combine svc lane ~sweep:true None);
         A.set lane.combining false
       end
       else begin
@@ -377,12 +424,15 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
           A.nap ()
         end
       end
-    done;
-    cell.result
+    done
 
-  let run_op sess op =
-    if sess.outstanding then
-      invalid_arg "Service: session has an outstanding submit";
+  (* The one admission path: a run of [len] (1 <= len <= max_batch)
+     operations, admitted with one state check and one flag CAS.  The
+     flag holder drains the run through [combine] together with whatever
+     other sessions parked; a run of one on a quiet lane goes straight
+     through the network.  A busy flag publishes the run as one lane
+     entry, which the current combiner drains whole. *)
+  let exec sess ops vals off len =
     let svc = sess.svc in
     if A.get svc.state <> st_running then Error Closed
     else begin
@@ -396,53 +446,84 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
           Error Closed
         end
         else begin
-          let v =
-            if A.get lane.parked = 0 then begin
-              (* Uncontended fast path: a batch of one, straight through. *)
-              bump lane.batches 1;
-              bump lane.ops_combined 1;
-              raise_to lane.max_batch_observed 1;
-              match op with
+          let parked = A.get lane.parked in
+          if parked = 0 && len = 1 then begin
+            (* Uncontended fast path: a batch of one, straight through. *)
+            bump lane.batches 1;
+            bump lane.ops_combined 1;
+            raise_to lane.max_batch_observed 1;
+            vals.(off) <-
+              (match ops.(off) with
               | Inc -> R.traverse svc.rt ~wire:lane.wire
-              | Dec -> R.traverse_decrement svc.rt ~wire:lane.wire
-            end
-            else begin
-              let cell = sess.cell in
-              cell.kind <- op;
-              A.set cell.done_ 0;
-              ignore (combine svc lane (Some cell));
-              cell.result
-            end
-          in
+              | Dec -> R.traverse_decrement svc.rt ~wire:lane.wire)
+          end
+          else begin
+            load sess.cell ops vals off len;
+            ignore (combine svc lane ~sweep:(parked > 0) sess.own)
+          end;
           A.set lane.combining false;
-          Ok v
+          Ok ()
         end
       else
-        match publish sess op with
+        match publish sess ops vals off len with
         | Error _ as e -> e
-        | Ok () -> Ok (wait_for sess)
+        | Ok () ->
+            wait_for sess;
+            Ok ()
     end
 
-  let increment s = run_op s Inc
-  let decrement s = run_op s Dec
+  (* Chunk [off, stop) into runs of at most [max_batch]; stop at the
+     first refused chunk. *)
+  let rec run_from sess ops vals i stop =
+    if i >= stop then Ok ()
+    else
+      let len = min sess.svc.max_batch (stop - i) in
+      match exec sess ops vals i len with
+      | Ok () -> run_from sess ops vals (i + len) stop
+      | Error e -> Error (i, e)
+
+  let check_idle sess =
+    if sess.outstanding then
+      invalid_arg "Service: session has an outstanding submit"
+
+  let run sess ops vals ~off ~len =
+    check_idle sess;
+    if
+      off < 0 || len < 0
+      || off + len > Array.length ops
+      || off + len > Array.length vals
+    then invalid_arg "Service.run: range out of bounds";
+    run_from sess ops vals off (off + len)
+
+  let run_one sess op =
+    check_idle sess;
+    sess.op1.(0) <- op;
+    match exec sess sess.op1 sess.val1 0 1 with
+    | Ok () -> Ok sess.val1.(0)
+    | Error _ as e -> e
+
+  let increment s = run_one s Inc
+  let decrement s = run_one s Dec
 
   let submit sess op =
     if sess.outstanding then
       invalid_arg "Service.submit: session already has an outstanding submit";
     if A.get sess.svc.state <> st_running then Error Closed
-    else
-      match publish sess op with
+    else begin
+      sess.op1.(0) <- op;
+      match publish sess sess.op1 sess.val1 0 1 with
       | Error _ as e -> e
       | Ok () ->
           sess.outstanding <- true;
           Ok ()
+    end
 
   let await sess =
     if not sess.outstanding then
       invalid_arg "Service.await: nothing submitted on this session";
-    let v = wait_for sess in
+    wait_for sess;
     sess.outstanding <- false;
-    v
+    sess.val1.(0)
 
   let quiesced t =
     Array.for_all
@@ -465,7 +546,7 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
             A.get lane.parked > 0
             && A.compare_and_set lane.combining false true
           then begin
-            if combine t lane None > 0 then progressed := true;
+            if combine t lane ~sweep:true None > 0 then progressed := true;
             A.set lane.combining false
           end)
         t.lanes;

@@ -18,7 +18,10 @@
       a publisher that parked against a closing service withdraws its
       cell unless a pre-validation combiner already took it;
     - {b liveness}: every accepted operation's [await] completes; no
-      cell stays parked forever. *)
+      cell stays parked forever;
+    - {b runs}: every operation of an admitted run resolves to a value
+      or [Closed] — a run entry is taken by a combiner whole or
+      withdrawn whole. *)
 
 module type RUNTIME = sig
   type t
@@ -77,6 +80,23 @@ module type S = sig
   val input_width : t -> int
   val session : ?wire:int -> t -> session
   val session_wire : session -> int
+
+  val max_batch : t -> int
+  (** The most operations one run entry carries; longer runs are split. *)
+
+  val run :
+    session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
+  (** [run s ops vals ~off ~len] performs [ops.(off) .. ops.(off+len-1)]
+      as one concurrent run and writes each operation's value to the
+      same index of [vals].  The run is admitted with one state check
+      and one combining-flag CAS per [max_batch] chunk: the flag holder
+      drains its chunk through the combiner together with whatever other
+      sessions parked on the lane (elimination covers the whole batch);
+      a busy flag publishes the chunk as one lane entry that the current
+      combiner drains whole.  [Error (k, e)]: the operations before
+      index [k] completed, those from [k] on were not performed.
+      {!increment}, {!decrement} and {!submit} are runs of one. *)
+
   val increment : session -> (int, error) result
   val decrement : session -> (int, error) result
   val submit : session -> op -> (unit, error) result

@@ -55,6 +55,17 @@ let selftest =
         | None -> Alcotest.fail "pinned admission schedule no longer fails"
         | Some f ->
             Alcotest.(check bool) "reason" true (contains f.E.reason "quiescence"));
+    tc "explorer finds the run-entry race (no re-check under the flag)" (fun () ->
+        let out = E.explore ~preemptions:2 Self.run_race in
+        match out.E.failure with
+        | None -> Alcotest.fail "planted run-entry bug not found"
+        | Some f ->
+            Alcotest.(check bool) "reason" true (contains f.E.reason "quiescence"));
+    tc "pinned run-entry schedule replays to the failure" (fun () ->
+        match E.replay Self.run_race Self.run_schedule with
+        | None -> Alcotest.fail "pinned run-entry schedule no longer fails"
+        | Some f ->
+            Alcotest.(check bool) "reason" true (contains f.E.reason "quiescence"));
     tc "a found failure's schedule replays to the same failure" (fun () ->
         let out = E.explore ~preemptions:2 Self.admission_race in
         match out.E.failure with

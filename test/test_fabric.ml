@@ -154,6 +154,29 @@ let certification =
 
 let ops =
   [
+    tc "a run is routed once and continues the shard stream across a resize"
+      (fun () ->
+        let fab = Fab.create ~shards:2 ~elim:false (Counting.network ~w:4 ~t:4) in
+        let s = Fab.session ~key:5 fab in
+        let sid = Fab.route fab 5 in
+        let run n =
+          let vals = Array.make n 0 in
+          (match Fab.run s (Array.make n Fab.Inc) vals ~off:0 ~len:n with
+          | Ok () -> ()
+          | Error (k, _) -> Alcotest.failf "run refused from index %d" k);
+          Array.to_list vals
+        in
+        Alcotest.(check (list int)) "first run" (List.init 6 Fun.id) (run 6);
+        (match Fab.resize fab ~shard:sid (Counting.network ~w:2 ~t:2) with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "resize failed");
+        Alcotest.(check (list int)) "continues from the folded base"
+          (List.init 5 (fun i -> 6 + i)) (run 5);
+        Alcotest.(check int) "read" 11 (Fab.read fab);
+        ignore (Fab.shutdown fab);
+        match Fab.run s [| Fab.Inc; Fab.Dec |] (Array.make 2 0) ~off:0 ~len:2 with
+        | Error (0, Fab.Closed) -> ()
+        | Ok () | Error _ -> Alcotest.fail "expected Error (0, Closed) after shutdown");
     tc "combining read merges shards; rescale conserves it" (fun () ->
         let fab = Fab.create ~shards:4 ~elim:false (Counting.network ~w:4 ~t:4) in
         let total = ref 0 in

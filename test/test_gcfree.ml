@@ -81,6 +81,42 @@ let zero_alloc =
     case "metered pipelined batch + antitokens, cas" ~mode:RT.Cas ~metrics:true pipelined_dec;
   ]
 
+(* The counter read and the service's run entry, beyond the walks. *)
+let read_and_run =
+  [
+    tc "net_count allocates nothing" (fun () ->
+        let rt = RT.compile (Cn_core.Counting.network ~w:16 ~t:16) in
+        RT.traverse_batch rt ~wire:3 ~n:100 ~f:sink;
+        let sum = ref 0 in
+        let d =
+          delta_words (fun n ->
+              for _ = 1 to n do
+                sum := !sum + RT.net_count rt
+              done)
+        in
+        Alcotest.(check int) "value" (100 * (tokens + 64)) !sum;
+        Alcotest.(check bool)
+          (Printf.sprintf "allocated %.0f minor words for %d reads" d tokens)
+          true (d < 64.));
+    tc "a service run of 32 allocates per run, not per operation" (fun () ->
+        let module Svc = Cn_service.Service in
+        let svc = Svc.create (net48 ()) in
+        let s = Svc.session ~wire:0 svc in
+        let ops = Array.init 32 (fun i -> if i mod 3 = 2 then Svc.Dec else Svc.Inc) in
+        let vals = Array.make 32 0 in
+        let d =
+          delta_words (fun n ->
+              for _ = 1 to n / 32 do
+                match Svc.run s ops vals ~off:0 ~len:32 with
+                | Ok () -> ()
+                | Error _ -> Alcotest.fail "run refused"
+              done)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "allocated %.0f minor words for %d runs of 32" d (tokens / 32))
+          true (d < 64.));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Pipelined walks against the evaluator and the sequential batch. *)
 
@@ -157,4 +193,9 @@ let pipelined =
           (fun () -> RT.traverse_batch_pipelined rt buf ~wire:0 ~n:(-1) ~f:sink));
   ]
 
-let suite = [ ("gcfree.zero_alloc", zero_alloc); ("gcfree.pipelined", pipelined) ]
+let suite =
+  [
+    ("gcfree.zero_alloc", zero_alloc);
+    ("gcfree.read_and_run", read_and_run);
+    ("gcfree.pipelined", pipelined);
+  ]

@@ -415,6 +415,49 @@ let contains hay needle =
 let incs n = List.init n (fun _ -> F.Request F.Inc)
 let values lo n = List.init n (fun i -> F.Response (F.Value (lo + i)))
 
+(* Every number following [key] in a JSON document — the fabric's stats
+   nest one service report per shard. *)
+let json_numbers json key =
+  let needle = Printf.sprintf "\"%s\": " key in
+  let nl = String.length needle and hl = String.length json in
+  let rec go i acc =
+    if i + nl > hl then List.rev acc
+    else if String.sub json i nl = needle then begin
+      let j = ref (i + nl) in
+      while !j < hl && String.contains "0123456789.-e" json.[!j] do
+        incr j
+      done;
+      go !j (float_of_string (String.sub json (i + nl) (!j - i - nl)) :: acc)
+    end
+    else go (i + 1) acc
+  in
+  go 0 []
+
+(* 32 Inc/Dec frames and a Stats in one write: the handler hands the
+   frames to the backend as one run, so the combiner sees a batch and
+   pairs off tokens with antitokens. *)
+let run_batches_and_eliminates server =
+  let fd = raw_connect server in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let ops = List.init 32 (fun i -> F.Request (if i mod 2 = 0 then F.Inc else F.Dec)) in
+  write_string fd (wire_of (ops @ [ F.Request F.Stats ]));
+  match read_frames ~upto:33 fd with
+  | got, _ when List.length got = 33 -> (
+      List.iteri
+        (fun i f ->
+          match f with
+          | F.Response (F.Value _) when i < 32 -> ()
+          | F.Response (F.Stats_reply _) when i = 32 -> ()
+          | _ -> Alcotest.failf "reply %d is not what request %d asked for" i i)
+        got;
+      match List.nth got 32 with
+      | F.Response (F.Stats_reply json) ->
+          let max_of key = List.fold_left Float.max 0. (json_numbers json key) in
+          Alcotest.(check bool) "mean_batch above 1" true (max_of "mean_batch" > 1.);
+          Alcotest.(check bool) "pairs eliminated" true (max_of "eliminated_pairs" > 0.)
+      | _ -> assert false)
+  | got, _ -> Alcotest.failf "%d replies for 33 requests" (List.length got)
+
 let server_tests =
   [
     tc "inc/dec/read over the wire" (fun () ->
@@ -502,6 +545,113 @@ let server_tests =
             write_string fd (wire_of (incs 64 @ [ F.Request F.Read ]));
             let got, _ = read_frames ~upto:65 fd in
             Alcotest.(check (list frame)) "Value 0..63, then Read = 64" (values 0 65) got));
+    tc "a pipelined Inc/Dec run is combined and eliminated" (fun () ->
+        with_server run_batches_and_eliminates);
+    tc "a pipelined Inc/Dec run is combined and eliminated on the fabric" (fun () ->
+        let fab = Cn_fabric.Fabric.create ~shards:2 (net44 ()) in
+        let server = Server.start_fabric fab in
+        Fun.protect
+          ~finally:(fun () -> ignore (Server.stop ~policy:V.Strict server))
+          (fun () -> run_batches_and_eliminates server));
+    tc "a Read ends the run: Inc x5, Read, Inc x5 in request order" (fun () ->
+        with_server (fun server ->
+            let fd = raw_connect server in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            write_string fd (wire_of (incs 5 @ [ F.Request F.Read ] @ incs 5));
+            let got, _ = read_frames ~upto:11 fd in
+            Alcotest.(check (list frame))
+              "Value 0..4, Read = 5, Value 5..9"
+              (values 0 5 @ [ F.Response (F.Value 5) ] @ values 5 5)
+              got));
+    tc "max_batch 4 serves a 32-frame run in order" (fun () ->
+        let svc = Svc.create ~max_batch:4 ~validate:V.Strict (net44 ()) in
+        let server = Server.start svc in
+        Fun.protect
+          ~finally:(fun () -> ignore (Server.stop ~policy:V.Strict server))
+          (fun () ->
+            let fd = raw_connect server in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            write_string fd (wire_of (incs 32 @ [ F.Request F.Read ]));
+            let got, _ = read_frames ~upto:33 fd in
+            Alcotest.(check (list frame)) "Value 0..31, then Read = 32" (values 0 33) got));
+    tc "more pipelining connections than lanes: distinct values, exact read" (fun () ->
+        (* C(2,2) has 2 lanes and 4 connections pipeline bursts on them,
+           so a run can find its lane's combining flag busy and be
+           published as one entry for another connection's combiner. *)
+        with_server ~net:(fun () -> Cn_core.Counting.network ~w:2 ~t:2) (fun server ->
+            let conns = 4 and bursts = 20 and burst = 32 in
+            let got = Array.make conns [] in
+            let ts =
+              Array.init conns (fun c ->
+                  Thread.create
+                    (fun () ->
+                      let fd = raw_connect server in
+                      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+                      for _ = 1 to bursts do
+                        write_string fd (wire_of (incs burst));
+                        let frames, _ = read_frames ~upto:burst fd in
+                        got.(c) <- frames @ got.(c)
+                      done)
+                    ())
+            in
+            Array.iter Thread.join ts;
+            let vals =
+              List.concat_map
+                (List.map (function
+                  | F.Response (F.Value v) -> v
+                  | _ -> Alcotest.fail "an Inc was refused"))
+                (Array.to_list got)
+            in
+            let n = conns * bursts * burst in
+            Alcotest.(check (list int))
+              "every value 0..n-1 exactly once" (List.init n Fun.id)
+              (List.sort compare vals);
+            let c = connect server in
+            Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+            Alcotest.(check int) "read equals the Inc count" n (Client.read c)));
+    tc "slow reader with a small receive buffer: every reply, in order" (fun () ->
+        (* The client shrinks its receive buffer and reads a few bytes at
+           a time while a writer thread pipelines a burst whose replies
+           are far larger than that buffer: the handler's writes block
+           and resume piecewise as the peer drains them. *)
+        let svc = Svc.create ~validate:V.Strict (net44 ()) in
+        let server = Server.start svc in
+        let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
+        Unix.setsockopt_int fd Unix.SO_RCVBUF 4096;
+        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
+        let n = 20_000 in
+        let writer = Thread.create (fun () -> write_string fd (wire_of (incs n))) () in
+        let d = F.decoder () in
+        let buf = Bytes.create 5 in
+        let next = ref 0 in
+        while !next < n do
+          (match F.next d with
+          | F.Frame f ->
+              Alcotest.check frame "reply in request order" (F.Response (F.Value !next)) f;
+              incr next
+          | F.Corrupt { detail; _ } -> Alcotest.fail ("corrupt reply stream: " ^ detail)
+          | F.Need_more -> (
+              match Unix.read fd buf 0 (Bytes.length buf) with
+              | 0 -> Alcotest.failf "EOF after %d of %d replies" !next n
+              | k -> F.feed d buf ~off:0 ~len:k));
+          ()
+        done;
+        Thread.join writer;
+        let result = ref None in
+        ignore
+          (Thread.create
+             (fun () ->
+               result := Some (try Ok (Server.stop ~policy:V.Strict server) with e -> Error e))
+             ());
+        let deadline = Unix.gettimeofday () +. 10. in
+        while !result = None && Unix.gettimeofday () < deadline do
+          Thread.delay 0.01
+        done;
+        Unix.close fd;
+        match !result with
+        | None -> Alcotest.fail "stop did not return within 10 s"
+        | Some (Error e) -> Alcotest.failf "stop raised %s" (Printexc.to_string e)
+        | Some (Ok report) -> Alcotest.(check bool) "strict drain passed" true (V.passed report));
     tc "garbage after pipelined frames: replies, error, EOF" (fun () ->
         with_server (fun server ->
             let good = connect server in

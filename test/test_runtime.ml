@@ -13,6 +13,28 @@ let net48 () = Cn_core.Counting.network ~w:4 ~t:8
 
 let single_threaded =
   [
+    tc "net_count is the summed exit distribution, negative nets and reset included"
+      (fun () ->
+        let check rt what =
+          Alcotest.(check int) what (S.sum (RT.exit_distribution rt)) (RT.net_count rt)
+        in
+        let rng = Random.State.make [| 11 |] in
+        List.iter
+          (fun (w, t) ->
+            let rt = RT.compile (Cn_core.Counting.network ~w ~t) in
+            check rt "fresh";
+            for _ = 1 to 500 do
+              let wire = Random.State.int rng w in
+              (* biased toward antitokens, so the net goes negative *)
+              if Random.State.int rng 10 < 4 then ignore (RT.traverse rt ~wire)
+              else ignore (RT.traverse_decrement rt ~wire);
+              check rt "after random traffic"
+            done;
+            Alcotest.(check bool) "the net went negative" true (RT.net_count rt < 0);
+            RT.reset rt;
+            check rt "after reset";
+            Alcotest.(check int) "reset to zero" 0 (RT.net_count rt))
+          [ (4, 8); (4, 12); (16, 16) ]);
     tc "traverse returns counter values in order" (fun () ->
         let rt = RT.compile (net48 ()) in
         let values = List.init 12 (fun i -> RT.traverse rt ~wire:(i mod 4)) in

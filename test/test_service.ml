@@ -442,9 +442,78 @@ let workload_spec =
         Float.abs (st.W.achieved_dec_ratio -. ratio) <= 0.05);
   ]
 
+let runs =
+  let run_ok s ops vals ~off ~len =
+    match Svc.run s ops vals ~off ~len with
+    | Ok () -> ()
+    | Error (k, _) -> Alcotest.failf "run refused from index %d" k
+  in
+  [
+    tc "an Inc run is one batch with the sequential values" (fun () ->
+        let svc = Svc.create (net48 ()) in
+        let s = Svc.session ~wire:1 svc in
+        let vals = Array.make 10 (-1) in
+        run_ok s (Array.make 10 Svc.Inc) vals ~off:0 ~len:10;
+        Alcotest.(check (list int)) "0..9" (List.init 10 Fun.id) (Array.to_list vals);
+        let st = Svc.stats svc in
+        Alcotest.(check int) "one batch" 1 st.Svc.total_batches;
+        Alcotest.(check int) "ten ops" 10 st.Svc.total_ops);
+    tc "a mixed run eliminates across the run" (fun () ->
+        let svc = Svc.create (net48 ()) in
+        let s = Svc.session ~wire:0 svc in
+        let seed = Array.make 4 0 in
+        run_ok s (Array.make 4 Svc.Inc) seed ~off:0 ~len:4;
+        let ops = [| Svc.Inc; Svc.Dec; Svc.Dec; Svc.Inc; Svc.Dec |] in
+        run_ok s ops (Array.make 5 0) ~off:0 ~len:5;
+        let st = Svc.stats svc in
+        Alcotest.(check int) "two pairs eliminated" 2 st.Svc.total_eliminated_pairs;
+        Alcotest.(check int) "net 4 + 2 - 3" 3 (RT.net_count (Svc.runtime svc));
+        V.enforce V.Strict (Svc.drain svc));
+    tc "a run longer than max_batch is chunked, offsets honoured" (fun () ->
+        let svc = Svc.create ~max_batch:4 (net48 ()) in
+        let s = Svc.session svc in
+        let vals = Array.make 14 (-1) in
+        run_ok s (Array.make 14 Svc.Inc) vals ~off:2 ~len:11;
+        Alcotest.(check (list int))
+          "untouched outside the range, 0..10 inside"
+          ([ -1; -1 ] @ List.init 11 Fun.id @ [ -1 ])
+          (Array.to_list vals);
+        let st = Svc.stats svc in
+        Alcotest.(check int) "chunks of 4, 4, 3" 3 st.Svc.total_batches;
+        Alcotest.(check int) "largest chunk" 4 (Array.fold_left max 0 st.Svc.max_batch_observed));
+    tc "a run on a stopped service reports where it stopped" (fun () ->
+        let svc = Svc.create (net48 ()) in
+        let s = Svc.session svc in
+        ignore (Svc.shutdown svc);
+        match Svc.run s (Array.make 5 Svc.Inc) (Array.make 5 0) ~off:2 ~len:3 with
+        | Error (2, Svc.Closed) -> ()
+        | Ok () | Error _ -> Alcotest.fail "expected Error (2, Closed)");
+    tc "a run published behind a busy flag is drained whole" (fun () ->
+        (* s1's submit parks a cell; s2's run takes the flag and folds
+           the parked Dec into its own batch. *)
+        let svc = Svc.create (net48 ()) in
+        let s1 = Svc.session ~wire:2 svc and s2 = Svc.session ~wire:2 svc in
+        run_ok s2 (Array.make 3 Svc.Inc) (Array.make 3 0) ~off:0 ~len:3;
+        Alcotest.(check bool) "parked" true (Svc.submit s1 Svc.Dec = Ok ());
+        run_ok s2 [| Svc.Inc; Svc.Inc |] (Array.make 2 0) ~off:0 ~len:2;
+        ignore (Svc.await s1);
+        let st = Svc.stats svc in
+        Alcotest.(check int) "second batch held 3 ops" 3 st.Svc.max_batch_observed.(2);
+        Alcotest.(check int) "the parked Dec paired off" 1 st.Svc.total_eliminated_pairs;
+        Alcotest.(check int) "net 3 + 2 - 1" 4 (RT.net_count (Svc.runtime svc)));
+    Util.raises_invalid "run range out of bounds" (fun () ->
+        let s = Svc.session (Svc.create (net48 ())) in
+        ignore (Svc.run s (Array.make 3 Svc.Inc) (Array.make 2 0) ~off:0 ~len:3));
+    Util.raises_invalid "run with an outstanding submit" (fun () ->
+        let s = Svc.session (Svc.create (net48 ())) in
+        ignore (Svc.submit s Svc.Inc);
+        ignore (Svc.run s [| Svc.Inc |] [| 0 |] ~off:0 ~len:1));
+  ]
+
 let suite =
   [
     ("service.sessions", sessions);
+    ("service.runs", runs);
     ("service.sequential", sequential);
     ("service.elimination", elimination);
     ("service.backpressure", backpressure);
