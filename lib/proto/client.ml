@@ -5,6 +5,7 @@ type t = {
   fd : Unix.file_descr;
   dec : Frame.decoder;
   buf : Bytes.t;
+  out : Buffer.t;  (* the request being sent, reused across requests *)
   mutable closed : bool;
 }
 
@@ -16,7 +17,13 @@ let connect ?(host = "127.0.0.1") ~port () =
    with e ->
      (try Unix.close fd with Unix.Unix_error _ -> ());
      raise e);
-  { fd; dec = Frame.decoder (); buf = Bytes.create 4096; closed = false }
+  {
+    fd;
+    dec = Frame.decoder ();
+    buf = Bytes.create 4096;
+    out = Buffer.create 64;
+    closed = false;
+  }
 
 let close t =
   if not t.closed then begin
@@ -56,7 +63,9 @@ let rec read_frame t =
 
 let request t req =
   if t.closed then raise Disconnected;
-  write_all t (Frame.to_string (Frame.Request req));
+  Buffer.clear t.out;
+  Frame.encode t.out (Frame.Request req);
+  write_all t (Buffer.contents t.out);
   match read_frame t with
   | Frame.Response r -> r
   | Frame.Request _ ->

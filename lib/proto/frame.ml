@@ -1,7 +1,7 @@
 (* Wire format: | u32 BE payload length | 0xC7 | version | opcode | body |.
 
-   The decoder is a hand-rolled byte-at-a-time state machine over a
-   sliding buffer.  Two properties the tests pin down:
+   The decoder validates each frame in place on a sliding buffer.  Two
+   properties the tests pin down:
 
    - it consumes input independently of how the bytes were split
      (kernel reads can land anywhere, including inside the length
@@ -51,19 +51,9 @@ let pp ppf = function
   | Response (Error_reply { code; _ }) ->
       Format.fprintf ppf "error %s" (error_code_to_string code)
 
-(* Opcodes.  Requests are < 0x80, responses have the high bit set. *)
-
-let op_inc = 0x01
-let op_dec = 0x02
-let op_read = 0x03
-let op_drain = 0x04
-let op_stats = 0x05
-let op_value = 0x81
-let op_overloaded = 0x82
-let op_closed = 0x83
-let op_drained = 0x84
-let op_stats_reply = 0x85
-let op_error = 0x86
+(* Opcodes: requests are < 0x80, responses have the high bit set.  The
+   encoder and the decoder below each spell the table out once, as the
+   arms of a match; the golden wire images in the tests pin both. *)
 
 let error_code_byte = function
   | Bad_magic -> 1
@@ -81,118 +71,44 @@ let error_code_of_byte = function
   | _ -> None
 
 (* ------------------------------------------------------------------ *)
-(* Encoding. *)
+(* Encoding, straight into the caller's buffer: no per-frame body. *)
 
-let add_u32 b v =
-  Buffer.add_char b (Char.chr ((v lsr 24) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 16) land 0xff));
-  Buffer.add_char b (Char.chr ((v lsr 8) land 0xff));
-  Buffer.add_char b (Char.chr (v land 0xff))
-
-let add_i64 b v =
-  for shift = 7 downto 0 do
-    Buffer.add_char b (Char.chr ((v asr (shift * 8)) land 0xff))
-  done
-
-let opcode_of_frame = function
-  | Request Inc -> op_inc
-  | Request Dec -> op_dec
-  | Request Read -> op_read
-  | Request Drain -> op_drain
-  | Request Stats -> op_stats
-  | Response (Value _) -> op_value
-  | Response Overloaded -> op_overloaded
-  | Response Closed -> op_closed
-  | Response (Drained _) -> op_drained
-  | Response (Stats_reply _) -> op_stats_reply
-  | Response (Error_reply _) -> op_error
-
-let body_of_frame f =
-  let b = Buffer.create 16 in
-  (match f with
-  | Request (Inc | Dec | Read | Drain | Stats) | Response (Overloaded | Closed)
-    ->
-      ()
-  | Response (Value v) -> add_i64 b v
-  | Response (Drained { ok; summary }) ->
-      Buffer.add_char b (if ok then '\001' else '\000');
-      Buffer.add_string b summary
-  | Response (Stats_reply json) -> Buffer.add_string b json
-  | Response (Error_reply { code; message }) ->
-      Buffer.add_char b (Char.chr (error_code_byte code));
-      Buffer.add_string b message);
-  Buffer.contents b
-
-let encode buf f =
-  let body = body_of_frame f in
-  add_u32 buf (header_bytes + String.length body);
+let add_header buf opcode ~body =
+  let len = header_bytes + body in
+  Buffer.add_uint16_be buf ((len lsr 16) land 0xffff);
+  Buffer.add_uint16_be buf (len land 0xffff);
   Buffer.add_char buf magic;
-  Buffer.add_char buf (Char.chr version);
-  Buffer.add_char buf (Char.chr (opcode_of_frame f));
-  Buffer.add_string buf body
+  Buffer.add_uint8 buf version;
+  Buffer.add_uint8 buf opcode
+
+let add_tagged buf opcode tag s =
+  add_header buf opcode ~body:(1 + String.length s);
+  Buffer.add_uint8 buf tag;
+  Buffer.add_string buf s
+
+let encode buf = function
+  | Request Inc -> add_header buf 0x01 ~body:0
+  | Request Dec -> add_header buf 0x02 ~body:0
+  | Request Read -> add_header buf 0x03 ~body:0
+  | Request Drain -> add_header buf 0x04 ~body:0
+  | Request Stats -> add_header buf 0x05 ~body:0
+  | Response (Value v) ->
+      add_header buf 0x81 ~body:8;
+      Buffer.add_int64_be buf (Int64.of_int v)
+  | Response Overloaded -> add_header buf 0x82 ~body:0
+  | Response Closed -> add_header buf 0x83 ~body:0
+  | Response (Drained { ok; summary }) ->
+      add_tagged buf 0x84 (Bool.to_int ok) summary
+  | Response (Stats_reply json) ->
+      add_header buf 0x85 ~body:(String.length json);
+      Buffer.add_string buf json
+  | Response (Error_reply { code; message }) ->
+      add_tagged buf 0x86 (error_code_byte code) message
 
 let to_string f =
   let b = Buffer.create 32 in
   encode b f;
   Buffer.contents b
-
-(* ------------------------------------------------------------------ *)
-(* Body parsing: payload (magic/version already checked) -> frame. *)
-
-let get_i64 s off =
-  let v = ref 0 in
-  for i = 0 to 7 do
-    v := (!v lsl 8) lor Char.code s.[off + i]
-  done;
-  (* Sign-extend from 64 bits down to the OCaml int. *)
-  !v
-
-let parse_body ~opcode ~body =
-  let len = String.length body in
-  let fixed op want made =
-    if len = want then Ok made
-    else
-      Error
-        (Printf.sprintf "%s body must be %d bytes, got %d" op want len)
-  in
-  match opcode with
-  | op when op = op_inc -> fixed "inc" 0 (Request Inc)
-  | op when op = op_dec -> fixed "dec" 0 (Request Dec)
-  | op when op = op_read -> fixed "read" 0 (Request Read)
-  | op when op = op_drain -> fixed "drain" 0 (Request Drain)
-  | op when op = op_stats -> fixed "stats" 0 (Request Stats)
-  | op when op = op_overloaded -> fixed "overloaded" 0 (Response Overloaded)
-  | op when op = op_closed -> fixed "closed" 0 (Response Closed)
-  | op when op = op_value ->
-      if len <> 8 then
-        Error (Printf.sprintf "value body must be 8 bytes, got %d" len)
-      else Ok (Response (Value (get_i64 body 0)))
-  | op when op = op_drained ->
-      if len < 1 then Error "drained body must carry the ok byte"
-      else
-        let ok =
-          match body.[0] with
-          | '\000' -> Some false
-          | '\001' -> Some true
-          | _ -> None
-        in
-        (match ok with
-        | None -> Error "drained ok byte must be 0 or 1"
-        | Some ok ->
-            Ok
-              (Response
-                 (Drained { ok; summary = String.sub body 1 (len - 1) })))
-  | op when op = op_stats_reply -> Ok (Response (Stats_reply body))
-  | op when op = op_error ->
-      if len < 1 then Error "error body must carry the code byte"
-      else (
-        match error_code_of_byte (Char.code body.[0]) with
-        | None -> Error "unknown error code byte"
-        | Some code ->
-            Ok
-              (Response
-                 (Error_reply { code; message = String.sub body 1 (len - 1) })))
-  | _ -> Error "unreachable: opcode validated before body parse"
 
 (* ------------------------------------------------------------------ *)
 (* Incremental decoder. *)
@@ -248,9 +164,65 @@ let poison d code detail =
   d.hi <- 0;
   e
 
-let peek_u32 d =
-  let b i = Char.code (Bytes.get d.buf (d.lo + i)) in
-  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+let peek_u32 b i = (Bytes.get_uint16_be b i lsl 16) lor Bytes.get_uint16_be b (i + 2)
+
+(* Consume the frame whose payload is [len] bytes and yield [ev]. *)
+let accept d len ev =
+  d.lo <- d.lo + 4 + len;
+  if d.lo = d.hi then begin
+    d.lo <- 0;
+    d.hi <- 0
+  end;
+  ev
+
+(* The body-less frames yield constant events, which the compiler
+   allocates statically: decoding them allocates nothing. *)
+let empty d len name ev =
+  let n = len - header_bytes in
+  if n = 0 then accept d len ev
+  else poison d Bad_body (Printf.sprintf "%s body must be 0 bytes, got %d" name n)
+
+(* Validate the body of a frame whose header checked out, in place on
+   [d.buf]: [at] is its first byte, [len] the payload length.  Only the
+   frames carrying a string copy anything out of the buffer. *)
+let body d ~opcode ~at len =
+  let n = len - header_bytes in
+  match opcode with
+  | 0x01 -> empty d len "inc" (Frame (Request Inc))
+  | 0x02 -> empty d len "dec" (Frame (Request Dec))
+  | 0x03 -> empty d len "read" (Frame (Request Read))
+  | 0x04 -> empty d len "drain" (Frame (Request Drain))
+  | 0x05 -> empty d len "stats" (Frame (Request Stats))
+  | 0x81 ->
+      if n <> 8 then
+        poison d Bad_body (Printf.sprintf "value body must be 8 bytes, got %d" n)
+      else
+        let x = Bytes.get_int64_be d.buf at in
+        let v = Int64.to_int x in
+        if Int64.equal (Int64.of_int v) x then accept d len (Frame (Response (Value v)))
+        else
+          poison d Bad_body
+            (Printf.sprintf "value %Ld is outside the %d-bit int range" x Sys.int_size)
+  | 0x82 -> empty d len "overloaded" (Frame (Response Overloaded))
+  | 0x83 -> empty d len "closed" (Frame (Response Closed))
+  | 0x84 -> (
+      if n < 1 then poison d Bad_body "drained body must carry the ok byte"
+      else
+        match Bytes.get d.buf at with
+        | ('\000' | '\001') as ok ->
+            let summary = Bytes.sub_string d.buf (at + 1) (n - 1) in
+            accept d len (Frame (Response (Drained { ok = ok = '\001'; summary })))
+        | _ -> poison d Bad_body "drained ok byte must be 0 or 1")
+  | 0x85 -> accept d len (Frame (Response (Stats_reply (Bytes.sub_string d.buf at n))))
+  | 0x86 -> (
+      if n < 1 then poison d Bad_body "error body must carry the code byte"
+      else
+        match error_code_of_byte (Bytes.get_uint8 d.buf at) with
+        | None -> poison d Bad_body "unknown error code byte"
+        | Some code ->
+            let message = Bytes.sub_string d.buf (at + 1) (n - 1) in
+            accept d len (Frame (Response (Error_reply { code; message }))))
+  | _ -> poison d Bad_opcode (Printf.sprintf "unknown opcode 0x%02x" opcode)
 
 let next d =
   match d.poisoned with
@@ -258,7 +230,7 @@ let next d =
   | None ->
       if buffered d < 4 then Need_more
       else begin
-        let len = peek_u32 d in
+        let len = peek_u32 d.buf d.lo in
         if len > d.max_payload then
           poison d Too_large
             (Printf.sprintf "payload length %d exceeds cap %d" len
@@ -269,38 +241,16 @@ let next d =
                header_bytes)
         else if buffered d < 4 + len then Need_more
         else begin
-          let payload = Bytes.sub_string d.buf (d.lo + 4) len in
-          if payload.[0] <> magic then
+          let p = d.lo + 4 in
+          let m = Bytes.get d.buf p and v = Bytes.get_uint8 d.buf (p + 1) in
+          if m <> magic then
             poison d Bad_magic
               (Printf.sprintf "payload starts with 0x%02x, not 0x%02x"
-                 (Char.code payload.[0]) (Char.code magic))
-          else if Char.code payload.[1] <> version then
+                 (Char.code m) (Char.code magic))
+          else if v <> version then
             poison d Bad_version
-              (Printf.sprintf "peer speaks version %d, this library %d"
-                 (Char.code payload.[1]) version)
-          else begin
-            let opcode = Char.code payload.[2] in
-            let known =
-              List.mem opcode
-                [
-                  op_inc; op_dec; op_read; op_drain; op_stats; op_value;
-                  op_overloaded; op_closed; op_drained; op_stats_reply;
-                  op_error;
-                ]
-            in
-            if not known then
-              poison d Bad_opcode (Printf.sprintf "unknown opcode 0x%02x" opcode)
-            else
-              let body = String.sub payload header_bytes (len - header_bytes) in
-              match parse_body ~opcode ~body with
-              | Error detail -> poison d Bad_body detail
-              | Ok frame ->
-                  d.lo <- d.lo + 4 + len;
-                  if d.lo = d.hi then begin
-                    d.lo <- 0;
-                    d.hi <- 0
-                  end;
-                  Frame frame
-          end
+              (Printf.sprintf "peer speaks version %d, this library %d" v
+                 version)
+          else body d ~opcode:(Bytes.get_uint8 d.buf (p + 2)) ~at:(p + 3) len
         end
       end

@@ -17,8 +17,9 @@
     response opcodes [0x81..0xff], so a peer can reject a frame sent in
     the wrong direction without tracking conversation state.
 
-    Integers ride as 8-byte big-endian two's complement; OCaml's 63-bit
-    [int] always fits.
+    Integers ride as 8-byte big-endian two's complement.  Every OCaml
+    [int] fits; a received [Value] outside [[min_int, max_int]] is
+    rejected as {!Bad_body}, never wrapped.
 
     {2 Decoding}
 
@@ -61,7 +62,7 @@ type error_code =
   | Bad_magic  (** first payload byte was not {!magic} *)
   | Bad_version  (** peer speaks an unknown protocol version *)
   | Bad_opcode  (** unknown opcode, or a frame sent in the wrong direction *)
-  | Bad_body  (** body length does not match what the opcode requires *)
+  | Bad_body  (** body length or content does not match what the opcode requires *)
   | Too_large  (** length prefix exceeds the decoder's payload cap *)
 
 type response =
@@ -87,7 +88,9 @@ val error_code_to_string : error_code -> string
 (** {2 Encoding} *)
 
 val encode : Buffer.t -> frame -> unit
-(** Append the complete wire image (length prefix included) of a frame. *)
+(** Append the complete wire image (length prefix included) of a frame.
+    Writes straight into the buffer: once the buffer has room, encoding
+    allocates nothing. *)
 
 val to_string : frame -> string
 (** The wire image as a fresh string. *)
@@ -117,7 +120,13 @@ type event =
 val next : decoder -> event
 (** Pull the next event.  Consumes exactly the bytes of the frame it
     returns; pipelined frames in one [feed] come back one {!next} at a
-    time. *)
+    time.
+
+    Frames are validated in place on the decoder's buffer.  The
+    body-less frames — every {!request}, {!Overloaded} and {!Closed} —
+    and {!Need_more} come back as constant events: pulling them
+    allocates nothing.  A {!Value} allocates only its event; {!Drained},
+    {!Stats_reply} and {!Error_reply} also copy their string. *)
 
 val buffered : decoder -> int
 (** Bytes fed but not yet consumed by {!next} — for tests asserting the

@@ -117,6 +117,56 @@ let read_and_run =
           true (d < 64.));
   ]
 
+(* The wire codec on the hot frames: decoding requests, Overloaded and
+   Closed, and encoding a Value into a buffer with room, allocate
+   nothing. *)
+let codec =
+  let module F = Cn_proto.Frame in
+  let wire frames =
+    let b = Buffer.create 256 in
+    List.iter (F.encode b) frames;
+    Buffer.to_bytes b
+  in
+  let decode name frames =
+    tc name (fun () ->
+        let k = List.length frames in
+        let bytes = wire frames and d = F.decoder () in
+        let dw =
+          delta_words (fun n ->
+              for _ = 1 to n / k do
+                F.feed d bytes ~off:0 ~len:(Bytes.length bytes);
+                for _ = 1 to k do
+                  match F.next d with F.Frame _ -> () | _ -> Alcotest.fail "expected a frame"
+                done
+              done)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "allocated %.0f minor words for %d frames" dw tokens)
+          true (dw < 64.))
+  in
+  let requests = F.[| Inc; Dec; Read; Drain; Stats |] in
+  [
+    decode "decoding a 32-frame read of requests allocates nothing"
+      (List.init 32 (fun i -> F.Request requests.(i mod 5)));
+    decode "decoding Overloaded and Closed allocates nothing"
+      (List.init 32 (fun i -> F.Response (if i land 1 = 0 then F.Overloaded else F.Closed)));
+    tc "encoding a Value into a pre-grown buffer allocates nothing" (fun () ->
+        let b = Buffer.create 1024 and f = F.Response (F.Value (-12345)) in
+        let dw =
+          delta_words (fun n ->
+              for _ = 1 to n / 32 do
+                Buffer.clear b;
+                for _ = 1 to 32 do
+                  F.encode b f
+                done
+              done)
+        in
+        Alcotest.(check string) "wire image" (F.to_string f) (Buffer.sub b 0 15);
+        Alcotest.(check bool)
+          (Printf.sprintf "allocated %.0f minor words for %d encodes" dw tokens)
+          true (dw < 64.));
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Pipelined walks against the evaluator and the sequential batch. *)
 
@@ -197,5 +247,6 @@ let suite =
   [
     ("gcfree.zero_alloc", zero_alloc);
     ("gcfree.read_and_run", read_and_run);
+    ("gcfree.codec", codec);
     ("gcfree.pipelined", pipelined);
   ]

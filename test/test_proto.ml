@@ -67,8 +67,40 @@ let decode_chunked ?max_payload wire chunk =
 
 let wire_of frames = String.concat "" (List.map F.to_string frames)
 
+let hex s =
+  String.to_seq s |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c)) |> List.of_seq
+  |> String.concat ""
+
+(* The wire image of each of [sample_frames], in order, as
+   doc/protocol.md lays it out: u32 length, 0xC7, version 1, opcode,
+   body. *)
+let golden =
+  [
+    "00000003c70101";
+    "00000003c70102";
+    "00000003c70103";
+    "00000003c70104";
+    "00000003c70105";
+    "0000000bc701810000000000000000";
+    "0000000bc7018100000000075bcd15";
+    "0000000bc70181ffffffffffffffd6";
+    "0000000bc701813fffffffffffffff";
+    "0000000bc70181c000000000000000";
+    "00000003c70182";
+    "00000003c70183";
+    "00000015c7018401616c6c20636865636b7320706173736564";
+    "00000004c7018400";
+    "00000015c701857b22636f6e6e656374696f6e73223a20337d";
+    "00000008c70186016e6f7065";
+    "00000004c7018605";
+  ]
+
 let codec =
   [
+    tc "every frame kind has its pinned wire image" (fun () ->
+        List.iter2
+          (fun f want -> Alcotest.(check string) (Format.asprintf "%a" F.pp f) want (hex (F.to_string f)))
+          sample_frames golden);
     tc "every frame kind round-trips" (fun () ->
         List.iter
           (fun f ->
@@ -138,14 +170,15 @@ let codec =
         ignore (F.decoder ~max_payload:2 ()));
   ]
 
-let expect_corrupt name wire code =
+let expect_corrupt ?max_payload name wire code detail =
   tc name (fun () ->
-      let got, corrupt, d = decode_chunked wire 4096 in
+      let got, corrupt, d = decode_chunked ?max_payload wire 4096 in
       Alcotest.(check (list frame)) "no frames accepted" [] got;
       (match corrupt with
-      | Some (F.Corrupt { code = c; _ }) ->
+      | Some (F.Corrupt { code = c; detail = why }) ->
           Alcotest.(check string)
-            "error code" (F.error_code_to_string code) (F.error_code_to_string c)
+            "error code" (F.error_code_to_string code) (F.error_code_to_string c);
+          Alcotest.(check string) "detail" detail why
       | _ -> Alcotest.fail "expected Corrupt");
       (* Terminal: stays corrupt, drops backlog, ignores later feeds. *)
       (match F.next d with
@@ -169,34 +202,65 @@ let raw ~len payload =
   Buffer.contents b
 
 let hostile =
+  let empty_body (op, name) =
+    expect_corrupt
+      (Printf.sprintf "%s with a body is malformed" name)
+      (raw ~len:4 (Printf.sprintf "\xC7\x01%cx" (Char.chr op)))
+      F.Bad_body
+      (Printf.sprintf "%s body must be 0 bytes, got 1" name)
+  in
   [
     expect_corrupt "oversized length prefix is rejected from 4 bytes"
       (raw ~len:(F.default_max_payload + 1) "")
-      F.Too_large;
+      F.Too_large "payload length 65537 exceeds cap 65536";
     expect_corrupt "huge u32 length cannot force buffering"
       (raw ~len:0xFFFFFFFF "")
-      F.Too_large;
-    expect_corrupt "length below the header is rejected" (raw ~len:2 "\xC7\x01") F.Bad_body;
-    expect_corrupt "garbage magic" (raw ~len:3 "\x00\x01\x01") F.Bad_magic;
-    expect_corrupt "unknown version" (raw ~len:3 "\xC7\x63\x01") F.Bad_version;
-    expect_corrupt "unknown opcode" (raw ~len:3 "\xC7\x01\x7F") F.Bad_opcode;
-    expect_corrupt "inc with a body is malformed" (raw ~len:4 "\xC7\x01\x01x") F.Bad_body;
+      F.Too_large "payload length 4294967295 exceeds cap 65536";
+    expect_corrupt "length below the header is rejected" (raw ~len:2 "\xC7\x01") F.Bad_body
+      "payload length 2 below the 3-byte header";
+    expect_corrupt "garbage magic" (raw ~len:3 "\x00\x01\x01") F.Bad_magic
+      "payload starts with 0x00, not 0xc7";
+    expect_corrupt "unknown version" (raw ~len:3 "\xC7\x63\x01") F.Bad_version
+      "peer speaks version 99, this library 1";
+    expect_corrupt "unknown opcode" (raw ~len:3 "\xC7\x01\x7F") F.Bad_opcode
+      "unknown opcode 0x7f";
+    expect_corrupt "inc with a body is malformed" (raw ~len:4 "\xC7\x01\x01x") F.Bad_body
+      "inc body must be 0 bytes, got 1";
     expect_corrupt "value with short body is malformed"
       (raw ~len:7 "\xC7\x01\x81zzzz")
-      F.Bad_body;
+      F.Bad_body "value body must be 8 bytes, got 4";
+    expect_corrupt "value with a 9-byte body is malformed"
+      (raw ~len:12 "\xC7\x01\x81\x00\x00\x00\x00\x00\x00\x00\x00\x07")
+      F.Bad_body "value body must be 8 bytes, got 9";
+    expect_corrupt "value 2^62 does not wrap to min_int"
+      (raw ~len:11 "\xC7\x01\x81\x40\x00\x00\x00\x00\x00\x00\x00")
+      F.Bad_body "value 4611686018427387904 is outside the 63-bit int range";
+    expect_corrupt "value -2^63 does not wrap to 0"
+      (raw ~len:11 "\xC7\x01\x81\x80\x00\x00\x00\x00\x00\x00\x00")
+      F.Bad_body "value -9223372036854775808 is outside the 63-bit int range";
     expect_corrupt "drained ok byte outside {0,1}"
       (raw ~len:4 "\xC7\x01\x84\x02")
-      F.Bad_body;
+      F.Bad_body "drained ok byte must be 0 or 1";
+    expect_corrupt "drained without the ok byte" (raw ~len:3 "\xC7\x01\x84") F.Bad_body
+      "drained body must carry the ok byte";
     expect_corrupt "error reply with unknown code byte"
       (raw ~len:4 "\xC7\x01\x86\x09")
-      F.Bad_body;
-    tc "oversized frame respects a custom cap" (fun () ->
-        let wire = raw ~len:64 ("\xC7\x01\x85" ^ String.make 61 'j') in
-        let _, corrupt, _ = decode_chunked ~max_payload:32 wire 4096 in
-        match corrupt with
-        | Some (F.Corrupt { code = F.Too_large; _ }) -> ()
-        | _ -> Alcotest.fail "expected Too_large under the 32-byte cap");
+      F.Bad_body "unknown error code byte";
+    expect_corrupt "error reply without the code byte" (raw ~len:3 "\xC7\x01\x86") F.Bad_body
+      "error body must carry the code byte";
+    expect_corrupt ~max_payload:32 "oversized frame respects a custom cap"
+      (raw ~len:64 ("\xC7\x01\x85" ^ String.make 61 'j'))
+      F.Too_large "payload length 64 exceeds cap 32";
   ]
+  @ List.map empty_body
+      [
+        (0x02, "dec");
+        (0x03, "read");
+        (0x04, "drain");
+        (0x05, "stats");
+        (0x82, "overloaded");
+        (0x83, "closed");
+      ]
 
 (* Random well-formed frame streams, random split points: the decoder
    must return exactly the encoded frames whatever the chunking. *)
@@ -234,6 +298,43 @@ let fuzz =
             | F.Need_more | F.Corrupt _ -> true
         in
         drain 0);
+    tc "fuzz: split, truncated and flipped streams never raise or over-read" (fun () ->
+        let rng = Random.State.make [| 17 |] in
+        let all = sample_frames @ sample_frames in
+        let wire = wire_of all in
+        for _ = 1 to 2000 do
+          let b = Bytes.of_string wire in
+          let flips = Random.State.int rng 4 in
+          for _ = 1 to flips do
+            Bytes.set_uint8 b (Random.State.int rng (Bytes.length b)) (Random.State.int rng 256)
+          done;
+          let n = if Random.State.bool rng then Bytes.length b else Random.State.int rng (Bytes.length b) in
+          let d = F.decoder () in
+          let fed = ref 0 and got = ref [] in
+          while !fed < n do
+            let len = min (n - !fed) (1 + Random.State.int rng 24) in
+            F.feed d b ~off:!fed ~len;
+            fed := !fed + len;
+            let rec pull () =
+              match F.next d with
+              | F.Frame f ->
+                  got := f :: !got;
+                  pull ()
+              | F.Need_more | F.Corrupt _ -> ()
+              | exception e -> Alcotest.failf "next raised %s" (Printexc.to_string e)
+            in
+            pull ();
+            if F.buffered d > !fed then
+              Alcotest.failf "buffered %d of %d bytes fed" (F.buffered d) !fed
+          done;
+          (* Unflipped, a stream yields its frames, a truncated one a
+             prefix of them. *)
+          if flips = 0 then begin
+            let got = List.rev !got in
+            let k = if n = Bytes.length b then List.length all else List.length got in
+            Alcotest.(check (list frame)) "frames" (List.filteri (fun i _ -> i < k) all) got
+          end
+        done);
   ]
 
 (* ---------------------------------------------------------------- *)
