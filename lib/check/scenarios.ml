@@ -202,6 +202,31 @@ let run_vs name ~lifecycle () =
 let run_vs_drain () = run_vs "run-vs-drain" ~lifecycle:drainer ()
 let run_vs_shutdown () = run_vs "run-vs-shutdown" ~lifecycle:stopper ()
 
+(* Two runs on one lane whose lengths (3 + 2) overflow [max_batch] 4
+   together: whichever holds the flag must leave the other's entry
+   parked rather than serve both in one batch.  Elimination off, so the
+   shared oracle also sees five distinct increment values. *)
+let run_cap () =
+  let run = make_run ~w:2 ~t:2 ~distinct_incs:true () in
+  let s0 = Svc.session ~wire:0 run.svc in
+  let s1 = Svc.session ~wire:0 run.svc in
+  let finish () =
+    match check run () with
+    | Some _ as failure -> failure
+    | None ->
+        let largest = (Svc.stats run.svc).Svc.max_batch_observed.(0) in
+        if largest > Svc.max_batch run.svc then
+          Some (Printf.sprintf "a batch served %d ops past max_batch %d" largest
+                  (Svc.max_batch run.svc))
+        else None
+  in
+  {
+    Engine.name = "run-cap";
+    fibers =
+      [| runner run s0 (Array.make 3 Svc.Inc); runner run s1 (Array.make 2 Svc.Inc) |];
+    finish;
+  }
+
 let all =
   [
     ("drain-vs-shutdown", drain_vs_shutdown);
@@ -211,4 +236,5 @@ let all =
     ("c44-shutdown", c44_shutdown);
     ("run-vs-drain", run_vs_drain);
     ("run-vs-shutdown", run_vs_shutdown);
+    ("run-cap", run_cap);
   ]

@@ -56,5 +56,10 @@ val run_vs_shutdown : unit -> Engine.scenario
 (** The same run racing a [shutdown]: nothing of the run may traverse
     past the validated quiescence point. *)
 
+val run_cap : unit -> Engine.scenario
+(** Two runs on one lane, of 3 and 2 operations, whose total overflows
+    [max_batch] 4: no combined batch may serve more than [max_batch]
+    operations, and every increment value is distinct. *)
+
 val all : (string * (unit -> Engine.scenario)) list
 (** Every scenario above, keyed by name, in a stable order. *)

@@ -58,6 +58,8 @@ let serve cfg =
      the service itself polices intermediate drains. *)
   let report = Server.stop ~policy:V.Off server in
   let ok = V.passed report in
+  Printf.printf "countnetd: %d connections, %d reads polled, %d parked\n%!"
+    (Server.accepted server) (Server.polled_reads server) (Server.parked_reads server);
   Printf.printf "countnetd: drain %s — %s\n%!"
     (if ok then "ok" else "FAILED")
     (V.summary report);

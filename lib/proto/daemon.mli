@@ -11,8 +11,12 @@
 
     (with [shards = Some n], the parenthetical reads
     [C(w,t) xN shards] — same [listening on HOST:PORT (] prefix, so
-    port scrapers keep working) and the last line on a clean stop is
-    [countnetd: drain ok — ...] (exit 0) or
+    port scrapers keep working).  On stop it prints
+
+    {v countnetd: N connections, P reads polled, Q parked v}
+
+    ({!Server.accepted}, {!Server.polled_reads}, {!Server.parked_reads})
+    and then, as the last line, [countnetd: drain ok — ...] (exit 0) or
     [countnetd: drain FAILED — ...] (exit 1). *)
 
 type config = {

@@ -73,6 +73,8 @@ type t = {
   stop_wr : Unix.file_descr;
   accepted_ : int A.t;
   live : int A.t;
+  polled_reads_ : int A.t;
+  parked_reads_ : int A.t;
   mutable acceptor : Thread.t option;
   reg_lock : Mutex.t;
   mutable conns : conn list;
@@ -94,6 +96,19 @@ let write_all fd s =
   done
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* [poll_recv fd buf off len budget_ns]: [recv] with [MSG_DONTWAIT],
+   retried with a [sched_yield] between tries for up to [budget_ns] of
+   monotonic time, with the runtime lock released throughout.  Copies
+   into [buf] like [Unix.read] and returns the byte count, 0 on EOF, or
+   -1 once the budget has passed.  [off]/[len] are not bounds-checked.
+   @raise Unix.Unix_error on any other socket error. *)
+external poll_recv : Unix.file_descr -> Bytes.t -> int -> int -> int -> int
+  = "cn_poll_recv"
+
+(* Twice the loopback round trip (about 25 us): a pipelining client's
+   next batch, sent as its replies land, arrives inside it. *)
+let poll_budget_ns = 50_000
 
 (* Every registry access funnels through here: the lock guards
    accept/close/stop bookkeeping only, never the per-frame fast path. *)
@@ -118,9 +133,10 @@ let locked t f =
 
 let stats_json t =
   Printf.sprintf
-    "{\n\"server\": { \"connections\": %d, \"accepted\": %d, \"value\": %d },\n\
+    "{\n\"server\": { \"connections\": %d, \"accepted\": %d, \"polled_reads\": %d, \
+     \"parked_reads\": %d, \"value\": %d },\n\
      \"report\": %s\n}"
-    (A.get t.live) (A.get t.accepted_)
+    (A.get t.live) (A.get t.accepted_) (A.get t.polled_reads_) (A.get t.parked_reads_)
     (t.be.be_value ())
     (t.be.be_report_json ())
 
@@ -144,7 +160,15 @@ let error_reply code message =
    them together (one admission, elimination across the run).  A
    [Read], [Drain] or [Stats], a framing error, the end of the read, or
    a full run ([be_max_batch] frames) ends the run; its replies are
-   encoded before whatever ended it, so replies keep request order. *)
+   encoded before whatever ended it, so replies keep request order.
+
+   Poll before parking: while this is the server's only live
+   connection, a read first polls the socket for [poll_budget_ns]
+   ([poll_recv]) and parks in the blocking [Unix.read] only once the
+   budget has passed, so a pipelining peer's next batch is taken
+   without the kernel waking a sleeping thread.  With two or more live
+   connections every read parks at once: the handlers share one OCaml
+   runtime lock, and a poller would hold back its peers. *)
 let handler t conn =
   let run = t.be.be_session () in
   let cap = t.be.be_max_batch in
@@ -226,9 +250,20 @@ let handler t conn =
   in
   (try
      Unix.setsockopt conn.fd Unix.TCP_NODELAY true;
+     let read () =
+       let len = Bytes.length buf in
+       match if A.get t.live = 1 then poll_recv conn.fd buf 0 len poll_budget_ns else -1 with
+       | -1 ->
+           let n = Unix.read conn.fd buf 0 len in
+           if n > 0 then A.incr t.parked_reads_;
+           n
+       | n ->
+           if n > 0 then A.incr t.polled_reads_;
+           n
+     in
      let running = ref true in
      while !running do
-       let n = Unix.read conn.fd buf 0 (Bytes.length buf) in
+       let n = read () in
        if n = 0 then running := false
        else begin
          Frame.feed dec buf ~off:0 ~len:n;
@@ -305,6 +340,8 @@ let start_backend ?(host = "127.0.0.1") ?(port = 0) ?(backlog = 64)
       stop_wr;
       accepted_ = A.make 0;
       live = A.make 0;
+      polled_reads_ = A.make 0;
+      parked_reads_ = A.make 0;
       acceptor = None;
       reg_lock =
         (Mutex.create
@@ -328,6 +365,8 @@ let start_fabric ?host ?port ?backlog ?max_payload fab =
 let port t = t.port_
 let connections t = A.get t.live
 let accepted t = A.get t.accepted_
+let polled_reads t = A.get t.polled_reads_
+let parked_reads t = A.get t.parked_reads_
 let stop_requested t = A.get t.stop_flag
 
 let request_stop t =

@@ -21,7 +21,7 @@
       property and token conservation, re-admit — and replies
       [Drained] with the validator's verdict;
     - [Stats] replies with a JSON document nesting the server's
-      connection counters and {!Service.report_json}.
+      connection and read counters and {!Service.report_json}.
 
     A framing error from a connection is answered with a best-effort
     [Error_reply] and the connection is dropped; other connections are
@@ -45,6 +45,25 @@
     set it too.  A half-closed peer gets every reply, then EOF.  A peer
     that never reads blocks only its own handler's write, which
     {!stop}'s socket shutdown wakes.
+
+    {2 Poll before parking}
+
+    While a connection is the server's only live one, its handler
+    polls the socket ([recv] with [MSG_DONTWAIT], yielding the CPU
+    between tries, the runtime lock released) for up to 50 µs before
+    it parks in a blocking [read].  A pipelining client sends its next
+    batch as the replies land, so that batch usually arrives inside
+    the poll and is served without the kernel waking a sleeping
+    thread; the budget is twice the loopback round trip (about 25 µs).
+    When the budget passes, the handler falls through to the blocking
+    [read], so a gap longer than the budget costs 50 µs of CPU and
+    nothing after that.  The price is CPU: a busy lone
+    connection keeps a core spinning through the gaps between its
+    batches.  With two or more live connections every read parks at
+    once — the handlers share one OCaml runtime lock and one CPU, and
+    a poller would delay its peers' replies.  {!polled_reads} and
+    {!parked_reads} count which path each read took; the [Stats]
+    document carries both.
 
     {2 Graceful shutdown}
 
@@ -120,6 +139,13 @@ val connections : t -> int
 val accepted : t -> int
 (** Connections accepted since {!start} (monotone; churn shows up as
     [accepted] far above [connections]). *)
+
+val polled_reads : t -> int
+(** Reads whose data arrived during a poll (monotone; stays put while
+    two or more connections are live). *)
+
+val parked_reads : t -> int
+(** Reads whose data came back from a blocking [read] (monotone). *)
 
 val request_stop : t -> unit
 (** Ask the server to stop: admission ends as soon as the accept loop

@@ -14,8 +14,7 @@
     - under contention, operations park in a bounded array of lock-free
       submission slots and the current combiner drains them into a
       single {!Network_runtime.traverse_batch} call — batch sizes adapt
-      to the arrival rate, and a combiner stops sweeping once its batch
-      holds [max_batch] operations;
+      to the arrival rate, up to [max_batch] operations per batch;
     - a client that already holds several operations (a pipelined
       connection's frames) hands them over as one {!run}: one
       admission, one lane entry, one combined batch — the batching
@@ -109,9 +108,9 @@ val create :
 (** [create net] compiles [net] and builds a lane per input wire.
     [?mode] and [?metrics] pass through to {!Network_runtime.compile}.
     [?max_batch] (default [64]) bounds the operations one {!run}
-    entry carries and the batch size at which a combiner stops
-    sweeping (entries are taken whole, so one combined batch serves at
-    most [2 * max_batch - 1] operations); [?queue] (default [max_batch]) is the
+    entry carries and the operations one combined batch serves
+    (entries are taken whole, and a combiner leaves parked an entry
+    that would carry its batch past [max_batch]); [?queue] (default [max_batch]) is the
     submission-slot count per lane; [?elim] (default [true]) enables
     inc/dec elimination; [?validate] (default [Strict]) is the policy
     {!drain} and {!shutdown} apply when not overridden.

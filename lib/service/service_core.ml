@@ -159,11 +159,11 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
   let dummy_cell () = { ops = [||]; vals = [||]; off = 0; len = 0; done_ = A.make 1 }
 
   let make_lane ~empty ~wire ~queue ~max_batch =
-    (* A combiner stops sweeping once its batch holds [max_batch]
-       operations but takes every entry whole, so a batch never exceeds
-       [2 * max_batch - 1] operations in at most [max_batch] cells. *)
-    let inc_scr = Array.make (2 * max_batch) 0 in
-    let dec_scr = Array.make (2 * max_batch) 0 in
+    (* A combiner never lets an entry carry a non-empty batch past
+       [max_batch], and every entry holds at least one operation, so a
+       batch fits [max_batch] values in at most [max_batch] cells. *)
+    let inc_scr = Array.make max_batch 0 in
+    let dec_scr = Array.make max_batch 0 in
     {
       wire;
       slots = Array.init queue (fun _ -> A.make empty);
@@ -267,8 +267,12 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
     let cap = Array.length lane.slots in
     let own_n = !nc in
     (* Keep sweeping while new arrivals land and the batch has room: the
-       batch grows with the arrival rate.  An entry is taken whole, so
-       the last one may carry the batch past [max_batch]. *)
+       batch grows with the arrival rate.  An entry is taken whole, and
+       one that would carry a non-empty batch past [max_batch] is left
+       for a later combiner.  Its [len] cannot change between the peek
+       and the CAS: only the flag holder takes cells, and an owner
+       withdraws its cell only against a draining service, whose drain
+       waits for this flag before it can re-admit. *)
     let grabbed = ref sweep in
     while !grabbed && !nops < svc.max_batch do
       grabbed := false;
@@ -279,7 +283,11 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
         let i = if i >= cap then i - cap else i in
         let slot = lane.slots.(i) in
         let c = A.get slot in
-        if c != svc.empty && A.compare_and_set slot c svc.empty then begin
+        if
+          c != svc.empty
+          && (!nops = 0 || !nops + c.len <= svc.max_batch)
+          && A.compare_and_set slot c svc.empty
+        then begin
           cells.(!nc) <- c;
           incr nc;
           nops := !nops + c.len;

@@ -3,7 +3,10 @@
 # process pair: start countnetd on an ephemeral port, drive it with
 # two concurrent `countnet load` clients, then SIGTERM it under a
 # third in-flight load and require a clean Strict-validated drain
-# (exit 0 and the "drain ok" line).
+# (exit 0 and the "drain ok" line).  A second countnetd is then
+# stopped the same way under one lone connection: the one connection
+# countnetd polls before it parks in read(2), so that stop lands in
+# the middle of a poll, and its stop line must report polled reads.
 #
 # Run from the repository root, after `dune build`:
 #   sh scripts/serve_smoke.sh
@@ -21,19 +24,36 @@ fail() {
   exit 1
 }
 
-"$COUNTNETD" --width 16 --out-width 16 --validate strict >"$OUT" 2>&1 &
-DAEMON=$!
+# Start countnetd with its output in $OUT; sets DAEMON and PORT.
+start_daemon() {
+  "$COUNTNETD" --width 16 --out-width 16 --validate strict >"$OUT" 2>&1 &
+  DAEMON=$!
+  # The first stdout line carries the bound port; poll for it.
+  PORT=
+  for _ in $(seq 1 50); do
+    PORT=$(sed -n 's/.*listening on [0-9.]*:\([0-9]*\) .*/\1/p' "$OUT")
+    [ -n "$PORT" ] && break
+    sleep 0.1
+  done
+  [ -n "$PORT" ] || fail "countnetd never reported its port"
+  echo "serve-smoke: countnetd (pid $DAEMON) on port $PORT"
+}
 
-# The first stdout line carries the bound port; poll for it.
-PORT=
-for _ in $(seq 1 50); do
-  PORT=$(sed -n 's/.*listening on [0-9.]*:\([0-9]*\) .*/\1/p' "$OUT")
-  [ -n "$PORT" ] && break
-  sleep 0.1
-done
-[ -n "$PORT" ] || fail "countnetd never reported its port"
-echo "serve-smoke: countnetd (pid $DAEMON) on port $PORT"
+# SIGTERM mid-load (load flags in "$@"): the rig must survive the
+# shutdown (exit 0, counting disconnects) and the daemon must drain
+# clean.
+stop_under_load() {
+  "$COUNTNET" load --port "$PORT" --ops 2000000 "$@" >/dev/null &
+  LOAD=$!
+  sleep 0.3
+  kill -TERM "$DAEMON"
+  wait "$LOAD" || fail "mid-shutdown load run failed"
+  if wait "$DAEMON"; then :; else fail "countnetd exited non-zero after SIGTERM"; fi
+  grep -q "drain ok" "$OUT" || fail "no clean drain reported"
+  echo "serve-smoke: ok ($(grep 'drain ok' "$OUT"))"
+}
 
+start_daemon
 # Two concurrent clients, connection churn via distinct short runs.
 "$COUNTNET" load --port "$PORT" --clients 2 --conns 2 --ops 400 \
   --dec-ratio 0.3 --skew zipf:1.1 &
@@ -42,15 +62,11 @@ LOAD1=$!
 LOAD2=$!
 wait "$LOAD1" || fail "first load run failed"
 wait "$LOAD2" || fail "second load run failed"
+stop_under_load --clients 2 --conns 2 --arrival closed:0.0002
 
-# SIGTERM mid-load: the rig must survive the shutdown (exit 0, counting
-# disconnects) and the daemon must drain clean.
-"$COUNTNET" load --port "$PORT" --clients 2 --conns 2 --ops 2000000 \
-  --arrival closed:0.0002 >/dev/null &
-LOAD3=$!
-sleep 0.3
-kill -TERM "$DAEMON"
-wait "$LOAD3" || fail "mid-shutdown load run failed"
-if wait "$DAEMON"; then :; else fail "countnetd exited non-zero after SIGTERM"; fi
-grep -q "drain ok" "$OUT" || fail "no clean drain reported"
-echo "serve-smoke: ok ($(grep 'drain ok' "$OUT"))"
+# A lone closed-loop connection: each request lands inside the poll.
+start_daemon
+stop_under_load --clients 1 --conns 1
+POLLED=$(sed -n 's/.* \([0-9]*\) reads polled.*/\1/p' "$OUT")
+[ "${POLLED:-0}" -gt 0 ] || fail "the lone connection never took a read from the poll"
+echo "serve-smoke: $(grep 'reads polled' "$OUT" | sed 's/^countnetd: //')"

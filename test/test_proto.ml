@@ -621,7 +621,14 @@ let server_tests =
                 Alcotest.(check bool)
                   (Printf.sprintf "stats carries %S" needle)
                   true (contains json needle))
-              [ "\"server\""; "\"connections\""; "\"value\""; "\"report\"" ]));
+              [
+                "\"server\"";
+                "\"connections\"";
+                "\"polled_reads\"";
+                "\"parked_reads\"";
+                "\"value\"";
+                "\"report\"";
+              ]));
     tc "a framing error gets an error reply and only kills that connection" (fun () ->
         with_server (fun server ->
             let good = connect server in
@@ -930,11 +937,107 @@ let server_tests =
             Alcotest.(check bool) "rig made progress first" true (st.Load.completed > 0));
   ]
 
+(* ---------------------------------------------------------------- *)
+(* Poll before parking: every test runs on a lone connection, where
+   the handler polls, unless it says otherwise. *)
+
+let increment_ok c =
+  match Client.increment c with Ok v -> v | Error _ -> Alcotest.fail "unexpected refusal"
+
+(* [f ()] on a thread of its own; [Some result] once it returned within
+   [seconds], [None] if it has not. *)
+let within seconds f =
+  let result = ref None in
+  ignore (Thread.create (fun () -> result := Some (try Ok (f ()) with e -> Error e)) ());
+  let deadline = Unix.gettimeofday () +. seconds in
+  while !result = None && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  !result
+
+let cpu_seconds () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
+let poll_tests =
+  [
+    tc "a request past the poll budget is served through the blocking read" (fun () ->
+        with_server (fun server ->
+            let c = connect server in
+            Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+            let parked = Server.parked_reads server in
+            (* 5 ms gaps, a hundred budgets each: the handler has parked
+               before the next request lands. *)
+            let got =
+              List.init 5 (fun _ ->
+                  let v = increment_ok c in
+                  Thread.delay 0.005;
+                  v)
+            in
+            Alcotest.(check (list int)) "every request served" (List.init 5 Fun.id) got;
+            Alcotest.(check bool) "some read parked" true
+              (Server.parked_reads server > parked)));
+    tc "a half-close during the poll: every reply, then EOF" (fun () ->
+        with_server (fun server ->
+            let fd = raw_connect server in
+            Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+            write_string fd (wire_of (incs 4));
+            let first, _ = read_frames ~upto:4 fd in
+            (* The handler is polling now: the next burst and the FIN
+               land inside its budget. *)
+            write_string fd (wire_of (incs 8));
+            Unix.shutdown fd Unix.SHUTDOWN_SEND;
+            let rest, eof = read_frames fd in
+            Alcotest.(check (list frame)) "all replies" (values 0 12) (first @ rest);
+            Alcotest.(check bool) "then EOF" true eof));
+    tc "stop right after a reply returns within 1 s" (fun () ->
+        let svc = Svc.create ~validate:V.Strict (net44 ()) in
+        let server = Server.start svc in
+        let c = connect server in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        ignore (increment_ok c);
+        (match within 1. (fun () -> Server.stop ~policy:V.Strict server) with
+        | None -> Alcotest.fail "stop did not return within 1 s"
+        | Some (Error e) -> Alcotest.failf "stop raised %s" (Printexc.to_string e)
+        | Some (Ok report) -> Alcotest.(check bool) "strict drain passed" true (V.passed report));
+        Alcotest.(check int) "every handler joined" 0 (Server.connections server));
+    tc "an idle connected client costs no spinning CPU" (fun () ->
+        with_server (fun server ->
+            let c = connect server in
+            Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+            ignore (increment_ok c);
+            let cpu0 = cpu_seconds () in
+            Thread.delay 0.3;
+            let cpu = cpu_seconds () -. cpu0 in
+            if cpu >= 0.03 then Alcotest.failf "%.3f s of CPU over 0.3 s idle" cpu;
+            Alcotest.(check int) "still served" 1 (increment_ok c)));
+    tc "a second live connection turns the poll off" (fun () ->
+        with_server (fun server ->
+            let a = connect server and b = connect server in
+            Fun.protect
+              ~finally:(fun () ->
+                Client.close a;
+                Client.close b)
+            @@ fun () ->
+            while Server.connections server < 2 do
+              Thread.delay 0.001
+            done;
+            (* let a poll begun while [a] was alone run out *)
+            Thread.delay 0.01;
+            let polled = Server.polled_reads server and parked = Server.parked_reads server in
+            for _ = 1 to 20 do
+              ignore (increment_ok a);
+              ignore (increment_ok b)
+            done;
+            Alcotest.(check int) "no polled read" polled (Server.polled_reads server);
+            Alcotest.(check int) "every read parked" (parked + 40) (Server.parked_reads server)));
+  ]
+
 let suite =
   [
     ("proto codec", codec);
     ("proto hostile input", hostile);
     ("proto fuzz", fuzz);
     ("proto satellites", satellite);
-    ("proto server", server_tests);
+    ("proto server", server_tests @ poll_tests);
   ]
