@@ -1,8 +1,7 @@
 # Convenience targets; everything is plain dune underneath.
 
 .PHONY: all build test bench micro bench-runtime bench-smoke bench-service \
-        bench-service-smoke bench-serve bench-serve-smoke bench-fabric \
-        bench-fabric-smoke bench-sketch bench-sketch-smoke bench-hybrid \
+        bench-service-smoke bench-fabric bench-fabric-smoke bench-sketch bench-sketch-smoke bench-hybrid \
         bench-hybrid-smoke bench-projected bench-projected-smoke serve-smoke \
         cnbench-smoke \
         check-metrics check-races lint lint-hybrids examples clean doc
@@ -28,28 +27,17 @@ bench-smoke:
 	dune exec bench/main.exe -- runtime --smoke
 
 # Combining/elimination front-end vs the naive per-op baseline; records
-# the "service" key of BENCH_runtime.json.
+# the "service" section of BENCH_runtime.json.
 bench-service:
 	dune exec bench/main.exe -- service
 
 bench-service-smoke:
 	dune exec bench/main.exe -- service --smoke
 
-# Loopback SLO rows for the wire-protocol server: in-process countnetd
-# driven by the TCP load rig over 127.0.0.1 (uniform/zipf/mixed/bursty
-# scenarios, connection churn, mid-load SIGTERM-equivalent stop with a
-# Strict-validated drain).  Records the "serve" key (rtt p50/p95/p99
-# rows) of BENCH_runtime.json.
-bench-serve:
-	dune exec bench/main.exe -- serve
-
-bench-serve-smoke:
-	dune exec bench/main.exe -- serve --smoke
-
 # Elastic sharded fabric: shard-scaling sweep at 1/2/4 shards (fixed vs
 # auto-tuned dimensions) plus a hot-resize-under-load row, every run
 # gated on token conservation and a Strict shutdown.  Records the
-# "fabric" key of BENCH_runtime.json.
+# "fabric" section of BENCH_runtime.json.
 bench-fabric:
 	dune exec bench/main.exe -- fabric
 
@@ -60,7 +48,7 @@ bench-fabric-smoke:
 # the HLL and sparse-graph backends against the exact network-backed
 # counter.  Gated on the HLL 95% error bound and the >= 10x sparse
 # memory win at 100k keys; the smoke variant shrinks the streams but
-# keeps both correctness gates.  Records the "sketch" key of
+# keeps both correctness gates.  Records the "sketch" section of
 # BENCH_runtime.json.
 bench-sketch:
 	dune exec bench/main.exe -- sketch
@@ -71,7 +59,7 @@ bench-sketch-smoke:
 # Merger-strategy comparison at C(16,16): depth, size and throughput of
 # the classic difference merger vs the periodic3 and pk hybrids, each
 # row tagged with its two-token step-battery verdict.  Records the
-# "hybrid" key of BENCH_runtime.json.
+# "hybrid" section of BENCH_runtime.json.
 bench-hybrid:
 	dune exec bench/main.exe -- hybrid
 
@@ -92,17 +80,15 @@ cnbench-smoke:
 	dune build @cnbench/smoke
 
 # Measured + contention-model-projected curves: certifies the
-# precompiled routing image (Csr_lint), calibrates the single-core
+# precompiled routing image (Csr_lint), calibrates the single-domain
 # crossing cost, and records projected 2-64 domain central-vs-network
-# rows (Cn_analysis.Projection) in BENCH_runtime.json next to the
-# measured sweeps.
+# rows (Cn_analysis.Projection) in the runtime section of
+# BENCH_runtime.json next to the measured sweep.
 bench-projected:
 	dune exec bench/main.exe -- runtime --projected
-	dune exec bench/main.exe -- service --projected
 
 bench-projected-smoke:
 	dune exec bench/main.exe -- runtime --smoke --projected
-	dune exec bench/main.exe -- service --smoke --projected
 
 # Deterministic race check of the service layer: every scenario explored
 # to a preemption bound of 3, plus the checker's own selftest against

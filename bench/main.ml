@@ -1,11 +1,12 @@
 (* Benchmark harness regenerating the paper's quantitative claims.
-   Run with no argument for the full E1-E8 table set, with an experiment
-   id ("e1" .. "e8") for one table, with "micro" for the Bechamel
-   micro-benchmarks (one Test.make per experiment family), or with
-   "runtime" [--smoke] for the runtime sweep (counting network vs the
-   central-FAA and lock baselines, plus the batched and pipelined walks).
-   Every measuring suite records its section in BENCH_runtime.json.
-   See EXPERIMENTS.md for the experiment index. *)
+   Run with no argument for the full E1-E14 table set, with an
+   experiment id ("e1" .. "e14") for one table, with "micro" for the
+   Bechamel micro-benchmarks (one Test.make per experiment family), or
+   with a suite name — "runtime" [--smoke] [--projected], "service",
+   "fabric", "sketch" or "hybrid", each [--smoke] — to measure that
+   suite and record its section of BENCH_runtime.json.  Every timed row
+   goes through [measure].  See EXPERIMENTS.md for the experiment
+   index. *)
 
 module T = Cn_network.Topology
 module E = Cn_network.Eval
@@ -15,14 +16,17 @@ module Bounds = Cn_analysis.Bounds
 
 let header title = Printf.printf "\n=== %s ===\n" title
 let line fmt = Printf.printf (fmt ^^ "\n")
+let die fmt = Printf.ksprintf (fun m -> prerr_endline m; exit 1) fmt
 
 (* ------------------------------------------------------------------ *)
-(* BENCH_runtime.json: one JSON object whose top-level keys are owned
-   by the suites.  [record_keys] sets a suite's keys — replacing any that
-   already exist, in place — and keeps every other key's value text
-   byte for byte, so suites can run in any order and re-run without
-   duplicating a key.  Only the top level is scanned: a value ends at
-   the first ',' or '}' outside strings and brackets. *)
+(* BENCH_runtime.json: one JSON object with one key per suite.
+   [record_section] sets a suite's section — replacing it in place if
+   it already exists — and keeps every other key's value text byte for
+   byte, so suites can run in any order and re-run without duplicating
+   a key.  Only the top level is scanned: a value ends at the first ','
+   or '}' outside strings and brackets.  Each section opens with a
+   "run" header saying what produced it; the header goes per section
+   because suites are recorded separately. *)
 
 let bench_file = "BENCH_runtime.json"
 
@@ -84,24 +88,168 @@ let top_level_entries text =
   in
   entries []
 
-let record_keys keys =
+let nproc = Domain.recommended_domain_count ()
+
+(* JSON text for the records below. *)
+let str = Printf.sprintf "%S"
+
+let obj fields =
+  Printf.sprintf "{ %s }"
+    (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) fields))
+
+let rows items = Printf.sprintf "[\n%s\n    ]" (String.concat ",\n" (List.map (( ^ ) "      ") items))
+
+let git args =
+  if not (Sys.file_exists ".git") then None
+  else
+    match Unix.open_process_args_in "git" (Array.of_list ("git" :: args)) with
+    | exception Unix.Unix_error _ -> None
+    | ic -> (
+        let out = In_channel.input_all ic in
+        match Unix.close_process_in ic with Unix.WEXITED 0 -> Some (String.trim out) | _ -> None)
+
+(* The field names are cnbench's.  [dirty] leaves out the record file
+   itself, which every suite rewrites. *)
+let run_header ~smoke =
+  let or_null f = Option.fold ~none:"null" ~some:f in
+  obj
+    [
+      ("schema_version", "1");
+      ("git_revision", or_null str (git [ "rev-parse"; "HEAD" ]));
+      ( "dirty",
+        or_null
+          (fun s -> string_of_bool (s <> ""))
+          (git [ "status"; "--porcelain"; "--"; "."; ":!" ^ bench_file ]) );
+      ("nproc", string_of_int nproc);
+      ("ocaml_version", str Sys.ocaml_version);
+      ("smoke", string_of_bool smoke);
+    ]
+
+let record_section ~smoke key fields =
+  let section =
+    Printf.sprintf "{\n%s\n  }"
+      (String.concat ",\n"
+         (List.map
+            (fun (k, v) -> Printf.sprintf "    %S: %s" k v)
+            (("run", run_header ~smoke) :: fields)))
+  in
   let existing =
     if Sys.file_exists bench_file then
       top_level_entries (In_channel.with_open_bin bench_file In_channel.input_all)
     else []
   in
-  (* Later bindings win, at the position of the first: this replaces a
-     suite's keys and also heals duplicates an older writer left. *)
+  (* Later bindings win, at the position of the first: this replaces the
+     suite's section and also heals duplicates an older writer left. *)
   let merged =
     List.fold_left
       (fun acc (k, v) ->
         if List.mem_assoc k acc then List.map (fun (k', v') -> (k', if k' = k then v else v')) acc
         else acc @ [ (k, v) ])
-      [] (existing @ keys)
+      [] (existing @ [ (key, section) ])
   in
   Out_channel.with_open_bin bench_file (fun oc ->
       Printf.fprintf oc "{\n%s\n}\n"
-        (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  \"%s\": %s" k v) merged)))
+        (String.concat ",\n" (List.map (fun (k, v) -> Printf.sprintf "  \"%s\": %s" k v) merged)));
+  line "recorded %s in %s" key bench_file
+
+(* ------------------------------------------------------------------ *)
+(* One measurement discipline for every timed row.  [run ops] builds
+   fresh state, runs [ops] operations on each of [domains] domains,
+   validates what it ran, and returns (seconds, completed ops).
+   [measure] doubles [ops] by Harness.next_calibration_ops until one
+   run lasts [min_repeat_seconds], then times [full_repeats] repeats —
+   doubling again if one of them still came in short — and reports
+   their median, min and max rate.  A row with more domains than the
+   host has cpus timeshares, and says so.  [~smoke] times one repeat at
+   the given count. *)
+
+let min_repeat_seconds = 0.2
+let full_repeats = 5
+
+type measured = {
+  domains : int;
+  ops_per_repeat : int;
+  seconds : float array;  (** one per repeat *)
+  median : float;  (** ops/s, as are [min] and [max] *)
+  min : float;
+  max : float;
+  oversubscribed : bool;
+}
+
+let median xs =
+  let s = Array.copy xs in
+  Array.sort compare s;
+  s.(Array.length s / 2)
+
+let measure ?(smoke = false) ~domains ~ops run =
+  let longer ops = Cn_runtime.Harness.next_calibration_ops ~domains ~ops_per_domain:ops in
+  let rec calibrate ops =
+    if fst (run ops) >= min_repeat_seconds then ops
+    else match longer ops with Some ops -> calibrate ops | None -> ops
+  in
+  let rec repeat ops =
+    let reps = Array.init (if smoke then 1 else full_repeats) (fun _ -> run ops) in
+    match longer ops with
+    | Some ops when (not smoke) && Array.exists (fun (s, _) -> s < min_repeat_seconds) reps ->
+        repeat ops
+    | _ -> (ops, reps)
+  in
+  let ops, reps = repeat (if smoke then ops else calibrate ops) in
+  let rates = Array.map (fun (s, n) -> float_of_int n /. Float.max s 1e-9) reps in
+  {
+    domains;
+    ops_per_repeat = domains * ops;
+    seconds = Array.map fst reps;
+    median = median rates;
+    min = Array.fold_left Float.min infinity rates;
+    max = Array.fold_left Float.max 0. rates;
+    oversubscribed = domains > nproc;
+  }
+
+let measured_fields m =
+  let rate = Printf.sprintf "%.1f" in
+  [
+    ("domains", string_of_int m.domains);
+    ("ops_per_repeat", string_of_int m.ops_per_repeat);
+    ("repeats", string_of_int (Array.length m.seconds));
+    ( "seconds",
+      Printf.sprintf "[%s]"
+        (String.concat ", " (Array.to_list (Array.map (Printf.sprintf "%.6f") m.seconds))) );
+    ("ops_per_sec", obj [ ("median", rate m.median); ("min", rate m.min); ("max", rate m.max) ]);
+    ("oversubscribed", string_of_bool m.oversubscribed);
+  ]
+
+let timing_note ?(smoke = false) () =
+  if smoke then line "timing: smoke, one repeat per row at fixed op counts"
+  else
+    line "timing: median of %d repeats of >= %.0f ms; rows with more than %d domains are \
+          oversubscribed"
+      full_repeats (min_repeat_seconds *. 1e3) nproc
+
+(* The [run] of a shared-counter row: Harness.throughput on a fresh
+   counter. *)
+let counter_run ?pool ~make ~domains ops =
+  let r = Cn_runtime.Harness.throughput ?pool ~make ~domains ~ops_per_domain:ops () in
+  (r.Cn_runtime.Harness.seconds, r.Cn_runtime.Harness.total_ops)
+
+(* A table with one row per counter and one median-rate column per
+   domain count, starting from [ops_total / domains] ops per domain;
+   returns every cell's measurement. *)
+let sweep ?smoke ~ops_total ~domain_counts counters =
+  line "%-14s %s" "counter"
+    (String.concat " "
+       (List.map (fun d -> Printf.sprintf "%11s" (Printf.sprintf "%dd ops/s" d)) domain_counts));
+  List.concat_map
+    (fun (name, run) ->
+      let cells =
+        List.map
+          (fun domains -> measure ?smoke ~domains ~ops:(ops_total / domains) (run ~domains))
+          domain_counts
+      in
+      line "%-14s %s" name
+        (String.concat " " (List.map (fun m -> Printf.sprintf "%11.0f" m.median) cells));
+      List.map (fun m -> (name, m)) cells)
+    counters
 
 (* ------------------------------------------------------------------ *)
 (* E1: Theorem 4.1 — depth of C(w, t) is (lg2 w + lg w)/2, independent
@@ -225,43 +373,27 @@ let e4 () =
 (* ------------------------------------------------------------------ *)
 (* E5: real-system throughput with OCaml domains (Sect 1.3.1, [19,20]). *)
 
+(* ------------------------------------------------------------------ *)
+(* E5: real-system throughput with OCaml domains (Sect 1.3.1, [19,20]). *)
+
 let e5 () =
   header "E5  multicore throughput: counter ops/s vs domains (experiments of [19,20])";
-  line "(host note: single-core container -> domains timeshare; relative shapes only)";
+  timing_note ();
   let w = 8 in
-  let ops = 20_000 in
-  let counters =
-    [
-      ("central-faa", fun () -> Cn_runtime.Shared_counter.central_faa ());
-      ("lock", fun () -> Cn_runtime.Shared_counter.with_lock ());
-      ( "bitonic-8",
-        fun () -> Cn_runtime.Shared_counter.of_topology (Cn_baselines.Bitonic.network w) );
-      ( "periodic-8",
-        fun () -> Cn_runtime.Shared_counter.of_topology (Cn_baselines.Periodic.network w) );
-      ("C(8,8)", fun () -> Cn_runtime.Shared_counter.of_topology (C.network ~w ~t:w));
-      ("C(8,24)", fun () -> Cn_runtime.Shared_counter.of_topology (C.wide w));
-      ("C(8,64)", fun () -> Cn_runtime.Shared_counter.of_topology (C.network ~w ~t:64));
-    ]
-  in
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  line "%-12s %s" "counter"
-    (String.concat " "
-       (List.map (fun d -> Printf.sprintf "%11s" (Printf.sprintf "%dd ops/s" d)) domain_counts));
+  let of_topology net () = Cn_runtime.Shared_counter.of_topology net in
   Cn_runtime.Domain_pool.with_pool 8 (fun pool ->
-      List.iter
-        (fun (name, make) ->
-          let row =
-            List.map
-              (fun domains ->
-                let r =
-                  Cn_runtime.Harness.throughput ~pool ~make ~domains
-                    ~ops_per_domain:(ops / domains) ()
-                in
-                Printf.sprintf "%11.0f" r.Cn_runtime.Harness.ops_per_sec)
-              domain_counts
-          in
-          line "%-12s %s" name (String.concat " " row))
-        counters);
+      let counter make = counter_run ~pool ~make in
+      ignore
+        (sweep ~ops_total:20_000 ~domain_counts:[ 1; 2; 4; 8 ]
+           [
+             ("central-faa", counter Cn_runtime.Shared_counter.central_faa);
+             ("lock", counter Cn_runtime.Shared_counter.with_lock);
+             ("bitonic-8", counter (of_topology (Cn_baselines.Bitonic.network w)));
+             ("periodic-8", counter (of_topology (Cn_baselines.Periodic.network w)));
+             ("C(8,8)", counter (of_topology (C.network ~w ~t:w)));
+             ("C(8,24)", counter (of_topology (C.wide w)));
+             ("C(8,64)", counter (of_topology (C.network ~w ~t:64)));
+           ]));
   line "CAS-retry failures per op at 8 domains (contention witness):";
   List.iter
     (fun (name, net) ->
@@ -536,11 +668,11 @@ let e14 () =
   line "heuristics lower-bound the exact adversary (and match it on single balancers)."
 
 (* ------------------------------------------------------------------ *)
-(* Contention-model projection shared by the runtime and service
-   suites.  The single-core host cannot measure real cross-core
-   contention, so the projected rows combine the one number it CAN
-   measure — the single-domain cost of a balancer crossing — with the
-   stall-counting contention simulator (Dwork-Herlihy-Waarts, the
+(* Contention-model projection for the runtime suite.  A host measures
+   contention only among as many domains as it has cpus (2 here), so
+   the projected rows combine the one number any host measures without
+   contention — the single-domain cost of a balancer crossing — with
+   the stall-counting contention simulator (Dwork-Herlihy-Waarts, the
    paper's Section 1.2 model): token time = depth·crossing_ns +
    stalls/token(n)·stall_ns, stalls/token = n - 1 for the central FAA
    hot spot.  Before calibrating, the compiled network's precompiled
@@ -573,7 +705,7 @@ let projected_json ?(smoke = false) ~w net =
   let network = P.sweep_network c net ~domains_list in
   let row name (p : P.point) =
     Printf.sprintf
-      "      { \"counter\": %S, \"domains\": %d, \"stalls_per_token\": %.3f, \"token_ns\": \
+      "        { \"counter\": %S, \"domains\": %d, \"stalls_per_token\": %.3f, \"token_ns\": \
        %.1f, \"projected_ops_per_sec\": %.1f }"
       name p.P.domains p.P.stalls_per_token p.P.token_ns p.P.ops_per_sec
   in
@@ -592,10 +724,10 @@ let projected_json ?(smoke = false) ~w net =
   | Some n -> line "projected crossover: network overtakes central FAA at %d domains" n
   | None -> line "projected crossover: not reached within the scanned range");
   Printf.sprintf
-    "{\n    \"model\": \"token_ns = depth*crossing_ns + stalls_per_token*stall_factor*crossing_ns\",\n\
-    \    \"crossing_ns\": %.3f,\n    \"stall_factor\": %.1f,\n    \"stall_ns\": %.3f,\n\
-    \    \"depth\": %d,\n    \"csr_lint\": \"certified\",\n    \"rows\": [\n%s\n    ],\n\
-    \    \"projected_crossover_domains\": %s\n  }"
+    "{\n      \"model\": \"token_ns = depth*crossing_ns + stalls_per_token*stall_factor*crossing_ns\",\n\
+    \      \"crossing_ns\": %.3f,\n      \"stall_factor\": %.1f,\n      \"stall_ns\": %.3f,\n\
+    \      \"depth\": %d,\n      \"csr_lint\": \"certified\",\n      \"rows\": [\n%s\n      ],\n\
+    \      \"projected_crossover_domains\": %s\n    }"
     crossing_ns c.P.stall_factor (P.stall_ns c) (T.depth net)
     (String.concat ",\n" (List.map (row "central-faa") central @ List.map (row subject) network))
     (match crossover with Some n -> string_of_int n | None -> "null")
@@ -604,112 +736,47 @@ let projected_json ?(smoke = false) ~w net =
 (* runtime: the compiled counting networks against the central-FAA and
    lock baselines across 1-8 domains, plus the batched and pipelined
    walks, reusing one warmed domain pool for every cell; records the
-   "results" and "metrics" keys of BENCH_runtime.json.                  *)
+   "runtime" section of BENCH_runtime.json.                             *)
 
 let runtime ?(smoke = false) ?(projected = false) () =
   header "runtime  network vs central baselines, batched and pipelined walks (BENCH_runtime.json)";
-  line "(host note: single-core container -> domains timeshare; relative shapes only)";
+  timing_note ~smoke ();
+  let module RT = Cn_runtime.Network_runtime in
+  let module DP = Cn_runtime.Domain_pool in
+  let module SC = Cn_runtime.Shared_counter in
   let w = 16 in
   let ops_total = if smoke then 4_000 else 64_000 in
-  let repeats = if smoke then 1 else 3 in
   let c16 = C.network ~w ~t:w in
-  let bitonic16 = Cn_baselines.Bitonic.network w in
-  let module RT = Cn_runtime.Network_runtime in
-  let configs =
-    [
-      (Printf.sprintf "C(%d,%d)" w w, fun () -> Cn_runtime.Shared_counter.of_topology c16);
-      (Printf.sprintf "bitonic-%d" w, fun () -> Cn_runtime.Shared_counter.of_topology bitonic16);
-      ("central-faa", Cn_runtime.Shared_counter.central_faa);
-      ("lock", Cn_runtime.Shared_counter.with_lock);
-    ]
+  let name = Printf.sprintf "C(%d,%d)" w w in
+  let results =
+    DP.with_pool 8 (fun pool ->
+        let counter make = counter_run ~pool ~make in
+        (* One walk of each domain's whole quota over a freshly
+           compiled network: the batched traversal API amortizes the
+           bounds check and dispatch across it. *)
+        let walk traverse ~domains n =
+          let rt = RT.compile c16 in
+          (DP.run pool ~domains (fun pid -> traverse rt pid ~n), domains * n)
+        in
+        (* The layer-pipelined walk advances a wavefront of tokens one
+           crossing per round; its buffers are per-domain single-owner
+           scratch. *)
+        let bufs = Array.init 8 (fun _ -> RT.buffer ~capacity:128 ()) in
+        let discard _ _ = () in
+        sweep ~smoke ~ops_total ~domain_counts:[ 1; 2; 4; 8 ]
+          [
+            (name, counter (fun () -> SC.of_topology c16));
+            ( Printf.sprintf "bitonic-%d" w,
+              counter (fun () -> SC.of_topology (Cn_baselines.Bitonic.network w)) );
+            ("central-faa", counter SC.central_faa);
+            ("lock", counter SC.with_lock);
+            ( name ^ "+batch",
+              walk (fun rt pid ~n -> RT.traverse_batch rt ~wire:(pid mod w) ~n ~f:discard) );
+            ( name ^ "+pipe",
+              walk (fun rt pid ~n ->
+                  RT.traverse_batch_pipelined rt bufs.(pid) ~wire:(pid mod w) ~n ~f:discard) );
+          ])
   in
-  let domain_counts = [ 1; 2; 4; 8 ] in
-  let results = ref [] in
-  Cn_runtime.Domain_pool.with_pool 8 (fun pool ->
-      line "%-14s %s" "counter"
-        (String.concat " "
-           (List.map (fun d -> Printf.sprintf "%11s" (Printf.sprintf "%dd ops/s" d)) domain_counts));
-      List.iter
-        (fun (name, make) ->
-          let row =
-            List.map
-              (fun domains ->
-                (* Best of [repeats]: spawn-free pool runs are cheap, and
-                   the max is the least noisy location estimate for
-                   short timed regions on a shared host. *)
-                let best = ref 0. and seconds = ref 0. in
-                for _ = 1 to repeats do
-                  let r =
-                    Cn_runtime.Harness.throughput ~pool ~make ~domains
-                      ~ops_per_domain:(ops_total / domains) ()
-                  in
-                  if r.Cn_runtime.Harness.ops_per_sec > !best then begin
-                    best := r.Cn_runtime.Harness.ops_per_sec;
-                    seconds := r.Cn_runtime.Harness.seconds
-                  end
-                done;
-                results := (name, domains, ops_total, !seconds, !best) :: !results;
-                Printf.sprintf "%11.0f" !best)
-              domain_counts
-          in
-          line "%-14s %s" name (String.concat " " row))
-        configs;
-      (* The batched traversal API: bounds check and dispatch amortized
-         across each domain's whole quota. *)
-      let rt = RT.compile c16 in
-      let batch_row =
-        List.map
-          (fun domains ->
-            let n = ops_total / domains in
-            let best = ref 0. and seconds = ref 0. in
-            for _ = 1 to repeats do
-              RT.reset rt;
-              let s =
-                Cn_runtime.Domain_pool.run pool ~domains (fun pid ->
-                    RT.traverse_batch rt ~wire:(pid mod w) ~n ~f:(fun _ _ -> ()))
-              in
-              let rate = if s <= 0. then 0. else float_of_int (domains * n) /. s in
-              if rate > !best then begin
-                best := rate;
-                seconds := s
-              end
-            done;
-            results :=
-              (Printf.sprintf "C(%d,%d)+batch" w w, domains, ops_total, !seconds, !best)
-              :: !results;
-            Printf.sprintf "%11.0f" !best)
-          domain_counts
-      in
-      line "%-14s %s" (Printf.sprintf "C(%d,%d)+batch" w w) (String.concat " " batch_row);
-      (* The layer-pipelined batch walk: a wavefront of tokens advances
-         one crossing per round, overlapping independent crossings.
-         Buffers are per-domain — they are single-owner scratch. *)
-      let bufs = Array.init 8 (fun _ -> RT.buffer ~capacity:128 ()) in
-      let pipe_row =
-        List.map
-          (fun domains ->
-            let n = ops_total / domains in
-            let best = ref 0. and seconds = ref 0. in
-            for _ = 1 to repeats do
-              RT.reset rt;
-              let s =
-                Cn_runtime.Domain_pool.run pool ~domains (fun pid ->
-                    RT.traverse_batch_pipelined rt bufs.(pid) ~wire:(pid mod w) ~n
-                      ~f:(fun _ _ -> ()))
-              in
-              let rate = if s <= 0. then 0. else float_of_int (domains * n) /. s in
-              if rate > !best then begin
-                best := rate;
-                seconds := s
-              end
-            done;
-            results :=
-              (Printf.sprintf "C(%d,%d)+pipe" w w, domains, ops_total, !seconds, !best)
-              :: !results;
-            Printf.sprintf "%11.0f" !best)
-          domain_counts
-      in
-      line "%-14s %s" (Printf.sprintf "C(%d,%d)+pipe" w w) (String.concat " " pipe_row));
   (* Observability pass: one metrics-instrumented CAS run on C(16,16)
      at 4 domains.  The validator runs Strict — any lost update or
      broken step property fails the whole sweep — and the per-layer
@@ -740,26 +807,15 @@ let runtime ?(smoke = false) ?(projected = false) () =
     | None -> line "  token latency: (none sampled)");
     Cn_runtime.Metrics.to_json ~layers snap
   in
-  let entries =
-    List.rev_map
-      (fun (name, domains, total_ops, seconds, rate) ->
-        Printf.sprintf
-          "    { \"counter\": %S, \"domains\": %d, \"total_ops\": %d, \"seconds\": %.6f, \
-           \"ops_per_sec\": %.1f }"
-          name domains total_ops seconds rate)
-      !results
-  in
-  record_keys
+  record_section ~smoke "runtime"
     ([
-       ("suite", "\"runtime\"");
        ("w", string_of_int w);
-       ("results", Printf.sprintf "[\n%s\n  ]" (String.concat ",\n" entries));
+       ( "results",
+         rows (List.map (fun (counter, m) -> obj (("counter", str counter) :: measured_fields m)) results)
+       );
        ("metrics", String.trim metrics_json);
      ]
-    @ if projected then [ ("projected", projected_json ~smoke ~w c16) ] else []);
-  line "recorded runtime in BENCH_runtime.json (%d measurements%s + metrics profile)"
-    (List.length !results)
-    (if projected then " + projected curves" else "")
+    @ if projected then [ ("projected", projected_json ~smoke ~w c16) ] else [])
 
 (* ------------------------------------------------------------------ *)
 (* service: the Cn_service combining front-end against naive per-op
@@ -768,11 +824,11 @@ let runtime ?(smoke = false) ?(projected = false) () =
    round so the elected combiner serves them as one batch — the
    batching the per-op caller cannot express — and the mixed rows let
    elimination pair tokens with antitokens before they reach the
-   network.  Records the "service" key of BENCH_runtime.json.           *)
+   network.  Records the "service" section of BENCH_runtime.json.       *)
 
-let service ?(smoke = false) ?(projected = false) () =
+let service ?(smoke = false) () =
   header "service  combining front-end vs naive per-op traverse (BENCH_runtime.json)";
-  line "(host note: single-core container -> domains timeshare; relative shapes only)";
+  timing_note ~smoke ();
   let module RT = Cn_runtime.Network_runtime in
   let module DP = Cn_runtime.Domain_pool in
   let module V = Cn_runtime.Validator in
@@ -784,38 +840,15 @@ let service ?(smoke = false) ?(projected = false) () =
   let k = 32 in
   (* per-domain ops; divisible by the pipeline width [k] *)
   let ops = if smoke then 512 else 16_000 in
-  let repeats = if smoke then 2 else 5 in
-  let rows = ref [] in
-  let record name mix rate seconds (st : Svc.stats option) =
-    let mean_batch, elim, elim_rate, rejected =
-      match st with
-      | Some st ->
-          (st.Svc.mean_batch, st.Svc.total_eliminated_pairs, st.Svc.elimination_rate,
-           st.Svc.total_rejected)
-      | None -> (1., 0, 0., 0)
-    in
-    rows := (name, mix, domains * ops, seconds, rate, mean_batch, elim, elim_rate, rejected) :: !rows;
-    line "%-22s %-6s %11.0f ops/s   mean batch %6.2f   eliminated %6d   rejected %d"
-      name mix rate mean_batch elim rejected
-  in
-  let find_rate name mix =
-    let rec go = function
-      | [] -> 0.
-      | (n, m, _, _, r, _, _, _, _) :: _ when n = name && m = mix -> r
-      | _ :: tl -> go tl
-    in
-    go !rows
-  in
-  let mixed_elims = ref 0 in
+  (* The stats of every service run, newest first. *)
+  let runs = ref [] in
   let report_json = ref "null" in
-  DP.with_pool domains (fun pool ->
-      (* Naive baselines: one traverse (or traverse/traverse_decrement
-         alternation) per op, strict-validated at quiescence. *)
-      let naive name ~mixed =
-        let rt = RT.compile c16 in
-        let best = ref 0. and secs = ref 0. in
-        for _ = 1 to repeats do
-          RT.reset rt;
+  let results, (naive_inc, naive_mixed, batched_inc, batched_mixed) =
+    DP.with_pool domains (fun pool ->
+        (* Naive baselines: one traverse (or traverse/traverse_decrement
+           alternation) per op, strict-validated at quiescence. *)
+        let naive ~mixed ops =
+          let rt = RT.compile c16 in
           let s =
             DP.run pool ~domains (fun pid ->
                 let wire = pid mod w in
@@ -829,279 +862,130 @@ let service ?(smoke = false) ?(projected = false) () =
                     ignore (RT.traverse rt ~wire)
                   done)
           in
-          let rate = if s <= 0. then 0. else float_of_int (domains * ops) /. s in
-          if rate > !best then begin
-            best := rate;
-            secs := s
-          end
-        done;
-        V.enforce V.Strict (V.quiescent_runtime rt);
-        record name (if mixed then "50/50" else "inc") !best !secs None
-      in
-      (* Service driver: each domain owns [k] sessions pinned to its
-         wire and pipelines one submit per session before awaiting, so
-         every round is served as one combined batch. *)
-      let serve name ~mixed ~elim =
-        let best = ref 0. and secs = ref 0. and best_stats = ref None in
-        for _ = 1 to repeats do
+          V.enforce V.Strict (V.quiescent_runtime rt);
+          (s, domains * ops)
+        in
+        (* Service driver: each domain owns [k] sessions pinned to its
+           wire and pipelines one submit per session before awaiting, so
+           every round is served as one combined batch. *)
+        let batched ~mixed ~elim ops =
           let svc = Svc.create ~max_batch:k ~elim c16 in
           let sessions =
-            Array.init domains (fun pid ->
-                Array.init k (fun _ -> Svc.session ~wire:(pid mod w) svc))
+            Array.init domains (fun pid -> Array.init k (fun _ -> Svc.session ~wire:(pid mod w) svc))
           in
-          let submit s op =
-            let rec go () =
-              match Svc.submit s op with
-              | Ok () -> ()
-              | Error Svc.Overloaded ->
-                  Domain.cpu_relax ();
-                  go ()
-              | Error Svc.Closed -> failwith "service closed mid-bench"
-            in
-            go ()
+          let rec submit s op =
+            match Svc.submit s op with
+            | Ok () -> ()
+            | Error Svc.Overloaded ->
+                Domain.cpu_relax ();
+                submit s op
+            | Error Svc.Closed -> failwith "service closed mid-bench"
           in
           let s =
             DP.run pool ~domains (fun pid ->
                 let ss = sessions.(pid) in
                 for _ = 1 to ops / k do
-                  if mixed then begin
-                    for j = 0 to (k / 2) - 1 do
-                      submit ss.(j) Svc.Inc
-                    done;
-                    for j = k / 2 to k - 1 do
-                      submit ss.(j) Svc.Dec
-                    done
-                  end
-                  else
-                    for j = 0 to k - 1 do
-                      submit ss.(j) Svc.Inc
-                    done;
+                  for j = 0 to k - 1 do
+                    submit ss.(j) (if mixed && j >= k / 2 then Svc.Dec else Svc.Inc)
+                  done;
                   for j = 0 to k - 1 do
                     ignore (Svc.await ss.(j))
                   done
                 done)
           in
           ignore (Svc.drain ~policy:V.Strict svc);
-          let rate = if s <= 0. then 0. else float_of_int (domains * ops) /. s in
-          if rate > !best then begin
-            best := rate;
-            secs := s;
-            best_stats := Some (Svc.stats svc)
-          end
-        done;
-        (match !best_stats with
-        | Some st when mixed && elim -> mixed_elims := st.Svc.total_eliminated_pairs
-        | _ -> ());
-        record name (if mixed then "50/50" else "inc") !best !secs !best_stats
-      in
-      line "%-22s %-6s %d domains x %d ops on C(%d,%d), pipeline width %d" "counter" "mix"
-        domains ops w w k;
-      naive "naive-traverse" ~mixed:false;
-      naive "naive-traverse" ~mixed:true;
-      serve "service-batched" ~mixed:false ~elim:true;
-      serve "service-batched" ~mixed:true ~elim:true;
-      serve "service-noelim" ~mixed:true ~elim:false;
-      (* Closed-loop workload coverage on the same pool: blocking
-         increments/decrements under Zipf skew, metrics-instrumented,
-         strict-drained; its combined service+network snapshot is
-         embedded in the JSON. *)
-      let svc = Svc.create ~metrics:true ~max_batch:k c16 in
-      let spec =
-        {
-          W.default with
-          W.domains;
-          ops_per_domain = ops / 4;
-          sessions_per_domain = 4;
-          dec_ratio = 0.5;
-          skew = W.Zipf 1.1;
-        }
-      in
-      let wst = W.run ~pool svc spec in
-      ignore (Svc.drain ~policy:V.Strict svc);
-      record "service-workload" "50/50"
-        (float_of_int (domains * ops / 4)
-        /. Float.max wst.W.seconds 1e-9)
-        wst.W.seconds
-        (Some (Svc.stats svc));
-      report_json := Svc.report_json svc);
-  (* Acceptance gates: the mixed service run must actually eliminate,
-     and batched-service throughput must beat the matched naive
-     baseline. *)
-  if !mixed_elims <= 0 then begin
-    prerr_endline "service bench: expected > 0 eliminated pairs in the mixed run";
-    exit 1
-  end;
-  let speedup_inc =
-    find_rate "service-batched" "inc"
-    /. Float.max (find_rate "naive-traverse" "inc") 1e-9
+          runs := Svc.stats svc :: !runs;
+          (s, domains * ops)
+        in
+        (* Closed-loop workload coverage on the same pool: blocking
+           increments/decrements under Zipf skew, metrics-instrumented,
+           strict-drained; its combined service+network snapshot is
+           embedded in the JSON. *)
+        let workload ops =
+          let svc = Svc.create ~metrics:true ~max_batch:k c16 in
+          let spec =
+            {
+              W.default with
+              W.domains;
+              ops_per_domain = ops;
+              sessions_per_domain = 4;
+              dec_ratio = 0.5;
+              skew = W.Zipf 1.1;
+            }
+          in
+          let wst = W.run ~pool svc spec in
+          ignore (Svc.drain ~policy:V.Strict svc);
+          runs := Svc.stats svc :: !runs;
+          report_json := Svc.report_json svc;
+          (wst.W.seconds, wst.W.completed)
+        in
+        (* A row's service stats are those of its last repeat; the
+           stats of all its timed repeats come back for the gates. *)
+        let row name mix ?(ops = ops) run =
+          runs := [];
+          let m = measure ~smoke ~domains ~ops run in
+          let timed = List.filteri (fun i _ -> i < Array.length m.seconds) !runs in
+          let mean_batch, elim, elim_rate, rejected =
+            match timed with
+            | st :: _ ->
+                ( st.Svc.mean_batch,
+                  st.Svc.total_eliminated_pairs,
+                  st.Svc.elimination_rate,
+                  st.Svc.total_rejected )
+            | [] -> (1., 0, 0., 0)
+          in
+          line "%-22s %-6s %11.0f ops/s   mean batch %6.2f   eliminated %6d   rejected %d" name
+            mix m.median mean_batch elim rejected;
+          ( obj
+              ([ ("counter", str name); ("mix", str mix) ]
+              @ measured_fields m
+              @ [
+                  ("mean_batch", Printf.sprintf "%.3f" mean_batch);
+                  ("eliminated_pairs", string_of_int elim);
+                  ("elimination_rate", Printf.sprintf "%.4f" elim_rate);
+                  ("rejected", string_of_int rejected);
+                ]),
+            (m, timed) )
+        in
+        line "%-22s %-6s %d domains x %d ops on C(%d,%d), pipeline width %d" "counter" "mix"
+          domains ops w w k;
+        let naive_inc = row "naive-traverse" "inc" (naive ~mixed:false) in
+        let naive_mixed = row "naive-traverse" "50/50" (naive ~mixed:true) in
+        let batched_inc = row "service-batched" "inc" (batched ~mixed:false ~elim:true) in
+        let batched_mixed = row "service-batched" "50/50" (batched ~mixed:true ~elim:true) in
+        let noelim = row "service-noelim" "50/50" (batched ~mixed:true ~elim:false) in
+        let closed_loop = row "service-workload" "50/50" ~ops:(ops / 4) workload in
+        ( List.map fst [ naive_inc; naive_mixed; batched_inc; batched_mixed; noelim; closed_loop ],
+          (snd naive_inc, snd naive_mixed, snd batched_inc, snd batched_mixed) ))
   in
-  let speedup_mixed =
-    find_rate "service-batched" "50/50"
-    /. Float.max (find_rate "naive-traverse" "50/50") 1e-9
+  (* Acceptance gates on the timed repeats' medians: the mixed service
+     run must actually eliminate, and batched-service throughput must
+     beat the matched naive baseline. *)
+  let mixed_elims =
+    median
+      (Array.of_list
+         (List.map (fun st -> float_of_int st.Svc.total_eliminated_pairs) (snd batched_mixed)))
   in
+  if mixed_elims <= 0. then die "service bench: expected > 0 eliminated pairs in the mixed run";
+  let speedup (batched, _) (naive, _) = batched.median /. Float.max naive.median 1e-9 in
+  let speedup_inc = speedup batched_inc naive_inc in
+  let speedup_mixed = speedup batched_mixed naive_mixed in
   line "speedup vs naive: mixed 50/50 %.2fx (elimination), pure-inc rows recorded" speedup_mixed;
   if speedup_mixed < 1. then
     if smoke then
-      (* Smoke regions are ~1 ms on this host — too short to gate on. *)
+      (* One short repeat is too noisy to gate on. *)
       line "note: smoke timing too short to gate on; full run enforces the comparison"
-    else begin
-      prerr_endline "service bench: mixed service run did not beat the naive baseline";
-      exit 1
-    end;
-  let entries =
-    List.rev_map
-      (fun (name, mix, total_ops, seconds, rate, mean_batch, elim, elim_rate, rejected) ->
-        Printf.sprintf
-          "      { \"counter\": %S, \"mix\": %S, \"domains\": %d, \"total_ops\": %d, \
-           \"seconds\": %.6f, \"ops_per_sec\": %.1f, \"mean_batch\": %.3f, \
-           \"eliminated_pairs\": %d, \"elimination_rate\": %.4f, \"rejected\": %d }"
-          name mix domains total_ops seconds rate mean_batch elim elim_rate rejected)
-      !rows
-  in
-  let projected_field =
-    if projected then
-      Printf.sprintf ",\n    \"projected\": %s" (projected_json ~smoke ~w c16)
-    else ""
-  in
-  let section =
-    Printf.sprintf
-      "{\n    \"net\": \"C(%d,%d)\",\n    \"domains\": %d,\n    \"pipeline\": %d,\n    \
-       \"results\": [\n%s\n    ],\n    \"speedup_mixed_vs_naive\": %.3f,\n    \
-       \"speedup_inc_vs_naive\": %.3f,\n    \"report\": %s%s\n  }"
-      w w domains k
-      (String.concat ",\n" entries)
-      speedup_mixed speedup_inc (String.trim !report_json) projected_field
-  in
-  record_keys [ ("service", section) ];
-  line "recorded service in BENCH_runtime.json (%d rows)" (List.length !rows)
-
-(* ------------------------------------------------------------------ *)
-(* serve: the countnetd wire protocol on loopback — an in-process
-   Cn_proto.Server over C(16,16) driven by the TCP load rig.  Each row
-   is one client population (uniform/Zipf skew, closed/bursty
-   arrivals, a mixed inc/dec run) and carries SLO-style round-trip
-   latency percentiles (p50/p95/p99, ns).  A churn phase and a
-   mid-load Strict stop exercise the lifecycle edges; the section is
-   recorded in BENCH_runtime.json.                                      *)
-
-let serve ?(smoke = false) () =
-  header "serve  countnetd loopback: wire-protocol SLO latencies (BENCH_runtime.json)";
-  line "(host note: loopback TCP on a single core; rtt includes both protocol stacks)";
-  let module V = Cn_runtime.Validator in
-  let module M = Cn_runtime.Metrics in
-  let module Svc = Cn_service.Service in
-  let module W = Cn_service.Workload in
-  let module Server = Cn_proto.Server in
-  let module Client = Cn_proto.Client in
-  let module Load = Cn_proto.Load in
-  let w = 16 in
-  let net = C.network ~w ~t:w in
-  let ops = if smoke then 200 else 4_000 in
-  let svc = Svc.create ~metrics:true ~validate:V.Strict net in
-  let server = Server.start svc in
-  let port = Server.port server in
-  let rows = ref [] in
-  let scenario name spec =
-    let st = Load.run ~port spec in
-    if st.Load.completed = 0 then begin
-      Printf.eprintf "serve bench: scenario %s completed nothing\n" name;
-      exit 1
-    end;
-    let p50, p95, p99, maxl =
-      match st.Load.latency with
-      | Some l -> (l.M.p50, l.M.p95, l.M.p99, l.M.max)
-      | None -> (0., 0., 0., 0.)
-    in
-    rows := (name, spec, st, (p50, p95, p99, maxl)) :: !rows;
-    line "%-14s %2d clients x %d conns   %8.0f ops/s   p50 %7.1f us  p95 %7.1f us  p99 %7.1f us"
-      name spec.Load.clients spec.Load.conns_per_client st.Load.ops_per_sec (p50 /. 1e3)
-      (p95 /. 1e3) (p99 /. 1e3)
-  in
-  let base =
-    { Load.default with Load.clients = 2; conns_per_client = 2; ops_per_client = ops }
-  in
-  scenario "closed-uniform" base;
-  scenario "closed-zipf" { base with Load.conns_per_client = 4; skew = W.Zipf 1.2 };
-  scenario "mixed-dec" { base with Load.dec_ratio = 0.4; seed = 7 };
-  scenario "bursty"
-    {
-      base with
-      Load.ops_per_client = ops / 2;
-      arrival = W.Bursty { burst = 64; pause = 0.0005 };
-    };
-  (* Churn: short-lived connections stack sessions onto the lanes. *)
-  let churn = if smoke then 10 else 100 in
-  for _ = 1 to churn do
-    let c = Client.connect ~port () in
-    ignore (Client.increment c);
-    Client.close c
-  done;
-  let accepted_after_churn = Server.accepted server in
-  line "churn: %d short-lived connections (server accepted %d total)" churn accepted_after_churn;
-  (* Mid-load stop: ≥2 clients in flight when the drain starts.  The
-     Strict policy makes a step-property or conservation violation at
-     the quiescence point fatal to the bench. *)
-  let rig_stats = ref None in
-  let rig =
-    Thread.create
-      (fun () ->
-        rig_stats :=
-          Some
-            (Load.run ~port
-               {
-                 base with
-                 Load.ops_per_client = 1_000_000;
-                 arrival = W.Closed 0.0002;
-                 seed = 11;
-               }))
-      ()
-  in
-  Thread.delay (if smoke then 0.05 else 0.2);
-  let report = Server.stop ~policy:V.Strict server in
-  Thread.join rig;
-  let drain_ok = V.passed report in
-  let rig_disc, rig_closed, rig_done =
-    match !rig_stats with
-    | Some st -> (st.Load.disconnects, st.Load.closed, st.Load.completed)
-    | None -> (0, 0, 0)
-  in
-  line "mid-load stop: drain %s (%s); rig saw %d completed, %d disconnects, %d closed"
-    (if drain_ok then "ok" else "FAILED")
-    (V.summary report) rig_done rig_disc rig_closed;
-  if not drain_ok then begin
-    prerr_endline "serve bench: Strict drain failed at the mid-load stop";
-    exit 1
-  end;
-  if rig_done = 0 then begin
-    prerr_endline "serve bench: the mid-load rig made no progress before the stop";
-    exit 1
-  end;
-  let entries =
-    List.rev_map
-      (fun (name, (spec : Load.spec), (st : Load.stats), (p50, p95, p99, maxl)) ->
-        Printf.sprintf
-          "      { \"scenario\": %S, \"clients\": %d, \"conns_per_client\": %d, \
-           \"ops_per_client\": %d, \"completed\": %d, \"rejected\": %d, \"closed\": %d, \
-           \"disconnects\": %d, \"seconds\": %.6f, \"ops_per_sec\": %.1f, \
-           \"busy_seconds\": %.6f, \"busy_ops_per_sec\": %.1f, \"rtt_ns\": { \"p50\": %.1f, \
-           \"p95\": %.1f, \"p99\": %.1f, \"max\": %.1f } }"
-          name spec.Load.clients spec.Load.conns_per_client spec.Load.ops_per_client
-          st.Load.completed st.Load.rejected st.Load.closed st.Load.disconnects
-          st.Load.seconds st.Load.ops_per_sec st.Load.busy_seconds st.Load.busy_ops_per_sec
-          p50 p95 p99 maxl)
-      !rows
-  in
-  let section =
-    Printf.sprintf
-      "{\n    \"net\": \"C(%d,%d)\",\n    \"results\": [\n%s\n    ],\n    \"churn\": %d,\n    \
-       \"accepted\": %d,\n    \"drain\": { \"ok\": %b, \"summary\": %S, \
-       \"rig_completed\": %d, \"rig_disconnects\": %d, \"rig_closed\": %d }\n  }"
-      w w
-      (String.concat ",\n" entries)
-      churn accepted_after_churn drain_ok (V.summary report) rig_done rig_disc rig_closed
-  in
-  record_keys [ ("serve", section) ];
-  line "recorded serve in BENCH_runtime.json (%d SLO rows)" (List.length !rows)
+    else die "service bench: mixed service run did not beat the naive baseline";
+  record_section ~smoke "service"
+    [
+      ("net", str (Printf.sprintf "C(%d,%d)" w w));
+      ("domains", string_of_int domains);
+      ("pipeline", string_of_int k);
+      ("results", rows results);
+      ("speedup_mixed_vs_naive", Printf.sprintf "%.3f" speedup_mixed);
+      ("speedup_inc_vs_naive", Printf.sprintf "%.3f" speedup_inc);
+      ("report", String.trim !report_json);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* fabric: the elastic sharded counter fabric — shard-scaling sweep at
@@ -1111,12 +995,12 @@ let serve ?(smoke = false) () =
    4-shard fabric swapped C(8,8) -> C(16,16) mid-run with token
    conservation asserted at the Strict drain.  The projected rows come
    from the Theorem 6.7 contention model and show the analytic shard
-   scaling even when this host timeshares domains on one core.
-   Records the "fabric" key of BENCH_runtime.json.                      *)
+   scaling at domain counts this host can only timeshare.  Records the
+   "fabric" section of BENCH_runtime.json.                              *)
 
 let fabric ?(smoke = false) () =
   header "fabric  sharded counter fabric: shard scaling + hot resize (BENCH_runtime.json)";
-  line "(host note: single-core container -> domains timeshare; relative shapes only)";
+  timing_note ~smoke ();
   let module DP = Cn_runtime.Domain_pool in
   let module V = Cn_runtime.Validator in
   let module Fab = Cn_fabric.Fabric in
@@ -1126,7 +1010,6 @@ let fabric ?(smoke = false) () =
   let domains = 8 in
   let sessions_per = 4 in
   let ops = if smoke then 400 else 8_000 in
-  let repeats = if smoke then 1 else 3 in
   let shard_counts = [ 1; 2; 4 ] in
   let cal =
     let crossing_ns =
@@ -1138,118 +1021,88 @@ let fabric ?(smoke = false) () =
     P.calibrate ~crossing_ns ()
   in
   line "calibration: %.1f ns/crossing on C(%d,%d)" cal.P.crossing_ns w w;
-  let rows = ref [] in
-  let record name ~shards ~dims ~completed ~rejected ~seconds ~resized =
-    let rate = if seconds <= 0. then 0. else float_of_int completed /. seconds in
-    rows := (name, shards, dims, completed, rejected, seconds, rate, resized) :: !rows;
-    line "%-18s %d shard%s %-22s %11.0f ops/s   %7d completed   %d rejected%s" name shards
-      (if shards = 1 then " " else "s")
-      dims rate completed rejected
-      (if resized then "   (hot-resized)" else "")
-  in
-  let find_rate name shards =
-    let rec go = function
-      | [] -> 0.
-      | (n, s, _, _, _, _, r, _) :: _ when n = name && s = shards -> r
-      | _ :: tl -> go tl
-    in
-    go !rows
-  in
-  (* One measured configuration: [domains] domains each driving
+  (* One run of a configuration: [domains] domains each driving
      [sessions_per] keyed sessions round-robin, pure increments with
      Overloaded retry.  [tune] retunes every shard to the model's pick
      before the timed region; [resize_mid] makes domain 0 hot-swap
      shard 0 to C(16,16) halfway through its op budget while the other
      domains keep submitting.  Conservation (global read = completed
-     increments) and a Strict shutdown gate every run. *)
-  let run_config pool name ~shards ~tune ~resize_mid =
-    let best = ref 0.
-    and secs = ref 0.
-    and best_completed = ref 0
-    and best_rejected = ref 0
-    and dims = ref (Printf.sprintf "C(%d,%d)" w w)
-    and resized = ref false in
-    for _ = 1 to repeats do
-      let fab = Fab.create ~metrics:tune ~validate:V.Strict ~elim:false ~shards net in
-      if tune then
-        for sid = 0 to shards - 1 do
-          match Fab.retune fab cal ~shard:sid ~domains with
-          | Ok _ | Error _ -> ()
-        done;
-      let completed = Array.make domains 0 in
-      let rejected = Array.make domains 0 in
-      let resize_failed = ref false in
-      let s =
-        DP.run pool ~domains (fun pid ->
-            let sessions =
-              Array.init sessions_per (fun k ->
-                  Fab.session ~key:((pid * sessions_per) + k) fab)
+     increments) and a Strict shutdown gate every run.  The shard
+     dimensions and Closed refusals of the latest run are kept for its
+     row. *)
+  let dims = ref "" and rejected = ref 0 in
+  let run_config pool name ~shards ~tune ~resize_mid ops =
+    let fab = Fab.create ~metrics:tune ~validate:V.Strict ~elim:false ~shards net in
+    if tune then
+      for sid = 0 to shards - 1 do
+        match Fab.retune fab cal ~shard:sid ~domains with Ok _ | Error _ -> ()
+      done;
+    let completed = Array.make domains 0 in
+    let refused = Array.make domains 0 in
+    let resize_failed = ref false in
+    let s =
+      DP.run pool ~domains (fun pid ->
+          let sessions =
+            Array.init sessions_per (fun k -> Fab.session ~key:((pid * sessions_per) + k) fab)
+          in
+          for i = 0 to ops - 1 do
+            if resize_mid && pid = 0 && i = ops / 2 then begin
+              match Fab.resize fab ~shard:0 (C.network ~w:16 ~t:16) with
+              | Ok () -> ()
+              | Error _ -> resize_failed := true
+            end;
+            let rec go () =
+              match Fab.increment sessions.(i mod sessions_per) with
+              | Ok _ -> completed.(pid) <- completed.(pid) + 1
+              | Error Fab.Overloaded ->
+                  Domain.cpu_relax ();
+                  go ()
+              | Error Fab.Closed -> refused.(pid) <- refused.(pid) + 1
             in
-            for i = 0 to ops - 1 do
-              if resize_mid && pid = 0 && i = ops / 2 then begin
-                match Fab.resize fab ~shard:0 (C.network ~w:16 ~t:16) with
-                | Ok () -> ()
-                | Error _ -> resize_failed := true
-              end;
-              let rec go () =
-                match Fab.increment sessions.(i mod sessions_per) with
-                | Ok _ -> completed.(pid) <- completed.(pid) + 1
-                | Error Fab.Overloaded ->
-                    Domain.cpu_relax ();
-                    go ()
-                | Error Fab.Closed -> rejected.(pid) <- rejected.(pid) + 1
-              in
-              go ()
-            done)
-      in
-      if !resize_failed then begin
-        prerr_endline "fabric bench: hot resize under load failed";
-        exit 1
-      end;
-      let done_ops = Array.fold_left ( + ) 0 completed in
-      let value = Fab.read fab in
-      if value <> done_ops then begin
-        Printf.eprintf "fabric bench: %s lost tokens (read %d, completed %d)\n" name value
-          done_ops;
-        exit 1
-      end;
-      if resize_mid && (Fab.shard_gen fab 0 <> 1 || (Fab.shard_info fab 0).Fab.width <> 16)
-      then begin
-        prerr_endline "fabric bench: shard 0 did not land on C(16,16) gen 1";
-        exit 1
-      end;
-      let report = Fab.shutdown ~policy:V.Strict fab in
-      if not (V.passed report) then begin
-        Printf.eprintf "fabric bench: Strict shutdown failed for %s: %s\n" name
-          (V.summary report);
-        exit 1
-      end;
-      let rate = if s <= 0. then 0. else float_of_int done_ops /. s in
-      if rate >= !best then begin
-        best := rate;
-        secs := s;
-        best_completed := done_ops;
-        best_rejected := Array.fold_left ( + ) 0 rejected;
-        resized := resize_mid;
-        dims :=
-          String.concat "+"
-            (List.map
-               (fun (i : Fab.shard_info) -> Printf.sprintf "C(%d,%d)" i.Fab.width i.Fab.out_width)
-               (Fab.shard_infos fab))
-      end
-    done;
-    record name ~shards ~dims:!dims ~completed:!best_completed ~rejected:!best_rejected
-      ~seconds:!secs ~resized:!resized
+            go ()
+          done)
+    in
+    if !resize_failed then die "fabric bench: hot resize under load failed";
+    let done_ops = Array.fold_left ( + ) 0 completed in
+    let value = Fab.read fab in
+    if value <> done_ops then
+      die "fabric bench: %s lost tokens (read %d, completed %d)" name value done_ops;
+    if resize_mid && (Fab.shard_gen fab 0 <> 1 || (Fab.shard_info fab 0).Fab.width <> 16) then
+      die "fabric bench: shard 0 did not land on C(16,16) gen 1";
+    let report = Fab.shutdown ~policy:V.Strict fab in
+    if not (V.passed report) then
+      die "fabric bench: Strict shutdown failed for %s: %s" name (V.summary report);
+    dims :=
+      String.concat "+"
+        (List.map
+           (fun (i : Fab.shard_info) -> Printf.sprintf "C(%d,%d)" i.Fab.width i.Fab.out_width)
+           (Fab.shard_infos fab));
+    rejected := Array.fold_left ( + ) 0 refused;
+    (s, done_ops)
   in
-  line "%d domains x %d ops, %d sessions/domain, %d repeat%s" domains ops sessions_per repeats
-    (if repeats = 1 then "" else "s");
-  DP.with_pool domains (fun pool ->
-      List.iter
-        (fun shards ->
-          run_config pool "fixed" ~shards ~tune:false ~resize_mid:false;
-          run_config pool "autotuned" ~shards ~tune:true ~resize_mid:false)
-        shard_counts;
-      run_config pool "resize-under-load" ~shards:4 ~tune:false ~resize_mid:true);
+  line "%d domains x %d ops, %d sessions/domain" domains ops sessions_per;
+  let fixed, others =
+    DP.with_pool domains (fun pool ->
+        let row name ~tune ~resize_mid shards =
+          let m =
+            measure ~smoke ~domains ~ops (run_config pool name ~shards ~tune ~resize_mid)
+          in
+          line "%-18s %d shard%s %-22s %11.0f ops/s   %d rejected%s" name shards
+            (if shards = 1 then " " else "s")
+            !dims m.median !rejected
+            (if resize_mid then "   (hot-resized)" else "");
+          ( obj
+              ([ ("config", str name); ("shards", string_of_int shards); ("dims", str !dims) ]
+              @ measured_fields m
+              @ [ ("rejected", string_of_int !rejected); ("hot_resized", string_of_bool resize_mid) ]
+              ),
+            m )
+        in
+        let fixed = List.map (row "fixed" ~tune:false ~resize_mid:false) shard_counts in
+        let autotuned = List.map (row "autotuned" ~tune:true ~resize_mid:false) shard_counts in
+        let resized = row "resize-under-load" ~tune:false ~resize_mid:true 4 in
+        (List.combine shard_counts fixed, autotuned @ [ resized ]))
+  in
   (* Analytic shard scaling from the calibrated Theorem 6.7 model:
      shards split the domain population, so an N-shard fabric is N
      independent networks at domains/N each. *)
@@ -1262,51 +1115,36 @@ let fabric ?(smoke = false) () =
       shard_counts
   in
   List.iter
-    (fun (shards, rate) -> line "projected %d shard%s %11.0f ops/s" shards
-        (if shards = 1 then " " else "s") rate)
+    (fun (shards, rate) ->
+      line "projected %d shard%s %11.0f ops/s" shards (if shards = 1 then " " else "s") rate)
     projected;
   let ratio num den = if den <= 0. then 0. else num /. den in
-  let measured_4v1 = ratio (find_rate "fixed" 4) (find_rate "fixed" 1) in
-  let projected_4v1 =
-    ratio (List.assoc 4 projected) (List.assoc 1 projected)
-  in
-  line "shard scaling 4 vs 1: measured %.2fx, projected %.2fx" measured_4v1 projected_4v1;
+  let fixed_rate shards = (snd (List.assoc shards fixed)).median in
+  let measured_4v1 = ratio (fixed_rate 4) (fixed_rate 1) in
+  let projected_4v1 = ratio (List.assoc 4 projected) (List.assoc 1 projected) in
+  line "shard scaling 4 vs 1 (medians): measured %.2fx, projected %.2fx" measured_4v1
+    projected_4v1;
   if measured_4v1 < 1. then
     if smoke then
-      (* Smoke regions are ~1 ms on this host — too short to gate on. *)
+      (* One short repeat is too noisy to gate on. *)
       line "note: smoke timing too short to gate on; full run enforces the comparison"
-    else begin
-      prerr_endline "fabric bench: 4-shard fabric did not beat the single shard";
-      exit 1
-    end;
-  let entries =
-    List.rev_map
-      (fun (name, shards, dims, completed, rejected, seconds, rate, resized) ->
-        Printf.sprintf
-          "      { \"config\": %S, \"shards\": %d, \"dims\": %S, \"domains\": %d, \
-           \"completed\": %d, \"rejected\": %d, \"seconds\": %.6f, \"ops_per_sec\": %.1f, \
-           \"hot_resized\": %b }"
-          name shards dims domains completed rejected seconds rate resized)
-      !rows
-  in
-  let projected_entries =
-    List.map
-      (fun (shards, rate) ->
-        Printf.sprintf "      { \"shards\": %d, \"ops_per_sec\": %.1f }" shards rate)
-      projected
-  in
-  let section =
-    Printf.sprintf
-      "{\n    \"net\": \"C(%d,%d)\",\n    \"domains\": %d,\n    \"sessions_per_domain\": %d,\n    \
-       \"crossing_ns\": %.2f,\n    \"results\": [\n%s\n    ],\n    \"projected\": [\n%s\n    \
-       ],\n    \"scaling_4v1_measured\": %.3f,\n    \"scaling_4v1_projected\": %.3f\n  }"
-      w w domains sessions_per cal.P.crossing_ns
-      (String.concat ",\n" entries)
-      (String.concat ",\n" projected_entries)
-      measured_4v1 projected_4v1
-  in
-  record_keys [ ("fabric", section) ];
-  line "recorded fabric in BENCH_runtime.json (%d rows)" (List.length !rows)
+    else die "fabric bench: 4-shard fabric did not beat the single shard";
+  record_section ~smoke "fabric"
+    [
+      ("net", str (Printf.sprintf "C(%d,%d)" w w));
+      ("domains", string_of_int domains);
+      ("sessions_per_domain", string_of_int sessions_per);
+      ("crossing_ns", Printf.sprintf "%.2f" cal.P.crossing_ns);
+      ("results", rows (List.map (fun (_, (json, _)) -> json) fixed @ List.map fst others));
+      ( "projected",
+        rows
+          (List.map
+             (fun (shards, rate) ->
+               obj [ ("shards", string_of_int shards); ("ops_per_sec", Printf.sprintf "%.1f" rate) ])
+             projected) );
+      ("scaling_4v1_measured", Printf.sprintf "%.3f" measured_4v1);
+      ("scaling_4v1_projected", Printf.sprintf "%.3f" projected_4v1);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Approximate counting tier: the accuracy / throughput / memory
@@ -1324,16 +1162,15 @@ let fabric ?(smoke = false) () =
      plus the sparse decode regimes (exact below the peeling
      threshold, bounded-error above).
 
-   Records the "sketch" key of BENCH_runtime.json.                      *)
+   Records the "sketch" section of BENCH_runtime.json.                  *)
 
 let sketch ?(smoke = false) () =
   header "sketch  approximate tier: accuracy/throughput/memory frontier (BENCH_runtime.json)";
-  line "(host note: single-core container -> domains timeshare; relative shapes only)";
+  timing_note ~smoke ();
   let module Hll = Cn_sketch.Hll in
   let module Sparse = Cn_sketch.Sparse in
   let module Backend = Cn_sketch.Backend in
-  let module H = Cn_runtime.Harness in
-  let fail fmt = Printf.ksprintf (fun m -> prerr_endline ("sketch bench: " ^ m); exit 1) fmt in
+  let fail fmt = Printf.ksprintf (fun m -> die "sketch bench: %s" m) fmt in
   (* --- HLL accuracy rows --------------------------------------------- *)
   let n_distinct = if smoke then 100_000 else 1_000_000 in
   line "hll accuracy at %d distinct keys:" n_distinct;
@@ -1360,10 +1197,10 @@ let sketch ?(smoke = false) () =
   let ops = if smoke then 20_000 else 100_000 in
   let net = C.network ~w:8 ~t:8 in
   let throughput_of name make =
-    let r = H.throughput ~make ~domains ~ops_per_domain:ops () in
-    line "  %-8s %11.0f ops/s  (%d domains, %d total ops)" name r.H.ops_per_sec domains
-      r.H.total_ops;
-    (name, r.H.ops_per_sec)
+    let m = measure ~smoke ~domains ~ops (counter_run ~make ~domains) in
+    line "  %-8s %11.0f ops/s  (%d domains, %d ops per repeat)" name m.median domains
+      m.ops_per_repeat;
+    obj (("backend", str name) :: measured_fields m)
   in
   line "throughput (%d domains x %d ops):" domains ops;
   let tp_exact = throughput_of "exact" (fun () -> Cn_runtime.Shared_counter.of_topology net) in
@@ -1418,35 +1255,24 @@ let sketch ?(smoke = false) () =
   in
   line "sparse overload (%d keys / %d counters): mean estimate overshoot %.1fx" n_keys 8192
     over_err;
-  (* --- JSON ----------------------------------------------------------- *)
-  let hll_entries =
-    List.map
-      (fun (p, m, est, err, sigma, bytes) ->
+  record_section ~smoke "sketch"
+    [
+      ( "hll_accuracy",
+        rows
+          (List.map
+             (fun (p, m, est, err, sigma, bytes) ->
+               Printf.sprintf
+                 "{ \"precision\": %d, \"registers\": %d, \"distinct\": %d, \"estimate\": \
+                  %.1f, \"rel_error\": %.6f, \"std_error\": %.6f, \"bytes\": %d }"
+                 p m n_distinct est err sigma bytes)
+             hll_rows) );
+      ("throughput", rows tp_rows);
+      ( "memory",
         Printf.sprintf
-          "      { \"precision\": %d, \"registers\": %d, \"distinct\": %d, \"estimate\": \
-           %.1f, \"rel_error\": %.6f, \"std_error\": %.6f, \"bytes\": %d }"
-          p m n_distinct est err sigma bytes)
-      hll_rows
-  in
-  let tp_entries =
-    List.map
-      (fun (name, rate) ->
-        Printf.sprintf "      { \"backend\": %S, \"domains\": %d, \"ops_per_sec\": %.1f }"
-          name domains rate)
-      tp_rows
-  in
-  let section =
-    Printf.sprintf
-      "{\n    \"hll_accuracy\": [\n%s\n    ],\n    \"throughput\": [\n%s\n    ],\n    \
-       \"memory\": { \"keys\": %d, \"exact_bytes\": %d, \"sparse_bytes\": %d, \"ratio\": \
-       %.2f, \"sparse_mean_overshoot\": %.3f }\n  }"
-      (String.concat ",\n" hll_entries)
-      (String.concat ",\n" tp_entries)
-      n_keys exact_bytes sparse_bytes ratio over_err
-  in
-  record_keys [ ("sketch", section) ];
-  line "recorded sketch in BENCH_runtime.json (%d hll rows, %d throughput rows)"
-    (List.length hll_rows) (List.length tp_rows)
+          "{ \"keys\": %d, \"exact_bytes\": %d, \"sparse_bytes\": %d, \"ratio\": %.2f, \
+           \"sparse_mean_overshoot\": %.3f }"
+          n_keys exact_bytes sparse_bytes ratio over_err );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* hybrid: merger-strategy comparison at C(16,16).  Depth/size of each
@@ -1458,9 +1284,8 @@ let sketch ?(smoke = false) () =
 
 let hybrid ?(smoke = false) () =
   header "hybrid  merger strategies at C(16,16): depth/size/throughput (BENCH_runtime.json)";
-  line "(host note: single-core container -> domains timeshare; relative shapes only)";
+  timing_note ~smoke ();
   let module M = Cn_core.Merger in
-  let module H = Cn_runtime.Harness in
   let w = 16 in
   let domains = if smoke then 2 else 4 in
   let ops = if smoke then 10_000 else 100_000 in
@@ -1475,52 +1300,40 @@ let hybrid ?(smoke = false) () =
     ]
   in
   line "%-15s %6s %6s %8s %12s" "merger" "depth" "size" "battery" "ops/s";
-  let rows =
+  let results =
     List.map
       (fun (name, merger, scope) ->
         let net = C.network_with ~merger ~scope ~w ~t:w in
-        let depth = T.depth net in
-        let size = T.size net in
         let battery_ok =
           List.for_all (fun load -> S.is_step (E.quiescent net load)) battery
         in
-        let r =
-          H.throughput
-            ~make:(fun () -> Cn_runtime.Shared_counter.of_topology net)
-            ~domains ~ops_per_domain:ops ()
+        (* The classic difference merger must pass its own battery; a
+           failure here is a harness bug, not a finding. *)
+        if name = "difference" && not battery_ok then
+          die "hybrid bench: difference merger failed the step battery";
+        let m =
+          measure ~smoke ~domains ~ops
+            (counter_run ~make:(fun () -> Cn_runtime.Shared_counter.of_topology net) ~domains)
         in
-        line "%-15s %6d %6d %8s %12.0f" name depth size
+        line "%-15s %6d %6d %8s %12.0f" name (T.depth net) (T.size net)
           (if battery_ok then "ok" else "REFUTED")
-          r.H.ops_per_sec;
-        (name, depth, size, battery_ok, r.H.ops_per_sec))
+          m.median;
+        obj
+          ([
+             ("merger", str name);
+             ("depth", string_of_int (T.depth net));
+             ("size", string_of_int (T.size net));
+             ("step_battery_ok", string_of_bool battery_ok);
+           ]
+          @ measured_fields m))
       strategies
   in
-  (* The classic difference merger must pass its own battery; a failure
-     here is a harness bug, not a finding. *)
-  (match rows with
-  | ("difference", _, _, ok, _) :: _ when not ok ->
-      prerr_endline "hybrid bench: difference merger failed the step battery";
-      exit 1
-  | _ -> ());
-  let entries =
-    List.map
-      (fun (name, depth, size, battery_ok, rate) ->
-        Printf.sprintf
-          "      { \"merger\": %S, \"depth\": %d, \"size\": %d, \"step_battery_ok\": %b, \
-           \"ops_per_sec\": %.1f }"
-          name depth size battery_ok rate)
-      rows
-  in
-  let section =
-    Printf.sprintf
-      "{\n    \"network\": \"C(%d,%d)\",\n    \"domains\": %d,\n    \"ops_per_domain\": %d,\n    \
-       \"battery_loads\": %d,\n    \"rows\": [\n%s\n    ]\n  }"
-      w w domains ops (List.length battery)
-      (String.concat ",\n" entries)
-  in
-  record_keys [ ("hybrid", section) ];
-  line "recorded hybrid in BENCH_runtime.json (%d merger rows, %d battery loads)"
-    (List.length rows) (List.length battery)
+  record_section ~smoke "hybrid"
+    [
+      ("network", str (Printf.sprintf "C(%d,%d)" w w));
+      ("battery_loads", string_of_int (List.length battery));
+      ("rows", rows results);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per experiment family.      *)
@@ -1608,39 +1421,16 @@ let micro () =
       | _ -> line "%-28s (no estimate)" name)
     (List.sort compare rows)
 
-let all () =
-  e1 ();
-  e2 ();
-  e3 ();
-  e4 ();
-  e5 ();
-  e6 ();
-  e7 ();
-  e8 ();
-  e9 ();
-  e10 ();
-  e11 ();
-  e12 ();
-  e13 ();
-  e14 ()
+let experiments =
+  [
+    ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6); ("e7", e7);
+    ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11); ("e12", e12); ("e13", e13); ("e14", e14);
+  ]
 
 let () =
   match Sys.argv with
-  | [| _ |] -> all ()
-  | [| _; "e1" |] -> e1 ()
-  | [| _; "e2" |] -> e2 ()
-  | [| _; "e3" |] -> e3 ()
-  | [| _; "e4" |] -> e4 ()
-  | [| _; "e5" |] -> e5 ()
-  | [| _; "e6" |] -> e6 ()
-  | [| _; "e7" |] -> e7 ()
-  | [| _; "e8" |] -> e8 ()
-  | [| _; "e9" |] -> e9 ()
-  | [| _; "e10" |] -> e10 ()
-  | [| _; "e11" |] -> e11 ()
-  | [| _; "e12" |] -> e12 ()
-  | [| _; "e13" |] -> e13 ()
-  | [| _; "e14" |] -> e14 ()
+  | [| _ |] -> List.iter (fun (_, experiment) -> experiment ()) experiments
+  | [| _; id |] when List.mem_assoc id experiments -> (List.assoc id experiments) ()
   | [| _; "micro" |] -> micro ()
   | [| _; "runtime" |] -> runtime ()
   | [| _; "runtime"; "--smoke" |] -> runtime ~smoke:true ()
@@ -1649,11 +1439,6 @@ let () =
       runtime ~smoke:true ~projected:true ()
   | [| _; "service" |] -> service ()
   | [| _; "service"; "--smoke" |] -> service ~smoke:true ()
-  | [| _; "service"; "--projected" |] -> service ~projected:true ()
-  | [| _; "service"; "--smoke"; "--projected" |] | [| _; "service"; "--projected"; "--smoke" |] ->
-      service ~smoke:true ~projected:true ()
-  | [| _; "serve" |] -> serve ()
-  | [| _; "serve"; "--smoke" |] -> serve ~smoke:true ()
   | [| _; "fabric" |] -> fabric ()
   | [| _; "fabric"; "--smoke" |] -> fabric ~smoke:true ()
   | [| _; "sketch" |] -> sketch ()
@@ -1662,6 +1447,6 @@ let () =
   | [| _; "hybrid"; "--smoke" |] -> hybrid ~smoke:true ()
   | _ ->
       prerr_endline
-        "usage: main.exe [e1|...|e14|micro|runtime [--smoke] [--projected]|service [--smoke] \
-         [--projected]|serve [--smoke]|fabric [--smoke]|sketch [--smoke]|hybrid [--smoke]]";
+        "usage: main.exe [e1|...|e14|micro|runtime [--smoke] [--projected]|service [--smoke]|fabric \
+         [--smoke]|sketch [--smoke]|hybrid [--smoke]]";
       exit 2

@@ -1,10 +1,11 @@
 (** Multi-domain measurement harness for shared counters (experiment E5;
     the real-system side of the comparison reported in Section 1.3.1).
 
-    Note on this environment: on a single-core host OCaml domains
-    timeshare rather than run in parallel, so absolute throughputs
-    understate contention effects; relative per-implementation shapes
-    remain indicative, and correctness checks are unaffected.
+    Domains beyond the host's cpu count
+    ([Domain.recommended_domain_count ()]) timeshare rather than run in
+    parallel, so such rows understate contention effects; relative
+    per-implementation shapes remain indicative, and correctness checks
+    are unaffected.
 
     Repeated measurements should share a {!Domain_pool.t} via [?pool]:
     the pool's warmed workers replace the per-run [Domain.spawn]/[join]

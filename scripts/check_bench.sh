@@ -1,8 +1,14 @@
 #!/bin/sh
 # Gate on the BENCH_runtime.json record: the file must parse as JSON,
-# no object in it may repeat a key, and every bench suite's top-level
-# section must be present.  A suite that truncates the file, or an
-# appending writer that re-adds its key, fails here.
+# no object in it may repeat a key, and every bench suite's section must
+# be present.  A suite that truncates the file, or an appending writer
+# that re-adds its key, fails here.
+#
+# Each section must also keep the measurement discipline of
+# bench/main.ml: a complete "run" header, at least one measured row,
+# and on every measured row (an object with "oversubscribed")
+# min <= median <= max ops/s and oversubscribed = domains > nproc;
+# unless the header says smoke, at least 5 repeats of at least 0.2 s.
 #
 # Usage: sh scripts/check_bench.sh BENCH_runtime.json
 set -eu
@@ -37,10 +43,70 @@ if dups:
 if not isinstance(record, dict):
     sys.exit(f"check-bench: {path} is not a JSON object")
 
-REQUIRED = ["results", "metrics", "service", "serve", "fabric", "sketch", "hybrid"]
+REQUIRED = ["runtime", "service", "fabric", "sketch", "hybrid"]
 missing = [k for k in REQUIRED if k not in record]
 if missing:
     sys.exit(f"check-bench: {path} is missing sections: {', '.join(missing)}")
 
-print(f"check-bench: {path} ok ({len(record)} top-level keys, all {len(REQUIRED)} suite sections)")
+def is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+HEADER = {
+    "schema_version": is_int,
+    "git_revision": lambda v: v is None or isinstance(v, str),
+    "dirty": lambda v: v is None or isinstance(v, bool),
+    "nproc": lambda v: is_int(v) and v >= 1,
+    "ocaml_version": lambda v: isinstance(v, str),
+    "smoke": lambda v: isinstance(v, bool),
+}
+
+def measured_rows(v):
+    if isinstance(v, dict):
+        if "oversubscribed" in v:
+            yield v
+        for x in v.values():
+            yield from measured_rows(x)
+    elif isinstance(v, list):
+        for x in v:
+            yield from measured_rows(x)
+
+errors = []
+total = 0
+for name in REQUIRED:
+    section = record[name]
+    run = section.get("run") if isinstance(section, dict) else None
+    if not isinstance(run, dict):
+        errors.append(f"{name}: no run header")
+        continue
+    bad = [k for k, ok in HEADER.items() if k not in run or not ok(run[k])]
+    if bad:
+        errors.append(f"{name}: run header lacks or mistypes {', '.join(bad)}")
+        continue
+    rows = list(measured_rows(section))
+    if not rows:
+        errors.append(f"{name}: no measured rows")
+    total += len(rows)
+    for i, r in enumerate(rows):
+        where = f"{name} row {i}"
+        try:
+            rate, domains, secs, repeats = r["ops_per_sec"], r["domains"], r["seconds"], r["repeats"]
+            if not rate["min"] <= rate["median"] <= rate["max"]:
+                errors.append(f"{where}: ops/s min <= median <= max fails ({rate})")
+            if r["oversubscribed"] != (domains > run["nproc"]):
+                errors.append(f"{where}: oversubscribed is not domains ({domains}) > nproc ({run['nproc']})")
+            if len(secs) != repeats:
+                errors.append(f"{where}: {len(secs)} seconds for {repeats} repeats")
+            if not run["smoke"]:
+                if repeats < 5:
+                    errors.append(f"{where}: {repeats} repeats, a full run needs >= 5")
+                if min(secs) < 0.2:
+                    errors.append(f"{where}: a repeat of {min(secs):.3f} s, a full run needs >= 0.2 s")
+        except (KeyError, TypeError, ValueError) as e:
+            errors.append(f"{where}: malformed measured row ({e!r})")
+
+if errors:
+    sys.exit("check-bench: " + path + "\n  " + "\n  ".join(errors))
+
+print(f"check-bench: {path} ok ({len(record)} top-level keys, all {len(REQUIRED)} suite sections, "
+      f"{total} measured rows)")
 EOF

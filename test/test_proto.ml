@@ -911,6 +911,32 @@ let server_tests =
               "token conservation over the wire"
               (st.Load.increments - st.Load.decrements)
               (Client.read c)));
+    tc "bursty arrivals over the wire: every op served, pauses off the busy time" (fun () ->
+        with_server ~net:net1616 (fun server ->
+            let spec =
+              {
+                Load.default with
+                Load.clients = 2;
+                conns_per_client = 2;
+                ops_per_client = 256;
+                dec_ratio = 0.4;
+                arrival = W.Bursty { burst = 64; pause = 0.0005 };
+              }
+            in
+            let st = Load.run ~port:(Server.port server) spec in
+            Alcotest.(check int) "every op completed" 512 st.Load.completed;
+            Alcotest.(check int) "no disconnects" 0 st.Load.disconnects;
+            Alcotest.(check bool) "some decrements" true (st.Load.decrements > 0);
+            Alcotest.(check bool)
+              (Printf.sprintf "busy %.6f s < wall %.6f s" st.Load.busy_seconds st.Load.seconds)
+              true
+              (st.Load.busy_seconds < st.Load.seconds);
+            let c = connect server in
+            Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+            Alcotest.(check int)
+              "read = increments - decrements"
+              (st.Load.increments - st.Load.decrements)
+              (Client.read c)));
     tc "mid-load stop: rig survives, drain stays quiescent" (fun () ->
         let svc = Svc.create ~validate:V.Strict (net1616 ()) in
         let server = Server.start svc in
