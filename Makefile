@@ -34,8 +34,8 @@ bench-service:
 bench-service-smoke:
 	dune exec bench/main.exe -- service --smoke
 
-# Elastic sharded fabric: shard-scaling sweep at 1/2/4 shards (fixed vs
-# auto-tuned dimensions) plus a hot-resize-under-load row, every run
+# Elastic sharded fabric: shard-scaling sweep at 1/2/4 shards of a fixed
+# C(8,8) plus a hot-resize-under-load row, every run
 # gated on token conservation and a Strict shutdown.  Records the
 # "fabric" section of BENCH_runtime.json.
 bench-fabric:
@@ -57,9 +57,10 @@ bench-sketch-smoke:
 	dune exec bench/main.exe -- sketch --smoke
 
 # Merger-strategy comparison at C(16,16): depth, size and throughput of
-# the classic difference merger vs the periodic3 and pk hybrids, each
-# row tagged with its two-token step-battery verdict.  Records the
-# "hybrid" section of BENCH_runtime.json.
+# the classic difference merger vs the periodic3 hybrids, each row
+# tagged with its two-token step-battery verdict.  The Periodic_k
+# hybrids are refuted past t=4 and not timed; `make lint` keeps their
+# verdicts.  Records the "hybrid" section of BENCH_runtime.json.
 bench-hybrid:
 	dune exec bench/main.exe -- hybrid
 

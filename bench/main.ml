@@ -838,7 +838,7 @@ let service ?(smoke = false) () =
   let c16 = C.network ~w ~t:w in
   let domains = 8 in
   let k = 32 in
-  (* per-domain ops; divisible by the pipeline width [k] *)
+  (* per-domain ops; divisible by the round size [k] *)
   let ops = if smoke then 512 else 16_000 in
   (* The stats of every service run, newest first. *)
   let runs = ref [] in
@@ -947,7 +947,7 @@ let service ?(smoke = false) () =
                 ]),
             (m, timed) )
         in
-        line "%-22s %-6s %d domains x %d ops on C(%d,%d), pipeline width %d" "counter" "mix"
+        line "%-22s %-6s %d domains x %d ops on C(%d,%d), round size %d" "counter" "mix"
           domains ops w w k;
         let naive_inc = row "naive-traverse" "inc" (naive ~mixed:false) in
         let naive_mixed = row "naive-traverse" "50/50" (naive ~mixed:true) in
@@ -980,7 +980,7 @@ let service ?(smoke = false) () =
     [
       ("net", str (Printf.sprintf "C(%d,%d)" w w));
       ("domains", string_of_int domains);
-      ("pipeline", string_of_int k);
+      ("round", string_of_int k);
       ("results", rows results);
       ("speedup_mixed_vs_naive", Printf.sprintf "%.3f" speedup_mixed);
       ("speedup_inc_vs_naive", Printf.sprintf "%.3f" speedup_inc);
@@ -989,14 +989,12 @@ let service ?(smoke = false) () =
 
 (* ------------------------------------------------------------------ *)
 (* fabric: the elastic sharded counter fabric — shard-scaling sweep at
-   1/2/4 shards of C(8,8) under 8 domains, each shard count measured
-   both with fixed dimensions and with the auto-tuner's calibrated
-   (w,t) pick, plus a hot-resize-under-load row: shard 0 of the
-   4-shard fabric swapped C(8,8) -> C(16,16) mid-run with token
-   conservation asserted at the Strict drain.  The projected rows come
-   from the Theorem 6.7 contention model and show the analytic shard
-   scaling at domain counts this host can only timeshare.  Records the
-   "fabric" section of BENCH_runtime.json.                              *)
+   1/2/4 shards of C(8,8) under 8 domains, plus a hot-resize-under-load
+   row: shard 0 of the 4-shard fabric swapped C(8,8) -> C(16,16) mid-run
+   with token conservation asserted at the Strict drain.  The projected
+   rows come from the Theorem 6.7 contention model and show the analytic
+   shard scaling at domain counts this host can only timeshare.  Records
+   the "fabric" section of BENCH_runtime.json.                          *)
 
 let fabric ?(smoke = false) () =
   header "fabric  sharded counter fabric: shard scaling + hot resize (BENCH_runtime.json)";
@@ -1023,20 +1021,15 @@ let fabric ?(smoke = false) () =
   line "calibration: %.1f ns/crossing on C(%d,%d)" cal.P.crossing_ns w w;
   (* One run of a configuration: [domains] domains each driving
      [sessions_per] keyed sessions round-robin, pure increments with
-     Overloaded retry.  [tune] retunes every shard to the model's pick
-     before the timed region; [resize_mid] makes domain 0 hot-swap
-     shard 0 to C(16,16) halfway through its op budget while the other
-     domains keep submitting.  Conservation (global read = completed
+     Overloaded retry.  [resize_mid] makes domain 0 hot-swap shard 0 to
+     C(16,16) halfway through its op budget while the other domains keep
+     submitting.  Conservation (global read = completed
      increments) and a Strict shutdown gate every run.  The shard
      dimensions and Closed refusals of the latest run are kept for its
      row. *)
   let dims = ref "" and rejected = ref 0 in
-  let run_config pool name ~shards ~tune ~resize_mid ops =
-    let fab = Fab.create ~metrics:tune ~validate:V.Strict ~elim:false ~shards net in
-    if tune then
-      for sid = 0 to shards - 1 do
-        match Fab.retune fab cal ~shard:sid ~domains with Ok _ | Error _ -> ()
-      done;
+  let run_config pool name ~shards ~resize_mid ops =
+    let fab = Fab.create ~validate:V.Strict ~elim:false ~shards net in
     let completed = Array.make domains 0 in
     let refused = Array.make domains 0 in
     let resize_failed = ref false in
@@ -1081,12 +1074,10 @@ let fabric ?(smoke = false) () =
     (s, done_ops)
   in
   line "%d domains x %d ops, %d sessions/domain" domains ops sessions_per;
-  let fixed, others =
+  let fixed, resized =
     DP.with_pool domains (fun pool ->
-        let row name ~tune ~resize_mid shards =
-          let m =
-            measure ~smoke ~domains ~ops (run_config pool name ~shards ~tune ~resize_mid)
-          in
+        let row name ~resize_mid shards =
+          let m = measure ~smoke ~domains ~ops (run_config pool name ~shards ~resize_mid) in
           line "%-18s %d shard%s %-22s %11.0f ops/s   %d rejected%s" name shards
             (if shards = 1 then " " else "s")
             !dims m.median !rejected
@@ -1098,10 +1089,9 @@ let fabric ?(smoke = false) () =
               ),
             m )
         in
-        let fixed = List.map (row "fixed" ~tune:false ~resize_mid:false) shard_counts in
-        let autotuned = List.map (row "autotuned" ~tune:true ~resize_mid:false) shard_counts in
-        let resized = row "resize-under-load" ~tune:false ~resize_mid:true 4 in
-        (List.combine shard_counts fixed, autotuned @ [ resized ]))
+        let fixed = List.map (row "fixed" ~resize_mid:false) shard_counts in
+        let resized = row "resize-under-load" ~resize_mid:true 4 in
+        (List.combine shard_counts fixed, resized))
   in
   (* Analytic shard scaling from the calibrated Theorem 6.7 model:
      shards split the domain population, so an N-shard fabric is N
@@ -1135,7 +1125,7 @@ let fabric ?(smoke = false) () =
       ("domains", string_of_int domains);
       ("sessions_per_domain", string_of_int sessions_per);
       ("crossing_ns", Printf.sprintf "%.2f" cal.P.crossing_ns);
-      ("results", rows (List.map (fun (_, (json, _)) -> json) fixed @ List.map fst others));
+      ("results", rows (List.map (fun (_, (json, _)) -> json) fixed @ [ fst resized ]));
       ( "projected",
         rows
           (List.map
@@ -1278,9 +1268,9 @@ let sketch ?(smoke = false) () =
 (* hybrid: merger-strategy comparison at C(16,16).  Depth/size of each
    substituted topology plus shared-counter throughput, with the lint's
    two-token step battery replayed inline so every row carries its own
-   correctness verdict (periodic3 passes it at this width; the pk
-   strategies are refuted — the row records that honestly rather than
-   benchmarking a broken network as if it counted).                     *)
+   correctness verdict (periodic3 passes it at this width).  The
+   Periodic_k strategies, refuted past t=4, are not timed: the lint's
+   hybrid campaign and mutant battery keep that negative result gated. *)
 
 let hybrid ?(smoke = false) () =
   header "hybrid  merger strategies at C(16,16): depth/size/throughput (BENCH_runtime.json)";
@@ -1295,8 +1285,6 @@ let hybrid ?(smoke = false) () =
       ("difference", M.Difference, M.All_levels);
       ("periodic3/top", M.Periodic3, M.Top_only);
       ("periodic3/all", M.Periodic3, M.All_levels);
-      ("pk2/top", M.Periodic_k 2, M.Top_only);
-      ("pk6/top", M.Periodic_k 6, M.Top_only);
     ]
   in
   line "%-15s %6s %6s %8s %12s" "merger" "depth" "size" "battery" "ops/s";

@@ -473,15 +473,6 @@ let fabric_shards_arg =
     & info [ "shards" ] ~docv:"N"
         ~doc:"Shard count for the fabric (default 2). Requires $(b,--fabric).")
 
-let autotune_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "autotune" ]
-        ~doc:"Before the measured run, calibrate the crossing cost on this host and hot-resize \
-              every shard to the contention model's predicted-best C(w,t) at $(b,--domains) \
-              concurrency ($(b,Cn_analysis.Projection.tune)). Requires $(b,--fabric).")
-
 let backend_arg =
   Arg.(
     value
@@ -615,8 +606,7 @@ let throughput_cmd =
   let parse_skew = parse_skew ~fail:fail_usage in
   let parse_arrival = parse_arrival ~fail:fail_usage in
   let run net domains ops mode batch pipeline metrics policy service elim max_batch
-      sessions dec_ratio skew arrival projected stall_factor fabric fabric_shards autotune
-      backend =
+      sessions dec_ratio skew arrival projected stall_factor fabric fabric_shards backend =
     if domains <= 0 then fail_usage (Printf.sprintf "--domains must be positive (got %d)" domains);
     if ops <= 0 then fail_usage (Printf.sprintf "--ops must be positive (got %d)" ops);
     (match batch with
@@ -632,14 +622,11 @@ let throughput_cmd =
     | Some f when f <= 0. ->
         fail_usage (Printf.sprintf "--stall-factor must be positive (got %g)" f)
     | _ -> ());
-    if stall_factor <> None && not (projected || autotune) then
-      fail_usage "--stall-factor requires --projected or --autotune";
+    if stall_factor <> None && not projected then
+      fail_usage "--stall-factor requires --projected";
     if service && fabric then
       fail_usage "--service and --fabric are mutually exclusive (pick one front-end)";
-    if not fabric then begin
-      if fabric_shards <> None then fail_usage "--shards requires --fabric";
-      if autotune then fail_usage "--autotune requires --fabric"
-    end;
+    if (not fabric) && fabric_shards <> None then fail_usage "--shards requires --fabric";
     if not service && not fabric then begin
       let require_front (name, set) =
         if set then fail_usage (name ^ " requires --service or --fabric")
@@ -760,42 +747,14 @@ let throughput_cmd =
         exit 0);
     if fabric then begin
       let module Fab = Cn_fabric.Fabric in
-      let module P = Cn_analysis.Projection in
       let shards = Option.value fabric_shards ~default:2 in
       if shards <= 0 then
         fail_usage (Printf.sprintf "--shards must be positive (got %d)" shards);
-      let resize_err = function
-        | Fab.Cert_rejected m -> "certificate rejected: " ^ m
-        | Fab.Busy -> "busy"
-        | Fab.Bad_shard -> "bad shard"
-        | Fab.Fabric_closed -> "fabric closed"
-      in
       let fab =
         try
           Fab.create ~mode ~metrics ?max_batch ?elim ~validate:policy ~shards net
         with Fab.Rejected msg -> fail_usage ("topology rejected: " ^ msg)
       in
-      if autotune then begin
-        let depth = T.depth net in
-        let crossing_ns =
-          Cn_runtime.Harness.calibrate_crossing_ns
-            ~ops_per_domain:(max 1_000 (min ops 200_000))
-            ~make:(fun () -> Cn_runtime.Shared_counter.of_topology ~mode net)
-            ~depth ()
-        in
-        let c = P.calibrate ?stall_factor ~crossing_ns () in
-        for sid = 0 to shards - 1 do
-          match Fab.retune fab c ~shard:sid ~domains with
-          | Ok (`Resized (w, t)) ->
-              Printf.printf "autotune: shard %d -> C(%d,%d)\n" sid w t
-          | Ok `Unchanged ->
-              let i = Fab.shard_info fab sid in
-              Printf.printf "autotune: shard %d stays C(%d,%d)\n" sid i.Fab.width
-                i.Fab.out_width
-          | Error e ->
-              fail_usage (Printf.sprintf "autotune: shard %d: %s" sid (resize_err e))
-        done
-      end;
       let sessions_per = Option.value sessions ~default:2 in
       let completed = Array.make domains 0 in
       let rejected = Array.make domains 0 in
@@ -927,7 +886,7 @@ let throughput_cmd =
       const run $ network_term $ domains_arg $ ops_arg $ mode_arg $ batch_arg
       $ pipeline_arg $ metrics_flag $ validate_arg $ service_flag $ elim_arg $ max_batch_arg
       $ sessions_arg $ dec_ratio_arg $ skew_arg $ arrival_arg $ projected_flag
-      $ stall_factor_arg $ fabric_flag $ fabric_shards_arg $ autotune_flag $ backend_arg)
+      $ stall_factor_arg $ fabric_flag $ fabric_shards_arg $ backend_arg)
 
 (* ---------------------------------------------------------------- *)
 (* sort *)
@@ -1432,99 +1391,18 @@ let lint_cmd =
       $ lint_file_arg)
 
 (* ---------------------------------------------------------------- *)
-(* serve / load: the countnetd wire protocol, from this binary. *)
+(* load: drive a running countnetd over the wire protocol. *)
 
 let host_arg =
   Arg.(
     value
     & opt string "127.0.0.1"
-    & info [ "host" ] ~docv:"HOST" ~doc:"Address to bind (serve) or connect to (load).")
+    & info [ "host" ] ~docv:"HOST" ~doc:"Address of the countnetd to drive.")
 
-let port_arg ~doc = Arg.(value & opt int 0 & info [ "port" ] ~docv:"PORT" ~doc)
-
-let serve_cmd =
-  let module D = Cn_proto.Daemon in
-  let fail_usage msg =
-    prerr_endline ("countnet serve: " ^ msg);
-    exit 2
-  in
-  let queue_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "queue" ] ~docv:"SLOTS"
-          ~doc:"Per-lane submission slots before Overloaded (default: the service's).")
-  in
-  let serve_max_batch_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-batch" ] ~docv:"N" ~doc:"Operations one combined batch may serve.")
-  in
-  let serve_metrics_flag =
-    Arg.(
-      value & flag
-      & info [ "metrics" ] ~doc:"Compile the served runtime with the observability layer.")
-  in
-  let serve_shards_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ] ~docv:"N"
-          ~doc:"Serve an N-shard counter fabric (each shard its own certified C(w,t), \
-                consistent-hash session routing, combining global reads) instead of a \
-                single service.")
-  in
-  let run host port w t queue max_batch metrics policy shards =
-    if port < 0 || port > 65535 then
-      fail_usage (Printf.sprintf "--port must be in [0, 65535] (got %d)" port);
-    if w <= 0 then fail_usage (Printf.sprintf "--width must be positive (got %d)" w);
-    (match t with
-    | Some t when t <= 0 -> fail_usage (Printf.sprintf "--out-width must be positive (got %d)" t)
-    | _ -> ());
-    (match queue with
-    | Some q when q <= 0 -> fail_usage (Printf.sprintf "--queue must be positive (got %d)" q)
-    | _ -> ());
-    (match max_batch with
-    | Some b when b <= 0 ->
-        fail_usage (Printf.sprintf "--max-batch must be positive (got %d)" b)
-    | _ -> ());
-    (match shards with
-    | Some n when n <= 0 -> fail_usage (Printf.sprintf "--shards must be positive (got %d)" n)
-    | _ -> ());
-    let cfg =
-      {
-        D.host;
-        port;
-        width = w;
-        out_width = t;
-        queue;
-        max_batch;
-        metrics;
-        validate = policy;
-        shards;
-      }
-    in
-    match D.serve cfg with
-    | code -> exit code
-    | exception Invalid_argument msg -> fail_usage msg
-    | exception Cn_fabric.Fabric.Rejected msg -> fail_usage ("topology rejected: " ^ msg)
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:"Run countnetd in the foreground: serve the C(w,t) counter over the length-prefixed \
-             TCP protocol until SIGTERM, then drain through the validator quiescence path.")
-    Term.(
-      const run $ host_arg
-      $ port_arg ~doc:"TCP port to bind (0 = ephemeral; the bound port is printed)."
-      $ width_arg $ out_width_arg $ queue_arg $ serve_max_batch_arg $ serve_metrics_flag
-      $ Arg.(
-          value
-          & opt policy_conv Cn_runtime.Validator.Strict
-          & info [ "validate" ] ~docv:"POLICY"
-              ~doc:"Quiescence policy at the SIGTERM drain: $(b,strict) (default), $(b,log) or \
-                    $(b,off).  The exit code reports the verdict either way.")
-      $ serve_shards_arg)
+let port_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "port" ] ~docv:"PORT" ~doc:"TCP port of the countnetd to drive (required).")
 
 let load_cmd =
   let module L = Cn_proto.Load in
@@ -1626,9 +1504,7 @@ let load_cmd =
              (Zipf/bursty/dec-ratio) and report throughput plus round-trip latency \
              percentiles.")
     Term.(
-      const run $ host_arg
-      $ port_arg ~doc:"TCP port of the countnetd to drive (required)."
-      $ clients_arg $ conns_arg $ load_ops_arg $ load_dec_ratio_arg $ load_skew_arg
+      const run $ host_arg $ port_arg $ clients_arg $ conns_arg $ load_ops_arg $ load_dec_ratio_arg $ load_skew_arg
       $ load_arrival_arg $ seed_arg)
 
 (* ---------------------------------------------------------------- *)
@@ -1640,7 +1516,7 @@ let main_cmd =
     [
       draw_cmd; depth_cmd; verify_cmd; simulate_cmd; throughput_cmd; sort_cmd; count_cmd;
       iso_cmd; save_cmd; restore_cmd; feasible_cmd; latency_cmd; check_cmd; lint_cmd;
-      serve_cmd; load_cmd;
+      load_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -1,8 +1,7 @@
 (* countnetd: the standalone wire-protocol counter daemon.
 
-   The process body lives in Cn_proto.Daemon (shared with `countnet
-   serve`); this executable is the small-surface production entry:
-   C(w,t) only, foreground, SIGTERM/SIGINT drain. *)
+   The process body lives in Cn_proto.Daemon; this executable is its
+   command line: C(w,t) only, foreground, SIGTERM/SIGINT drain. *)
 
 open Cmdliner
 

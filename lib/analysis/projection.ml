@@ -59,66 +59,6 @@ let sweep_central c ~domains_list = List.map (fun n -> project_central c ~domain
 let sweep_network ?seed ?m_per_n c net ~domains_list =
   List.map (fun n -> project_network ?seed ?m_per_n c net ~domains:n) domains_list
 
-(* ------------------------------------------------------------------ *)
-(* Analytic (w, t) tuning — the fabric's auto-tuner.
-
-   Simulation-backed projections are the honest tool for one known
-   topology; a tuner comparing dozens of candidates wants the closed
-   forms instead: Theorem 6.7's contention bound gives stalls/token
-   amortized over n processes, Theorem 4.1's depth formula gives the
-   crossing count, and the calibration prices both.  Everything is
-   deterministic — same calibration, same answer — which is what a
-   resize decision should be. *)
-
-let predicted_stalls_per_token ~w ~t ~domains =
-  if domains <= 0 then
-    invalid_arg "Projection.predicted_stalls_per_token: domains must be positive";
-  Bounds.contention_c ~w ~t ~n:domains /. float_of_int domains
-
-let tuned_point ?(stall_scale = 1.) c ~w ~t ~domains =
-  if not (stall_scale > 0.) then
-    invalid_arg "Projection.tuned_point: stall_scale must be positive";
-  point c ~domains
-    ~depth:(Cn_core.Counting.depth_formula ~w)
-    ~stalls_per_token:(stall_scale *. predicted_stalls_per_token ~w ~t ~domains)
-
-(* Candidate outputs are t = p·w for p in [1, lg w] — the paper's
-   operating envelope, whose upper end (t = w·lg w) is exactly where
-   Theorem 6.7's amortized bound reaches O(n·lg w / w).  Within the
-   envelope the depth term is t-free (Theorem 4.1), so widening the
-   output side only sheds contention; the tuner picks the widest t
-   whenever the model says contention matters at all, which is the
-   t = w·lg w recommendation the unit tests pin. *)
-let tune_t ?stall_scale c ~w ~domains =
-  if w < 2 || not (Cn_core.Params.is_power_of_two w) then
-    invalid_arg "Projection.tune_t: w must be a power of two >= 2";
-  let lgw = Cn_core.Params.ilog2 w in
-  let best = ref (w, nan) in
-  for p = 1 to max 1 lgw do
-    let t = p * w in
-    let pt = tuned_point ?stall_scale c ~w ~t ~domains in
-    let _, best_rate = !best in
-    (* strict improvement required: ties keep the narrower output side *)
-    if Float.is_nan best_rate || pt.ops_per_sec > best_rate then
-      best := (t, pt.ops_per_sec)
-  done;
-  fst !best
-
-let tune ?stall_scale ?(widths = [ 2; 4; 8; 16; 32 ]) c ~domains =
-  if widths = [] then invalid_arg "Projection.tune: empty width list";
-  let scored =
-    List.map
-      (fun w ->
-        let t = tune_t ?stall_scale c ~w ~domains in
-        ((w, t), (tuned_point ?stall_scale c ~w ~t ~domains).ops_per_sec))
-      widths
-  in
-  fst
-    (List.fold_left
-       (fun (best, best_rate) (cand, rate) ->
-         if rate > best_rate then (cand, rate) else (best, best_rate))
-       (List.hd scored) (List.tl scored))
-
 (* Smallest concurrency (by doubling then linear scan, capped) at which
    the projected network rate overtakes the projected central rate —
    the projection's answer to the paper's crossover question. *)

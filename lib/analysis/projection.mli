@@ -78,40 +78,6 @@ val sweep_network :
   ?seed:int -> ?m_per_n:int -> calibration -> Cn_network.Topology.t -> domains_list:int list -> point list
 (** {!project_network} at each concurrency. *)
 
-(** {2 Analytic [(w, t)] tuning}
-
-    The shard fabric's auto-tuner: instead of simulating every
-    candidate topology, price Theorem 6.7's closed-form contention
-    bound and Theorem 4.1's depth formula with the calibration and
-    compare.  Deterministic — same calibration, same answer. *)
-
-val predicted_stalls_per_token : w:int -> t:int -> domains:int -> float
-(** Amortized stalls per token from the Theorem 6.7 bound,
-    [contention_c(w,t,n) / n].
-    @raise Invalid_argument if [domains <= 0]. *)
-
-val tuned_point : ?stall_scale:float -> calibration -> w:int -> t:int -> domains:int -> point
-(** The projected throughput point of [C(w,t)] at [domains] processes
-    under the analytic stall model.  [?stall_scale] (default [1.])
-    multiplies the predicted stalls — the hook the fabric uses to fold
-    a live measured stall profile into the prediction.
-    @raise Invalid_argument on non-positive [stall_scale] or
-    [domains]. *)
-
-val tune_t : ?stall_scale:float -> calibration -> w:int -> domains:int -> int
-(** Predicted-best output width for a fixed input width: the [t = p·w]
-    with [p] in [[1, lg w]] maximizing projected throughput (ties keep
-    the narrower [t]).  Whenever contention is visible at all this is
-    the paper's [t = w·lg w] recommendation (Theorem 6.7) — the unit
-    tests pin exactly that at [w = 4, 8, 16].
-    @raise Invalid_argument unless [w] is a power of two [>= 2]. *)
-
-val tune : ?stall_scale:float -> ?widths:int list -> calibration -> domains:int -> int * int
-(** Predicted-best [(w, t)] over [?widths] (default
-    [[2; 4; 8; 16; 32]]), each width paired with its {!tune_t} choice.
-    Low concurrency favours shallow networks (small [w]); past the
-    crossover the contention relief of wider networks wins. *)
-
 val crossover : ?seed:int -> ?m_per_n:int -> ?max_domains:int -> calibration -> Cn_network.Topology.t -> int option
 (** [crossover c net] is the smallest projected concurrency (scanned up
     to [?max_domains], default 1024) at which the network's projected

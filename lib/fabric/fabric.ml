@@ -1,25 +1,17 @@
 (* The production fabric: Fabric_core's protocol over the real atomics
-   and the real combining Service, with two policies the core functor
-   keeps abstract filled in concretely:
-
-   - certification: every topology — initial shards, hot-resize
-     candidates, grow targets — runs the Cn_lint eight-pass pipeline
-     with expectation [Counting] before it may serve traffic; a
-     certificate that is not ok, or whose evidence is a refutation, is
-     a hard abort (the resize returns [Cert_rejected] and nothing
-     changed);
-   - tuning: the predicted-best per-shard (w, t) comes from
-     [Cn_analysis.Projection.tune] (Theorem 6.7's calibrated contention
-     model), corrected by the live per-layer stall profile when the
-     shard's runtime records one (Cas mode with metrics on). *)
+   and the real combining Service, with the certification policy the
+   core functor keeps abstract filled in concretely: every topology —
+   initial shards, hot-resize candidates, grow targets — runs the
+   Cn_lint eight-pass pipeline with expectation [Counting] before it
+   may serve traffic; a certificate that is not ok, or whose evidence
+   is a refutation, is a hard abort (the resize returns [Cert_rejected]
+   and nothing changed). *)
 
 module Topology = Cn_network.Topology
 module Counting = Cn_core.Counting
 module RT = Cn_runtime.Network_runtime
-module Metrics = Cn_runtime.Metrics
 module V = Cn_runtime.Validator
 module Svc = Cn_service.Service
-module Projection = Cn_analysis.Projection
 module Cert = Cn_lint.Cert
 
 (* Service, extended with the one accessor the fabric's accounting
@@ -73,63 +65,6 @@ let create ?mode ?(metrics = false) ?max_batch ?queue ?elim ?(validate = V.Stric
   in
   Core.make ?max_shards ?vnodes ~validate ~spawn ~certify
     (List.init shards (fun _ -> net))
-
-(* ------------------------------------------------------------------ *)
-(* Auto-tuning: analytic prediction, corrected by live stall counters. *)
-
-(* One noisy profile must not be able to swing the tuner by more than
-   4x in either direction. *)
-let min_scale = 0.25
-let max_scale = 4.
-let min_profile_tokens = 1024
-
-let live_stall_scale t ~shard ~domains =
-  let svc = Core.shard_service t shard in
-  match RT.metrics (Svc.runtime svc) with
-  | None -> 1.
-  | Some m ->
-      let layers = Svc.layers svc in
-      if Array.length layers = 0 then 1.
-      else begin
-        let stalls =
-          Array.fold_left ( + ) 0 (Metrics.layer_stalls m ~layers)
-        in
-        let snap = Metrics.snapshot m in
-        let tokens = snap.Metrics.tokens + snap.Metrics.antitokens in
-        (* Cold-start guard: below [min_profile_tokens] the stalls/token
-           ratio is dominated by sampling noise — a handful of unlucky
-           crossings on a nearly idle shard used to pin the scale at a
-           clamp edge and let retune pick a degenerate (w, t).  With
-           too few samples (including the fully idle stalls = 0 or
-           tokens = 0 cases) the tuner falls back to the pure analytic
-           model. *)
-        if stalls = 0 || tokens < min_profile_tokens then 1.
-        else begin
-          let topo = Core.shard_topology t shard in
-          let w = Topology.input_width topo
-          and tt = Topology.output_width topo in
-          let predicted = Projection.predicted_stalls_per_token ~w ~t:tt ~domains in
-          if predicted <= 0. then 1.
-          else
-            Float.min max_scale
-              (Float.max min_scale
-                 (float_of_int stalls /. float_of_int tokens /. predicted))
-        end
-      end
-
-let plan ?widths t cal ~shard ~domains =
-  let stall_scale = live_stall_scale t ~shard ~domains in
-  Projection.tune ?widths ~stall_scale cal ~domains
-
-let retune ?policy ?widths t cal ~shard ~domains =
-  let w, tt = plan ?widths t cal ~shard ~domains in
-  let cur = Core.shard_topology t shard in
-  if Topology.input_width cur = w && Topology.output_width cur = tt then
-    Ok `Unchanged
-  else
-    match resize ?policy t ~shard (Counting.network ~w ~t:tt) with
-    | Ok () -> Ok (`Resized (w, tt))
-    | Error e -> Error e
 
 (* ------------------------------------------------------------------ *)
 (* Reporting. *)

@@ -18,15 +18,9 @@
     eight-pass pipeline with expectation [Counting]; a rejected
     certificate aborts the operation before any state changes.
 
-    The per-shard [(w, t)] choice can be auto-tuned:
-    {!Cn_analysis.Projection.tune} evaluates Theorem 6.7's calibrated
-    contention model over the candidate grid (pinning [t = w·lg w] per
-    width), and {!plan} corrects the prediction with the shard's live
-    {!Cn_runtime.Metrics} stall profile when one is recorded.
-
     The protocol body lives in {!Fabric_core.Make} and is model-checked
     by [Cn_check] over instrumented atomics ([make check-races]); this
-    module adds only the concrete spawn/certify/tune policies. *)
+    module adds only the concrete spawn and certify policies. *)
 
 include
   Fabric_core.S
@@ -69,46 +63,6 @@ val certify_topology :
 (** The gate itself: [Ok cert] when the certificate is clean and its
     evidence is not a refutation, [Error summary] otherwise — the
     string is what {!resize} wraps in [Cert_rejected]. *)
-
-(** {2 Auto-tuning} *)
-
-val min_profile_tokens : int
-(** [1024] — the fewest crossings a shard must have recorded before
-    {!live_stall_scale} trusts its live profile.  Below this the
-    stalls/token ratio is sampling noise (a cold shard's first few
-    crossings used to pin the scale at a clamp edge and let {!retune}
-    pick a degenerate [(w, t)]); the tuner uses the pure analytic
-    model instead. *)
-
-val live_stall_scale : t -> shard:int -> domains:int -> float
-(** Ratio of the shard's measured stalls/token (typed
-    {!Cn_runtime.Metrics.layer_stalls} counters — no JSON re-parsing)
-    to the analytic prediction at the shard's current dimensions,
-    clamped to [[0.25, 4]].  [1.] when the shard records no stalls
-    (Faa mode, metrics off, or an idle shard) or fewer than
-    {!min_profile_tokens} crossings (the cold-start floor). *)
-
-val plan :
-  ?widths:int list ->
-  t ->
-  Cn_analysis.Projection.calibration ->
-  shard:int ->
-  domains:int ->
-  int * int
-(** Predicted-best [(w, t)] for one shard at the given concurrency:
-    {!Cn_analysis.Projection.tune} scaled by {!live_stall_scale}. *)
-
-val retune :
-  ?policy:Cn_runtime.Validator.policy ->
-  ?widths:int list ->
-  t ->
-  Cn_analysis.Projection.calibration ->
-  shard:int ->
-  domains:int ->
-  ([ `Resized of int * int | `Unchanged ], resize_error) result
-(** [retune t cal ~shard ~domains] plans and, when the prediction
-    differs from the shard's current dimensions, hot-resizes the shard
-    to the planned [C(w,t)] (certified first, like every resize). *)
 
 (** {2 Backend profiles}
 

@@ -13,19 +13,6 @@ type config = {
   shards : int option;
 }
 
-let default =
-  {
-    host = "127.0.0.1";
-    port = 0;
-    width = 16;
-    out_width = None;
-    queue = None;
-    max_batch = None;
-    metrics = false;
-    validate = V.Strict;
-    shards = None;
-  }
-
 let serve cfg =
   let t = Option.value cfg.out_width ~default:cfg.width in
   let net = Cn_core.Counting.network ~w:cfg.width ~t in

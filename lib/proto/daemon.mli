@@ -1,9 +1,8 @@
-(** The countnetd process body, shared by the [countnetd] executable
-    and [countnet serve]: build the paper's C(w,t), put a
-    {!Cn_service.Service} — or, with [shards], a sharded
-    {!Cn_fabric.Fabric} — in front of it, serve it with {!Server}, and
-    on SIGTERM/SIGINT walk the graceful drain and report the
-    validator's verdict.
+(** The process body behind the [countnetd] executable: build the
+    paper's C(w,t), put a {!Cn_service.Service} — or, with [shards], a
+    sharded {!Cn_fabric.Fabric} — in front of it, serve it with
+    {!Server}, and on SIGTERM/SIGINT walk the graceful drain and report
+    the validator's verdict.
 
     Stdout contract (the smoke test scrapes it): the first line is
 
@@ -33,11 +32,6 @@ type config = {
       (** [Some n]: serve an [n]-shard {!Cn_fabric.Fabric} instead of a
           single service (every shard the same certified C(w,t)) *)
 }
-
-val default : config
-(** [{ host = "127.0.0.1"; port = 0; width = 16; out_width = None;
-      queue = None; max_batch = None; metrics = false;
-      validate = Strict; shards = None }] *)
 
 val serve : config -> int
 (** Run until SIGTERM/SIGINT, then drain and return the process exit

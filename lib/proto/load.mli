@@ -11,8 +11,7 @@
     performs [ops_per_client] operations, choosing a connection per
     operation by [skew].  Round-trip latencies are recorded into a
     per-thread {!Cn_runtime.Metrics.Reservoir} and merged into one
-    p50/p95/p99 summary — the SLO rows the bench suite appends to
-    BENCH_runtime.json.
+    p50/p95/p99 summary, the one [countnet load] prints.
 
     Backpressure discipline matches Workload: an [Overloaded] reply
     sheds the operation (counted in [rejected]); [Closed] means the

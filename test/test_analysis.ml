@@ -137,58 +137,9 @@ let projection =
         ignore (Pr.project_central cal ~domains:0));
   ]
 
-let tune =
-  let cal = Pr.calibrate ~crossing_ns:20. () in
-  [
-    tc "predicted stalls are the amortized Theorem 6.7 bound" (fun () ->
-        (* contention_c(8,8,8) = 87 (see the bounds suite), so 87/8. *)
-        Alcotest.(check bool) "value" true
-          (close (Pr.predicted_stalls_per_token ~w:8 ~t:8 ~domains:8) (87. /. 8.)));
-    tc "tuned point prices depth from Theorem 4.1" (fun () ->
-        (* depth(C(8,t)) = (lg2 8 + lg 8)/2 = 6, independent of t; an
-           uncontended token therefore costs 6 crossings. *)
-        let p = Pr.tuned_point cal ~w:8 ~t:8 ~domains:1 ~stall_scale:1e-9 in
-        Alcotest.(check bool) "token ns ~ depth x crossing" true
-          (abs_float (p.Pr.token_ns -. (6. *. 20.)) < 1e-3));
-    tc "tune_t pins t = w lg w at w = 4, 8, 16" (fun () ->
-        (* Depth is t-free (Theorem 4.1) while the Theorem 6.7 bound is
-           strictly decreasing in t, so the widest legal spread always
-           wins: t = w lg w (the paper's recommendation). *)
-        List.iter
-          (fun (w, expected) ->
-            Alcotest.(check int)
-              (Printf.sprintf "w=%d" w)
-              expected
-              (Pr.tune_t cal ~w ~domains:64))
-          [ (4, 8); (8, 24); (16, 64) ]);
-    tc "tune_t is stall-scale invariant" (fun () ->
-        (* Scaling all stalls can move the w choice, never the t choice:
-           t only sheds contention. *)
-        List.iter
-          (fun scale ->
-            Alcotest.(check int) (Printf.sprintf "scale %g" scale) 24
-              (Pr.tune_t ~stall_scale:scale cal ~w:8 ~domains:128))
-          [ 0.25; 1.; 4. ]);
-    tc "tune picks shallow networks at low concurrency, wide at high" (fun () ->
-        let w_lo, _ = Pr.tune cal ~domains:1 in
-        let w_hi, t_hi = Pr.tune cal ~domains:1024 in
-        Alcotest.(check int) "n=1 favours the smallest width" 2 w_lo;
-        Alcotest.(check bool) "n=1024 favours a wider network" true (w_hi > w_lo);
-        Alcotest.(check int) "its t is w lg w" (w_hi * Cn_core.Params.ilog2 w_hi) t_hi);
-    tc "tune respects a custom width grid" (fun () ->
-        let w, t = Pr.tune ~widths:[ 8 ] cal ~domains:4 in
-        Alcotest.(check int) "w" 8 w;
-        Alcotest.(check int) "t" 24 t);
-    Util.raises_invalid "tune_t rejects non-power-of-two widths" (fun () ->
-        ignore (Pr.tune_t cal ~w:12 ~domains:4));
-    Util.raises_invalid "predicted stalls reject n = 0" (fun () ->
-        ignore (Pr.predicted_stalls_per_token ~w:8 ~t:8 ~domains:0));
-  ]
-
 let suite =
   [
     ("analysis.params", params);
     ("analysis.bounds", bounds);
     ("analysis.projection", projection);
-    ("analysis.tune", tune);
   ]

@@ -8,7 +8,6 @@ module Router = Cn_fabric.Router
 module Counting = Cn_core.Counting
 module T = Cn_network.Topology
 module V = Cn_runtime.Validator
-module P = Cn_analysis.Projection
 module L = Cn_lint
 
 let tc name f = Alcotest.test_case name `Quick f
@@ -388,75 +387,6 @@ let resize_under_load =
           (Fab.read fab));
   ]
 
-let tuning =
-  [
-    tc "live_stall_scale is 1 without metrics and plan matches tune" (fun () ->
-        let fab = Fab.create ~shards:1 (Counting.network ~w:4 ~t:4) in
-        let cal = P.calibrate ~crossing_ns:20. () in
-        Alcotest.(check bool) "unit scale" true
-          (Fab.live_stall_scale fab ~shard:0 ~domains:8 = 1.);
-        let w, t = Fab.plan fab cal ~shard:0 ~domains:8 in
-        let w', t' = P.tune cal ~domains:8 in
-        Alcotest.(check int) "same w" w' w;
-        Alcotest.(check int) "same t" t' t);
-    tc "retune hot-resizes to the plan, then reports Unchanged" (fun () ->
-        let fab =
-          Fab.create ~shards:1 ~elim:false (Counting.network ~w:16 ~t:16)
-        in
-        let s = Fab.session ~key:0 fab in
-        for _ = 1 to 10 do
-          ignore (Fab.increment s)
-        done;
-        let cal = P.calibrate ~crossing_ns:20. () in
-        let planned_w, planned_t = P.tune cal ~domains:2 in
-        (match Fab.retune fab cal ~shard:0 ~domains:2 with
-        | Ok (`Resized (w, t)) ->
-            Alcotest.(check int) "planned w" planned_w w;
-            Alcotest.(check int) "planned t" planned_t t
-        | Ok `Unchanged -> Alcotest.fail "expected a resize away from C(16,16)"
-        | Error _ -> Alcotest.fail "retune failed");
-        Alcotest.(check int) "value continues across the retune" 10
-          (Fab.read fab);
-        match Fab.retune fab cal ~shard:0 ~domains:2 with
-        | Ok `Unchanged -> ()
-        | _ -> Alcotest.fail "expected Unchanged on the second pass");
-    tc "zero-traffic retune with metrics on is not degenerate" (fun () ->
-        (* Regression: an idle metrics-on shard has stalls = 0 and
-           tokens = 0; the stall profile must fall back to the analytic
-           model (scale 1), not divide into a clamp edge and plan a
-           degenerate geometry. *)
-        let fab =
-          Fab.create ~shards:1 ~metrics:true (Counting.network ~w:4 ~t:4)
-        in
-        let cal = P.calibrate ~crossing_ns:20. () in
-        Alcotest.(check bool) "unit scale on idle shard" true
-          (Fab.live_stall_scale fab ~shard:0 ~domains:8 = 1.);
-        let w, t = Fab.plan fab cal ~shard:0 ~domains:8 in
-        let w', t' = P.tune cal ~domains:8 in
-        Alcotest.(check int) "plan w matches pure tune" w' w;
-        Alcotest.(check int) "plan t matches pure tune" t' t);
-    tc "sub-threshold traffic keeps the cold-start floor" (fun () ->
-        (* A handful of crossings is sampling noise, not a stall
-           profile: below [min_profile_tokens] the scale must stay 1
-           even though stalls and tokens are both nonzero. *)
-        let fab =
-          Fab.create ~shards:1 ~metrics:true (Counting.network ~w:4 ~t:4)
-        in
-        let ops = Fab.min_profile_tokens / 4 in
-        let s = Fab.session ~key:0 fab in
-        for _ = 1 to ops do
-          ignore (Fab.increment s)
-        done;
-        Alcotest.(check bool) "unit scale below the sample floor" true
-          (Fab.live_stall_scale fab ~shard:0 ~domains:4 = 1.);
-        let cal = P.calibrate ~crossing_ns:20. () in
-        let w, t = Fab.plan fab cal ~shard:0 ~domains:4 in
-        let w', t' = P.tune cal ~domains:4 in
-        Alcotest.(check int) "plan unaffected by the noise sample w" w' w;
-        Alcotest.(check int) "plan unaffected by the noise sample t" t' t;
-        Alcotest.(check int) "count preserved" ops (Fab.read fab));
-  ]
-
 let profiled =
   (* The two-tier backend profile: billing keys on the exact fabric,
      telemetry keys on Cn_sketch lanes behind the router ring. *)
@@ -572,6 +502,5 @@ let suite =
     ("fabric.certification", certification);
     ("fabric.ops", ops);
     ("fabric.resize", resize_under_load);
-    ("fabric.tuning", tuning);
     ("fabric.profiled", profiled);
   ]

@@ -814,7 +814,7 @@ let server_tests =
         let svc = Svc.create ~validate:V.Strict (net44 ()) in
         let server = Server.start svc in
         (* The replies to 4 MiB of Inc frames, about 9 MiB, cannot all
-           fit in the socket buffers (Linux autotunes a send buffer up to
+           fit in the socket buffers (Linux grows a send buffer up to
            4 MiB by default, and a receive buffer grows only as its owner
            reads): the handler ends up blocked writing. *)
         let fd = raw_connect server in
