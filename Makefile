@@ -116,10 +116,15 @@ lint-hybrids:
 	dune exec bin/countnet.exe -- lint --hybrids
 
 # Quick end-to-end check of the observability layer: metrics JSON out,
-# quiescence validator strict.
+# quiescence validator strict, from the raw network and from both
+# combining front-ends (which share one drain-and-report tail).
 check-metrics:
 	dune exec bin/countnet.exe -- throughput -f counting -w 16 --domains 4 \
 	  --ops 2000 --mode cas --metrics --validate strict | grep '"schema_version"'
+	dune exec bin/countnet.exe -- throughput -f counting -w 16 --domains 4 \
+	  --ops 2000 --service --metrics --validate strict | grep '"schema_version"'
+	dune exec bin/countnet.exe -- throughput -f counting -w 16 --domains 4 \
+	  --ops 2000 --fabric --shards 2 --metrics --validate strict | grep '"schema_version"'
 
 examples:
 	for e in quickstart load_balancing barrier_sync id_server \

@@ -373,9 +373,6 @@ let e4 () =
 (* ------------------------------------------------------------------ *)
 (* E5: real-system throughput with OCaml domains (Sect 1.3.1, [19,20]). *)
 
-(* ------------------------------------------------------------------ *)
-(* E5: real-system throughput with OCaml domains (Sect 1.3.1, [19,20]). *)
-
 let e5 () =
   header "E5  multicore throughput: counter ops/s vs domains (experiments of [19,20])";
   timing_note ();
@@ -393,25 +390,23 @@ let e5 () =
              ("C(8,8)", counter (of_topology (C.network ~w ~t:w)));
              ("C(8,24)", counter (of_topology (C.wide w)));
              ("C(8,64)", counter (of_topology (C.network ~w ~t:64)));
-           ]));
-  line "CAS-retry failures per op at 8 domains (contention witness):";
-  List.iter
-    (fun (name, net) ->
-      let rt = Cn_runtime.Network_runtime.compile ~mode:Cn_runtime.Network_runtime.Cas net in
-      let body pid () =
-        for _ = 1 to 2000 do
-          ignore (Cn_runtime.Network_runtime.traverse rt ~wire:(pid mod T.input_width net))
-        done
-      in
-      let handles = Array.init 8 (fun pid -> Domain.spawn (body pid)) in
-      Array.iter Domain.join handles;
-      line "  %-12s %.4f" name
-        (float_of_int (Cn_runtime.Network_runtime.cas_failures rt) /. 16000.))
-    [
-      ("bitonic-8", Cn_baselines.Bitonic.network w);
-      ("C(8,8)", C.network ~w ~t:8);
-      ("C(8,24)", C.wide w);
-    ]
+           ]);
+      line "CAS-retry failures per op at 8 domains (contention witness):";
+      List.iter
+        (fun (name, net) ->
+          let rt = Cn_runtime.Network_runtime.compile ~mode:Cn_runtime.Network_runtime.Cas net in
+          ignore
+            (Cn_runtime.Domain_pool.run pool ~domains:8 (fun pid ->
+                 for _ = 1 to 2000 do
+                   ignore (Cn_runtime.Network_runtime.traverse rt ~wire:(pid mod T.input_width net))
+                 done));
+          line "  %-12s %.4f" name
+            (float_of_int (Cn_runtime.Network_runtime.cas_failures rt) /. 16000.))
+        [
+          ("bitonic-8", Cn_baselines.Bitonic.network w);
+          ("C(8,8)", C.network ~w ~t:8);
+          ("C(8,24)", C.wide w);
+        ])
 
 (* ------------------------------------------------------------------ *)
 (* E6: Section 1.3.2 — resource cost of increasing t.                   *)

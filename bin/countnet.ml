@@ -1,8 +1,9 @@
 (* countnet: command-line interface to the counting-network library.
 
-   Subcommands: draw, depth, verify, simulate, throughput, sort, count.
-   Every subcommand takes a network family (--family) plus the relevant
-   parameters (--width, --out-width, --delta). *)
+   Subcommands: draw, depth, verify, simulate, throughput, sort, count,
+   iso, save, restore, feasible, latency, check, lint, load.  Those that
+   build a network take a family (--family) plus the relevant
+   parameters (--width, --out-width, --delta, --merger). *)
 
 open Cmdliner
 
@@ -510,66 +511,28 @@ let arrival_arg =
               between ops) or $(b,burst:N:PAUSE) (N back-to-back ops, then PAUSE seconds). \
               Requires $(b,--service).")
 
-(* Shared by throughput --service and the TCP load rig: the textual
-   skew/arrival grammars.  [fail] reports the usage error with the
-   caller's subcommand prefix. *)
-let parse_skew ~fail s =
-  let module W = Cn_service.Workload in
-  match String.split_on_char ':' s with
-  | [ "uniform" ] -> W.Uniform
-  | [ "zipf"; a ] -> (
-      match float_of_string_opt a with
-      | Some alpha when alpha > 0. -> W.Zipf alpha
-      | _ -> fail (Printf.sprintf "--skew zipf exponent must be positive (got %S)" a))
-  | _ -> fail (Printf.sprintf "unknown skew %S (expected uniform or zipf:ALPHA)" s)
+(* What [countnet throughput] drives, fixed from its flags before any
+   domain runs: the raw network with one of its three walks, an
+   approximate tier (its counter plus the accuracy line for a given true
+   op count), or one of the two combining front-ends. *)
+type walk = Per_op | Batch of int | Pipeline of int
 
-let parse_arrival ~fail s =
-  let module W = Cn_service.Workload in
-  match String.split_on_char ':' s with
-  | [ "closed" ] -> W.Closed 0.
-  | [ "closed"; t ] -> (
-      match float_of_string_opt t with
-      | Some think when think >= 0. -> W.Closed think
-      | _ -> fail (Printf.sprintf "--arrival closed think time must be >= 0 (got %S)" t))
-  | [ "burst"; n; p ] -> (
-      match (int_of_string_opt n, float_of_string_opt p) with
-      | Some burst, Some pause when burst >= 1 && pause >= 0. -> W.Bursty { burst; pause }
-      | _ -> fail (Printf.sprintf "--arrival burst needs N >= 1 and PAUSE >= 0 (got %S)" s))
-  | _ ->
-      fail (Printf.sprintf "unknown arrival %S (expected closed[:THINK] or burst:N:PAUSE)" s)
+type driver =
+  | Network of walk
+  | Sketch of Cn_runtime.Shared_counter.t * (int -> string)
+  | Service of Cn_service.Workload.spec
+  | Fabric of { shards : int; sessions : int }
 
 let throughput_cmd =
   let module RT = Cn_runtime.Network_runtime in
+  let module DP = Cn_runtime.Domain_pool in
+  let module SC = Cn_runtime.Shared_counter in
   let module V = Cn_runtime.Validator in
   let module Svc = Cn_service.Service in
   let module W = Cn_service.Workload in
   let fail_usage msg =
     prerr_endline ("countnet throughput: " ^ msg);
     exit 2
-  in
-  (* Drive a compiled runtime from a pool, chunked through the batched
-     API; returns the timed seconds of the concurrent region. *)
-  let pool_round rt ~domains ~ops ~chunk =
-    let w = RT.input_width rt in
-    Cn_runtime.Domain_pool.with_pool domains (fun pool ->
-        Cn_runtime.Domain_pool.run pool ~domains (fun pid ->
-            let wire = pid mod w in
-            let remaining = ref ops in
-            while !remaining > 0 do
-              let n = min chunk !remaining in
-              RT.traverse_batch rt ~wire ~n ~f:(fun _ _ -> ());
-              remaining := !remaining - n
-            done))
-  in
-  (* Like [pool_round], but wavefront-pipelined: each domain owns one
-     preallocated buffer and hands the whole run to the chunking
-     pipelined walk. *)
-  let pool_round_pipelined rt ~domains ~ops ~capacity =
-    let w = RT.input_width rt in
-    Cn_runtime.Domain_pool.with_pool domains (fun pool ->
-        Cn_runtime.Domain_pool.run pool ~domains (fun pid ->
-            let buf = RT.buffer ~capacity () in
-            RT.traverse_batch_pipelined rt buf ~wire:(pid mod w) ~n:ops ~f:(fun _ _ -> ())))
   in
   (* Calibrate the uncontended crossing cost on this host (one domain),
      then print the contention-model projection next to it.  The
@@ -582,7 +545,7 @@ let throughput_cmd =
     let crossing_ns =
       Cn_runtime.Harness.calibrate_crossing_ns
         ~ops_per_domain:(max 1_000 (min ops 200_000))
-        ~make:(fun () -> Cn_runtime.Shared_counter.of_topology ~mode net)
+        ~make:(fun () -> SC.of_topology ~mode net)
         ~depth ()
     in
     let c = P.calibrate ?stall_factor ~crossing_ns () in
@@ -603,19 +566,58 @@ let throughput_cmd =
           n
     | None -> print_endline "projected crossover: none within 1024 domains"
   in
-  let parse_skew = parse_skew ~fail:fail_usage in
-  let parse_arrival = parse_arrival ~fail:fail_usage in
+  let hll_sketch ~precision =
+    let module B = Cn_sketch.Backend in
+    let module Hll = Cn_sketch.Hll in
+    let b = B.hll ~precision () in
+    let accuracy truth =
+      let est = Hll.cardinality b.B.incs in
+      Printf.sprintf
+        "hll: estimate %.0f of %d true ops (rel error %.4f, std error 1.04/sqrt(m) = %.4f), \
+         %d sketch bytes"
+        est truth
+        (Float.abs (est -. float_of_int truth) /. float_of_int truth)
+        (Hll.std_error b.B.incs)
+        (Hll.memory_bytes b.B.incs + Hll.memory_bytes b.B.decs)
+    in
+    Sketch (b.B.counter, accuracy)
+  in
+  (* The driver runs one flow per domain, each [truth / domains] ops
+     long. *)
+  let sparse_sketch ~domains ~counters ~degree =
+    let module B = Cn_sketch.Backend in
+    let module Sp = Cn_sketch.Sparse in
+    let b = B.sparse ~counters ~degree () in
+    let accuracy truth =
+      let per_flow_true = truth / domains in
+      let max_err = ref 0. in
+      for pid = 0 to domains - 1 do
+        let e = Sp.estimate b.B.sketch pid in
+        max_err :=
+          Float.max !max_err
+            (Float.abs (float_of_int (e - per_flow_true)) /. float_of_int per_flow_true)
+      done;
+      Printf.sprintf
+        "sparse: global tally %d of %d true ops, per-flow max rel error %.4f over %d flows, %d \
+         sketch bytes"
+        (Sp.total b.B.sketch) truth !max_err domains (Sp.memory_bytes b.B.sketch)
+    in
+    Sketch (b.B.counter, accuracy)
+  in
   let run net domains ops mode batch pipeline metrics policy service elim max_batch
       sessions dec_ratio skew arrival projected stall_factor fabric fabric_shards backend =
-    if domains <= 0 then fail_usage (Printf.sprintf "--domains must be positive (got %d)" domains);
-    if ops <= 0 then fail_usage (Printf.sprintf "--ops must be positive (got %d)" ops);
-    (match batch with
-    | Some b when b <= 0 -> fail_usage (Printf.sprintf "--batch must be positive (got %d)" b)
-    | _ -> ());
-    (match pipeline with
-    | Some c when c <= 0 ->
-        fail_usage (Printf.sprintf "--pipeline capacity must be positive (got %d)" c)
-    | _ -> ());
+    (* Validate once: every check below runs in this order before any
+       domain is spawned, and each usage error exits 2. *)
+    let positive name = function
+      | Some n when n <= 0 -> fail_usage (Printf.sprintf "%s must be positive (got %d)" name n)
+      | _ -> ()
+    in
+    let requires front (name, set) = if set then fail_usage (name ^ " requires " ^ front) in
+    let parsed = function Ok v -> v | Error msg -> fail_usage msg in
+    positive "--domains" (Some domains);
+    positive "--ops" (Some ops);
+    positive "--batch" batch;
+    positive "--pipeline capacity" pipeline;
     if batch <> None && pipeline <> None then
       fail_usage "--batch and --pipeline are mutually exclusive (pick one batched driver)";
     (match stall_factor with
@@ -627,55 +629,38 @@ let throughput_cmd =
     if service && fabric then
       fail_usage "--service and --fabric are mutually exclusive (pick one front-end)";
     if (not fabric) && fabric_shards <> None then fail_usage "--shards requires --fabric";
-    if not service && not fabric then begin
-      let require_front (name, set) =
-        if set then fail_usage (name ^ " requires --service or --fabric")
-      in
-      List.iter require_front
+    if not (service || fabric) then
+      List.iter (requires "--service or --fabric")
         [
           ("--elim", elim <> None);
           ("--max-batch", max_batch <> None);
           ("--sessions", sessions <> None);
-        ]
-    end;
-    if not service then begin
-      let require_service (name, set) =
-        if set then fail_usage (name ^ " requires --service")
-      in
-      List.iter require_service
+        ];
+    if not service then
+      List.iter (requires "--service")
         [
           ("--dec-ratio", dec_ratio <> None);
           ("--skew", skew <> None);
           ("--arrival", arrival <> None);
-        ]
-    end;
+        ];
     if (service || fabric) && batch <> None then
       fail_usage "--batch and --service/--fabric are mutually exclusive (they batch internally)";
     if (service || fabric) && pipeline <> None then
       fail_usage "--pipeline and --service/--fabric are mutually exclusive (they batch internally)";
-    (match max_batch with
-    | Some b when b <= 0 -> fail_usage (Printf.sprintf "--max-batch must be positive (got %d)" b)
-    | _ -> ());
-    (match sessions with
-    | Some k when k <= 0 -> fail_usage (Printf.sprintf "--sessions must be positive (got %d)" k)
-    | _ -> ());
+    positive "--max-batch" max_batch;
+    positive "--sessions" sessions;
     (match dec_ratio with
     | Some r when r < 0. || r > 1. ->
         fail_usage (Printf.sprintf "--dec-ratio must be in [0, 1] (got %g)" r)
     | _ -> ());
-    let skew = Option.map parse_skew skew in
-    let arrival = Option.map parse_arrival arrival in
+    let skew = Option.map (fun s -> parsed (W.skew_of_string s)) skew in
+    let arrival = Option.map (fun s -> parsed (W.arrival_of_string s)) arrival in
     let backend =
-      match backend with
-      | None -> Svc.Exact
-      | Some s -> (
-          match Svc.backend_of_string s with
-          | Ok b -> b
-          | Error msg -> fail_usage msg)
+      Option.fold ~none:Svc.Exact ~some:(fun s -> parsed (Svc.backend_of_string s)) backend
     in
     (match backend with
     | Svc.Exact -> ()
-    | _ ->
+    | Svc.Hll _ | Svc.Sparse _ ->
         if service || fabric then
           fail_usage
             "--backend hll/sparse and --service/--fabric are mutually exclusive (the sketch \
@@ -686,197 +671,155 @@ let throughput_cmd =
           fail_usage "--batch/--pipeline require the exact backend";
         if projected then
           fail_usage "--projected requires the exact backend (no network to project)");
-    (match backend with
-    | Svc.Exact -> ()
-    | Svc.Hll { precision } ->
-        let module B = Cn_sketch.Backend in
-        let module Hll = Cn_sketch.Hll in
-        (* The harness builds a fresh sketch per calibration attempt;
-           only the last one was actually measured, so truth is the
-           final attempt's total op count. *)
-        let last = ref None in
-        let make () =
-          let b = B.hll ~precision () in
-          last := Some b;
-          b.B.counter
-        in
-        let r = Cn_runtime.Harness.throughput ~make ~domains ~ops_per_domain:ops () in
-        let b = Option.get !last in
-        let truth = r.Cn_runtime.Harness.total_ops in
-        let est = Hll.cardinality b.B.incs in
-        let err = Float.abs (est -. float_of_int truth) /. float_of_int truth in
-        Printf.printf "%s: %d domains x %d ops = %d ops in %.3fs -> %.0f ops/s\n"
-          r.Cn_runtime.Harness.counter domains ops r.Cn_runtime.Harness.total_ops
-          r.Cn_runtime.Harness.seconds r.Cn_runtime.Harness.ops_per_sec;
-        Printf.printf
-          "hll: estimate %.0f of %d true ops (rel error %.4f, std error 1.04/sqrt(m) = \
-           %.4f), %d sketch bytes\n"
-          est truth err
-          (Hll.std_error b.B.incs)
-          (Hll.memory_bytes b.B.incs + Hll.memory_bytes b.B.decs);
-        exit 0
-    | Svc.Sparse { counters; degree } ->
-        let module B = Cn_sketch.Backend in
-        let module Sp = Cn_sketch.Sparse in
-        let last = ref None in
-        let make () =
-          let b = B.sparse ~counters ~degree () in
-          last := Some b;
-          b.B.counter
-        in
-        let r = Cn_runtime.Harness.throughput ~make ~domains ~ops_per_domain:ops () in
-        let b = Option.get !last in
-        let total_true = r.Cn_runtime.Harness.total_ops in
-        let per_flow_true = total_true / domains in
-        let max_err = ref 0. in
-        for pid = 0 to domains - 1 do
-          let e = Sp.estimate b.B.sketch pid in
-          let err =
-            Float.abs (float_of_int (e - per_flow_true)) /. float_of_int per_flow_true
-          in
-          if err > !max_err then max_err := err
-        done;
-        Printf.printf "%s: %d domains x %d ops = %d ops in %.3fs -> %.0f ops/s\n"
-          r.Cn_runtime.Harness.counter domains ops r.Cn_runtime.Harness.total_ops
-          r.Cn_runtime.Harness.seconds r.Cn_runtime.Harness.ops_per_sec;
-        Printf.printf
-          "sparse: global tally %d of %d true ops, per-flow max rel error %.4f over %d \
-           flows, %d sketch bytes\n"
-          (Sp.total b.B.sketch) total_true !max_err domains
-          (Sp.memory_bytes b.B.sketch);
-        exit 0);
-    if fabric then begin
-      let module Fab = Cn_fabric.Fabric in
-      let shards = Option.value fabric_shards ~default:2 in
-      if shards <= 0 then
-        fail_usage (Printf.sprintf "--shards must be positive (got %d)" shards);
-      let fab =
-        try
-          Fab.create ~mode ~metrics ?max_batch ?elim ~validate:policy ~shards net
-        with Fab.Rejected msg -> fail_usage ("topology rejected: " ^ msg)
-      in
-      let sessions_per = Option.value sessions ~default:2 in
-      let completed = Array.make domains 0 in
-      let rejected = Array.make domains 0 in
-      let seconds =
-        Cn_runtime.Domain_pool.with_pool domains (fun pool ->
-            Cn_runtime.Domain_pool.run pool ~domains (fun pid ->
-                let ss =
-                  Array.init sessions_per (fun k ->
-                      Fab.session ~key:((pid * sessions_per) + k) fab)
-                in
-                for i = 0 to ops - 1 do
-                  match Fab.increment ss.(i mod sessions_per) with
-                  | Ok _ -> completed.(pid) <- completed.(pid) + 1
-                  | Error Fab.Overloaded -> rejected.(pid) <- rejected.(pid) + 1
-                  | Error Fab.Closed -> ()
-                done))
-      in
-      (match Fab.drain fab with
-      | _report -> ()
-      | exception V.Invalid msg ->
-          prerr_endline ("countnet throughput: " ^ msg);
-          exit 1);
-      let done_ = Array.fold_left ( + ) 0 completed in
-      let rej = Array.fold_left ( + ) 0 rejected in
-      Printf.printf
-        "fabric: %d shards, %d domains x %d ops = %d completed (%d rejected) in %.3fs -> %.0f \
-         ops/s\n"
-        shards domains ops done_ rej seconds
-        (float_of_int done_ /. Float.max seconds 1e-9);
-      Printf.printf "fabric value %d; shards:%s\n" (Fab.read fab)
-        (String.concat ""
-           (List.map
-              (fun (i : Fab.shard_info) ->
-                Printf.sprintf " %d:C(%d,%d) gen %d value %d" i.Fab.id i.Fab.width
-                  i.Fab.out_width i.Fab.gen i.Fab.value)
-              (Fab.shard_infos fab)));
-      if metrics then print_endline (Fab.report_json fab);
-      if projected then print_projection net ~mode ~ops ~stall_factor;
-      exit 0
-    end;
-    if service then begin
-      let svc = Svc.create ~mode ~metrics ?max_batch ?elim ~validate:policy net in
-      let spec =
-        {
-          W.default with
-          W.domains;
-          ops_per_domain = ops;
-          sessions_per_domain = Option.value sessions ~default:W.default.W.sessions_per_domain;
-          dec_ratio = Option.value dec_ratio ~default:0.;
-          skew = Option.value skew ~default:W.Uniform;
-          arrival = Option.value arrival ~default:(W.Closed 0.);
-        }
-      in
-      let stats = W.run svc spec in
-      (match Svc.drain svc with
-      | _report -> ()
-      | exception V.Invalid msg ->
-          prerr_endline ("countnet throughput: " ^ msg);
-          exit 1);
-      let sst = Svc.stats svc in
-      Printf.printf "service: %d domains x %d ops = %d completed (%d rejected) in %.3fs -> %.0f ops/s\n"
-        domains ops stats.W.completed stats.W.rejected stats.W.seconds stats.W.ops_per_sec;
-      Printf.printf "combining: %d batches, mean batch %.2f, %d pairs eliminated (rate %.3f)\n"
-        sst.Svc.total_batches sst.Svc.mean_batch sst.Svc.total_eliminated_pairs
-        sst.Svc.elimination_rate;
-      if metrics then print_endline (Svc.report_json svc);
-      if projected then print_projection net ~mode ~ops ~stall_factor;
-      exit 0
-    end;
-    let enforce_or_exit rt =
-      match V.enforce policy (V.quiescent_runtime rt) with
+    positive "--shards" fabric_shards;
+    let driver =
+      match backend with
+      | Svc.Hll { precision } -> hll_sketch ~precision
+      | Svc.Sparse { counters; degree } -> sparse_sketch ~domains ~counters ~degree
+      | Svc.Exact when fabric ->
+          Fabric
+            {
+              shards = Option.value fabric_shards ~default:2;
+              sessions = Option.value sessions ~default:2;
+            }
+      | Svc.Exact when service ->
+          Service
+            {
+              W.default with
+              W.domains;
+              ops_per_domain = ops;
+              sessions_per_domain = Option.value sessions ~default:W.default.W.sessions_per_domain;
+              dec_ratio = Option.value dec_ratio ~default:0.;
+              skew = Option.value skew ~default:W.Uniform;
+              arrival = Option.value arrival ~default:(W.Closed 0.);
+            }
+      | Svc.Exact -> (
+          match (batch, pipeline) with
+          | Some b, _ -> Network (Batch (min b ops))
+          | None, Some cap -> Network (Pipeline (min cap ops))
+          | None, None -> Network Per_op)
+    in
+    (* Drive once.  Opening the pool is where a domain count the runtime
+       cannot host fails; that is a usage error, not a crash. *)
+    let with_domains f =
+      match DP.create domains with
+      | exception Failure msg ->
+          fail_usage (Printf.sprintf "cannot run %d domains (%s)" domains msg)
+      | pool -> Fun.protect ~finally:(fun () -> DP.shutdown pool) (fun () -> f pool)
+    in
+    let round body = with_domains (fun pool -> DP.run pool ~domains body) in
+    let valid check =
+      match check () with
       | () -> ()
       | exception V.Invalid msg ->
           prerr_endline ("countnet throughput: " ^ msg);
           exit 1
     in
-    let json = ref None in
-    let r =
-      if metrics || batch <> None || pipeline <> None then begin
-        let rt = RT.compile ~mode ~metrics net in
-        let seconds =
-          match pipeline with
-          | Some cap -> pool_round_pipelined rt ~domains ~ops ~capacity:(min cap ops)
-          | None ->
-              let chunk = match batch with Some b -> min b ops | None -> 1 in
-              pool_round rt ~domains ~ops ~chunk
-        in
-        enforce_or_exit rt;
-        if metrics then begin
-          let m = Option.get (RT.metrics rt) in
-          let layers = Array.init (T.size net) (T.balancer_depth net) in
-          json := Some (Cn_runtime.Metrics.to_json ~layers (Cn_runtime.Metrics.snapshot m))
-        end;
-        {
-          Cn_runtime.Harness.counter = "network";
-          domains;
-          total_ops = domains * ops;
-          seconds;
-          ops_per_sec = float_of_int (domains * ops) /. Float.max seconds 1e-9;
-        }
-      end
-      else begin
-        (* The harness builds its own counters (fresh per calibration
-           attempt); remember the one actually measured so the
-           validator can inspect its quiesced network. *)
-        let last = ref None in
-        let make () =
-          let c = Cn_runtime.Shared_counter.of_topology ~mode net in
-          last := Some c;
-          c
-        in
-        let r = Cn_runtime.Harness.throughput ~make ~domains ~ops_per_domain:ops () in
-        Option.iter
-          (fun c -> Option.iter enforce_or_exit (Cn_runtime.Shared_counter.runtime c))
-          !last;
-        r
-      end
+    let print_rate name seconds =
+      let total = domains * ops in
+      Printf.printf "%s: %d domains x %d ops = %d ops in %.3fs -> %.0f ops/s\n" name domains ops
+        total seconds
+        (float_of_int total /. Float.max seconds 1e-9)
     in
-    Printf.printf "%s: %d domains x %d ops = %d ops in %.3fs -> %.0f ops/s\n"
-      r.Cn_runtime.Harness.counter domains ops r.Cn_runtime.Harness.total_ops
-      r.Cn_runtime.Harness.seconds r.Cn_runtime.Harness.ops_per_sec;
-    Option.iter print_endline !json;
+    (* The combining front-ends share one tail: a drain checked under
+       the policy, then the summary, then the report. *)
+    let front_tail ~drain ~report_json summary =
+      valid drain;
+      summary ();
+      if metrics then print_endline (report_json ())
+    in
+    (match driver with
+    | Network walk ->
+        let rt = RT.compile ~mode ~metrics net in
+        let w = RT.input_width rt in
+        let seconds =
+          round (fun pid ->
+              let wire = pid mod w in
+              match walk with
+              | Per_op ->
+                  for _ = 1 to ops do
+                    ignore (RT.traverse rt ~wire)
+                  done
+              | Batch chunk ->
+                  let remaining = ref ops in
+                  while !remaining > 0 do
+                    let n = min chunk !remaining in
+                    RT.traverse_batch rt ~wire ~n ~f:(fun _ _ -> ());
+                    remaining := !remaining - n
+                  done
+              | Pipeline capacity ->
+                  RT.traverse_batch_pipelined rt (RT.buffer ~capacity ()) ~wire ~n:ops
+                    ~f:(fun _ _ -> ()))
+        in
+        valid (fun () -> V.enforce policy (V.quiescent_runtime rt));
+        print_rate "network" seconds;
+        Option.iter
+          (fun m ->
+            let layers = Array.init (T.size net) (T.balancer_depth net) in
+            print_endline (Cn_runtime.Metrics.to_json ~layers (Cn_runtime.Metrics.snapshot m)))
+          (RT.metrics rt)
+    | Sketch (counter, accuracy) ->
+        let seconds =
+          round (fun pid ->
+              for _ = 1 to ops do
+                ignore (SC.next counter ~pid)
+              done)
+        in
+        print_rate (SC.name counter) seconds;
+        print_endline (accuracy (domains * ops))
+    | Service spec ->
+        let svc = Svc.create ~mode ~metrics ?max_batch ?elim ~validate:policy net in
+        let stats = with_domains (fun pool -> W.run ~pool svc spec) in
+        front_tail
+          ~drain:(fun () -> ignore (Svc.drain svc))
+          ~report_json:(fun () -> Svc.report_json svc)
+          (fun () ->
+            let sst = Svc.stats svc in
+            Printf.printf
+              "service: %d domains x %d ops = %d completed (%d rejected) in %.3fs -> %.0f ops/s\n"
+              domains ops stats.W.completed stats.W.rejected stats.W.seconds stats.W.ops_per_sec;
+            Printf.printf
+              "combining: %d batches, mean batch %.2f, %d pairs eliminated (rate %.3f)\n"
+              sst.Svc.total_batches sst.Svc.mean_batch sst.Svc.total_eliminated_pairs
+              sst.Svc.elimination_rate)
+    | Fabric { shards; sessions } ->
+        let module Fab = Cn_fabric.Fabric in
+        let fab =
+          try Fab.create ~mode ~metrics ?max_batch ?elim ~validate:policy ~shards net
+          with Fab.Rejected msg -> fail_usage ("topology rejected: " ^ msg)
+        in
+        let completed = Array.make domains 0 in
+        let rejected = Array.make domains 0 in
+        let seconds =
+          round (fun pid ->
+              let ss = Array.init sessions (fun k -> Fab.session ~key:((pid * sessions) + k) fab) in
+              for i = 0 to ops - 1 do
+                match Fab.increment ss.(i mod sessions) with
+                | Ok _ -> completed.(pid) <- completed.(pid) + 1
+                | Error Fab.Overloaded -> rejected.(pid) <- rejected.(pid) + 1
+                | Error Fab.Closed -> ()
+              done)
+        in
+        front_tail
+          ~drain:(fun () -> ignore (Fab.drain fab))
+          ~report_json:(fun () -> Fab.report_json fab)
+          (fun () ->
+            let done_ = Array.fold_left ( + ) 0 completed in
+            Printf.printf
+              "fabric: %d shards, %d domains x %d ops = %d completed (%d rejected) in %.3fs -> \
+               %.0f ops/s\n"
+              shards domains ops done_
+              (Array.fold_left ( + ) 0 rejected)
+              seconds
+              (float_of_int done_ /. Float.max seconds 1e-9);
+            Printf.printf "fabric value %d; shards:%s\n" (Fab.read fab)
+              (String.concat ""
+                 (List.map
+                    (fun (i : Fab.shard_info) ->
+                      Printf.sprintf " %d:C(%d,%d) gen %d value %d" i.Fab.id i.Fab.width
+                        i.Fab.out_width i.Fab.gen i.Fab.value)
+                    (Fab.shard_infos fab)))));
+    (* Print once: the projection follows whichever exact driver ran. *)
     if projected then print_projection net ~mode ~ops ~stall_factor
   in
   Cmd.v
@@ -1453,14 +1396,15 @@ let load_cmd =
     if ops <= 0 then fail_usage (Printf.sprintf "--ops must be positive (got %d)" ops);
     if dec_ratio < 0. || dec_ratio > 1. then
       fail_usage (Printf.sprintf "--dec-ratio must be in [0, 1] (got %g)" dec_ratio);
+    let parsed = function Ok v -> v | Error msg -> fail_usage msg in
     let spec =
       {
         L.clients;
         conns_per_client = conns;
         ops_per_client = ops;
         dec_ratio;
-        skew = parse_skew ~fail:fail_usage skew;
-        arrival = parse_arrival ~fail:fail_usage arrival;
+        skew = parsed (W.skew_of_string skew);
+        arrival = parsed (W.arrival_of_string arrival);
         seed;
       }
     in

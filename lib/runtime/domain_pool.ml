@@ -79,7 +79,19 @@ let create pool_size =
       live = true;
     }
   in
-  pool.workers <- Array.init pool_size (fun pid -> Domain.spawn (worker pool pid));
+  (* A spawn can fail (the runtime caps live domains); the workers
+     already spawned would otherwise wait forever and keep their
+     slots, so stop and join them before re-raising. *)
+  let spawned = ref [] in
+  (try
+     for pid = 0 to pool_size - 1 do
+       spawned := Domain.spawn (worker pool pid) :: !spawned
+     done
+   with e ->
+     Atomic.set pool.stop true;
+     List.iter Domain.join !spawned;
+     raise e);
+  pool.workers <- Array.of_list (List.rev !spawned);
   pool
 
 let size pool = pool.pool_size
@@ -121,3 +133,8 @@ let shutdown pool =
 let with_pool size f =
   let pool = create size in
   Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+
+let round ?pool ~domains body =
+  match pool with
+  | Some pool -> run pool ~domains body
+  | None -> with_pool domains (fun pool -> run pool ~domains body)

@@ -6,41 +6,14 @@ type result = {
   ops_per_sec : float;
 }
 
-(* One measured round: every participating domain runs [body pid] with
-   all domains released together, and the returned seconds cover the
-   concurrent region only.  With a pool the warmed workers are reused;
-   without one, domains are spawned for this round and gated by a sense
-   barrier before the clock starts. *)
-let timed_round ?pool ~domains body =
-  match pool with
-  | Some pool -> Domain_pool.run pool ~domains body
-  | None ->
-      let ready = Atomic.make 0 in
-      let go = Atomic.make false in
-      let gated pid () =
-        Atomic.incr ready;
-        while not (Atomic.get go) do
-          Domain.cpu_relax ()
-        done;
-        body pid
-      in
-      let handles = Array.init domains (fun pid -> Domain.spawn (gated pid)) in
-      while Atomic.get ready < domains do
-        Domain.cpu_relax ()
-      done;
-      let t0 = Unix.gettimeofday () in
-      Atomic.set go true;
-      Array.iter Domain.join handles;
-      Unix.gettimeofday () -. t0
-
 let check_args ~domains ~ops_per_domain =
   if domains <= 0 then invalid_arg "Harness: domains must be positive";
   if ops_per_domain < 0 then invalid_arg "Harness: negative ops_per_domain";
   if ops_per_domain > 0 && domains > max_int / ops_per_domain then
     invalid_arg "Harness: domains * ops_per_domain overflows"
 
-let spawn_all ?pool ~counter ~domains ~ops_per_domain ~record () =
-  timed_round ?pool ~domains (fun pid ->
+let run_ops ?pool ~counter ~domains ~ops_per_domain ~record () =
+  Domain_pool.round ?pool ~domains (fun pid ->
       for i = 0 to ops_per_domain - 1 do
         record pid i (Shared_counter.next counter ~pid)
       done)
@@ -71,7 +44,7 @@ let throughput ?pool ~make ~domains ~ops_per_domain () =
   let rec attempt ops_per_domain =
     let counter = make () in
     let seconds =
-      spawn_all ?pool ~counter ~domains ~ops_per_domain ~record:(fun _ _ _ -> ()) ()
+      run_ops ?pool ~counter ~domains ~ops_per_domain ~record:(fun _ _ _ -> ()) ()
     in
     let total_ops = domains * ops_per_domain in
     if seconds > 0. && total_ops > 0 then
@@ -105,7 +78,7 @@ let run_collect ?pool ?(validate = Validator.Log) ~make ~domains ~ops_per_domain
   let counter = make () in
   let values = Array.init domains (fun _ -> Array.make ops_per_domain (-1)) in
   let _ =
-    spawn_all ?pool ~counter ~domains ~ops_per_domain
+    run_ops ?pool ~counter ~domains ~ops_per_domain
       ~record:(fun pid i v -> values.(pid).(i) <- v)
       ()
   in

@@ -7,9 +7,10 @@
     per-implementation shapes remain indicative, and correctness checks
     are unaffected.
 
-    Repeated measurements should share a {!Domain_pool.t} via [?pool]:
-    the pool's warmed workers replace the per-run [Domain.spawn]/[join]
-    cycle, whose setup cost otherwise dominates short runs. *)
+    Every run is one {!Domain_pool.round}.  Repeated measurements
+    should share a {!Domain_pool.t} via [?pool]; without one, each run
+    opens a pool of [domains] workers and shuts it down afterwards,
+    paying the spawn and join outside the timed region. *)
 
 type result = {
   counter : string;  (** implementation name *)
@@ -42,9 +43,10 @@ val throughput :
   result
 (** [throughput ~make ~domains ~ops_per_domain ()] runs [domains] domains
     over a fresh counter, each performing [ops_per_domain] increments,
-    and reports aggregate throughput.  Uses a start barrier so all
-    domains race together.  With [?pool], the pool's workers are reused
-    instead of spawning (requires [domains <= Domain_pool.size pool]).
+    and reports aggregate throughput.  The domains are released
+    together and the seconds cover the concurrent region only, up to
+    the last one checking out.  With [?pool] the round runs on that
+    pool's workers (requires [domains <= Domain_pool.size pool]).
 
     Rounds too short for the wall clock to resolve are re-run with the
     per-domain op count doubled (fresh counter each attempt) until the

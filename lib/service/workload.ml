@@ -3,6 +3,28 @@ module DP = Cn_runtime.Domain_pool
 type skew = Uniform | Zipf of float
 type arrival = Closed of float | Bursty of { burst : int; pause : float }
 
+let skew_of_string s =
+  match String.split_on_char ':' s with
+  | [ "uniform" ] -> Ok Uniform
+  | [ "zipf"; a ] -> (
+      match float_of_string_opt a with
+      | Some alpha when alpha > 0. -> Ok (Zipf alpha)
+      | _ -> Error (Printf.sprintf "--skew zipf exponent must be positive (got %S)" a))
+  | _ -> Error (Printf.sprintf "unknown skew %S (expected uniform or zipf:ALPHA)" s)
+
+let arrival_of_string s =
+  match String.split_on_char ':' s with
+  | [ "closed" ] -> Ok (Closed 0.)
+  | [ "closed"; t ] -> (
+      match float_of_string_opt t with
+      | Some think when think >= 0. -> Ok (Closed think)
+      | _ -> Error (Printf.sprintf "--arrival closed think time must be >= 0 (got %S)" t))
+  | [ "burst"; n; p ] -> (
+      match (int_of_string_opt n, float_of_string_opt p) with
+      | Some burst, Some pause when burst >= 1 && pause >= 0. -> Ok (Bursty { burst; pause })
+      | _ -> Error (Printf.sprintf "--arrival burst needs N >= 1 and PAUSE >= 0 (got %S)" s))
+  | _ -> Error (Printf.sprintf "unknown arrival %S (expected closed[:THINK] or burst:N:PAUSE)" s)
+
 type spec = {
   domains : int;
   ops_per_domain : int;
@@ -91,31 +113,6 @@ let pick rng cdf =
   done;
   !i
 
-(* Same barrier discipline as Harness.timed_round: all participants
-   released together, seconds cover the concurrent region only. *)
-let timed_round ?pool ~domains body =
-  match pool with
-  | Some pool -> DP.run pool ~domains body
-  | None ->
-      let module A = Cn_runtime.Atomics.Real in
-      let ready = A.make 0 in
-      let go = A.make false in
-      let gated pid () =
-        A.incr ready;
-        while not (A.get go) do
-          A.relax ()
-        done;
-        body pid
-      in
-      let handles = Array.init domains (fun pid -> Domain.spawn (gated pid)) in
-      while A.get ready < domains do
-        A.relax ()
-      done;
-      let t0 = Unix.gettimeofday () in
-      A.set go true;
-      Array.iter Domain.join handles;
-      Unix.gettimeofday () -. t0
-
 let run ?pool svc spec =
   check spec;
   let spd = spec.sessions_per_domain in
@@ -179,7 +176,7 @@ let run ?pool svc spec =
           rejected.(pid) <- rejected.(pid) + 1
     done
   in
-  let seconds = timed_round ?pool ~domains:spec.domains body in
+  let seconds = DP.round ?pool ~domains:spec.domains body in
   let sum a = Array.fold_left ( + ) 0 a in
   let completed = sum completed in
   let decrements = sum decrements in

@@ -2,7 +2,7 @@
     knobs experiments care about when reproducing the paper's
     high-contention regime ([n] processes ≫ [w] wires).
 
-    A workload spawns [domains] clients; each owns
+    A workload runs [domains] clients; each owns
     [sessions_per_domain] service sessions and performs
     [ops_per_domain] operations, choosing a session per operation
     according to [skew] and pacing itself according to [arrival].
@@ -30,6 +30,16 @@ type arrival =
   | Bursty of { burst : int; pause : float }
       (** open-loop bursts: [burst] back-to-back operations, then a
           pause of [pause] seconds *)
+
+val skew_of_string : string -> (skew, string) result
+(** [skew_of_string s] parses the textual skew grammar shared by the
+    CLI's in-process workload and the TCP load rig: [uniform] or
+    [zipf:ALPHA] with [ALPHA > 0].  [Error] carries the usage message. *)
+
+val arrival_of_string : string -> (arrival, string) result
+(** [arrival_of_string s] parses [closed] (back to back),
+    [closed:THINK] ([THINK >= 0] seconds) or [burst:N:PAUSE]
+    ([N >= 1], [PAUSE >= 0]).  [Error] carries the usage message. *)
 
 type spec = {
   domains : int;
@@ -92,9 +102,10 @@ val run : ?pool:Cn_runtime.Domain_pool.t -> Service.t -> spec -> stats
     [spec] and reports what happened.  Sessions are registered up
     front (round-robin over the wires, in domain-major order) and each
     domain's random stream is derived from [spec.seed] and its id, so
-    a run is reproducible up to scheduling.  With [?pool] the pool's
-    warmed workers are used instead of spawning
-    (requires [spec.domains <= Domain_pool.size pool]).
+    a run is reproducible up to scheduling.  The clients run as one
+    {!Cn_runtime.Domain_pool.round}: on [?pool]'s warmed workers when
+    given (requires [spec.domains <= Domain_pool.size pool]), otherwise
+    on a pool opened for this run.
 
     The service is {e not} drained here; callers decide when to
     {!Service.drain} and with which policy.

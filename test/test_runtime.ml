@@ -347,6 +347,19 @@ let multi_domain =
                 ~ops_per_domain:100 ()
             in
             Alcotest.(check bool) "harness still works" true (r.H.ops_per_sec > 0.)));
+    tc "a failed spawn releases the workers it started" (fun () ->
+        (* The runtime caps live domains well below 1024: the spawn that
+           hits the cap fails, and the workers spawned before it must be
+           joined, or they would hold their slots for good. *)
+        (match DP.create 1024 with
+        | pool ->
+            DP.shutdown pool;
+            Alcotest.fail "1024 domains fit under the runtime's cap"
+        | exception Failure _ -> ());
+        let count = Atomic.make 0 in
+        DP.with_pool 100 (fun pool ->
+            ignore (DP.run pool ~domains:100 (fun _ -> Atomic.incr count)));
+        Alcotest.(check int) "every worker ran" 100 (Atomic.get count));
     tc "pool shutdown is idempotent and detected" (fun () ->
         let pool = DP.create 2 in
         ignore (DP.run pool ~domains:2 ignore);

@@ -442,6 +442,35 @@ let workload_spec =
         Float.abs (st.W.achieved_dec_ratio -. ratio) <= 0.05);
   ]
 
+let grammars =
+  let parses name parse text expected =
+    tc (Printf.sprintf "%s %S" name text) (fun () ->
+        match parse text with
+        | Ok v -> Alcotest.(check bool) "parsed value" true (v = expected)
+        | Error msg -> Alcotest.failf "rejected: %s" msg)
+  in
+  let rejects name parse text expected =
+    tc (Printf.sprintf "%s rejects %S" name text) (fun () ->
+        match parse text with
+        | Ok _ -> Alcotest.fail "accepted"
+        | Error msg -> Alcotest.(check string) "usage text" expected msg)
+  in
+  [
+    parses "skew" W.skew_of_string "uniform" W.Uniform;
+    parses "skew" W.skew_of_string "zipf:1.2" (W.Zipf 1.2);
+    rejects "skew" W.skew_of_string "zipf:0" {|--skew zipf exponent must be positive (got "0")|};
+    rejects "skew" W.skew_of_string "frob" {|unknown skew "frob" (expected uniform or zipf:ALPHA)|};
+    parses "arrival" W.arrival_of_string "closed" (W.Closed 0.);
+    parses "arrival" W.arrival_of_string "closed:0.5" (W.Closed 0.5);
+    parses "arrival" W.arrival_of_string "burst:4:0" (W.Bursty { burst = 4; pause = 0. });
+    rejects "arrival" W.arrival_of_string "closed:-1"
+      {|--arrival closed think time must be >= 0 (got "-1")|};
+    rejects "arrival" W.arrival_of_string "burst:0:0.1"
+      {|--arrival burst needs N >= 1 and PAUSE >= 0 (got "burst:0:0.1")|};
+    rejects "arrival" W.arrival_of_string "sometimes"
+      {|unknown arrival "sometimes" (expected closed[:THINK] or burst:N:PAUSE)|};
+  ]
+
 let runs =
   let run_ok s ops vals ~off ~len =
     match Svc.run s ops vals ~off ~len with
@@ -520,4 +549,5 @@ let suite =
     ("service.concurrent", concurrent);
     ("service.races", races);
     ("service.workload", workload_spec);
+    ("service.grammars", grammars);
   ]
