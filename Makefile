@@ -129,7 +129,7 @@ check-metrics:
 examples:
 	for e in quickstart load_balancing barrier_sync id_server \
 	         contention_lab ticket_pool diffraction_demo sorting_demo; do \
-	  echo "== $$e"; dune exec examples/$$e.exe; done
+	  echo "== $$e"; dune exec examples/$$e.exe || exit 1; done
 
 clean:
 	dune clean

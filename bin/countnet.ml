@@ -486,6 +486,16 @@ let backend_arg =
               estimate against the true op count, the theoretical error bound, and resident \
               sketch bytes. Mutually exclusive with $(b,--service) and $(b,--fabric).")
 
+(* The [--backend] tiers: the exact network-backed counter, or one of
+   the Cn_sketch approximations at the sizes the flag documents. *)
+type backend = Exact | Hll of { precision : int } | Sparse of { counters : int; degree : int }
+
+let backend_of_string = function
+  | "exact" -> Ok Exact
+  | "hll" -> Ok (Hll { precision = 14 })
+  | "sparse" -> Ok (Sparse { counters = 4096; degree = 3 })
+  | s -> Error (Printf.sprintf "unknown backend %S (expected exact|hll|sparse)" s)
+
 let dec_ratio_arg =
   Arg.(
     value
@@ -656,11 +666,11 @@ let throughput_cmd =
     let skew = Option.map (fun s -> parsed (W.skew_of_string s)) skew in
     let arrival = Option.map (fun s -> parsed (W.arrival_of_string s)) arrival in
     let backend =
-      Option.fold ~none:Svc.Exact ~some:(fun s -> parsed (Svc.backend_of_string s)) backend
+      Option.fold ~none:Exact ~some:(fun s -> parsed (backend_of_string s)) backend
     in
     (match backend with
-    | Svc.Exact -> ()
-    | Svc.Hll _ | Svc.Sparse _ ->
+    | Exact -> ()
+    | Hll _ | Sparse _ ->
         if service || fabric then
           fail_usage
             "--backend hll/sparse and --service/--fabric are mutually exclusive (the sketch \
@@ -674,15 +684,15 @@ let throughput_cmd =
     positive "--shards" fabric_shards;
     let driver =
       match backend with
-      | Svc.Hll { precision } -> hll_sketch ~precision
-      | Svc.Sparse { counters; degree } -> sparse_sketch ~domains ~counters ~degree
-      | Svc.Exact when fabric ->
+      | Hll { precision } -> hll_sketch ~precision
+      | Sparse { counters; degree } -> sparse_sketch ~domains ~counters ~degree
+      | Exact when fabric ->
           Fabric
             {
               shards = Option.value fabric_shards ~default:2;
               sessions = Option.value sessions ~default:2;
             }
-      | Svc.Exact when service ->
+      | Exact when service ->
           Service
             {
               W.default with
@@ -693,7 +703,7 @@ let throughput_cmd =
               skew = Option.value skew ~default:W.Uniform;
               arrival = Option.value arrival ~default:(W.Closed 0.);
             }
-      | Svc.Exact -> (
+      | Exact -> (
           match (batch, pipeline) with
           | Some b, _ -> Network (Batch (min b ops))
           | None, Some cap -> Network (Pipeline (min cap ops))
@@ -785,8 +795,9 @@ let throughput_cmd =
     | Fabric { shards; sessions } ->
         let module Fab = Cn_fabric.Fabric in
         let fab =
-          try Fab.create ~mode ~metrics ?max_batch ?elim ~validate:policy ~shards net
-          with Fab.Rejected msg -> fail_usage ("topology rejected: " ^ msg)
+          try Fab.create ~mode ~metrics ?max_batch ?elim ~validate:policy ~shards net with
+          | Fab.Rejected msg -> fail_usage ("topology rejected: " ^ msg)
+          | Invalid_argument msg -> fail_usage msg
         in
         let completed = Array.make domains 0 in
         let rejected = Array.make domains 0 in

@@ -1,11 +1,28 @@
 (* countnetd: the standalone wire-protocol counter daemon.
 
-   The process body lives in Cn_proto.Daemon; this executable is its
-   command line: C(w,t) only, foreground, SIGTERM/SIGINT drain. *)
+   Builds the paper's C(w,t), puts a Cn_service.Service — or, with
+   --shards N, an N-shard Cn_fabric.Fabric — in front of it, serves it
+   with Cn_proto.Server in the foreground, and on SIGTERM/SIGINT walks
+   the graceful drain and reports the validator's verdict.
+
+   Stdout contract (the smoke test scrapes it): the first line is
+
+     countnetd: listening on HOST:PORT (C(w,t), pid PID)
+
+   (with --shards N the parenthetical reads "C(w,t) xN shards" — same
+   "listening on HOST:PORT (" prefix, so port scrapers keep working).
+   On stop it prints
+
+     countnetd: N connections, P reads polled, Q parked
+
+   (Server.accepted, Server.polled_reads, Server.parked_reads) and
+   then, as the last line, "countnetd: drain ok — ..." (exit 0) or
+   "countnetd: drain FAILED — ..." (exit 1).  Usage errors, including
+   a malformed width pair or a rejected topology, exit 2. *)
 
 open Cmdliner
 
-module D = Cn_proto.Daemon
+module Server = Cn_proto.Server
 module V = Cn_runtime.Validator
 
 let fail_usage msg =
@@ -89,13 +106,40 @@ let run host port w t queue max_batch metrics validate shards =
   (match shards with
   | Some n when n <= 0 -> fail_usage (Printf.sprintf "--shards must be positive (got %d)" n)
   | _ -> ());
-  let cfg =
-    { D.host; port; width = w; out_width = t; queue; max_batch; metrics; validate; shards }
+  let serve () =
+    let t = Option.value t ~default:w in
+    let net = Cn_core.Counting.network ~w ~t in
+    match shards with
+    | None ->
+        let svc = Cn_service.Service.create ~metrics ?queue ?max_batch ~validate net in
+        (Server.start ~host ~port svc, Printf.sprintf "C(%d,%d)" w t)
+    | Some n ->
+        let fab =
+          Cn_fabric.Fabric.create ~metrics ?queue ?max_batch ~validate ~shards:n net
+        in
+        (Server.start_fabric ~host ~port fab, Printf.sprintf "C(%d,%d) x%d shards" w t n)
   in
-  match D.serve cfg with
-  | code -> exit code
-  | exception Invalid_argument msg -> fail_usage msg
-  | exception Cn_fabric.Fabric.Rejected msg -> fail_usage ("topology rejected: " ^ msg)
+  let server, shape =
+    try serve () with
+    | Invalid_argument msg -> fail_usage msg
+    | Cn_fabric.Fabric.Rejected msg -> fail_usage ("topology rejected: " ^ msg)
+  in
+  Printf.printf "countnetd: listening on %s:%d (%s, pid %d)\n%!" host (Server.port server)
+    shape (Unix.getpid ());
+  let on_signal _ = Server.request_stop server in
+  Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
+  Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
+  Server.wait_stop_request server;
+  Printf.printf "countnetd: stop requested, draining\n%!";
+  (* Policy Off here so a failed check reports through the exit code
+     instead of an escaping exception; --validate chose how strictly
+     the service itself polices intermediate drains. *)
+  let report = Server.stop ~policy:V.Off server in
+  let ok = V.passed report in
+  Printf.printf "countnetd: %d connections, %d reads polled, %d parked\n%!"
+    (Server.accepted server) (Server.polled_reads server) (Server.parked_reads server);
+  Printf.printf "countnetd: drain %s — %s\n%!" (if ok then "ok" else "FAILED") (V.summary report);
+  exit (if ok then 0 else 1)
 
 let cmd =
   Cmd.v

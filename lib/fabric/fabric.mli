@@ -64,54 +64,6 @@ val certify_topology :
     evidence is not a refutation, [Error summary] otherwise — the
     string is what {!resize} wraps in [Cert_rejected]. *)
 
-(** {2 Backend profiles}
-
-    Per-key-class accuracy tiers over one counter surface: billing-grade
-    keys must land on the exact, certified, conservation-checked fabric;
-    high-cardinality telemetry keys trade bounded error for bounded
-    memory on {!Cn_sketch} lanes.  The caller classifies; the profile
-    routes. *)
-
-type key_class = Billing | Telemetry
-
-type profiled = {
-  counter : Cn_runtime.Shared_counter.t;
-      (** The routed front: [next]/[prev ~pid] dispatch on
-          [classify pid] — billing keys run one exact fabric operation
-          on a per-pid session (pinned to its shard by key, retried
-          through [Overloaded], [Failure] on a closed fabric);
-          telemetry keys hit the sketch lane their hash owns. *)
-  billing_value : unit -> int;
-      (** The fabric's global {!read} — exact at quiescence. *)
-  telemetry_estimate : unit -> float;
-      (** The telemetry tier's global estimate: for HLL lanes the
-          union-merged distinct count (increments minus decrements);
-          for sparse lanes the exact global net tally
-          ({!Cn_sketch.Sparse.total} summed across lanes). *)
-  telemetry_memory_bytes : unit -> int;
-      (** Resident bytes across every telemetry lane's sketch state. *)
-  telemetry_lanes : int;
-}
-
-val profiled_counter :
-  ?backend:Cn_service.Service.backend ->
-  ?lanes:int ->
-  ?vnodes:int ->
-  classify:(int -> key_class) ->
-  t ->
-  profiled
-(** [profiled_counter ~classify t] builds the two-tier counter over
-    fabric [t].  [?backend] (default [Hll { precision = 12 }]) picks
-    the telemetry sketch; [?lanes] (default [4]) independent sketches
-    sit behind their own consistent-hash {!Router} ring ([?vnodes]),
-    so hot telemetry keys spread instead of serializing on one sketch
-    and a future lane-count change would remap only [1/(n+1)] of the
-    key space.  Billing sessions are pooled per pid (lock-free fast
-    path, double-read growth path — the {!Cn_service.Service.shared_counter}
-    discipline).
-    @raise Invalid_argument if [lanes < 1] or [?backend] is [Exact]
-    (the exact tier is what [classify = Billing] already selects). *)
-
 (** {2 Reporting} *)
 
 type shard_info = {

@@ -78,7 +78,6 @@ module type S = sig
     t
 
   val session : ?key:int -> t -> session
-  val session_key : session -> int
 
   val run :
     session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
@@ -230,8 +229,6 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
       match key with Some k -> k | None -> A.fetch_and_add t.session_ctr 1
     in
     { fab = t; key; cache = None; op1 = [| Inc |]; val1 = [| 0 |] }
-
-  let session_key s = s.key
 
   let shard_slot t sid =
     if sid < 0 || sid >= Array.length t.slots then

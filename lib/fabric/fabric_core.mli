@@ -109,8 +109,6 @@ module type S = sig
       pinning the property tests check); default keys are assigned
       round-robin from a counter. *)
 
-  val session_key : session -> int
-
   val run :
     session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
   (** [run s ops vals ~off ~len] performs [ops.(off) .. ops.(off+len-1)]

@@ -80,38 +80,6 @@
 
 type t
 
-type backend
-(** What the wire protocol serves: per-connection sessions, the counter
-    read, the drain/shutdown lifecycle and the stats document —
-    abstracted so a single combining service and the sharded fabric
-    plug into the same accept/handler/stop machinery. *)
-
-val service_backend : Cn_service.Service.t -> backend
-(** [Inc]/[Dec] runs go to a per-connection
-    {!Cn_service.Service.session}; [Read] is the runtime's net exit
-    count ({!Cn_runtime.Network_runtime.net_count}, allocation-free). *)
-
-val fabric_backend : Cn_fabric.Fabric.t -> backend
-(** [Inc]/[Dec] runs go to a per-connection {!Cn_fabric.Fabric.session}
-    (round-robin routing keys, so connections spread over the shards;
-    a run is routed once, since a key pins its shard);
-    [Read] is the fabric's second-level combining {!Cn_fabric.Fabric.read};
-    [Drain]/stop walk every shard's validated quiescence path. *)
-
-val start_backend :
-  ?host:string ->
-  ?port:int ->
-  ?backlog:int ->
-  ?max_payload:int ->
-  backend ->
-  t
-(** [start_backend be] binds a listening socket ([?host] default
-    ["127.0.0.1"], [?port] default [0] = kernel-assigned; read it back
-    with {!port}) and spawns the accept thread.  [?backlog] (default
-    [64]) is the listen queue; [?max_payload] (default
-    {!Frame.default_max_payload}) caps accepted frame payloads.
-    @raise Unix.Unix_error when the socket cannot be bound. *)
-
 val start :
   ?host:string ->
   ?port:int ->
@@ -119,7 +87,16 @@ val start :
   ?max_payload:int ->
   Cn_service.Service.t ->
   t
-(** [start svc] is [start_backend (service_backend svc)]. *)
+(** [start svc] binds a listening socket ([?host] default
+    ["127.0.0.1"], [?port] default [0] = kernel-assigned; read it back
+    with {!port}) and spawns the accept thread.  [?backlog] (default
+    [64]) is the listen queue; [?max_payload] (default
+    {!Frame.default_max_payload}) caps accepted frame payloads.
+
+    [Inc]/[Dec] runs go to a per-connection
+    {!Cn_service.Service.session}; [Read] is the runtime's net exit
+    count ({!Cn_runtime.Network_runtime.net_count}, allocation-free).
+    @raise Unix.Unix_error when the socket cannot be bound. *)
 
 val start_fabric :
   ?host:string ->
@@ -128,7 +105,12 @@ val start_fabric :
   ?max_payload:int ->
   Cn_fabric.Fabric.t ->
   t
-(** [start_fabric fab] is [start_backend (fabric_backend fab)]. *)
+(** [start_fabric fab] is {!start} over a sharded fabric: [Inc]/[Dec]
+    runs go to a per-connection {!Cn_fabric.Fabric.session}
+    (round-robin routing keys, so connections spread over the shards;
+    a run is routed once, since a key pins its shard); [Read] is the
+    fabric's second-level combining {!Cn_fabric.Fabric.read};
+    [Drain]/stop walk every shard's validated quiescence path. *)
 
 val port : t -> int
 (** The bound TCP port (useful with [~port:0]). *)

@@ -1,6 +1,5 @@
 type custom = {
   cname : string;
-  cruntime : Network_runtime.t option;
   cnext : pid:int -> int;
   cprev : pid:int -> int;
 }
@@ -18,15 +17,13 @@ let of_topology ?mode ?metrics net =
 
 let runtime = function
   | Network rt -> Some rt
-  | Custom c -> c.cruntime
-  | Central _ | Lock _ -> None
+  | Central _ | Lock _ | Custom _ -> None
 
 let central_faa () = Central (Atomic.make 0)
 
 let with_lock () = Lock (Mutex.create (), ref 0)
 
-let custom ~name ?runtime ~next ~prev () =
-  Custom { cname = name; cruntime = runtime; cnext = next; cprev = prev }
+let custom ~name ~next ~prev = Custom { cname = name; cnext = next; cprev = prev }
 
 let next c ~pid =
   if pid < 0 then invalid_arg "Shared_counter.next: negative pid";

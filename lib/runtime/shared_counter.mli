@@ -36,20 +36,14 @@ val with_lock : unit -> t
 (** A counter backed by a [Mutex]-protected integer. *)
 
 val custom :
-  name:string ->
-  ?runtime:Network_runtime.t ->
-  next:(pid:int -> int) ->
-  prev:(pid:int -> int) ->
-  unit ->
-  t
-(** [custom ~name ~next ~prev ()] is a counter backed by caller-supplied
-    operations — the extension point higher layers (e.g. the
-    [Cn_service] combining front-end) use to slot into {!Harness}
-    comparisons without a dependency cycle.  [?runtime] exposes the
-    compiled network behind the closures, if any, so
-    {!Harness.run_collect} can validate quiescent invariants.  The
-    closures must be safe to call from any domain; [pid] has already
-    been checked non-negative. *)
+  name:string -> next:(pid:int -> int) -> prev:(pid:int -> int) -> t
+(** [custom ~name ~next ~prev] is a counter backed by caller-supplied
+    operations — the extension point the approximate tiers
+    ({!Cn_sketch.Backend}) and test doubles use to slot into
+    {!Harness} runs without a dependency cycle.  {!runtime} is [None]
+    for it, so {!Harness.run_collect} validates only the values
+    collected.  The closures must be safe to call from any domain;
+    [pid] has already been checked non-negative. *)
 
 val next : t -> pid:int -> int
 (** [next c ~pid] performs one [Fetch&Increment] as process [pid]

@@ -138,7 +138,7 @@ val session : ?wire:int -> t -> session
     cell and outstanding flag are unsynchronized); at any moment at most
     one domain may be running an operation on it.  Two domains sharing a
     session corrupt the cell protocol — give each concurrent client its
-    own session ({!shared_counter} does this per process id).
+    own session.
     @raise Invalid_argument if [wire] is out of range. *)
 
 val session_wire : session -> int
@@ -248,50 +248,3 @@ val report_json : t -> string
 (** A combined JSON report: [{"service": <stats>, "network": <metrics
     snapshot>}] — the network half is [null] unless the service was
     created with [~metrics:true]. *)
-
-val shared_counter : ?sessions:int -> t -> Cn_runtime.Shared_counter.t
-(** [shared_counter t] adapts the service to the {!Shared_counter}
-    interface so it slots into {!Harness} runs.  Sessions are
-    single-owner (see {!session}), so each process id gets a session of
-    its own: [sessions] (default [64]) only sizes the pre-allocated
-    pool, which grows on demand when a higher [pid] appears — processes
-    never alias a session, whatever the process count.  A covered pid
-    costs one atomic snapshot read (no lock); the growth mutex is
-    taken only on the miss path, with the pool length double-read
-    under it.  [Overloaded] is retried after a backoff; [Closed]
-    raises [Failure].
-    @raise Invalid_argument if [sessions < 1]. *)
-
-(** {2 Backend profiles}
-
-    The per-session accuracy tier.  Billing-grade keys need the exact,
-    conservation-checked counting network behind this service;
-    high-cardinality telemetry tolerates a bounded-error estimate in
-    exchange for bounded memory.  {!backend_counter} maps a profile to
-    a {!Cn_runtime.Shared_counter.t} so harnesses, benches, and the
-    CLI ([countnet throughput --backend exact|hll|sparse]) switch tiers
-    without touching call sites; the fabric routes whole key classes
-    across tiers (see [Fabric.profiled_counter]). *)
-
-type backend =
-  | Exact  (** this service's counting network: exact, GC-free hot path *)
-  | Hll of { precision : int }
-      (** HyperLogLog distinct-count estimate, [2^precision] registers,
-          relative error ~[1.04 / sqrt (2^precision)] *)
-  | Sparse of { counters : int; degree : int }
-      (** Lu–Montanari–Prabhakar sparse-graph per-flow tallies keyed by
-          [pid]: [counters] shared cells, [degree] edges per key *)
-
-val backend_of_string : string -> (backend, string) result
-(** Parses the CLI spellings: ["exact"], ["hll"] (precision 14),
-    ["sparse"] (4096 counters, degree 3). *)
-
-val backend_name : backend -> string
-
-val backend_counter : ?sessions:int -> t -> backend -> Cn_runtime.Shared_counter.t
-(** [backend_counter t b] is the counter for tier [b]: [Exact] is
-    {!shared_counter} on [t]; the sketch tiers are
-    {!Cn_sketch.Backend} adapters (the service parameter sizes nothing
-    for them — they are memory-bounded by construction).
-    @raise Invalid_argument on a malformed profile ([precision]
-    outside [[4, 16]], [counters < degree], [degree < 1]). *)

@@ -3,22 +3,15 @@ module PA = Cn_runtime.Padded_atomic
 
 type hll = { counter : SC.t; incs : Hll.t; decs : Hll.t }
 
-let hll ?precision ?(slots = 64) ?(lane = (0, 1)) () =
+let hll ?precision ?(slots = 64) () =
   if slots <= 0 then invalid_arg "Backend.hll: slots must be positive";
-  let li, ln = lane in
-  if ln < 1 || li < 0 || li >= ln then
-    invalid_arg "Backend.hll: lane must satisfy 0 <= index < count";
   let incs = Hll.create ?precision () in
   let decs = Hll.create ?precision () in
   let seqs = PA.make slots ~init:(fun _ -> 0) in
-  (* Residue class [li mod ln] keeps keys disjoint across [ln] sibling
-     instances, so union-merging their sketches counts every instance's
-     mints — without it, two lanes' banks both start at zero and the
-     union silently collapses same-slot mints from different lanes. *)
   let mint ~pid =
     let slot = pid mod slots in
     let seq = PA.fetch_and_add seqs slot 1 in
-    ((((seq * slots) + slot) * ln) + li)
+    (seq * slots) + slot
   in
   (* The hot path is mint + observe only — one slot FAA and a CAS-max
      that almost never retries.  Returning the ticket keeps the
@@ -34,7 +27,7 @@ let hll ?precision ?(slots = 64) ?(lane = (0, 1)) () =
     Hll.add decs key;
     key
   in
-  { counter = SC.custom ~name:"hll" ~next ~prev (); incs; decs }
+  { counter = SC.custom ~name:"hll" ~next ~prev; incs; decs }
 
 type sparse = { counter : SC.t; sketch : Sparse.t }
 
@@ -48,4 +41,4 @@ let sparse ?(counters = 4096) ?degree () =
     Sparse.add sketch pid (-1);
     Sparse.estimate sketch pid
   in
-  { counter = SC.custom ~name:"sparse" ~next ~prev (); sketch }
+  { counter = SC.custom ~name:"sparse" ~next ~prev; sketch }

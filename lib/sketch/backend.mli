@@ -1,15 +1,16 @@
-(** Sketches adapted to the {!Cn_runtime.Shared_counter.Custom}
+(** Sketches adapted to the {!Cn_runtime.Shared_counter.custom}
     extension point, so approximate backends slot into every layer
     that already speaks [Shared_counter] — the {!Cn_runtime.Harness},
-    the bench rig, and the CLI's [--backend] switch.
+    the bench rig's [sketch] suite, and the CLI's
+    [countnet throughput --backend hll|sparse] switch.
 
     The semantic contract is deliberately weaker than the exact
     implementations': [next]/[prev] return {e estimates} of the
     running count, not a gap-free [0 .. m-1] sequence, in exchange for
     bounded memory at unbounded key cardinality.  Use them for
     telemetry-grade keys; billing-grade keys stay on the exact
-    network-backed tier (see [Service.backend_counter] and
-    [Fabric.profiled_counter]). *)
+    network-backed tier, served through [Cn_service.Service] and
+    [Cn_fabric.Fabric] sessions. *)
 
 type hll = {
   counter : Cn_runtime.Shared_counter.t;
@@ -24,21 +25,14 @@ type hll = {
   decs : Hll.t;
 }
 
-val hll : ?precision:int -> ?slots:int -> ?lane:int * int -> unit -> hll
+val hll : ?precision:int -> ?slots:int -> unit -> hll
 (** An HLL-backed distinct counter.  Unique keys are minted from a
     bank of [?slots] (default [64]) per-slot FAA sequences — caller
     [pid] picks slot [pid mod slots], and [key = seq * slots + slot]
     is unique across all slots — so the key-minting hot path contends
     only within a slot, like the service's session lanes.
     [?precision] is forwarded to {!Hll.create}.
-
-    [?lane (i, n)] (default [(0, 1)]) places this instance's minted
-    keys in residue class [i] of [n]: [key * n + i].  [n] sibling
-    instances built with distinct indices mint globally disjoint keys,
-    which is what lets {!Hll.union} over their sketches count every
-    instance's observations — the contract the fabric's multi-lane
-    telemetry merge relies on.
-    @raise Invalid_argument unless [0 <= i < n] and [slots > 0]. *)
+    @raise Invalid_argument unless [slots > 0]. *)
 
 type sparse = {
   counter : Cn_runtime.Shared_counter.t;

@@ -387,120 +387,10 @@ let resize_under_load =
           (Fab.read fab));
   ]
 
-let profiled =
-  (* The two-tier backend profile: billing keys on the exact fabric,
-     telemetry keys on Cn_sketch lanes behind the router ring. *)
-  let module SC = Cn_runtime.Shared_counter in
-  let module Svc = Cn_service.Service in
-  let classify pid = if pid land 1 = 0 then Fab.Billing else Fab.Telemetry in
-  [
-    tc "billing tier is exact, telemetry hll tier is within 2 sigma" (fun () ->
-        let fab = Fab.create ~shards:2 (Counting.network ~w:4 ~t:4) in
-        let p =
-          Fab.profiled_counter ~backend:(Svc.Hll { precision = 12 }) ~classify
-            fab
-        in
-        let billing_ops = 500 and telemetry_ops = 20_000 in
-        for i = 1 to billing_ops do
-          ignore (SC.next p.Fab.counter ~pid:(2 * (i mod 8)))
-        done;
-        for i = 1 to telemetry_ops do
-          ignore (SC.next p.Fab.counter ~pid:((2 * (i mod 8)) + 1))
-        done;
-        Alcotest.(check int) "billing tier counts exactly" billing_ops
-          (p.Fab.billing_value ());
-        let est = p.Fab.telemetry_estimate () in
-        let err =
-          Float.abs (est -. float_of_int telemetry_ops)
-          /. float_of_int telemetry_ops
-        in
-        (* What this pins is the routing (billing ops never leak into
-           the sketch tier and vice versa), not estimator variance:
-           this fixed stream draws 2.1 sigma at p = 12, and a routing
-           bug would show up as a gross shortfall.  5% rejects that
-           while tolerating the draw. *)
-        Alcotest.(check bool)
-          (Printf.sprintf "telemetry estimate %.0f tracks %d (err %.4f)" est
-             telemetry_ops err)
-          true (err <= 0.05);
-        Alcotest.(check bool) "telemetry tier reports resident bytes" true
-          (p.Fab.telemetry_memory_bytes () > 0);
-        ignore (Fab.shutdown fab));
-    tc "slot-sharing pids across lanes do not collapse the union" (fun () ->
-        (* Regression: telemetry lanes mint from zero-based slot banks;
-           pids that share [pid mod slots] but route to different lanes
-           used to mint identical keys, and the union-merged estimate
-           undercounted.  512 odd pids over 64 slots force heavy
-           cross-lane slot sharing. *)
-        let fab = Fab.create ~shards:1 (Counting.network ~w:4 ~t:4) in
-        let p =
-          Fab.profiled_counter ~backend:(Svc.Hll { precision = 12 }) ~lanes:4
-            ~classify fab
-        in
-        let pids = 512 and per = 40 in
-        for i = 0 to pids - 1 do
-          for _ = 1 to per do
-            ignore (SC.next p.Fab.counter ~pid:((2 * i) + 1))
-          done
-        done;
-        let truth = float_of_int (pids * per) in
-        let est = p.Fab.telemetry_estimate () in
-        let err = Float.abs (est -. truth) /. truth in
-        let sigma = 1.04 /. sqrt (float_of_int (1 lsl 12)) in
-        Alcotest.(check bool)
-          (Printf.sprintf "estimate %.0f of %.0f (err %.4f)" est truth err)
-          true
-          (err <= 2. *. sigma);
-        ignore (Fab.shutdown fab));
-    tc "sparse telemetry tier nets out exactly at quiescence" (fun () ->
-        let fab = Fab.create ~shards:1 (Counting.network ~w:4 ~t:4) in
-        let p =
-          Fab.profiled_counter
-            ~backend:(Svc.Sparse { counters = 1024; degree = 3 })
-            ~lanes:2 ~classify fab
-        in
-        for i = 1 to 900 do
-          ignore (SC.next p.Fab.counter ~pid:((2 * (i mod 16)) + 1))
-        done;
-        for _ = 1 to 300 do
-          ignore (SC.prev p.Fab.counter ~pid:1)
-        done;
-        (* Sparse.total is exact whatever the collision structure. *)
-        Alcotest.(check (float 0.)) "global net tally is exact" 600.
-          (p.Fab.telemetry_estimate ());
-        Alcotest.(check int) "billing tier untouched" 0 (p.Fab.billing_value ());
-        ignore (Fab.shutdown fab));
-    tc "billing conservation holds across 4 mixed domains" (fun () ->
-        let fab = Fab.create ~shards:2 (Counting.network ~w:4 ~t:4) in
-        let p = Fab.profiled_counter ~classify fab in
-        let per = 500 in
-        let doms =
-          Array.init 4 (fun d ->
-              Domain.spawn (fun () ->
-                  (* Even pids bill, odd pids stream telemetry. *)
-                  for k = 1 to per do
-                    ignore (SC.next p.Fab.counter ~pid:((2 * d) + (k land 1)))
-                  done))
-        in
-        Array.iter Domain.join doms;
-        Alcotest.(check int) "every billing op counted exactly once"
-          (4 * per / 2)
-          (p.Fab.billing_value ());
-        ignore (Fab.shutdown fab));
-    Util.raises_invalid "profiled_counter rejects the Exact telemetry backend"
-      (fun () ->
-        let fab = Fab.create ~shards:1 (Counting.network ~w:4 ~t:4) in
-        ignore (Fab.profiled_counter ~backend:Svc.Exact ~classify fab));
-    Util.raises_invalid "profiled_counter rejects lanes < 1" (fun () ->
-        let fab = Fab.create ~shards:1 (Counting.network ~w:4 ~t:4) in
-        ignore (Fab.profiled_counter ~lanes:0 ~classify fab));
-  ]
-
 let suite =
   [
     ("fabric.router", router);
     ("fabric.certification", certification);
     ("fabric.ops", ops);
     ("fabric.resize", resize_under_load);
-    ("fabric.profiled", profiled);
   ]

@@ -36,8 +36,6 @@ let sessions =
         ignore (Svc.create ~max_batch:0 (net48 ())));
     Util.raises_invalid "create rejects queue 0" (fun () ->
         ignore (Svc.create ~queue:0 (net48 ())));
-    Util.raises_invalid "shared_counter rejects sessions 0" (fun () ->
-        ignore (Svc.shared_counter ~sessions:0 (Svc.create (net48 ()))));
   ]
 
 let sequential =
@@ -215,7 +213,13 @@ let concurrent =
   [
     tc "range contract through the service (4 domains)" (fun () ->
         let svc = Svc.create ~metrics:true (net816 ()) in
-        let counter = Svc.shared_counter ~sessions:8 svc in
+        (* Sessions are single-owner: one per domain, indexed by pid. *)
+        let ss = Array.init 4 (fun _ -> Svc.session svc) in
+        let counter =
+          SC.custom ~name:"service"
+            ~next:(fun ~pid -> check_ok "inc" (Svc.increment ss.(pid)))
+            ~prev:(fun ~pid -> check_ok "dec" (Svc.decrement ss.(pid)))
+        in
         let values =
           H.run_collect ~validate:V.Strict
             ~make:(fun () -> counter)
@@ -342,35 +346,6 @@ let races =
         match Svc.increment s with
         | Error Svc.Closed -> ()
         | Ok _ | Error Svc.Overloaded -> Alcotest.fail "expected Closed");
-    tc "shared_counter grows its session pool past the preallocation"
-      (fun () ->
-        (* 6 process ids against a 2-session pool: the pool must grow
-           rather than alias sessions (aliased sessions corrupt the
-           single-owner cell protocol and break the range contract). *)
-        let svc = Svc.create (net816 ()) in
-        let counter = Svc.shared_counter ~sessions:2 svc in
-        let values =
-          H.run_collect ~validate:V.Strict
-            ~make:(fun () -> counter)
-            ~domains:6 ~ops_per_domain:50 ()
-        in
-        Alcotest.(check bool) "range, no aliasing" true
-          (H.values_are_a_range values);
-        Alcotest.(check bool) "strict drain" true (V.passed (Svc.drain svc)));
-    tc "pool growth races 8 domains from a 1-session pool" (fun () ->
-        (* Regression for the growth lock: 8 domains all miss the
-           1-session pool at once and race the double-read miss path;
-           any lost or aliased session breaks the range contract. *)
-        let svc = Svc.create (net816 ()) in
-        let counter = Svc.shared_counter ~sessions:1 svc in
-        let values =
-          H.run_collect ~validate:V.Strict
-            ~make:(fun () -> counter)
-            ~domains:8 ~ops_per_domain:100 ()
-        in
-        Alcotest.(check bool) "range, no aliasing under racing growth" true
-          (H.values_are_a_range values);
-        Alcotest.(check bool) "strict drain" true (V.passed (Svc.drain svc)));
   ]
 
 let workload_spec =
