@@ -34,7 +34,7 @@ bench-service:
 bench-service-smoke:
 	dune exec bench/main.exe -- service --smoke
 
-# Elastic sharded fabric: shard-scaling sweep at 1/2/4 shards of a fixed
+# Sharded fabric: shard-scaling sweep at 1/2/4 shards of a fixed
 # C(8,8) plus a hot-resize-under-load row, every run
 # gated on token conservation and a Strict shutdown.  Records the
 # "fabric" section of BENCH_runtime.json.

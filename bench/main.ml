@@ -983,7 +983,7 @@ let service ?(smoke = false) () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* fabric: the elastic sharded counter fabric — shard-scaling sweep at
+(* fabric: the sharded counter fabric — shard-scaling sweep at
    1/2/4 shards of C(8,8) under 8 domains, plus a hot-resize-under-load
    row: shard 0 of the 4-shard fabric swapped C(8,8) -> C(16,16) mid-run
    with token conservation asserted at the Strict drain.  The projected

@@ -1400,6 +1400,10 @@ let load_cmd =
     Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
   in
   let run host port clients conns ops dec_ratio skew arrival seed =
+    (match Unix.inet_addr_of_string host with
+    | addr when Unix.domain_of_sockaddr (Unix.ADDR_INET (addr, 0)) = Unix.PF_INET -> ()
+    | _ | (exception Failure _) ->
+        fail_usage (Printf.sprintf "--host must be a numeric IPv4 address (got %S)" host));
     if port <= 0 || port > 65535 then
       fail_usage (Printf.sprintf "--port must be in [1, 65535] (got %d)" port);
     if clients <= 0 then fail_usage (Printf.sprintf "--clients must be positive (got %d)" clients);
@@ -1444,10 +1448,11 @@ let load_cmd =
           (l.Cn_runtime.Metrics.max /. 1e3)
           l.Cn_runtime.Metrics.observed l.Cn_runtime.Metrics.kept
     | None -> print_endline "load: no completed operations; no latency summary");
-    (* A run that completed nothing because every connection failed is an
-       error, not a quiet success: distinguish "server unreachable" from
-       "rig survived a mid-run shutdown" (which still completes some ops). *)
-    if stats.L.completed = 0 && stats.L.disconnects > 0 then (
+    (* A run that completed nothing is an error, not a quiet success,
+       whatever stopped it: a refused connection, a client thread that
+       died, or a server that refused every request.  A rig that
+       survives a mid-run shutdown still completes some ops. *)
+    if stats.L.completed = 0 then (
       prerr_endline
         (Printf.sprintf "countnet load: no operations completed against %s:%d" host port);
       exit 1);

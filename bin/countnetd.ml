@@ -18,7 +18,9 @@
    (Server.accepted, Server.polled_reads, Server.parked_reads) and
    then, as the last line, "countnetd: drain ok — ..." (exit 0) or
    "countnetd: drain FAILED — ..." (exit 1).  Usage errors, including
-   a malformed width pair or a rejected topology, exit 2. *)
+   a malformed width pair, a rejected topology, a --host that is not a
+   numeric IPv4 address and an address that cannot be bound (say, a
+   port already in use), exit 2. *)
 
 open Cmdliner
 
@@ -90,6 +92,10 @@ let validate_arg =
               $(b,off).  The exit code reports the verdict either way.")
 
 let run host port w t queue max_batch metrics validate shards =
+  (match Unix.inet_addr_of_string host with
+  | addr when Unix.domain_of_sockaddr (Unix.ADDR_INET (addr, 0)) = Unix.PF_INET -> ()
+  | _ | (exception Failure _) ->
+      fail_usage (Printf.sprintf "--host must be a numeric IPv4 address (got %S)" host));
   if port < 0 || port > 65535 then
     fail_usage (Printf.sprintf "--port must be in [0, 65535] (got %d)" port);
   if w <= 0 then fail_usage (Printf.sprintf "--width must be positive (got %d)" w);
@@ -123,6 +129,9 @@ let run host port w t queue max_batch metrics validate shards =
     try serve () with
     | Invalid_argument msg -> fail_usage msg
     | Cn_fabric.Fabric.Rejected msg -> fail_usage ("topology rejected: " ^ msg)
+    | Unix.Unix_error (err, _, _) ->
+        fail_usage
+          (Printf.sprintf "cannot listen on %s:%d (%s)" host port (Unix.error_message err))
   in
   Printf.printf "countnetd: listening on %s:%d (%s, pid %d)\n%!" host (Server.port server)
     shape (Unix.getpid ());

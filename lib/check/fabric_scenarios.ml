@@ -5,7 +5,7 @@ module Svc = Scenarios.Svc
 
 (* The production fabric protocol body over instrumented atomics and the
    instrumented model service: what the explorer exercises for the
-   hot-resize / elastic-rescale paths. *)
+   hot-resize path. *)
 module MS = struct
   include Svc
 
@@ -33,7 +33,6 @@ type run = {
   resizes : (unit, Fab.resize_error) result list ref;
   shutdowns : int ref;
   distinct_incs : bool; (* single-shard, elim off: values must be distinct *)
-  allow_busy : bool; (* concurrent rescalers may lose the claim race *)
 }
 
 let worker run sess op () =
@@ -81,14 +80,6 @@ let stubborn_resizer run ~shard topo () =
   in
   go ()
 
-let scaler run n () =
-  run.resizes := Fab.set_shard_count run.fab n :: !(run.resizes)
-
-let rescaler run steps () =
-  List.iter
-    (fun n -> run.resizes := Fab.set_shard_count run.fab n :: !(run.resizes))
-    steps
-
 let drainer run () = ignore (Fab.drain run.fab)
 
 let stopper run () =
@@ -100,7 +91,7 @@ let stopper run () =
    would only slow exploration without adding schedule points. *)
 let certify_ok _ = Ok ()
 
-let make_run ?(distinct_incs = false) ?(allow_busy = false) ~shards () =
+let make_run ?(distinct_incs = false) ~shards () =
   let rts = ref [] in
   let topo = Counting.network ~w:2 ~t:2 in
   let spawn t =
@@ -112,8 +103,7 @@ let make_run ?(distinct_incs = false) ?(allow_busy = false) ~shards () =
     Fab.make ~validate:V.Off ~spawn ~certify:certify_ok
       (List.init shards (fun _ -> topo))
   in
-  { rts; fab; results = ref []; resizes = ref []; shutdowns = ref 0;
-    distinct_incs; allow_busy }
+  { rts; fab; results = ref []; resizes = ref []; shutdowns = ref 0; distinct_incs }
 
 let resize_error_string = function
   | Fab.Cert_rejected m -> "certificate rejected: " ^ m
@@ -143,10 +133,7 @@ let check run () =
   in
   let failed_resize =
     List.find_map
-      (function
-        | Error Fab.Busy when run.allow_busy -> None
-        | Error e -> Some e
-        | Ok () -> None)
+      (function Error e -> Some e | Ok () -> None)
       !(run.resizes)
   in
   if !(run.shutdowns) > 0 && not (Fab.closed run.fab) then
@@ -187,7 +174,7 @@ let check run () =
               else None
             end)
 
-(* A key the current router sends to [shard] — routing is deterministic,
+(* A key the router sends to [shard] — routing is deterministic,
    so this probe is schedule-independent. *)
 let key_for run shard =
   let rec go k =
@@ -222,27 +209,6 @@ let drain_vs_route () =
     finish = check run;
   }
 
-let shrink_vs_submit () =
-  let run = make_run ~distinct_incs:true ~shards:2 () in
-  (* The worker is pinned to the shard being retired, so the operation
-     either completes there before its quiescent validation point or
-     parks and replays through the rerouted survivor. *)
-  let s = Fab.session ~key:(key_for run 1) run.fab in
-  {
-    Engine.name = "fabric-shrink-vs-submit";
-    fibers = [| worker run s Fab.Inc; scaler run 1 |];
-    finish = check run;
-  }
-
-let grow_vs_submit () =
-  let run = make_run ~distinct_incs:true ~shards:1 () in
-  let s = Fab.session ~key:0 run.fab in
-  {
-    Engine.name = "fabric-grow-vs-submit";
-    fibers = [| worker run s Fab.Inc; scaler run 2 |];
-    finish = check run;
-  }
-
 let shutdown_vs_submit () =
   let run = make_run ~shards:1 () in
   let s = Fab.session ~key:0 run.fab in
@@ -270,38 +236,6 @@ let resize_vs_resize () =
         stubborn_resizer run ~shard:0 topo;
         stubborn_resizer run ~shard:0 topo;
       |];
-    finish = check run;
-  }
-
-let resize_vs_shrink () =
-  (* A hot-resize and a shrink contend for the same doomed shard; the
-     loser of the claim race reports [Busy] (allowed here), and the
-     pinned worker must still be parked/replayed exactly once. *)
-  let run = make_run ~allow_busy:true ~shards:2 () in
-  let s = Fab.session ~key:(key_for run 1) run.fab in
-  {
-    Engine.name = "fabric-resize-vs-shrink";
-    fibers =
-      [|
-        worker run s Fab.Inc;
-        resizer run ~shard:1 (Counting.network ~w:2 ~t:2);
-        scaler run 1;
-      |];
-    finish = check run;
-  }
-
-let shrink_grow_vs_session () =
-  (* A session with a warm per-shard cache (from the setup increment)
-     submits while its shard is retired and then re-created.  The
-     re-created slot must carry a fresh generation: if it restarted at
-     the cached one, the stale session would target the shut-down
-     service and retry [Closed] forever (a step-bound cutoff). *)
-  let run = make_run ~shards:2 () in
-  let s = Fab.session ~key:(key_for run 1) run.fab in
-  worker run s Fab.Inc ();
-  {
-    Engine.name = "fabric-shrink-grow-vs-session";
-    fibers = [| worker run s Fab.Inc; rescaler run [ 1; 2 ] |];
     finish = check run;
   }
 
@@ -337,11 +271,7 @@ let all =
   [
     ("fabric-resize-vs-submit", resize_vs_submit);
     ("fabric-resize-vs-resize", resize_vs_resize);
-    ("fabric-resize-vs-shrink", resize_vs_shrink);
     ("fabric-drain-vs-route", drain_vs_route);
-    ("fabric-shrink-vs-submit", shrink_vs_submit);
-    ("fabric-grow-vs-submit", grow_vs_submit);
-    ("fabric-shrink-grow-vs-session", shrink_grow_vs_session);
     ("fabric-shutdown-vs-submit", shutdown_vs_submit);
     ("fabric-run-vs-resize", run_vs_resize);
   ]

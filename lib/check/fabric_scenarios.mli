@@ -13,15 +13,14 @@
       passed;
     - {b step property} on every spawned network's final distribution
       (pre-resize services included);
-    - {b resizes succeed}: no resize/rescale may fail (certification
-      is stubbed [Ok]) — except that scenarios with contending
-      rescalers accept [Busy] from the claim-race loser;
+    - {b resizes succeed}: no resize may fail (certification is
+      stubbed [Ok]);
     - {b no spurious refusal}: an operation may only return [Closed]
       if the scenario actually shuts the fabric down — a racing resize
       must park and replay, never refuse;
     - {b conservation}: the fabric's combining [read] equals successful
-      increments minus successful decrements, across every resize,
-      shrink and grow — the retired-fold accounting;
+      increments minus successful decrements, across every resize —
+      the base-fold accounting;
     - {b continuity} (single-shard, elimination off): the shard's value
       stream stays duplicate-free across the base fold at a resize;
     - {b liveness} (via the engine): parked operations are replayed —
@@ -46,28 +45,9 @@ val resize_vs_resize : unit -> Engine.scenario
     re-arming of the park buffer must never overwrite the previous
     resize's still-unsealed list (a dropped parked cell deadlocks). *)
 
-val resize_vs_shrink : unit -> Engine.scenario
-(** A hot-resize contending with [set_shard_count] for the shard being
-    retired; the claim-race loser may report [Busy], and the pinned
-    worker is parked/replayed exactly once either way. *)
-
 val drain_vs_route : unit -> Engine.scenario
 (** Workers pinned to both shards of a two-shard fabric racing a
     fabric-wide [drain] (per-shard quiesce/validate/re-admit). *)
-
-val shrink_vs_submit : unit -> Engine.scenario
-(** A worker pinned to the shard being retired while
-    [set_shard_count] shrinks 2 → 1 — the reroute-and-replay path. *)
-
-val grow_vs_submit : unit -> Engine.scenario
-(** A worker racing [set_shard_count] growing 1 → 2 — the
-    router-republish ordering on the grow path. *)
-
-val shrink_grow_vs_session : unit -> Engine.scenario
-(** A session whose per-shard cache was warmed before the schedule
-    starts submits across a shrink-then-grow of its home shard — the
-    re-created slot's generation must be monotonic (never reused), or
-    the stale cached session livelocks on the dead service. *)
 
 val shutdown_vs_submit : unit -> Engine.scenario
 (** A worker racing the terminal fabric [shutdown]; the operation

@@ -1,11 +1,11 @@
 (* The production fabric: Fabric_core's protocol over the real atomics
    and the real combining Service, with the certification policy the
    core functor keeps abstract filled in concretely: every topology —
-   initial shards, hot-resize candidates, grow targets — runs the
-   Cn_lint eight-pass pipeline with expectation [Counting] before it
-   may serve traffic; a certificate that is not ok, or whose evidence
-   is a refutation, is a hard abort (the resize returns [Cert_rejected]
-   and nothing changed). *)
+   initial shards and hot-resize candidates — runs the Cn_lint
+   eight-pass pipeline with expectation [Counting] before it may serve
+   traffic; a certificate that is not ok, or whose evidence is a
+   refutation, is a hard abort (the resize returns [Cert_rejected] and
+   nothing changed). *)
 
 module Topology = Cn_network.Topology
 module Counting = Cn_core.Counting
@@ -55,7 +55,7 @@ let certify_topology ?exhaustive_budget net =
 (* ------------------------------------------------------------------ *)
 
 let create ?mode ?(metrics = false) ?max_batch ?queue ?elim ?(validate = V.Strict)
-    ?max_shards ?vnodes ?exhaustive_budget ~shards net =
+    ?exhaustive_budget ~shards net =
   if shards < 1 then invalid_arg "Fabric.create: shards must be positive";
   let spawn topo = Svc.create ?mode ~metrics ?max_batch ?queue ?elim ~validate topo in
   let certify topo =
@@ -63,7 +63,7 @@ let create ?mode ?(metrics = false) ?max_batch ?queue ?elim ?(validate = V.Stric
     | Ok _ -> Ok ()
     | Error msg -> Error msg
   in
-  Core.make ?max_shards ?vnodes ~validate ~spawn ~certify
+  Core.make ~validate ~spawn ~certify
     (List.init shards (fun _ -> net))
 
 (* ------------------------------------------------------------------ *)

@@ -1,22 +1,22 @@
-(** The elastic sharded counter fabric — the production instantiation
-    of {!Fabric_core.Make} over {!Cn_runtime.Atomics.Real} and the
+(** The sharded counter fabric — the production instantiation of
+    {!Fabric_core.Make} over {!Cn_runtime.Atomics.Real} and the
     combining {!Cn_service.Service}.
 
-    A fabric owns N independently compiled [C(w,t)] service instances
-    (shards), routes sessions to shards through a consistent-hash ring
-    ({!Router} — stable under shard-count changes), merges the shard
-    counters into a linearizable-at-quiescence global {!read} via a
-    second-level combining pass, and can {b hot-resize} any shard:
+    A fabric owns a fixed set of N independently compiled [C(w,t)]
+    service instances (shards), routes sessions to shards through a
+    consistent-hash ring ({!Router}), merges the shard counters into a
+    linearizable-at-quiescence global {!read} via a second-level
+    combining pass, and can {b hot-resize} any shard:
     drain it through the {!Cn_runtime.Validator.quiescent_runtime}
     boundary, park in-flight operations, swap in a freshly compiled
     topology, and replay the parked work — losing no tokens and
     duplicating no values (the shard's value stream continues from a
     [base] offset folded at the validated quiescence point).
 
-    Every topology the fabric ever serves — initial shards, resize
-    candidates, grow targets — is first certified by the {!Cn_lint}
-    eight-pass pipeline with expectation [Counting]; a rejected
-    certificate aborts the operation before any state changes.
+    Every topology the fabric ever serves — initial shards and resize
+    candidates — is first certified by the {!Cn_lint} eight-pass
+    pipeline with expectation [Counting]; a rejected certificate aborts
+    the operation before any state changes.
 
     The protocol body lives in {!Fabric_core.Make} and is model-checked
     by [Cn_check] over instrumented atomics ([make check-races]); this
@@ -36,8 +36,6 @@ val create :
   ?queue:int ->
   ?elim:bool ->
   ?validate:Cn_runtime.Validator.policy ->
-  ?max_shards:int ->
-  ?vnodes:int ->
   ?exhaustive_budget:int ->
   shards:int ->
   Cn_network.Topology.t ->
@@ -50,7 +48,7 @@ val create :
     the ones hot-resize swaps in later.  [?exhaustive_budget] (default
     [2_000]) caps the certifier's bounded-exhaustive pass per topology.
     @raise Rejected if [net] fails certification.
-    @raise Invalid_argument if [shards < 1] or [shards > max_shards]. *)
+    @raise Invalid_argument if [shards < 1] or [shards > 16]. *)
 
 val certificate : ?exhaustive_budget:int -> Cn_network.Topology.t -> Cn_lint.Cert.t
 (** The certificate the fabric's gate evaluates: the full

@@ -1,4 +1,4 @@
-(* The elastic shard-fabric protocol, factored out as a functor over
+(* The shard-fabric protocol, factored out as a functor over
    its atomic operations and the service module it shards — the same
    pattern as [Service_core.Make], and for the same reason: [Fabric]
    instantiates it with the real atomics and the production [Service],
@@ -8,9 +8,10 @@
 
    Protocol summary (the invariants the checker scenarios pin):
 
-   - routing: an operation reads the published router, resolves its
-     shard, and re-resolves from scratch whenever it loses a race with
-     a resize — it never holds a stale shard across a retry;
+   - routing: the shard set is fixed at [make], so the router is an
+     immutable value; an operation resolves its shard, and re-reads
+     that shard's state and service whenever it loses a race with a
+     resize — it never holds a stale service across a retry;
    - hot-resize: certify first (a rejected certificate aborts with no
      state change), then CAS the shard [Open -> Resizing] so latecomers
      park, shut the old service down through the Validator quiescence
@@ -22,11 +23,7 @@
    - accounting: a shard's logical value is [base + net(svc)].  The
      fold at the swap point keeps the sum invariant, so values handed
      out after a resize continue the shard's stream with no duplicates
-     and the global read never observes a discontinuity.  A shrink
-     publishes retirement the same way: a single atomic store replaces
-     the live shard with an equal-valued tombstone carrying its frozen
-     net (and its generation, which a later grow continues), so the
-     global read is conserved through every rescale. *)
+     and the global read never observes a discontinuity. *)
 
 module V = Cn_runtime.Validator
 module Topology = Cn_network.Topology
@@ -69,8 +66,6 @@ module type S = sig
   exception Rejected of string
 
   val make :
-    ?max_shards:int ->
-    ?vnodes:int ->
     ?validate:V.policy ->
     spawn:(topo_key -> svc) ->
     certify:(topo_key -> (unit, string) result) ->
@@ -86,15 +81,12 @@ module type S = sig
   val decrement : session -> (int, error) result
   val read : t -> int
   val shard_count : t -> int
-  val max_shards : t -> int
   val route : t -> int -> int
   val shard_value : t -> int -> int
   val shard_gen : t -> int -> int
   val shard_topology : t -> int -> topo_key
   val shard_service : t -> int -> svc
   val resize : ?policy:V.policy -> t -> shard:int -> topo_key -> (unit, resize_error) result
-  val set_shard_count :
-    ?policy:V.policy -> ?topo:topo_key -> t -> int -> (unit, resize_error) result
   val drain : ?policy:V.policy -> t -> V.report
   val shutdown : ?policy:V.policy -> t -> V.report
   val closed : t -> bool
@@ -119,17 +111,10 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
 
   exception Rejected of string
 
+  (* A shard slot's whole accounting state is one atomic word, so a
+     resize publishes (new service + folded [base] + next generation)
+     in a single store. *)
   type shard = { svc : S.t; topo : Topology.t; base : int; gen : int }
-
-  (* A slot's whole accounting state is one atomic word, so shrink can
-     publish (service removed + net count preserved) in a single store:
-     [Live] carries the serving shard, [Tomb] carries the retired
-     shard's folded net count — and its last generation, so a later
-     grow re-creates the slot at [gen + 1] and a session's cached
-     [(shard, gen)] key can never alias across a retire/respawn (the
-     ABA that would otherwise pin a stale session to a dead service).
-     [Empty] is a slot that never served. *)
-  type slot = Live of shard | Tomb of { net : int; gen : int } | Empty
 
   (* A parked operation: routed to a shard mid-resize, waiting for the
      resizer to replay it on the swapped-in service.  [value]/[failed]
@@ -146,20 +131,16 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
 
   type park = Accepting of pending list | Sealed
 
-  (* [Retired] means the slot is not serving (removed by a shrink, or
-     never spawned); the router never targets a retired shard, so an
-     operation that observes one re-reads the router.  A later grow may
-     reopen the slot, continuing its tombstoned count and generation. *)
-  type shard_state = Open | Resizing | Retired
+  type shard_state = Open | Resizing
 
+  (* One entry per shard in [slots]/[states]/[parked]: every shard
+     [make] spawns serves until shutdown. *)
   type t = {
-    slots : slot A.t array;
+    slots : shard A.t array;
     states : shard_state A.t array;
     parked : park A.t array;
-    router : Router.t A.t;
-    count_ : int A.t;
+    router : Router.t;
     closed_ : bool A.t;
-    scaling : bool A.t; (* set_shard_count mutual exclusion *)
     session_ctr : int A.t;
     (* flat-combining global read: one collector sweeps, concurrent
        readers adopt any sweep that started after they arrived *)
@@ -169,7 +150,6 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
     spawn : Topology.t -> S.t;
     certify : Topology.t -> (unit, string) result;
     validate : V.policy;
-    vnodes : int;
   }
 
   type session = {
@@ -182,8 +162,10 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
     val1 : int array;
   }
 
-  let make ?(max_shards = 16) ?(vnodes = Router.default_vnodes)
-      ?(validate = V.Strict) ~spawn ~certify topos =
+  (* The cap on the shard count a caller may ask for. *)
+  let max_shards = 16
+
+  let make ?(validate = V.Strict) ~spawn ~certify topos =
     let n = List.length topos in
     if n < 1 then invalid_arg "Fabric_core.make: at least one shard";
     if n > max_shards then invalid_arg "Fabric_core.make: more shards than max_shards";
@@ -193,22 +175,14 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
         | Ok () -> ()
         | Error msg -> raise (Rejected msg))
       topos;
-    let slots = Array.init max_shards (fun _ -> A.make Empty) in
-    let states = Array.init max_shards (fun _ -> A.make Retired) in
-    let parked = Array.init max_shards (fun _ -> A.make Sealed) in
-    List.iteri
-      (fun sid topo ->
-        A.set slots.(sid) (Live { svc = spawn topo; topo; base = 0; gen = 0 });
-        A.set states.(sid) Open)
-      topos;
     {
-      slots;
-      states;
-      parked;
-      router = A.make (Router.make ~vnodes (List.init n Fun.id));
-      count_ = A.make n;
+      slots =
+        Array.of_list
+          (List.map (fun topo -> A.make { svc = spawn topo; topo; base = 0; gen = 0 }) topos);
+      states = Array.init n (fun _ -> A.make Open);
+      parked = Array.init n (fun _ -> A.make Sealed);
+      router = Router.make (List.init n Fun.id);
       closed_ = A.make false;
-      scaling = A.make false;
       session_ctr = A.make 0;
       read_owner = A.make 0;
       read_epoch = A.make 1;
@@ -216,13 +190,11 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
       spawn;
       certify;
       validate;
-      vnodes;
     }
 
   let closed t = A.get t.closed_
-  let shard_count t = A.get t.count_
-  let max_shards t = Array.length t.slots
-  let route t key = Router.route (A.get t.router) key
+  let shard_count t = Array.length t.slots
+  let route t key = Router.route t.router key
 
   let session ?key t =
     let key =
@@ -233,9 +205,7 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
   let shard_slot t sid =
     if sid < 0 || sid >= Array.length t.slots then
       invalid_arg "Fabric_core: shard out of range";
-    match A.get t.slots.(sid) with
-    | Live sh -> sh
-    | Tomb _ | Empty -> invalid_arg "Fabric_core: shard not live"
+    A.get t.slots.(sid)
 
   let shard_value t sid =
     let sh = shard_slot t sid in
@@ -257,14 +227,8 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
     if i >= stop then Ok ()
     else if A.get fab.closed_ then Error (i, Closed)
     else begin
-      let sid = Router.route (A.get fab.router) sess.key in
+      let sid = Router.route fab.router sess.key in
       match A.get fab.states.(sid) with
-      | Retired ->
-          (* the router that sent us here is already unpublished: the
-             narrower ring is published before any shard retires, so an
-             immediate re-read resolves to a live shard (no relax — the
-             write we need has already landed) *)
-          exec sess ops vals i stop
       | Resizing -> (
           match park sess sid ops.(i) with
           | Some (Ok v) ->
@@ -276,39 +240,33 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
               A.relax ();
               exec sess ops vals i stop)
       | Open -> (
-          match A.get fab.slots.(sid) with
-          | Tomb _ | Empty ->
-              (* shrink window: the slot tombstones before the state
-                 flips to Retired — the state we read above is stale *)
-              A.relax ();
-              exec sess ops vals i stop
-          | Live sh -> (
-              let ss =
-                match sess.cache with
-                | Some (c, g, ss) when c = sid && g = sh.gen -> ss
-                | _ ->
-                    let ss = S.session sh.svc in
-                    sess.cache <- Some (sid, sh.gen, ss);
-                    ss
-              in
-              let r = S.run ss ops vals ~off:i ~len:(stop - i) in
-              let served = match r with Ok () -> stop | Error (k, _) -> k in
-              for j = i to served - 1 do
-                vals.(j) <- sh.base + vals.(j)
-              done;
-              match r with
-              | Ok () | Error (_, Overloaded) -> r
-              | Error (k, Closed) ->
-                  (* the shard's service is draining, resizing or shut
-                     down under us; the fabric-level state says which —
-                     go around (a pure retry against unchanged state
-                     would fail again, so the relax is sound under the
-                     instrumented scheduler too) *)
-                  if A.get fab.closed_ then r
-                  else begin
-                    A.relax ();
-                    exec sess ops vals k stop
-                  end))
+          let sh = A.get fab.slots.(sid) in
+          let ss =
+            match sess.cache with
+            | Some (c, g, ss) when c = sid && g = sh.gen -> ss
+            | _ ->
+                let ss = S.session sh.svc in
+                sess.cache <- Some (sid, sh.gen, ss);
+                ss
+          in
+          let r = S.run ss ops vals ~off:i ~len:(stop - i) in
+          let served = match r with Ok () -> stop | Error (k, _) -> k in
+          for j = i to served - 1 do
+            vals.(j) <- sh.base + vals.(j)
+          done;
+          match r with
+          | Ok () | Error (_, Overloaded) -> r
+          | Error (k, Closed) ->
+              (* the shard's service is draining, resizing or shut
+                 down under us; the fabric-level state says which —
+                 go around (a pure retry against unchanged state
+                 would fail again, so the relax is sound under the
+                 instrumented scheduler too) *)
+              if A.get fab.closed_ then r
+              else begin
+                A.relax ();
+                exec sess ops vals k stop
+              end)
     end
 
   (* Park one operation on a resizing shard and wait for its replay;
@@ -351,9 +309,8 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
   (* ---------------------------------------------------------------- *)
   (* Hot resize: certify, seal, drain, swap, replay. *)
 
-  (* Replay a parked cell through the normal routed path: on the
-     common path it lands on the shard's swapped-in service; after a
-     shrink it re-routes to the cell's new home shard.  [Overloaded]
+  (* Replay a parked cell through the normal routed path, which lands
+     it on the shard's swapped-in service.  [Overloaded]
      is retried (the caller already committed to waiting), [Closed]
      means the fabric itself closed — the caller gets the same refusal
      it would have gotten arriving a moment later. *)
@@ -431,104 +388,15 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
           else begin
             (* latecomers observing [Resizing] park from here on *)
             arm_parked fab shard;
-            let old =
-              match A.get fab.slots.(shard) with
-              | Live sh -> sh
-              | Tomb _ | Empty -> assert false
-            in
+            let old = A.get fab.slots.(shard) in
             let policy = Option.value policy ~default:fab.validate in
             let _report, base = retire_service fab shard old policy in
             let svc = fab.spawn topo in
-            A.set fab.slots.(shard) (Live { svc; topo; base; gen = old.gen + 1 });
+            A.set fab.slots.(shard) { svc; topo; base; gen = old.gen + 1 };
             A.set fab.states.(shard) Open;
             replay fab shard;
             Ok ()
           end
-
-  let rec claim fab sid =
-    (* used by shrink/shutdown: wait out a concurrent resize *)
-    if A.get fab.closed_ then false
-    else if A.compare_and_set fab.states.(sid) Open Resizing then true
-    else begin
-      A.relax ();
-      claim fab sid
-    end
-
-  let set_shard_count ?policy ?topo fab n =
-    if n < 1 || n > Array.length fab.slots then Error Bad_shard
-    else if A.get fab.closed_ then Error Fabric_closed
-    else if not (A.compare_and_set fab.scaling false true) then Error Busy
-    else begin
-      let finish r =
-        A.set fab.scaling false;
-        r
-      in
-      let cur = A.get fab.count_ in
-      if n = cur then finish (Ok ())
-      else if n > cur then begin
-        (* grow: certify and install the new shards, then publish the
-           wider router — no key routes to a shard before it serves *)
-        let topo =
-          match topo with
-          | Some t -> t
-          | None -> (
-              match A.get fab.slots.(0) with
-              | Live sh -> sh.topo
-              | Tomb _ | Empty -> assert false)
-        in
-        match fab.certify topo with
-        | Error msg -> finish (Error (Cert_rejected msg))
-        | Ok () ->
-            for sid = cur to n - 1 do
-              (* a re-created slot continues the retired shard's stream:
-                 its tombstoned net becomes the new [base] (one atomic
-                 publish keeps [read] conserved) and its generation
-                 stays monotonic, so no session cache keyed on the
-                 pre-shrink (shard, gen) can alias the new service *)
-              let base, gen =
-                match A.get fab.slots.(sid) with
-                | Tomb { net; gen } -> (net, gen + 1)
-                | Empty -> (0, 0)
-                | Live _ -> assert false
-              in
-              A.set fab.slots.(sid)
-                (Live { svc = fab.spawn topo; topo; base; gen });
-              A.set fab.parked.(sid) Sealed;
-              A.set fab.states.(sid) Open
-            done;
-            A.set fab.router (Router.make ~vnodes:fab.vnodes (List.init n Fun.id));
-            A.set fab.count_ n;
-            finish (Ok ())
-      end
-      else begin
-        (* shrink: publish the narrower router first so new arrivals
-           avoid the doomed shards, then retire each one — parked
-           stragglers replay through the new router *)
-        A.set fab.router (Router.make ~vnodes:fab.vnodes (List.init n Fun.id));
-        A.set fab.count_ n;
-        let policy = Option.value policy ~default:fab.validate in
-        for sid = n to cur - 1 do
-          if claim fab sid then begin
-            arm_parked fab sid;
-            let sh =
-              match A.get fab.slots.(sid) with
-              | Live sh -> sh
-              | Tomb _ | Empty -> assert false
-            in
-            let _report, net = retire_service fab sid sh policy in
-            (* one atomic store retires the service and preserves its
-               net count: a collect sweep sees either [Live] (whose net
-               is frozen — the service is already shut down) or the
-               equal-valued [Tomb], never an intermediate that counts
-               the shard zero or twice *)
-            A.set fab.slots.(sid) (Tomb { net; gen = sh.gen });
-            A.set fab.states.(sid) Retired;
-            replay fab sid
-          end
-        done;
-        finish (if A.get fab.closed_ then Error Fabric_closed else Ok ())
-      end
-    end
 
   (* ---------------------------------------------------------------- *)
   (* Global read: a second-level combining pass.  One reader CASes
@@ -542,19 +410,14 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
      skew to in-flight resizes. *)
 
   let collect fab =
-    (* one atomic read per slot: [Live] contributes [base + net] and a
-       [Tomb] the retired shard's frozen net — the shrink publishes the
-       transition as a single equal-valued store, so a sweep can never
-       drop or double-count a shard mid-retirement *)
-    let sum = ref 0 in
-    Array.iter
-      (fun slot ->
-        match A.get slot with
-        | Live sh -> sum := !sum + sh.base + S.net_count sh.svc
-        | Tomb { net; _ } -> sum := !sum + net
-        | Empty -> ())
-      fab.slots;
-    !sum
+    (* one atomic read per slot: a resize publishes the swapped-in
+       service and its folded [base] as one store, so a sweep never
+       counts a shard twice or not at all *)
+    Array.fold_left
+      (fun sum slot ->
+        let sh = A.get slot in
+        sum + sh.base + S.net_count sh.svc)
+      0 fab.slots
 
   let read fab =
     let e0 = A.get fab.read_epoch in
@@ -595,62 +458,39 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
           reports;
     }
 
-  let live_shards fab =
-    let acc = ref [] in
-    for sid = Array.length fab.slots - 1 downto 0 do
-      match A.get fab.slots.(sid) with
-      | Live sh -> acc := (sid, sh) :: !acc
-      | Tomb _ | Empty -> ()
-    done;
-    !acc
-
   let drain ?policy fab =
     (* each shard's [S.drain] quiesces, validates and re-admits on its
        own; operations racing the admission flip retry through [exec] *)
     let policy = Option.value policy ~default:fab.validate in
     merge_reports
-      (Printf.sprintf "fabric(%d shards)" (A.get fab.count_))
-      (List.map
-         (fun (sid, sh) -> (sid, S.drain ~policy sh.svc))
-         (live_shards fab))
+      (Printf.sprintf "fabric(%d shards)" (shard_count fab))
+      (List.init (shard_count fab) (fun sid ->
+           (sid, S.drain ~policy (A.get fab.slots.(sid)).svc)))
 
   let shutdown ?policy fab =
     let policy = Option.value policy ~default:fab.validate in
     A.set fab.closed_ true;
     let reports =
-      List.filter_map
-        (fun (sid, _) ->
+      List.init (shard_count fab) (fun sid ->
           (* wait out any in-flight resize of this shard, then claim
              it terminally; its parked cells are replayed into the
              closed fabric and fail [Closed], exactly as if they had
              arrived after the stop *)
-          let rec grab () =
-            if A.compare_and_set fab.states.(sid) Open Resizing then true
-            else
-              match A.get fab.states.(sid) with
-              | Retired -> false
-              | _ ->
-                  A.relax ();
-                  grab ()
+          while not (A.compare_and_set fab.states.(sid) Open Resizing) do
+            A.relax ()
+          done;
+          let report =
+            try S.shutdown ~policy (A.get fab.slots.(sid)).svc
+            with e ->
+              (* same contract as [retire_service]: never leave a
+                 parked caller spinning behind an exception *)
+              abort_parked fab sid;
+              raise e
           in
-          if not (grab ()) then None
-          else
-            match A.get fab.slots.(sid) with
-            | Tomb _ | Empty -> None
-            | Live sh ->
-                let report =
-                  try S.shutdown ~policy sh.svc
-                  with e ->
-                    (* same contract as [retire_service]: never leave a
-                       parked caller spinning behind an exception *)
-                    abort_parked fab sid;
-                    raise e
-                in
-                replay fab sid;
-                Some (sid, report))
-        (live_shards fab)
+          replay fab sid;
+          (sid, report))
     in
     merge_reports
-      (Printf.sprintf "fabric(%d shards, stopped)" (A.get fab.count_))
+      (Printf.sprintf "fabric(%d shards, stopped)" (shard_count fab))
       reports
 end

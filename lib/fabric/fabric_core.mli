@@ -1,4 +1,4 @@
-(** The elastic shard-fabric protocol, as a functor over its atomic
+(** The shard-fabric protocol, as a functor over its atomic
     operations and the sharded service — the same factoring as
     {!Cn_service.Service_core}, for the same reason: {!Fabric}
     instantiates it with {!Cn_runtime.Atomics.Real} and the production
@@ -18,9 +18,10 @@
       the resize folds the old service's net count into [base] at the
       validated quiescence point, so the shard's value stream continues
       with no duplicates and the global sum is invariant at the swap;
-    - {b routing}: the consistent-hash router is published before any
-      shard retires and after every shard spawns, so no operation is
-      ever routed to a shard that will not serve or park it. *)
+    - {b routing}: the shard set is fixed when the fabric is made and
+      every shard serves until shutdown, so the consistent-hash router
+      is immutable and never sends an operation to a shard that will
+      not serve or park it. *)
 
 module V := Cn_runtime.Validator
 
@@ -64,8 +65,8 @@ module type S = sig
   (** What a shard is built from (a {!Cn_network.Topology.t}). *)
 
   type t
-  (** A fabric: up to [max_shards] shard slots, a published router, and
-      the combining-read state. *)
+  (** A fabric: a fixed set of shards, their router, and the
+      combining-read state. *)
 
   type session
   (** A fabric client handle: a routing key plus a cached per-shard
@@ -78,7 +79,7 @@ module type S = sig
   type resize_error =
     | Cert_rejected of string
         (** the candidate topology failed certification; nothing changed *)
-    | Busy  (** another resize or rescale owns the shard / the fabric *)
+    | Busy  (** another resize (or the shutdown) owns the shard *)
     | Bad_shard  (** shard id out of range *)
     | Fabric_closed
 
@@ -87,8 +88,6 @@ module type S = sig
       certification — a fabric never starts serving uncertified. *)
 
   val make :
-    ?max_shards:int ->
-    ?vnodes:int ->
     ?validate:V.policy ->
     spawn:(topo_key -> svc) ->
     certify:(topo_key -> (unit, string) result) ->
@@ -96,12 +95,12 @@ module type S = sig
     t
   (** [make ~spawn ~certify topos] builds one shard per listed topology
       (shard ids [0..n-1]), certifying every topology {e before}
-      spawning anything.  [?max_shards] (default [16]) bounds
-      {!set_shard_count}; [?vnodes] (default {!Router.default_vnodes})
-      sizes the hash ring; [?validate] (default [Strict]) is the policy
-      resize/drain/shutdown apply when not overridden.
+      spawning anything.  The shard set is fixed from then on.
+      [?validate] (default [Strict]) is the policy resize/drain/shutdown
+      apply when not overridden.
       @raise Rejected if any initial topology fails certification.
-      @raise Invalid_argument on an empty list or [n > max_shards]. *)
+      @raise Invalid_argument on an empty list or more than 16
+      topologies. *)
 
   val session : ?key:int -> t -> session
   (** [session t] registers a client.  [?key] pins the routing key
@@ -138,10 +137,10 @@ module type S = sig
 
   val read : t -> int
   (** Linearizable-at-quiescence global read: one reader CASes itself
-      collector, double-collects [base + net] across shards (a retired
-      slot contributes its tombstoned net, published atomically at the
-      retirement, so a sweep never under- or double-counts a shard
-      mid-shrink) until two sweeps agree, and publishes the sweep;
+      collector, double-collects [base + net] across shards (a resize
+      publishes the new service and its folded [base] in one store, so
+      a sweep never under- or double-counts a shard mid-swap) until two
+      sweeps agree, and publishes the sweep;
       concurrent readers adopt any sweep that started after they
       arrived — a second-level combining pass, so [n] concurrent reads
       cost one sweep, not [n].  Under in-flight traffic the value is
@@ -149,22 +148,20 @@ module type S = sig
       tokens have exited). *)
 
   val shard_count : t -> int
-  val max_shards : t -> int
 
   val route : t -> int -> int
-  (** The shard id the current router assigns a key — exposed for the
+  (** The shard id the router assigns a key — exposed for the
       routing-stability tests and the bench rig. *)
 
   val shard_value : t -> int -> int
   (** [shard_value t sid] is the shard's logical counter value
       ([base + net]).  Exact at quiescence.
-      @raise Invalid_argument if [sid] is retired or out of range. *)
+      @raise Invalid_argument if [sid] is out of range. *)
 
   val shard_gen : t -> int -> int
-  (** Resize generation of the shard: 0 at first spawn, +1 per swap —
-      and monotonic across retirement, so a slot re-created by a grow
-      continues (not restarts) the sequence and a session's cached
-      [(shard, gen)] pair can never alias a retired service. *)
+  (** Resize generation of the shard: 0 at spawn, +1 per swap, so a
+      session's cached [(shard, gen)] pair never aliases a swapped-out
+      service. *)
 
   val shard_topology : t -> int -> topo_key
   val shard_service : t -> int -> svc
@@ -176,22 +173,12 @@ module type S = sig
       {!Cn_runtime.Validator.quiescent_runtime} boundary at [?policy]
       (default: the fabric's policy), fold its net count into the
       shard's [base], spawn and publish the new service, reopen, and
-      replay every parked operation exactly once.
+      replay every parked operation exactly once.  A shard id outside
+      [0 .. shard_count - 1] is [Error Bad_shard] before anything is
+      certified.
       @raise Validator.Invalid under [Strict] when the old service
       fails its quiescence checks; the fabric fail-stops first
       (integrity over availability). *)
-
-  val set_shard_count :
-    ?policy:V.policy -> ?topo:topo_key -> t -> int -> (unit, resize_error) result
-  (** Elastically grow or shrink the live shard set to [n].  Growth
-      certifies and spawns shards (topology [?topo], default: shard
-      0's current topology) before publishing the wider router; shrink
-      publishes the narrower router first, then drains each removed
-      shard through the same seal/validate/replay path as {!resize},
-      atomically replacing it with a tombstone that preserves its net
-      count (and generation) so {!read} stays conserved and a later
-      grow continues the slot's stream.  Serialized against itself
-      ([Error Busy]). *)
 
   val drain : ?policy:V.policy -> t -> V.report
   (** Quiesce and validate every shard in turn (each re-admits when

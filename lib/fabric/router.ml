@@ -8,9 +8,9 @@
    ring segments that changed hands — the 1/(n+1) remap fraction the
    property tests pin.
 
-   The ring is immutable; the fabric swaps whole routers through one
-   atomic reference when the shard set changes.  Routing itself is a
-   hash plus a binary search — no shared state, safe from any domain. *)
+   The ring is immutable, built once for the fabric's fixed shard set.
+   Routing is a hash plus a binary search — no shared state, safe from
+   any domain. *)
 
 (* The finalizer lives in the runtime ({!Cn_runtime.Splitmix}) so the
    sketch backends can hash keys the same way without a dependency on
@@ -20,16 +20,13 @@ let mix = Cn_runtime.Splitmix.mix
 type t = {
   hashes : int array; (* point positions, sorted ascending *)
   owners : int array; (* owners.(i) = shard owning hashes.(i) *)
-  shards : int array; (* the shard ids this ring was built from *)
-  vnodes : int;
 }
 
-let default_vnodes = 64
+let vnodes = 64
 
 let point shard replica = mix (((shard + 1) * 1_000_003) + (replica * 8191))
 
-let make ?(vnodes = default_vnodes) shards =
-  if vnodes <= 0 then invalid_arg "Router.make: vnodes must be positive";
+let make shards =
   if shards = [] then invalid_arg "Router.make: at least one shard";
   let ids = Array.of_list shards in
   let points =
@@ -38,16 +35,7 @@ let make ?(vnodes = default_vnodes) shards =
       (fun i -> (point ids.(i / vnodes) (i mod vnodes), ids.(i / vnodes)))
   in
   Array.sort compare points;
-  {
-    hashes = Array.map fst points;
-    owners = Array.map snd points;
-    shards = ids;
-    vnodes;
-  }
-
-let shards t = Array.to_list t.shards
-let shard_count t = Array.length t.shards
-let vnodes t = t.vnodes
+  { hashes = Array.map fst points; owners = Array.map snd points }
 
 let route t key =
   let h = mix key in

@@ -1,7 +1,7 @@
 (** Consistent-hash session routing for the shard fabric.
 
     A hash ring with virtual nodes (Karger-style consistent hashing):
-    each shard owns {!vnodes} pseudo-random ring points, and a key
+    each shard owns 64 pseudo-random ring points, and a key
     routes to the shard owning the first point at or after the key's
     hash.  Because point positions depend only on the (shard id,
     replica) pair, changing the shard set moves only the keys in the
@@ -12,32 +12,17 @@
     - removing a shard remaps exactly the keys it owned, and no key
       moves between two surviving shards.
 
-    Routers are immutable values; the fabric publishes a freshly built
-    ring through one atomic reference when it grows or shrinks.
-    {!route} is pure (hash + binary search) and safe from any domain. *)
+    64 virtual nodes per shard balance a 1-to-8-shard ring to within a
+    few percent.  Routers are immutable values; the fabric builds one
+    for its fixed shard set.  {!route} is pure (hash + binary search)
+    and safe from any domain. *)
 
 type t
 
-val default_vnodes : int
-(** [64] — enough virtual nodes that a 1-to-8-shard ring balances keys
-    to within a few percent. *)
-
-val make : ?vnodes:int -> int list -> t
+val make : int list -> t
 (** [make shards] builds the ring over the given shard ids.
-    @raise Invalid_argument if [shards] is empty or [vnodes <= 0]. *)
+    @raise Invalid_argument if [shards] is empty. *)
 
 val route : t -> int -> int
 (** [route t key] is the shard id owning [key].  Deterministic: the
     same key on the same shard set always lands on the same shard. *)
-
-val shards : t -> int list
-(** The shard ids the ring was built over. *)
-
-val shard_count : t -> int
-val vnodes : t -> int
-
-val mix : int -> int
-(** The ring's avalanche hash over non-negative tagged ints — exposed
-    so tests can reason about point placement.  An alias for
-    {!Cn_runtime.Splitmix.mix}, the system-wide finalizer the sketch
-    backends share. *)

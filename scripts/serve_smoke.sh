@@ -3,7 +3,9 @@
 # process pair: start countnetd on an ephemeral port, drive it with
 # two concurrent `countnet load` clients, then SIGTERM it under a
 # third in-flight load and require a clean Strict-validated drain
-# (exit 0 and the "drain ok" line).  A second countnetd is then
+# (exit 0 and the "drain ok" line).  While the first daemon serves, a
+# second one started on its port must refuse with a usage error (exit
+# 2 and a "countnetd:" line on stderr).  A second countnetd is then
 # stopped the same way under one lone connection: the one connection
 # countnetd polls before it parks in read(2), so that stop lands in
 # the middle of a poll, and its stop line must report polled reads.
@@ -15,7 +17,8 @@ set -eu
 COUNTNETD=${COUNTNETD:-_build/default/bin/countnetd.exe}
 COUNTNET=${COUNTNET:-_build/default/bin/countnet.exe}
 OUT=$(mktemp)
-trap 'rm -f "$OUT"' EXIT
+ERR=$(mktemp)
+trap 'rm -f "$OUT" "$ERR"' EXIT
 
 fail() {
   echo "serve-smoke: $1" >&2
@@ -54,6 +57,12 @@ stop_under_load() {
 }
 
 start_daemon
+# A second daemon on the busy port (timeout: a daemon that did bind
+# would serve until killed).
+timeout 10 "$COUNTNETD" --port "$PORT" >/dev/null 2>"$ERR" && CODE=0 || CODE=$?
+[ "$CODE" -eq 2 ] || fail "a second countnetd on busy port $PORT exited $CODE, not 2"
+grep -q "^countnetd: " "$ERR" || fail "a second countnetd on busy port $PORT printed no countnetd: line"
+echo "serve-smoke: busy port refused ($(cat "$ERR"))"
 # Two concurrent clients, connection churn via distinct short runs.
 "$COUNTNET" load --port "$PORT" --clients 2 --conns 2 --ops 400 \
   --dec-ratio 0.3 --skew zipf:1.1 &

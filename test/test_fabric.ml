@@ -1,7 +1,7 @@
-(* Tests for the elastic sharded counter fabric: the consistent-hash
-   router's stability properties, the certification gate, hot-resize
-   under concurrent load, elastic rescale, the combining read, and the
-   analytic auto-tuner's fabric hooks. *)
+(* Tests for the sharded counter fabric: the consistent-hash router's
+   stability properties, the certification gate, hot-resize under
+   concurrent load, the combining read, and the fabric's drain and
+   shutdown lifecycle. *)
 
 module Fab = Cn_fabric.Fabric
 module Router = Cn_fabric.Router
@@ -135,12 +135,6 @@ let certification =
         match Fab.increment s with
         | Ok v -> Alcotest.(check int) "stream continues" 1 v
         | Error _ -> Alcotest.fail "shard must still serve");
-    tc "a broken grow target aborts the rescale" (fun () ->
-        let fab = Fab.create ~shards:1 (Counting.network ~w:4 ~t:4) in
-        (match Fab.set_shard_count ~topo:(broken_counting ()) fab 2 with
-        | Error (Fab.Cert_rejected _) -> ()
-        | _ -> Alcotest.fail "expected Cert_rejected");
-        Alcotest.(check int) "still one shard" 1 (Fab.shard_count fab));
     tc "certify_topology accepts C(16,16) with non-refuted evidence" (fun () ->
         match Fab.certify_topology (Counting.network ~w:16 ~t:16) with
         | Error msg -> Alcotest.failf "unexpected rejection: %s" msg
@@ -176,7 +170,7 @@ let ops =
         match Fab.run s [| Fab.Inc; Fab.Dec |] (Array.make 2 0) ~off:0 ~len:2 with
         | Error (0, Fab.Closed) -> ()
         | Ok () | Error _ -> Alcotest.fail "expected Error (0, Closed) after shutdown");
-    tc "combining read merges shards; rescale conserves it" (fun () ->
+    tc "combining read merges shards and sums new traffic" (fun () ->
         let fab = Fab.create ~shards:4 ~elim:false (Counting.network ~w:4 ~t:4) in
         let total = ref 0 in
         List.iter
@@ -189,18 +183,7 @@ let ops =
             done)
           (ids 16);
         Alcotest.(check int) "read" !total (Fab.read fab);
-        (match Fab.set_shard_count fab 2 with
-        | Ok () -> ()
-        | Error _ -> Alcotest.fail "shrink failed");
-        Alcotest.(check int) "shards after shrink" 2 (Fab.shard_count fab);
-        Alcotest.(check int) "read survives the retired fold" !total
-          (Fab.read fab);
-        (match Fab.set_shard_count fab 3 with
-        | Ok () -> ()
-        | Error _ -> Alcotest.fail "grow failed");
-        Alcotest.(check int) "shards after grow" 3 (Fab.shard_count fab);
-        Alcotest.(check int) "read survives the grow" !total (Fab.read fab);
-        (* new traffic lands on the rescaled ring and still sums *)
+        (* new traffic from fresh sessions still sums *)
         List.iter
           (fun k ->
             let s = Fab.session ~key:k fab in
@@ -209,31 +192,6 @@ let ops =
             | Error _ -> Alcotest.fail "unexpected error")
           (ids 8);
         Alcotest.(check int) "read after new traffic" !total (Fab.read fab));
-    tc "shrink-then-grow bumps the generation; a warm session recovers" (fun () ->
-        let fab = Fab.create ~shards:2 ~elim:false (Counting.network ~w:4 ~t:4) in
-        let key =
-          let rec go k = if Fab.route fab k = 1 then k else go (k + 1) in
-          go 0
-        in
-        let s = Fab.session ~key fab in
-        (match Fab.increment s with
-        | Ok _ -> ()
-        | Error _ -> Alcotest.fail "warm-up increment");
-        (match Fab.set_shard_count fab 1 with
-        | Ok () -> ()
-        | Error _ -> Alcotest.fail "shrink failed");
-        (match Fab.set_shard_count fab 2 with
-        | Ok () -> ()
-        | Error _ -> Alcotest.fail "grow failed");
-        (* the re-created slot continues, never restarts, the gen
-           sequence, so the session's cached pre-shrink (shard, gen)
-           pair misses instead of aliasing the shut-down service — the
-           retire/respawn ABA the race checker pins *)
-        Alcotest.(check int) "generation continues" 1 (Fab.shard_gen fab 1);
-        (match Fab.increment s with
-        | Ok _ -> ()
-        | Error _ -> Alcotest.fail "warm session must recover");
-        Alcotest.(check int) "count conserved across the cycle" 2 (Fab.read fab));
     tc "decrements flow through the routed shard" (fun () ->
         let fab = Fab.create ~shards:2 ~elim:false (Counting.network ~w:4 ~t:4) in
         let s = Fab.session ~key:3 fab in
@@ -270,6 +228,23 @@ let ops =
         match Fab.increment s with
         | Ok _ -> ()
         | Error _ -> Alcotest.fail "drain must re-admit");
+    tc "a shard id the fabric never spawned is out of range" (fun () ->
+        let net = Counting.network ~w:4 ~t:4 in
+        let fab = Fab.create ~shards:2 net in
+        List.iter
+          (fun (shard, topo) ->
+            match Fab.resize fab ~shard topo with
+            | Error Fab.Bad_shard -> ()
+            | Ok () | Error _ ->
+                Alcotest.failf "resize of shard %d: expected Bad_shard" shard)
+          (* a broken candidate too: the id is refused before anything
+             is certified *)
+          [ (5, net); (2, net); (-1, net); (5, broken_counting ()) ];
+        (match Fab.shard_info fab 5 with
+        | _ -> Alcotest.fail "expected Invalid_argument"
+        | exception Invalid_argument msg ->
+            Alcotest.(check string) "message" "Fabric_core: shard out of range" msg);
+        Alcotest.(check int) "live shards untouched" 0 (Fab.shard_gen fab 1));
     tc "shard_infos reflect dimensions, generation and value" (fun () ->
         let fab = Fab.create ~shards:2 ~elim:false (Counting.network ~w:4 ~t:8) in
         let infos = Fab.shard_infos fab in
@@ -344,47 +319,6 @@ let resize_under_load =
            passes the same quiescence checks the old one validated. *)
         let report = Fab.drain fab in
         Alcotest.(check bool) "post-resize quiescence" true (V.passed report));
-    tc "strict shrink under concurrent load conserves every token" (fun () ->
-        let fab =
-          Fab.create ~shards:4 ~elim:false ~validate:V.Strict
-            (Counting.network ~w:4 ~t:4)
-        in
-        let workers = 4 and per = 1_000 in
-        let counted = Array.make workers 0 in
-        let rescale_result = ref (Error Fab.Busy) in
-        let doms =
-          Array.init (workers + 1) (fun i ->
-              Domain.spawn (fun () ->
-                  if i = workers then begin
-                    while Fab.read fab < workers do
-                      Domain.cpu_relax ()
-                    done;
-                    rescale_result := Fab.set_shard_count fab 2
-                  end
-                  else begin
-                    let s = Fab.session ~key:i fab in
-                    for _ = 1 to per do
-                      let rec go () =
-                        match Fab.increment s with
-                        | Ok _ -> counted.(i) <- counted.(i) + 1
-                        | Error Fab.Overloaded ->
-                            Domain.cpu_relax ();
-                            go ()
-                        | Error Fab.Closed ->
-                            Alcotest.fail "refused while the fabric is open"
-                      in
-                      go ()
-                    done
-                  end))
-        in
-        Array.iter Domain.join doms;
-        (match !rescale_result with
-        | Ok () -> ()
-        | Error _ -> Alcotest.fail "shrink failed");
-        Alcotest.(check int) "two shards remain" 2 (Fab.shard_count fab);
-        Alcotest.(check int) "retired fold conserves the count"
-          (Array.fold_left ( + ) 0 counted)
-          (Fab.read fab));
   ]
 
 let suite =
