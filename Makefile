@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain dune underneath.
 
 .PHONY: all build test bench micro bench-runtime bench-smoke bench-service \
-        bench-service-smoke bench-fabric bench-fabric-smoke bench-sketch bench-sketch-smoke bench-hybrid \
-        bench-hybrid-smoke bench-projected bench-projected-smoke serve-smoke \
+        bench-service-smoke bench-fabric bench-fabric-smoke bench-hybrid bench-hybrid-smoke \
+        serve-smoke \
         cnbench-smoke \
         check-metrics check-races lint lint-hybrids examples clean doc
 
@@ -44,18 +44,6 @@ bench-fabric:
 bench-fabric-smoke:
 	dune exec bench/main.exe -- fabric --smoke
 
-# Approximate counting tier: the accuracy/throughput/memory frontier of
-# the HLL and sparse-graph backends against the exact network-backed
-# counter.  Gated on the HLL 95% error bound and the >= 10x sparse
-# memory win at 100k keys; the smoke variant shrinks the streams but
-# keeps both correctness gates.  Records the "sketch" section of
-# BENCH_runtime.json.
-bench-sketch:
-	dune exec bench/main.exe -- sketch
-
-bench-sketch-smoke:
-	dune exec bench/main.exe -- sketch --smoke
-
 # Merger-strategy comparison at C(16,16): depth, size and throughput of
 # the classic difference merger vs the periodic3 hybrids, each row
 # tagged with its two-token step-battery verdict.  The Periodic_k
@@ -79,17 +67,6 @@ serve-smoke: build
 # SIGTERM exit 0 with "drain ok").  See cnbench/README.md.
 cnbench-smoke:
 	dune build @cnbench/smoke
-
-# Measured + contention-model-projected curves: certifies the
-# precompiled routing image (Csr_lint), calibrates the single-domain
-# crossing cost, and records projected 2-64 domain central-vs-network
-# rows (Cn_analysis.Projection) in the runtime section of
-# BENCH_runtime.json next to the measured sweep.
-bench-projected:
-	dune exec bench/main.exe -- runtime --projected
-
-bench-projected-smoke:
-	dune exec bench/main.exe -- runtime --smoke --projected
 
 # Deterministic race check of the service layer: every scenario explored
 # to a preemption bound of 3, plus the checker's own selftest against

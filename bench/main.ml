@@ -2,8 +2,8 @@
    Run with no argument for the full E1-E14 table set, with an
    experiment id ("e1" .. "e14") for one table, with "micro" for the
    Bechamel micro-benchmarks (one Test.make per experiment family), or
-   with a suite name — "runtime" [--smoke] [--projected], "service",
-   "fabric", "sketch" or "hybrid", each [--smoke] — to measure that
+   with a suite name — "runtime", "service", "fabric" or "hybrid",
+   each [--smoke] — to measure that
    suite and record its section of BENCH_runtime.json.  Every timed row
    goes through [measure].  See EXPERIMENTS.md for the experiment
    index. *)
@@ -663,77 +663,12 @@ let e14 () =
   line "heuristics lower-bound the exact adversary (and match it on single balancers)."
 
 (* ------------------------------------------------------------------ *)
-(* Contention-model projection for the runtime suite.  A host measures
-   contention only among as many domains as it has cpus (2 here), so
-   the projected rows combine the one number any host measures without
-   contention — the single-domain cost of a balancer crossing — with
-   the stall-counting contention simulator (Dwork-Herlihy-Waarts, the
-   paper's Section 1.2 model): token time = depth·crossing_ns +
-   stalls/token(n)·stall_ns, stalls/token = n - 1 for the central FAA
-   hot spot.  Before calibrating, the compiled network's precompiled
-   routing image is certified by the CSR lint pass — a projection from
-   a miscompiled network would be garbage with confidence. *)
-
-let projected_json ?(smoke = false) ~w net =
-  let module RT = Cn_runtime.Network_runtime in
-  let module P = Cn_analysis.Projection in
-  let subject = Printf.sprintf "C(%d,%d)" w w in
-  let rt = RT.compile net in
-  (match Cn_lint.Csr_lint.check ~subject net (RT.view rt) with
-  | [] -> line "csr-lint: %s precompiled routing image certified (0 diagnostics)" subject
-  | diags ->
-      List.iter
-        (fun d -> Printf.eprintf "csr-lint: %s\n" (Format.asprintf "%a" Cn_lint.Diagnostic.pp d))
-        diags;
-      prerr_endline "projected bench: refusing to calibrate a miscompiled network";
-      exit 1);
-  let crossing_ns =
-    Cn_runtime.Domain_pool.with_pool 1 (fun pool ->
-        Cn_runtime.Harness.calibrate_crossing_ns ~pool
-          ~ops_per_domain:(if smoke then 10_000 else 200_000)
-          ~make:(fun () -> Cn_runtime.Shared_counter.of_topology net)
-          ~depth:(T.depth net) ())
-  in
-  let c = P.calibrate ~crossing_ns () in
-  let domains_list = [ 2; 4; 8; 16; 32; 64 ] in
-  let central = P.sweep_central c ~domains_list in
-  let network = P.sweep_network c net ~domains_list in
-  let row name (p : P.point) =
-    Printf.sprintf
-      "        { \"counter\": %S, \"domains\": %d, \"stalls_per_token\": %.3f, \"token_ns\": \
-       %.1f, \"projected_ops_per_sec\": %.1f }"
-      name p.P.domains p.P.stalls_per_token p.P.token_ns p.P.ops_per_sec
-  in
-  line "projected (model): crossing %.1f ns, stall factor %.1f, depth %d" crossing_ns
-    c.P.stall_factor (T.depth net);
-  line "%-12s %s" "counter"
-    (String.concat " " (List.map (Printf.sprintf "%11dd") domains_list));
-  let print_curve name pts =
-    line "%-12s %s" name
-      (String.concat " " (List.map (fun (p : P.point) -> Printf.sprintf "%11.0f" p.P.ops_per_sec) pts))
-  in
-  print_curve "central-faa" central;
-  print_curve subject network;
-  let crossover = P.crossover c net in
-  (match crossover with
-  | Some n -> line "projected crossover: network overtakes central FAA at %d domains" n
-  | None -> line "projected crossover: not reached within the scanned range");
-  Printf.sprintf
-    "{\n      \"model\": \"token_ns = depth*crossing_ns + stalls_per_token*stall_factor*crossing_ns\",\n\
-    \      \"crossing_ns\": %.3f,\n      \"stall_factor\": %.1f,\n      \"stall_ns\": %.3f,\n\
-    \      \"depth\": %d,\n      \"csr_lint\": \"certified\",\n      \"rows\": [\n%s\n      ],\n\
-    \      \"projected_crossover_domains\": %s\n    }"
-    crossing_ns c.P.stall_factor (P.stall_ns c) (T.depth net)
-    (String.concat ",\n" (List.map (row "central-faa") central @ List.map (row subject) network))
-    (match crossover with Some n -> string_of_int n | None -> "null")
-
-(* ------------------------------------------------------------------ *)
 (* runtime: the compiled counting networks against the central-FAA and
    lock baselines across 1-8 domains, plus the batched and pipelined
    walks, reusing one warmed domain pool for every cell; records the
    "runtime" section of BENCH_runtime.json.                             *)
 
-let runtime ?(smoke = false) ?(projected = false) () =
+let runtime ?(smoke = false) () =
   header "runtime  network vs central baselines, batched and pipelined walks (BENCH_runtime.json)";
   timing_note ~smoke ();
   let module RT = Cn_runtime.Network_runtime in
@@ -809,8 +744,7 @@ let runtime ?(smoke = false) ?(projected = false) () =
          rows (List.map (fun (counter, m) -> obj (("counter", str counter) :: measured_fields m)) results)
        );
        ("metrics", String.trim metrics_json);
-     ]
-    @ if projected then [ ("projected", projected_json ~smoke ~w c16) ] else [])
+     ])
 
 (* ------------------------------------------------------------------ *)
 (* service: the Cn_service combining front-end against naive per-op
@@ -986,10 +920,8 @@ let service ?(smoke = false) () =
 (* fabric: the sharded counter fabric — shard-scaling sweep at
    1/2/4 shards of C(8,8) under 8 domains, plus a hot-resize-under-load
    row: shard 0 of the 4-shard fabric swapped C(8,8) -> C(16,16) mid-run
-   with token conservation asserted at the Strict drain.  The projected
-   rows come from the Theorem 6.7 contention model and show the analytic
-   shard scaling at domain counts this host can only timeshare.  Records
-   the "fabric" section of BENCH_runtime.json.                          *)
+   with token conservation asserted at the Strict drain.  Records the
+   "fabric" section of BENCH_runtime.json.                              *)
 
 let fabric ?(smoke = false) () =
   header "fabric  sharded counter fabric: shard scaling + hot resize (BENCH_runtime.json)";
@@ -997,23 +929,12 @@ let fabric ?(smoke = false) () =
   let module DP = Cn_runtime.Domain_pool in
   let module V = Cn_runtime.Validator in
   let module Fab = Cn_fabric.Fabric in
-  let module P = Cn_analysis.Projection in
   let w = 8 in
   let net = C.network ~w ~t:w in
   let domains = 8 in
   let sessions_per = 4 in
   let ops = if smoke then 400 else 8_000 in
   let shard_counts = [ 1; 2; 4 ] in
-  let cal =
-    let crossing_ns =
-      Cn_runtime.Harness.calibrate_crossing_ns
-        ~ops_per_domain:(if smoke then 2_000 else 50_000)
-        ~make:(fun () -> Cn_runtime.Shared_counter.of_topology net)
-        ~depth:(T.depth net) ()
-    in
-    P.calibrate ~crossing_ns ()
-  in
-  line "calibration: %.1f ns/crossing on C(%d,%d)" cal.P.crossing_ns w w;
   (* One run of a configuration: [domains] domains each driving
      [sessions_per] keyed sessions round-robin, pure increments with
      Overloaded retry.  [resize_mid] makes domain 0 hot-swap shard 0 to
@@ -1088,27 +1009,10 @@ let fabric ?(smoke = false) () =
         let resized = row "resize-under-load" ~resize_mid:true 4 in
         (List.combine shard_counts fixed, resized))
   in
-  (* Analytic shard scaling from the calibrated Theorem 6.7 model:
-     shards split the domain population, so an N-shard fabric is N
-     independent networks at domains/N each. *)
-  let projected =
-    List.map
-      (fun shards ->
-        let per_shard = max 1 (domains / shards) in
-        let p = P.project_network cal net ~domains:per_shard in
-        (shards, float_of_int shards *. p.P.ops_per_sec))
-      shard_counts
-  in
-  List.iter
-    (fun (shards, rate) ->
-      line "projected %d shard%s %11.0f ops/s" shards (if shards = 1 then " " else "s") rate)
-    projected;
   let ratio num den = if den <= 0. then 0. else num /. den in
   let fixed_rate shards = (snd (List.assoc shards fixed)).median in
   let measured_4v1 = ratio (fixed_rate 4) (fixed_rate 1) in
-  let projected_4v1 = ratio (List.assoc 4 projected) (List.assoc 1 projected) in
-  line "shard scaling 4 vs 1 (medians): measured %.2fx, projected %.2fx" measured_4v1
-    projected_4v1;
+  line "shard scaling 4 vs 1 (medians): measured %.2fx" measured_4v1;
   if measured_4v1 < 1. then
     if smoke then
       (* One short repeat is too noisy to gate on. *)
@@ -1119,144 +1023,8 @@ let fabric ?(smoke = false) () =
       ("net", str (Printf.sprintf "C(%d,%d)" w w));
       ("domains", string_of_int domains);
       ("sessions_per_domain", string_of_int sessions_per);
-      ("crossing_ns", Printf.sprintf "%.2f" cal.P.crossing_ns);
       ("results", rows (List.map (fun (_, (json, _)) -> json) fixed @ [ fst resized ]));
-      ( "projected",
-        rows
-          (List.map
-             (fun (shards, rate) ->
-               obj [ ("shards", string_of_int shards); ("ops_per_sec", Printf.sprintf "%.1f" rate) ])
-             projected) );
       ("scaling_4v1_measured", Printf.sprintf "%.3f" measured_4v1);
-      ("scaling_4v1_projected", Printf.sprintf "%.3f" projected_4v1);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Approximate counting tier: the accuracy / throughput / memory
-   frontier of the Cn_sketch backends against the exact network-backed
-   counter.  Three row families:
-
-   - hll accuracy: relative error vs the 1.04/sqrt(m) theory across
-     precisions, with resident sketch bytes (gated: every row within
-     its 95% bound, 2 sigma — the streams are deterministic, so these
-     are fixed draws, not flaky samples);
-   - throughput: Harness.throughput over the exact C(8,8) counter and
-     the hll/sparse Shared_counter.Custom adapters;
-   - memory: resident bytes of exact per-key counting (a Hashtbl of
-     100k keys) vs the sparse-graph bank, gated on the >= 10x win,
-     plus the sparse decode regimes (exact below the peeling
-     threshold, bounded-error above).
-
-   Records the "sketch" section of BENCH_runtime.json.                  *)
-
-let sketch ?(smoke = false) () =
-  header "sketch  approximate tier: accuracy/throughput/memory frontier (BENCH_runtime.json)";
-  timing_note ~smoke ();
-  let module Hll = Cn_sketch.Hll in
-  let module Sparse = Cn_sketch.Sparse in
-  let module Backend = Cn_sketch.Backend in
-  let fail fmt = Printf.ksprintf (fun m -> die "sketch bench: %s" m) fmt in
-  (* --- HLL accuracy rows --------------------------------------------- *)
-  let n_distinct = if smoke then 100_000 else 1_000_000 in
-  line "hll accuracy at %d distinct keys:" n_distinct;
-  let hll_rows =
-    List.map
-      (fun precision ->
-        let t = Hll.create ~precision () in
-        for i = 0 to n_distinct - 1 do
-          Hll.add t i
-        done;
-        let est = Hll.cardinality t in
-        let err = Float.abs (est -. float_of_int n_distinct) /. float_of_int n_distinct in
-        let sigma = Hll.std_error t in
-        let bytes = Hll.memory_bytes t in
-        line "  p=%2d (m=%5d): estimate %9.0f  rel error %.4f  (sigma %.4f)  %7d bytes"
-          precision (Hll.registers t) est err sigma bytes;
-        if err > 2. *. sigma then
-          fail "hll p=%d error %.4f exceeds the 95%% bound %.4f" precision err (2. *. sigma);
-        (precision, Hll.registers t, est, err, sigma, bytes))
-      [ 10; 12; 14 ]
-  in
-  (* --- throughput rows ----------------------------------------------- *)
-  let domains = if smoke then 2 else 4 in
-  let ops = if smoke then 20_000 else 100_000 in
-  let net = C.network ~w:8 ~t:8 in
-  let throughput_of name make =
-    let m = measure ~smoke ~domains ~ops (counter_run ~make ~domains) in
-    line "  %-8s %11.0f ops/s  (%d domains, %d ops per repeat)" name m.median domains
-      m.ops_per_repeat;
-    obj (("backend", str name) :: measured_fields m)
-  in
-  line "throughput (%d domains x %d ops):" domains ops;
-  let tp_exact = throughput_of "exact" (fun () -> Cn_runtime.Shared_counter.of_topology net) in
-  let tp_hll = throughput_of "hll" (fun () -> (Backend.hll ~precision:14 ()).Backend.counter) in
-  let tp_sparse =
-    throughput_of "sparse" (fun () ->
-        (Backend.sparse ~counters:4096 ~degree:3 ()).Backend.counter)
-  in
-  let tp_rows = [ tp_exact; tp_hll; tp_sparse ] in
-  (* --- memory rows ---------------------------------------------------- *)
-  let n_keys = 100_000 in
-  let exact_tbl = Hashtbl.create 1024 in
-  for k = 0 to n_keys - 1 do
-    Hashtbl.replace exact_tbl k (1 + (k mod 7))
-  done;
-  let exact_bytes = Obj.reachable_words (Obj.repr exact_tbl) * (Sys.word_size / 8) in
-  let sp = Sparse.create ~degree:3 ~counters:8192 () in
-  for k = 0 to n_keys - 1 do
-    Sparse.add sp k (1 + (k mod 7))
-  done;
-  let sparse_bytes = Sparse.memory_bytes sp in
-  let ratio = float_of_int exact_bytes /. float_of_int sparse_bytes in
-  line "memory at %d keys: exact hashtbl %d bytes, sparse bank %d bytes (%.1fx smaller)"
-    n_keys exact_bytes sparse_bytes ratio;
-  if ratio < 10. then
-    fail "sparse bank is only %.1fx smaller than exact per-key storage (gate: 10x)" ratio;
-  (* Sparse decode regimes: exact recovery below the peeling threshold,
-     bounded overestimates above it. *)
-  let below = Sparse.create ~degree:3 ~counters:2048 () in
-  for k = 0 to 999 do
-    Sparse.add below k (1 + (k mod 100))
-  done;
-  let decoded = Sparse.decode below (List.init 1000 (fun k -> k)) in
-  let all_exact =
-    List.for_all
-      (fun (k, { Sparse.value; exact }) -> exact && value = 1 + (k mod 100))
-      decoded
-  in
-  if not all_exact then fail "sparse decode failed below the peeling threshold";
-  line "sparse decode: 1000 keys / 2048 counters -> all exact (peeling threshold holds)";
-  let over_err =
-    (* Mean relative error of min-estimates in the overloaded regime the
-       memory row runs at (100k keys / 8192 counters). *)
-    let sample = 1000 in
-    let total = ref 0. in
-    for k = 0 to sample - 1 do
-      let truth = 1 + (k mod 7) in
-      let e = Sparse.estimate sp k in
-      total := !total +. (float_of_int (e - truth) /. float_of_int truth)
-    done;
-    !total /. float_of_int sample
-  in
-  line "sparse overload (%d keys / %d counters): mean estimate overshoot %.1fx" n_keys 8192
-    over_err;
-  record_section ~smoke "sketch"
-    [
-      ( "hll_accuracy",
-        rows
-          (List.map
-             (fun (p, m, est, err, sigma, bytes) ->
-               Printf.sprintf
-                 "{ \"precision\": %d, \"registers\": %d, \"distinct\": %d, \"estimate\": \
-                  %.1f, \"rel_error\": %.6f, \"std_error\": %.6f, \"bytes\": %d }"
-                 p m n_distinct est err sigma bytes)
-             hll_rows) );
-      ("throughput", rows tp_rows);
-      ( "memory",
-        Printf.sprintf
-          "{ \"keys\": %d, \"exact_bytes\": %d, \"sparse_bytes\": %d, \"ratio\": %.2f, \
-           \"sparse_mean_overshoot\": %.3f }"
-          n_keys exact_bytes sparse_bytes ratio over_err );
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1417,19 +1185,14 @@ let () =
   | [| _; "micro" |] -> micro ()
   | [| _; "runtime" |] -> runtime ()
   | [| _; "runtime"; "--smoke" |] -> runtime ~smoke:true ()
-  | [| _; "runtime"; "--projected" |] -> runtime ~projected:true ()
-  | [| _; "runtime"; "--smoke"; "--projected" |] | [| _; "runtime"; "--projected"; "--smoke" |] ->
-      runtime ~smoke:true ~projected:true ()
   | [| _; "service" |] -> service ()
   | [| _; "service"; "--smoke" |] -> service ~smoke:true ()
   | [| _; "fabric" |] -> fabric ()
   | [| _; "fabric"; "--smoke" |] -> fabric ~smoke:true ()
-  | [| _; "sketch" |] -> sketch ()
-  | [| _; "sketch"; "--smoke" |] -> sketch ~smoke:true ()
   | [| _; "hybrid" |] -> hybrid ()
   | [| _; "hybrid"; "--smoke" |] -> hybrid ~smoke:true ()
   | _ ->
       prerr_endline
-        "usage: main.exe [e1|...|e14|micro|runtime [--smoke] [--projected]|service [--smoke]|fabric \
-         [--smoke]|sketch [--smoke]|hybrid [--smoke]]";
+        "usage: main.exe [e1|...|e14|micro|runtime [--smoke]|service [--smoke]|fabric \
+         [--smoke]|hybrid [--smoke]]";
       exit 2

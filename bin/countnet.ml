@@ -381,25 +381,6 @@ let pipeline_arg =
               ($(b,traverse_batch_pipelined)) with a wavefront buffer of $(docv) tokens (bare \
               $(b,--pipeline): 64) instead of one $(b,traverse) call per increment.")
 
-let projected_flag =
-  Arg.(
-    value
-    & flag
-    & info [ "projected" ]
-        ~doc:"After the measured run, calibrate the single-core crossing cost on this host and \
-              print contention-model-projected 2/4/8-domain throughput for the central \
-              Fetch&Increment counter and the network, plus the projected crossover \
-              concurrency (the $(b,Cn_analysis.Projection) model).")
-
-let stall_factor_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "stall-factor" ] ~docv:"F"
-        ~doc:"Cost of one stall (a cache-line transfer to a contended word) in units of an \
-              uncontended crossing, for the projection model (default 8). Requires \
-              $(b,--projected).")
-
 let metrics_flag =
   Arg.(
     value
@@ -474,28 +455,6 @@ let fabric_shards_arg =
     & info [ "shards" ] ~docv:"N"
         ~doc:"Shard count for the fabric (default 2). Requires $(b,--fabric).")
 
-let backend_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "backend" ] ~docv:"TIER"
-        ~doc:"Counter tier to drive: $(b,exact) (the network-backed counter; default), \
-              $(b,hll) (HyperLogLog distinct-count sketch, 2^14 registers) or $(b,sparse) \
-              (sparse-graph per-flow counters, 4096 cells, degree 3). The sketch tiers \
-              measure the approximate backends behind Shared_counter.Custom and report the \
-              estimate against the true op count, the theoretical error bound, and resident \
-              sketch bytes. Mutually exclusive with $(b,--service) and $(b,--fabric).")
-
-(* The [--backend] tiers: the exact network-backed counter, or one of
-   the Cn_sketch approximations at the sizes the flag documents. *)
-type backend = Exact | Hll of { precision : int } | Sparse of { counters : int; degree : int }
-
-let backend_of_string = function
-  | "exact" -> Ok Exact
-  | "hll" -> Ok (Hll { precision = 14 })
-  | "sparse" -> Ok (Sparse { counters = 4096; degree = 3 })
-  | s -> Error (Printf.sprintf "unknown backend %S (expected exact|hll|sparse)" s)
-
 let dec_ratio_arg =
   Arg.(
     value
@@ -522,21 +481,18 @@ let arrival_arg =
               Requires $(b,--service).")
 
 (* What [countnet throughput] drives, fixed from its flags before any
-   domain runs: the raw network with one of its three walks, an
-   approximate tier (its counter plus the accuracy line for a given true
-   op count), or one of the two combining front-ends. *)
+   domain runs: the raw network with one of its three walks, or one of
+   the two combining front-ends. *)
 type walk = Per_op | Batch of int | Pipeline of int
 
 type driver =
   | Network of walk
-  | Sketch of Cn_runtime.Shared_counter.t * (int -> string)
   | Service of Cn_service.Workload.spec
   | Fabric of { shards : int; sessions : int }
 
 let throughput_cmd =
   let module RT = Cn_runtime.Network_runtime in
   let module DP = Cn_runtime.Domain_pool in
-  let module SC = Cn_runtime.Shared_counter in
   let module V = Cn_runtime.Validator in
   let module Svc = Cn_service.Service in
   let module W = Cn_service.Workload in
@@ -544,78 +500,8 @@ let throughput_cmd =
     prerr_endline ("countnet throughput: " ^ msg);
     exit 2
   in
-  (* Calibrate the uncontended crossing cost on this host (one domain),
-     then print the contention-model projection next to it.  The
-     measured run above answers "what did this host do"; these rows
-     answer "what would n truly concurrent domains do" (Theorem 6.7's
-     regime), from depth x crossing_ns plus simulated stalls. *)
-  let print_projection net ~mode ~ops ~stall_factor =
-    let module P = Cn_analysis.Projection in
-    let depth = T.depth net in
-    let crossing_ns =
-      Cn_runtime.Harness.calibrate_crossing_ns
-        ~ops_per_domain:(max 1_000 (min ops 200_000))
-        ~make:(fun () -> SC.of_topology ~mode net)
-        ~depth ()
-    in
-    let c = P.calibrate ?stall_factor ~crossing_ns () in
-    Printf.printf "projected: crossing %.1f ns, stall factor %.1f (stall %.1f ns), depth %d\n"
-      c.P.crossing_ns c.P.stall_factor (P.stall_ns c) depth;
-    List.iter
-      (fun n ->
-        let ctr = P.project_central c ~domains:n in
-        let np = P.project_network c net ~domains:n in
-        Printf.printf
-          "  n=%d: central %.3g ops/s (%.1f stalls/token), network %.3g ops/s (%.2f \
-           stalls/token)\n"
-          n ctr.P.ops_per_sec ctr.P.stalls_per_token np.P.ops_per_sec np.P.stalls_per_token)
-      [ 2; 4; 8 ];
-    match P.crossover c net with
-    | Some n ->
-        Printf.printf "projected crossover: network overtakes the central counter at %d domains\n"
-          n
-    | None -> print_endline "projected crossover: none within 1024 domains"
-  in
-  let hll_sketch ~precision =
-    let module B = Cn_sketch.Backend in
-    let module Hll = Cn_sketch.Hll in
-    let b = B.hll ~precision () in
-    let accuracy truth =
-      let est = Hll.cardinality b.B.incs in
-      Printf.sprintf
-        "hll: estimate %.0f of %d true ops (rel error %.4f, std error 1.04/sqrt(m) = %.4f), \
-         %d sketch bytes"
-        est truth
-        (Float.abs (est -. float_of_int truth) /. float_of_int truth)
-        (Hll.std_error b.B.incs)
-        (Hll.memory_bytes b.B.incs + Hll.memory_bytes b.B.decs)
-    in
-    Sketch (b.B.counter, accuracy)
-  in
-  (* The driver runs one flow per domain, each [truth / domains] ops
-     long. *)
-  let sparse_sketch ~domains ~counters ~degree =
-    let module B = Cn_sketch.Backend in
-    let module Sp = Cn_sketch.Sparse in
-    let b = B.sparse ~counters ~degree () in
-    let accuracy truth =
-      let per_flow_true = truth / domains in
-      let max_err = ref 0. in
-      for pid = 0 to domains - 1 do
-        let e = Sp.estimate b.B.sketch pid in
-        max_err :=
-          Float.max !max_err
-            (Float.abs (float_of_int (e - per_flow_true)) /. float_of_int per_flow_true)
-      done;
-      Printf.sprintf
-        "sparse: global tally %d of %d true ops, per-flow max rel error %.4f over %d flows, %d \
-         sketch bytes"
-        (Sp.total b.B.sketch) truth !max_err domains (Sp.memory_bytes b.B.sketch)
-    in
-    Sketch (b.B.counter, accuracy)
-  in
   let run net domains ops mode batch pipeline metrics policy service elim max_batch
-      sessions dec_ratio skew arrival projected stall_factor fabric fabric_shards backend =
+      sessions dec_ratio skew arrival fabric fabric_shards =
     (* Validate once: every check below runs in this order before any
        domain is spawned, and each usage error exits 2. *)
     let positive name = function
@@ -630,12 +516,6 @@ let throughput_cmd =
     positive "--pipeline capacity" pipeline;
     if batch <> None && pipeline <> None then
       fail_usage "--batch and --pipeline are mutually exclusive (pick one batched driver)";
-    (match stall_factor with
-    | Some f when f <= 0. ->
-        fail_usage (Printf.sprintf "--stall-factor must be positive (got %g)" f)
-    | _ -> ());
-    if stall_factor <> None && not projected then
-      fail_usage "--stall-factor requires --projected";
     if service && fabric then
       fail_usage "--service and --fabric are mutually exclusive (pick one front-end)";
     if (not fabric) && fabric_shards <> None then fail_usage "--shards requires --fabric";
@@ -665,49 +545,30 @@ let throughput_cmd =
     | _ -> ());
     let skew = Option.map (fun s -> parsed (W.skew_of_string s)) skew in
     let arrival = Option.map (fun s -> parsed (W.arrival_of_string s)) arrival in
-    let backend =
-      Option.fold ~none:Exact ~some:(fun s -> parsed (backend_of_string s)) backend
-    in
-    (match backend with
-    | Exact -> ()
-    | Hll _ | Sparse _ ->
-        if service || fabric then
-          fail_usage
-            "--backend hll/sparse and --service/--fabric are mutually exclusive (the sketch \
-             tiers bypass the combining front-ends)";
-        if metrics then
-          fail_usage "--metrics requires the exact backend (sketches have no network runtime)";
-        if batch <> None || pipeline <> None then
-          fail_usage "--batch/--pipeline require the exact backend";
-        if projected then
-          fail_usage "--projected requires the exact backend (no network to project)");
     positive "--shards" fabric_shards;
     let driver =
-      match backend with
-      | Hll { precision } -> hll_sketch ~precision
-      | Sparse { counters; degree } -> sparse_sketch ~domains ~counters ~degree
-      | Exact when fabric ->
-          Fabric
-            {
-              shards = Option.value fabric_shards ~default:2;
-              sessions = Option.value sessions ~default:2;
-            }
-      | Exact when service ->
-          Service
-            {
-              W.default with
-              W.domains;
-              ops_per_domain = ops;
-              sessions_per_domain = Option.value sessions ~default:W.default.W.sessions_per_domain;
-              dec_ratio = Option.value dec_ratio ~default:0.;
-              skew = Option.value skew ~default:W.Uniform;
-              arrival = Option.value arrival ~default:(W.Closed 0.);
-            }
-      | Exact -> (
-          match (batch, pipeline) with
-          | Some b, _ -> Network (Batch (min b ops))
-          | None, Some cap -> Network (Pipeline (min cap ops))
-          | None, None -> Network Per_op)
+      if fabric then
+        Fabric
+          {
+            shards = Option.value fabric_shards ~default:2;
+            sessions = Option.value sessions ~default:2;
+          }
+      else if service then
+        Service
+          {
+            W.default with
+            W.domains;
+            ops_per_domain = ops;
+            sessions_per_domain = Option.value sessions ~default:W.default.W.sessions_per_domain;
+            dec_ratio = Option.value dec_ratio ~default:0.;
+            skew = Option.value skew ~default:W.Uniform;
+            arrival = Option.value arrival ~default:(W.Closed 0.);
+          }
+      else
+        match (batch, pipeline) with
+        | Some b, _ -> Network (Batch (min b ops))
+        | None, Some cap -> Network (Pipeline (min cap ops))
+        | None, None -> Network Per_op
     in
     (* Drive once.  Opening the pool is where a domain count the runtime
        cannot host fails; that is a usage error, not a crash. *)
@@ -768,15 +629,6 @@ let throughput_cmd =
             let layers = Array.init (T.size net) (T.balancer_depth net) in
             print_endline (Cn_runtime.Metrics.to_json ~layers (Cn_runtime.Metrics.snapshot m)))
           (RT.metrics rt)
-    | Sketch (counter, accuracy) ->
-        let seconds =
-          round (fun pid ->
-              for _ = 1 to ops do
-                ignore (SC.next counter ~pid)
-              done)
-        in
-        print_rate (SC.name counter) seconds;
-        print_endline (accuracy (domains * ops))
     | Service spec ->
         let svc = Svc.create ~mode ~metrics ?max_batch ?elim ~validate:policy net in
         let stats = with_domains (fun pool -> W.run ~pool svc spec) in
@@ -829,9 +681,7 @@ let throughput_cmd =
                     (fun (i : Fab.shard_info) ->
                       Printf.sprintf " %d:C(%d,%d) gen %d value %d" i.Fab.id i.Fab.width
                         i.Fab.out_width i.Fab.gen i.Fab.value)
-                    (Fab.shard_infos fab)))));
-    (* Print once: the projection follows whichever exact driver ran. *)
-    if projected then print_projection net ~mode ~ops ~stall_factor
+                    (Fab.shard_infos fab)))))
   in
   Cmd.v
     (Cmd.info "throughput"
@@ -839,8 +689,8 @@ let throughput_cmd =
     Term.(
       const run $ network_term $ domains_arg $ ops_arg $ mode_arg $ batch_arg
       $ pipeline_arg $ metrics_flag $ validate_arg $ service_flag $ elim_arg $ max_batch_arg
-      $ sessions_arg $ dec_ratio_arg $ skew_arg $ arrival_arg $ projected_flag
-      $ stall_factor_arg $ fabric_flag $ fabric_shards_arg $ backend_arg)
+      $ sessions_arg $ dec_ratio_arg $ skew_arg $ arrival_arg $ fabric_flag
+      $ fabric_shards_arg)
 
 (* ---------------------------------------------------------------- *)
 (* sort *)

@@ -5,12 +5,28 @@ module Svc = Scenarios.Svc
 
 (* The production fabric protocol body over instrumented atomics and the
    instrumented model service: what the explorer exercises for the
-   hot-resize path. *)
+   hot-resize path.  Every service of one run shares a fault-injection
+   flag: while it holds [true], the next shutdown stops its service and
+   then raises, as a Strict validation failure would. *)
 module MS = struct
-  include Svc
+  type t = { svc : Svc.t; fail_shutdown : bool Instrumented.t }
+  type session = Svc.session
+  type op = Svc.op = Inc | Dec
+  type error = Svc.error = Overloaded | Closed
 
-  let net_count svc =
-    Sequence.sum (Model_net.exit_distribution (Svc.runtime svc))
+  let session ?wire t = Svc.session ?wire t.svc
+  let run = Svc.run
+  let lifecycle t = Svc.lifecycle t.svc
+  let drain ?policy t = Svc.drain ?policy t.svc
+
+  let shutdown ?policy t =
+    let report = Svc.shutdown ?policy t.svc in
+    if Instrumented.compare_and_set t.fail_shutdown true false then
+      raise (V.Invalid "injected shutdown failure");
+    report
+
+  let net_count t =
+    Sequence.sum (Model_net.exit_distribution (Svc.runtime t.svc))
 end
 
 module Fab = Cn_fabric.Fabric_core.Make (Instrumented) (MS)
@@ -31,7 +47,8 @@ type run = {
   fab : Fab.t;
   results : (Fab.op * outcome) list ref;
   resizes : (unit, Fab.resize_error) result list ref;
-  shutdowns : int ref;
+  reports : V.report list ref; (* one per shutdown that returned *)
+  failstops : int ref; (* injected failures a fiber caught *)
   distinct_incs : bool; (* single-shard, elim off: values must be distinct *)
 }
 
@@ -83,27 +100,40 @@ let stubborn_resizer run ~shard topo () =
 let drainer run () = ignore (Fab.drain run.fab)
 
 let stopper run () =
-  ignore (Fab.shutdown run.fab);
-  incr run.shutdowns
+  let report = Fab.shutdown run.fab in
+  run.reports := report :: !(run.reports)
+
+(* Fibers for the fail-stop scenario: each records the injected
+   failure instead of dying on it. *)
+let failstop run f () = try f () with V.Invalid _ -> incr run.failstops
 
 (* Certification is pure, deterministic and checked by its own test
    suite; running the eight-pass pipeline inside every interleaving
    would only slow exploration without adding schedule points. *)
 let certify_ok _ = Ok ()
 
-let make_run ?(distinct_incs = false) ~shards () =
+let make_run ?(distinct_incs = false) ?(fail_shutdown = false) ~shards () =
   let rts = ref [] in
   let topo = Counting.network ~w:2 ~t:2 in
+  let fail_shutdown = Instrumented.make fail_shutdown in
   let spawn t =
     let rt = Model_net.compile t in
     rts := rt :: !rts;
-    Svc.make ~max_batch:4 ~queue:2 ~validate:V.Off rt
+    { MS.svc = Svc.make ~max_batch:4 ~queue:2 ~validate:V.Off rt; fail_shutdown }
   in
   let fab =
     Fab.make ~validate:V.Off ~spawn ~certify:certify_ok
       (List.init shards (fun _ -> topo))
   in
-  { rts; fab; results = ref []; resizes = ref []; shutdowns = ref 0; distinct_incs }
+  {
+    rts;
+    fab;
+    results = ref [];
+    resizes = ref [];
+    reports = ref [];
+    failstops = ref 0;
+    distinct_incs;
+  }
 
 let resize_error_string = function
   | Fab.Cert_rejected m -> "certificate rejected: " ^ m
@@ -136,7 +166,7 @@ let check run () =
       (function Error e -> Some e | Ok () -> None)
       !(run.resizes)
   in
-  if !(run.shutdowns) > 0 && not (Fab.closed run.fab) then
+  if !(run.reports) <> [] && not (Fab.closed run.fab) then
     fail "shutdown returned but the fabric is not closed"
   else if bad_validation then
     fail "a resize/drain/shutdown validation observed a non-quiescent network"
@@ -150,7 +180,7 @@ let check run () =
         | Some e -> fail "resize failed: %s" (resize_error_string e)
         | None ->
             if
-              !(run.shutdowns) = 0
+              !(run.reports) = [] && !(run.failstops) = 0
               && List.exists (fun (_, r) -> r = Refused) !(run.results)
             then fail "an operation was refused but the fabric never closed"
             else begin
@@ -218,6 +248,63 @@ let shutdown_vs_submit () =
     finish = check run;
   }
 
+(* Every shard's model service is stopped. *)
+let all_stopped run =
+  List.for_all
+    (fun sid -> MS.lifecycle (Fab.shard_service run.fab sid) = `Stopped)
+    (List.init (Fab.shard_count run.fab) Fun.id)
+
+let shutdown_vs_shutdown () =
+  (* Two stoppers on a two-shard fabric under a worker: whichever
+     claims a shard stops it, the other finds it stopped.  Both must
+     return (a stopper that waits for a claim nobody releases
+     deadlocks), with equal reports of the frozen shards. *)
+  let run = make_run ~shards:2 () in
+  let s = Fab.session ~key:(key_for run 1) run.fab in
+  let finish () =
+    match !(run.reports) with
+    | [ a; b ] ->
+        if a <> b then Some "the two shutdowns returned different reports"
+        else if not (all_stopped run) then Some "a shard's service is still running"
+        else check run ()
+    | rs -> Some (Printf.sprintf "%d of 2 shutdowns returned" (List.length rs))
+  in
+  {
+    Engine.name = "fabric-shutdown-vs-shutdown";
+    fibers = [| worker run s Fab.Inc; stopper run; stopper run |];
+    finish;
+  }
+
+let shutdown_after_failstop () =
+  (* The first model-service shutdown raises (a Strict failure): under
+     the resizer it fail-stops the resize with the shard claimed, and a
+     stopper must then find that shard stopped rather than wait for it
+     to reopen; a stopper that hits the failure itself must still stop
+     the other shard.  A worker on the resized shard completes, or is
+     refused if it parked.  The failure surfaces exactly once. *)
+  let run = make_run ~fail_shutdown:true ~shards:2 () in
+  let s = Fab.session ~key:(key_for run 0) run.fab in
+  let resized = ref None in
+  let finish () =
+    if !(run.failstops) <> 1 then
+      Some (Printf.sprintf "the injected failure surfaced %d times" !(run.failstops))
+    else if not (Fab.closed run.fab) then Some "a fail-stop left the fabric open"
+    else if not (all_stopped run) then Some "a shard's service is still running"
+    else if !resized = Some (Ok ()) then Some "a resize succeeded past a failed shutdown"
+    else check run ()
+  in
+  {
+    Engine.name = "fabric-shutdown-after-failstop";
+    fibers =
+      [|
+        failstop run (fun () ->
+            resized := Some (Fab.resize run.fab ~shard:0 (Counting.network ~w:2 ~t:2)));
+        failstop run (stopper run);
+        worker run s Fab.Inc;
+      |];
+    finish;
+  }
+
 let resize_vs_resize () =
   (* Two stubborn resizers guarantee two back-to-back swaps of the same
      shard in every interleaving: the second can claim the slot between
@@ -273,5 +360,7 @@ let all =
     ("fabric-resize-vs-resize", resize_vs_resize);
     ("fabric-drain-vs-route", drain_vs_route);
     ("fabric-shutdown-vs-submit", shutdown_vs_submit);
+    ("fabric-shutdown-vs-shutdown", shutdown_vs_shutdown);
+    ("fabric-shutdown-after-failstop", shutdown_after_failstop);
     ("fabric-run-vs-resize", run_vs_resize);
   ]

@@ -1,8 +1,9 @@
 (** Fabric resize scenarios: the {e real} shard-fabric protocol
     ({!Cn_fabric.Fabric_core.Make} — the same functor body production
     runs) instantiated with {!Instrumented} atomics over the checker's
-    model service ({!Scenarios.Svc} plus a [net_count] one-liner),
-    driven over miniature C(2,2) shards.
+    model service ({!Scenarios.Svc} plus [net_count] and a
+    fault-injection flag that makes one shutdown raise), driven over
+    miniature C(2,2) shards.
 
     Every scenario's oracle checks, on the final state:
 
@@ -24,15 +25,13 @@
     - {b continuity} (single-shard, elimination off): the shard's value
       stream stays duplicate-free across the base fold at a resize;
     - {b liveness} (via the engine): parked operations are replayed —
-      a cell never completed shows up as a deadlock.
+      a cell never completed shows up as a deadlock — and a shutdown
+      never waits on a shard that nobody will release.
 
     Certification is stubbed to [Ok]: the eight-pass pipeline is pure
     and deterministic (no schedule points), and has its own suite. *)
 
-module Fab :
-  Cn_fabric.Fabric_core.S
-    with type svc = Scenarios.Svc.t
-     and type topo_key = Cn_network.Topology.t
+module Fab : Cn_fabric.Fabric_core.S with type topo_key = Cn_network.Topology.t
 
 val resize_vs_submit : unit -> Engine.scenario
 (** Two workers on distinct keys of a one-shard fabric racing a
@@ -52,6 +51,18 @@ val drain_vs_route : unit -> Engine.scenario
 val shutdown_vs_submit : unit -> Engine.scenario
 (** A worker racing the terminal fabric [shutdown]; the operation
     completes before the validation point or fails [Closed]. *)
+
+val shutdown_vs_shutdown : unit -> Engine.scenario
+(** Two stoppers and a worker on a two-shard fabric: the second
+    shutdown of a shard finds it stopped instead of waiting for a claim
+    nobody releases, and both shutdowns return equal reports. *)
+
+val shutdown_after_failstop : unit -> Engine.scenario
+(** A model service whose first shutdown raises, as a Strict
+    validation failure does, under a resizer, a stopper and a worker:
+    whichever hits the failure records it once, the fail-stopped shard
+    counts as stopped, and every fiber returns with every shard's
+    service stopped. *)
 
 val run_vs_resize : unit -> Engine.scenario
 (** A 3-op mixed {!Cn_fabric.Fabric_core.S.run} on the shard a

@@ -131,7 +131,10 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
 
   type park = Accepting of pending list | Sealed
 
-  type shard_state = Open | Resizing
+  (* [Stopped] is terminal: the shard's service is shut down, by a
+     fabric shutdown or by a fail-stopped resize, and its parked
+     callers are resolved. *)
+  type shard_state = Open | Resizing | Stopped
 
   (* One entry per shard in [slots]/[states]/[parked]: every shard
      [make] spawns serves until shutdown. *)
@@ -229,6 +232,7 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
     else begin
       let sid = Router.route fab.router sess.key in
       match A.get fab.states.(sid) with
+      | Stopped -> Error (i, Closed)
       | Resizing -> (
           match park sess sid ops.(i) with
           | Some (Ok v) ->
@@ -363,17 +367,19 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
       arm_parked fab sid
     end
 
-  (* Shut one shard's service down at [policy] and fold its net count.
-     A Strict validation failure is an integrity loss, not a recoverable
+  (* Shut a claimed shard's service down at [policy].  A Strict
+     validation failure is an integrity loss, not a recoverable
      condition: the fabric fail-stops (every later operation refuses
      with [Closed]), the shard's parked callers are refused rather than
-     left spinning, and the exception propagates to the resizer. *)
-  let retire_service fab sid (sh : shard) policy =
+     left spinning, the shard is marked [Stopped] so a later shutdown
+     finds it already stopped, and the exception propagates. *)
+  let stop_service fab sid (sh : shard) policy =
     match S.shutdown ~policy sh.svc with
-    | report -> (report, sh.base + S.net_count sh.svc)
+    | report -> report
     | exception e ->
         A.set fab.closed_ true;
         abort_parked fab sid;
+        A.set fab.states.(sid) Stopped;
         raise e
 
   let resize ?policy fab ~shard topo =
@@ -390,7 +396,8 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
             arm_parked fab shard;
             let old = A.get fab.slots.(shard) in
             let policy = Option.value policy ~default:fab.validate in
-            let _report, base = retire_service fab shard old policy in
+            ignore (stop_service fab shard old policy);
+            let base = old.base + S.net_count old.svc in
             let svc = fab.spawn topo in
             A.set fab.slots.(shard) { svc; topo; base; gen = old.gen + 1 };
             A.set fab.states.(shard) Open;
@@ -467,29 +474,45 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
       (List.init (shard_count fab) (fun sid ->
            (sid, S.drain ~policy (A.get fab.slots.(sid)).svc)))
 
+  (* Stop one shard terminally.  An [Open] shard is claimed by CAS
+     (waiting out an in-flight resize or a concurrent stopper's claim),
+     its service shut down, and its parked cells replayed into the
+     closed fabric, where they fail [Closed] exactly as if they had
+     arrived after the stop.  A [Stopped] shard (an earlier shutdown,
+     or a fail-stopped resize) is not claimed again: its frozen service
+     is re-validated, so a second stopper gets the same report, or the
+     same Strict failure, and never waits for a claim nobody will
+     release. *)
+  let rec stop_shard fab sid policy =
+    match A.get fab.states.(sid) with
+    | Stopped -> S.shutdown ~policy (A.get fab.slots.(sid)).svc
+    | Open when A.compare_and_set fab.states.(sid) Open Resizing ->
+        let report = stop_service fab sid (A.get fab.slots.(sid)) policy in
+        replay fab sid;
+        A.set fab.states.(sid) Stopped;
+        report
+    | Open | Resizing ->
+        A.relax ();
+        stop_shard fab sid policy
+
+  (* Every shard is stopped even when one fails its validation, so a
+     fail-stop never leaves another shard's service running; the first
+     failure is re-raised once all are stopped. *)
   let shutdown ?policy fab =
     let policy = Option.value policy ~default:fab.validate in
     A.set fab.closed_ true;
+    let failure = ref None in
     let reports =
-      List.init (shard_count fab) (fun sid ->
-          (* wait out any in-flight resize of this shard, then claim
-             it terminally; its parked cells are replayed into the
-             closed fabric and fail [Closed], exactly as if they had
-             arrived after the stop *)
-          while not (A.compare_and_set fab.states.(sid) Open Resizing) do
-            A.relax ()
-          done;
-          let report =
-            try S.shutdown ~policy (A.get fab.slots.(sid)).svc
-            with e ->
-              (* same contract as [retire_service]: never leave a
-                 parked caller spinning behind an exception *)
-              abort_parked fab sid;
-              raise e
-          in
-          replay fab sid;
-          (sid, report))
+      List.filter_map
+        (fun sid ->
+          match stop_shard fab sid policy with
+          | report -> Some (sid, report)
+          | exception e ->
+              if Option.is_none !failure then failure := Some e;
+              None)
+        (List.init (shard_count fab) Fun.id)
     in
+    Option.iter raise !failure;
     merge_reports
       (Printf.sprintf "fabric(%d shards, stopped)" (shard_count fab))
       reports

@@ -30,9 +30,9 @@ module V := Cn_runtime.Validator
     lifecycle, and the net token count that becomes the [base] offset
     at a resize.
     {!Cn_service.Service} matches this signature once extended with
-    [net_count] (see {!Fabric}); the checker's model service is
-    [Service_core.Make (Instrumented) (Model_net)] plus the same
-    one-liner. *)
+    [net_count] (see {!Fabric}); the checker's model service wraps
+    [Service_core.Make (Instrumented) (Model_net)] the same way, plus a
+    flag that injects one failing shutdown. *)
 module type SERVICE = sig
   type t
   type session
@@ -178,7 +178,8 @@ module type S = sig
       certified.
       @raise Validator.Invalid under [Strict] when the old service
       fails its quiescence checks; the fabric fail-stops first
-      (integrity over availability). *)
+      (integrity over availability), and the shard counts as stopped
+      for a later {!shutdown}. *)
 
   val drain : ?policy:V.policy -> t -> V.report
   (** Quiesce and validate every shard in turn (each re-admits when
@@ -189,7 +190,12 @@ module type S = sig
   (** Terminal: mark the fabric closed, shut every shard down through
       the validated quiescence path, and fail any parked stragglers
       with [Closed].  {!read} and the shard accessors keep working on
-      the frozen state. *)
+      the frozen state.  Idempotent: a shard already stopped (by an
+      earlier or concurrent shutdown, or by a resize that fail-stopped)
+      is not stopped again; its frozen service is re-validated at
+      [?policy], so a later call returns the same report.
+      @raise Validator.Invalid under [Strict] when a shard fails its
+      quiescence checks, after every shard has been stopped. *)
 
   val closed : t -> bool
 end

@@ -12,9 +12,8 @@
    Routing is a hash plus a binary search — no shared state, safe from
    any domain. *)
 
-(* The finalizer lives in the runtime ({!Cn_runtime.Splitmix}) so the
-   sketch backends can hash keys the same way without a dependency on
-   the fabric; the ring only needs avalanche, which it provides. *)
+(* The ring only needs avalanche, which {!Cn_runtime.Splitmix}
+   provides. *)
 let mix = Cn_runtime.Splitmix.mix
 
 type t = {

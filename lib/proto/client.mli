@@ -20,7 +20,8 @@ exception Protocol_error of string
 
 val connect : ?host:string -> port:int -> unit -> t
 (** TCP-connect to a countnetd ([?host] default ["127.0.0.1"]).
-    @raise Unix.Unix_error when the connection is refused. *)
+    @raise Unix.Unix_error when the connection is refused.
+    @raise Failure when [host] is not a numeric IPv4 address. *)
 
 val request : t -> Frame.request -> Frame.response
 (** Send one request and block for its reply.

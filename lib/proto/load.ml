@@ -69,12 +69,13 @@ type tally = {
 let client_body ~host ~port spec idx tally =
   let rng = Random.State.make [| spec.seed; idx |] in
   let cdf = W.session_cdf spec.skew spec.conns_per_client in
-  (* A refused connect marks the slot dead instead of killing the
-     thread: the rig must outlive a server that is already draining. *)
+  (* A failed connect (refused, or a host that does not parse) marks
+     the slot dead instead of killing the thread: the rig must outlive
+     a server that is already draining. *)
   let conns =
     Array.init spec.conns_per_client (fun _ ->
         try Some (Client.connect ~host ~port ())
-        with Unix.Unix_error _ ->
+        with Unix.Unix_error _ | Failure _ ->
           tally.disconnects <- tally.disconnects + 1;
           None)
   in

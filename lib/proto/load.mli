@@ -43,7 +43,7 @@ type stats = {
   closed : int;  (** refused because the service was draining/stopped *)
   disconnects : int;  (** connections that died mid-run *)
   seconds : float;  (** wall clock of the concurrent phase *)
-  ops_per_sec : float;  (** [completed /. seconds]; the bench-row rate *)
+  ops_per_sec : float;  (** [completed /. seconds] *)
   busy_seconds : float;  (** [seconds] minus mean injected idle time *)
   busy_ops_per_sec : float;
   latency : Cn_runtime.Metrics.latency option;
@@ -53,6 +53,7 @@ type stats = {
 val run : ?host:string -> port:int -> spec -> stats
 (** Connect and drive.  Each thread's random stream derives from
     [spec.seed] and its index, so a run is reproducible up to
-    scheduling and server behaviour.
-    @raise Invalid_argument on a malformed spec.
-    @raise Unix.Unix_error when the initial connections are refused. *)
+    scheduling and server behaviour.  A connection that cannot be
+    opened (refused, or a [host] that is not a numeric IPv4 address)
+    counts in [disconnects]; a thread with none left returns at once.
+    @raise Invalid_argument on a malformed spec. *)

@@ -65,14 +65,6 @@ let throughput ?pool ~make ~domains ~ops_per_domain () =
   in
   attempt ops_per_domain
 
-(* Single-domain runs have no contention, so seconds/(ops * depth) is
-   the uncontended per-crossing cost — the measured anchor the
-   contention-model projections scale from. *)
-let calibrate_crossing_ns ?pool ?(ops_per_domain = 100_000) ~make ~depth () =
-  if depth <= 0 then invalid_arg "Harness.calibrate_crossing_ns: depth must be positive";
-  let r = throughput ?pool ~make ~domains:1 ~ops_per_domain () in
-  r.seconds *. 1e9 /. (float_of_int r.total_ops *. float_of_int depth)
-
 let run_collect ?pool ?(validate = Validator.Log) ~make ~domains ~ops_per_domain () =
   check_args ~domains ~ops_per_domain;
   let counter = make () in

@@ -57,22 +57,6 @@ val throughput :
     @raise Failure if the clock never advances even at the escalation
     cap (a broken timing environment). *)
 
-val calibrate_crossing_ns :
-  ?pool:Domain_pool.t ->
-  ?ops_per_domain:int ->
-  make:(unit -> Shared_counter.t) ->
-  depth:int ->
-  unit ->
-  float
-(** [calibrate_crossing_ns ~make ~depth ()] measures the single-domain
-    cost of one balancer crossing: a one-domain {!throughput} round
-    (default [?ops_per_domain] [100_000]) over a fresh counter whose
-    operations each perform [depth] crossings, reported as
-    nanoseconds/crossing.  This is the measured anchor
-    [Cn_analysis.Projection.calibrate] scales contention-model
-    projections from.
-    @raise Invalid_argument if [depth <= 0]. *)
-
 val run_collect :
   ?pool:Domain_pool.t ->
   ?validate:Validator.policy ->

@@ -26,8 +26,7 @@ val make : ?padded:bool -> int -> init:(int -> int) -> t
 (** [make n ~init] is a bank of [n] slots, slot [i] starting at
     [init i].  [~padded] (default [true]) gives every slot a private
     cache line; [~padded:false] packs the slots adjacently, for banks
-    that trade false sharing for footprint (sharded tallies, sketch
-    registers).
+    that trade false sharing for footprint (sharded tallies).
     @raise Invalid_argument if [n < 0]. *)
 
 val length : t -> int

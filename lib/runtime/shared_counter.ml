@@ -1,14 +1,7 @@
-type custom = {
-  cname : string;
-  cnext : pid:int -> int;
-  cprev : pid:int -> int;
-}
-
 type impl =
   | Network of Network_runtime.t
   | Central of int Atomic.t
   | Lock of Mutex.t * int ref
-  | Custom of custom
 
 type t = impl
 
@@ -17,19 +10,16 @@ let of_topology ?mode ?metrics net =
 
 let runtime = function
   | Network rt -> Some rt
-  | Central _ | Lock _ | Custom _ -> None
+  | Central _ | Lock _ -> None
 
 let central_faa () = Central (Atomic.make 0)
 
 let with_lock () = Lock (Mutex.create (), ref 0)
 
-let custom ~name ~next ~prev = Custom { cname = name; cnext = next; cprev = prev }
-
 let next c ~pid =
   if pid < 0 then invalid_arg "Shared_counter.next: negative pid";
   match c with
   | Network rt -> Network_runtime.traverse rt ~wire:(pid mod Network_runtime.input_width rt)
-  | Custom c -> c.cnext ~pid
   | Central a -> Atomic.fetch_and_add a 1
   | Lock (m, r) ->
       Mutex.lock m;
@@ -43,7 +33,6 @@ let prev c ~pid =
   match c with
   | Network rt ->
       Network_runtime.traverse_decrement rt ~wire:(pid mod Network_runtime.input_width rt)
-  | Custom c -> c.cprev ~pid
   | Central a -> Atomic.fetch_and_add a (-1) - 1
   | Lock (m, r) ->
       Mutex.lock m;
@@ -56,4 +45,3 @@ let name = function
   | Network _ -> "network"
   | Central _ -> "central-faa"
   | Lock _ -> "lock"
-  | Custom c -> c.cname

@@ -35,16 +35,6 @@ val central_faa : unit -> t
 val with_lock : unit -> t
 (** A counter backed by a [Mutex]-protected integer. *)
 
-val custom :
-  name:string -> next:(pid:int -> int) -> prev:(pid:int -> int) -> t
-(** [custom ~name ~next ~prev] is a counter backed by caller-supplied
-    operations — the extension point the approximate tiers
-    ({!Cn_sketch.Backend}) and test doubles use to slot into
-    {!Harness} runs without a dependency cycle.  {!runtime} is [None]
-    for it, so {!Harness.run_collect} validates only the values
-    collected.  The closures must be safe to call from any domain;
-    [pid] has already been checked non-negative. *)
-
 val next : t -> pid:int -> int
 (** [next c ~pid] performs one [Fetch&Increment] as process [pid]
     (process identity selects the entry wire for network-backed

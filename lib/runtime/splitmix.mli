@@ -1,12 +1,8 @@
 (** SplitMix64-style avalanche hashing over OCaml's tagged ints — the
     one mixing finalizer the whole system shares.
 
-    Consumers: the fabric's consistent-hash {!Router} (ring point
-    placement and key routing) and the [Cn_sketch] approximate
-    backends (HyperLogLog register selection, sparse-graph edge
-    choice).  Keeping a single finalizer here means a key hashes the
-    same way on both sides of the exact/approximate split, and the
-    sketch library does not need a dependency on the fabric. *)
+    Consumer: the fabric's consistent-hash {!Router} (ring point
+    placement and key routing). *)
 
 val mix : int -> int
 (** [mix x] is a SplitMix64-style finalizer over the tagged-int range:

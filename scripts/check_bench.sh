@@ -8,7 +8,9 @@
 # bench/main.ml: a complete "run" header, at least one measured row,
 # and on every measured row (an object with "oversubscribed")
 # min <= median <= max ops/s and oversubscribed = domains > nproc;
-# unless the header says smoke, at least 5 repeats of at least 0.2 s.
+# unless the header says smoke, at least 5 repeats of at least 0.2 s,
+# and a header that is not smoke must say dirty: false, so every full
+# row was measured on a committed revision that can be checked out.
 #
 # Usage: sh scripts/check_bench.sh BENCH_runtime.json
 set -eu
@@ -43,7 +45,7 @@ if dups:
 if not isinstance(record, dict):
     sys.exit(f"check-bench: {path} is not a JSON object")
 
-REQUIRED = ["runtime", "service", "fabric", "sketch", "hybrid"]
+REQUIRED = ["runtime", "service", "fabric", "hybrid"]
 missing = [k for k in REQUIRED if k not in record]
 if missing:
     sys.exit(f"check-bench: {path} is missing sections: {', '.join(missing)}")
@@ -82,6 +84,8 @@ for name in REQUIRED:
     if bad:
         errors.append(f"{name}: run header lacks or mistypes {', '.join(bad)}")
         continue
+    if not run["smoke"] and run["dirty"] is not False:
+        errors.append(f"{name}: a full run must be recorded at a clean revision (dirty: {json.dumps(run['dirty'])})")
     rows = list(measured_rows(section))
     if not rows:
         errors.append(f"{name}: no measured rows")

@@ -38,5 +38,4 @@ let () =
          Test_lint.suite;
          Test_fabric.suite;
          Test_proto.suite;
-         Test_sketch.suite;
        ])

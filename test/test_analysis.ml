@@ -65,81 +65,8 @@ let bounds =
         Alcotest.(check bool) "n" true (close (B.contention_diffracting ~n:42) 42.));
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Contention-model projection (Projection): the model that turns one
-   measured crossing cost plus simulated stalls into multicore curves. *)
-
-module Pr = Cn_analysis.Projection
-
-let projection =
-  let cal = Pr.calibrate ~crossing_ns:20. () in
-  [
-    tc "calibration validates and derives stall cost" (fun () ->
-        Alcotest.(check bool) "default factor" true
-          (close cal.Pr.stall_factor Pr.default_stall_factor);
-        Alcotest.(check bool) "stall_ns" true (close (Pr.stall_ns cal) 160.);
-        let explicit = Pr.calibrate ~stall_factor:3. ~crossing_ns:10. () in
-        Alcotest.(check bool) "explicit" true (close (Pr.stall_ns explicit) 30.));
-    Util.raises_invalid "non-positive crossing" (fun () ->
-        ignore (Pr.calibrate ~crossing_ns:0. ()));
-    Util.raises_invalid "non-positive stall factor" (fun () ->
-        ignore (Pr.calibrate ~stall_factor:(-1.) ~crossing_ns:1. ()));
-    tc "of_throughput inverts the rate" (fun () ->
-        (* 1e6 ops of depth 4 in one second: 250 ns/op, 62.5 ns/crossing. *)
-        let c = Pr.of_throughput ~depth:4 ~ops:1_000_000 ~seconds:0.25 () in
-        Alcotest.(check bool) "crossing" true (close c.Pr.crossing_ns 62.5));
-    tc "central counter: one domain pays no stalls, rate saturates" (fun () ->
-        let p1 = Pr.project_central cal ~domains:1 in
-        Alcotest.(check bool) "no stalls" true (close p1.Pr.stalls_per_token 0.);
-        Alcotest.(check bool) "token = crossing" true (close p1.Pr.token_ns 20.);
-        (* At large n the rate decays toward the hot-spot ceiling
-           1 / stall_ns from above: adding domains stops helping. *)
-        let p64 = Pr.project_central cal ~domains:64 in
-        let p128 = Pr.project_central cal ~domains:128 in
-        let ceiling = 1e9 /. Pr.stall_ns cal in
-        Alcotest.(check bool) "monotone decay" true
-          (p1.Pr.ops_per_sec > p64.Pr.ops_per_sec
-          && p64.Pr.ops_per_sec > p128.Pr.ops_per_sec);
-        Alcotest.(check bool) "saturating at the ceiling" true
-          (p128.Pr.ops_per_sec > ceiling
-          && p128.Pr.ops_per_sec -. ceiling < 0.02 *. ceiling));
-    tc "network projection scales while central saturates" (fun () ->
-        let net = Cn_core.Counting.network ~w:16 ~t:16 in
-        let hi_net = Pr.project_network cal net ~domains:64 in
-        let hi_ctr = Pr.project_central cal ~domains:64 in
-        Alcotest.(check bool) "network wins at n=64" true
-          (hi_net.Pr.ops_per_sec > hi_ctr.Pr.ops_per_sec));
-    tc "crossover exists and is where the curves actually cross" (fun () ->
-        let net = Cn_core.Counting.network ~w:16 ~t:16 in
-        match Pr.crossover cal net with
-        | None -> Alcotest.fail "expected a crossover within range"
-        | Some n ->
-            Alcotest.(check bool) "past it, network wins" true
-              ((Pr.project_network cal net ~domains:n).Pr.ops_per_sec
-              > (Pr.project_central cal ~domains:n).Pr.ops_per_sec);
-            Alcotest.(check bool) "sane range" true (n > 1 && n <= 1024));
-    tc "projection is deterministic (seeded schedule)" (fun () ->
-        let net = Cn_core.Counting.network ~w:4 ~t:8 in
-        let a = Pr.project_network ~seed:7 cal net ~domains:8 in
-        let b = Pr.project_network ~seed:7 cal net ~domains:8 in
-        Alcotest.(check bool) "same stalls" true
-          (close a.Pr.stalls_per_token b.Pr.stalls_per_token));
-    tc "sweeps mirror the pointwise projections" (fun () ->
-        let net = Cn_core.Counting.network ~w:4 ~t:8 in
-        let doms = [ 1; 2; 4 ] in
-        let sc = Pr.sweep_central cal ~domains_list:doms in
-        let sn = Pr.sweep_network cal net ~domains_list:doms in
-        Alcotest.(check (list int)) "central domains" doms
-          (List.map (fun p -> p.Pr.domains) sc);
-        Alcotest.(check (list int)) "network domains" doms
-          (List.map (fun p -> p.Pr.domains) sn));
-    Util.raises_invalid "project_central rejects n = 0" (fun () ->
-        ignore (Pr.project_central cal ~domains:0));
-  ]
-
 let suite =
   [
     ("analysis.params", params);
     ("analysis.bounds", bounds);
-    ("analysis.projection", projection);
   ]

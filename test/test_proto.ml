@@ -961,6 +961,14 @@ let server_tests =
             Alcotest.(check bool) "rig observed the shutdown" true
               (st.Load.disconnects > 0 || st.Load.closed > 0);
             Alcotest.(check bool) "rig made progress first" true (st.Load.completed > 0));
+    tc "a connect that fails for any reason counts as a disconnect" (fun () ->
+        (* A malformed host fails in address parsing, not with a
+           Unix_error; every connection slot must still be counted and
+           every client thread must return. *)
+        let spec = { Load.default with Load.clients = 2; conns_per_client = 3 } in
+        let st = Load.run ~host:"999.1.1.1" ~port:1 spec in
+        Alcotest.(check int) "nothing completed" 0 st.Load.completed;
+        Alcotest.(check int) "every connect counted" 6 st.Load.disconnects);
   ]
 
 (* ---------------------------------------------------------------- *)

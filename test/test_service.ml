@@ -5,8 +5,6 @@
 module Svc = Cn_service.Service
 module W = Cn_service.Workload
 module RT = Cn_runtime.Network_runtime
-module SC = Cn_runtime.Shared_counter
-module H = Cn_runtime.Harness
 module V = Cn_runtime.Validator
 module S = Cn_sequence.Sequence
 
@@ -215,17 +213,14 @@ let concurrent =
         let svc = Svc.create ~metrics:true (net816 ()) in
         (* Sessions are single-owner: one per domain, indexed by pid. *)
         let ss = Array.init 4 (fun _ -> Svc.session svc) in
-        let counter =
-          SC.custom ~name:"service"
-            ~next:(fun ~pid -> check_ok "inc" (Svc.increment ss.(pid)))
-            ~prev:(fun ~pid -> check_ok "dec" (Svc.decrement ss.(pid)))
-        in
-        let values =
-          H.run_collect ~validate:V.Strict
-            ~make:(fun () -> counter)
-            ~domains:4 ~ops_per_domain:200 ()
-        in
-        Alcotest.(check bool) "range" true (H.values_are_a_range values);
+        let values = Array.init 4 (fun _ -> Array.make 200 (-1)) in
+        ignore
+          (Cn_runtime.Domain_pool.round ~domains:4 (fun pid ->
+               for i = 0 to 199 do
+                 values.(pid).(i) <- check_ok "inc" (Svc.increment ss.(pid))
+               done));
+        V.enforce V.Strict (V.collected_values values);
+        Alcotest.(check bool) "range" true (V.values_form_a_range values);
         let report = Svc.drain svc in
         Alcotest.(check bool) "quiescent after drain" true (V.passed report));
     tc "concurrent mixed inc/dec drains clean under Strict" (fun () ->
