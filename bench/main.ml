@@ -3,10 +3,9 @@
    experiment id ("e1" .. "e14") for one table, with "micro" for the
    Bechamel micro-benchmarks (one Test.make per experiment family), or
    with a suite name — "runtime", "service", "fabric" or "hybrid",
-   each [--smoke] — to measure that
-   suite and record its section of BENCH_runtime.json.  Every timed row
-   goes through [measure].  See EXPERIMENTS.md for the experiment
-   index. *)
+   each [--smoke] — to measure that suite and record its section of
+   BENCH_runtime.json.  Every timed row goes through [measure].  See
+   EXPERIMENTS.md for the experiment index. *)
 
 module T = Cn_network.Topology
 module E = Cn_network.Eval

@@ -219,7 +219,6 @@ let concurrent =
                for i = 0 to 199 do
                  values.(pid).(i) <- check_ok "inc" (Svc.increment ss.(pid))
                done));
-        V.enforce V.Strict (V.collected_values values);
         Alcotest.(check bool) "range" true (V.values_form_a_range values);
         let report = Svc.drain svc in
         Alcotest.(check bool) "quiescent after drain" true (V.passed report));
