@@ -57,7 +57,9 @@ bench-hybrid-smoke:
 
 # Out-of-process loopback smoke test: real countnetd daemon + two
 # concurrent `countnet load` clients + SIGTERM under load, asserting a
-# clean quiescent drain.  See doc/protocol.md for the wire format.
+# clean quiescent drain, then the same stop on a lone connection and on
+# a 4-shard fabric daemon (--shards 4) under a mixed Inc/Dec load.
+# See doc/protocol.md for the wire format.
 serve-smoke: build
 	sh scripts/serve_smoke.sh
 

@@ -121,10 +121,7 @@ let make_run ?(distinct_incs = false) ?(fail_shutdown = false) ~shards () =
     rts := rt :: !rts;
     { MS.svc = Svc.make ~max_batch:4 ~queue:2 ~validate:V.Off rt; fail_shutdown }
   in
-  let fab =
-    Fab.make ~validate:V.Off ~spawn ~certify:certify_ok
-      (List.init shards (fun _ -> topo))
-  in
+  let fab = Fab.make ~validate:V.Off ~spawn ~certify:certify_ok ~shards topo in
   {
     rts;
     fab;

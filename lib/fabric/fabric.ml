@@ -56,15 +56,9 @@ let certify_topology ?exhaustive_budget net =
 
 let create ?mode ?(metrics = false) ?max_batch ?queue ?elim ?(validate = V.Strict)
     ?exhaustive_budget ~shards net =
-  if shards < 1 then invalid_arg "Fabric.create: shards must be positive";
   let spawn topo = Svc.create ?mode ~metrics ?max_batch ?queue ?elim ~validate topo in
-  let certify topo =
-    match certify_topology ?exhaustive_budget topo with
-    | Ok _ -> Ok ()
-    | Error msg -> Error msg
-  in
-  Core.make ~validate ~spawn ~certify
-    (List.init shards (fun _ -> net))
+  let certify topo = Result.map ignore (certify_topology ?exhaustive_budget topo) in
+  Core.make ~validate ~spawn ~certify ~shards net
 
 (* ------------------------------------------------------------------ *)
 (* Reporting. *)

@@ -40,7 +40,7 @@ val create :
   shards:int ->
   Cn_network.Topology.t ->
   t
-(** [create ~shards net] certifies [net], then builds [shards]
+(** [create ~shards net] certifies [net] once, then builds [shards]
     identical service shards over it.  The service knobs ([?mode],
     [?metrics], [?max_batch], [?queue], [?elim], [?validate]) pass
     through to

@@ -69,7 +69,8 @@ module type S = sig
     ?validate:V.policy ->
     spawn:(topo_key -> svc) ->
     certify:(topo_key -> (unit, string) result) ->
-    topo_key list ->
+    shards:int ->
+    topo_key ->
     t
 
   val session : ?key:int -> t -> session
@@ -168,23 +169,15 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
   (* The cap on the shard count a caller may ask for. *)
   let max_shards = 16
 
-  let make ?(validate = V.Strict) ~spawn ~certify topos =
-    let n = List.length topos in
-    if n < 1 then invalid_arg "Fabric_core.make: at least one shard";
-    if n > max_shards then invalid_arg "Fabric_core.make: more shards than max_shards";
-    List.iter
-      (fun topo ->
-        match certify topo with
-        | Ok () -> ()
-        | Error msg -> raise (Rejected msg))
-      topos;
+  let make ?(validate = V.Strict) ~spawn ~certify ~shards topo =
+    if shards < 1 then invalid_arg "Fabric_core.make: at least one shard";
+    if shards > max_shards then invalid_arg "Fabric_core.make: more shards than max_shards";
+    (match certify topo with Ok () -> () | Error msg -> raise (Rejected msg));
     {
-      slots =
-        Array.of_list
-          (List.map (fun topo -> A.make { svc = spawn topo; topo; base = 0; gen = 0 }) topos);
-      states = Array.init n (fun _ -> A.make Open);
-      parked = Array.init n (fun _ -> A.make Sealed);
-      router = Router.make (List.init n Fun.id);
+      slots = Array.init shards (fun _ -> A.make { svc = spawn topo; topo; base = 0; gen = 0 });
+      states = Array.init shards (fun _ -> A.make Open);
+      parked = Array.init shards (fun _ -> A.make Sealed);
+      router = Router.make (List.init shards Fun.id);
       closed_ = A.make false;
       session_ctr = A.make 0;
       read_owner = A.make 0;

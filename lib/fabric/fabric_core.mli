@@ -91,16 +91,18 @@ module type S = sig
     ?validate:V.policy ->
     spawn:(topo_key -> svc) ->
     certify:(topo_key -> (unit, string) result) ->
-    topo_key list ->
+    shards:int ->
+    topo_key ->
     t
-  (** [make ~spawn ~certify topos] builds one shard per listed topology
-      (shard ids [0..n-1]), certifying every topology {e before}
-      spawning anything.  The shard set is fixed from then on.
+  (** [make ~spawn ~certify ~shards topo] certifies [topo] once,
+      whatever the shard count, then spawns [shards] services over it
+      (shard ids [0..shards-1]).  The shard set is fixed from then on.
       [?validate] (default [Strict]) is the policy resize/drain/shutdown
       apply when not overridden.
-      @raise Rejected if any initial topology fails certification.
-      @raise Invalid_argument on an empty list or more than 16
-      topologies. *)
+      @raise Invalid_argument if [shards] is below 1 or above 16,
+      before [certify] is called.
+      @raise Rejected if [topo] fails certification, before anything
+      is spawned. *)
 
   val session : ?key:int -> t -> session
   (** [session t] registers a client.  [?key] pins the routing key

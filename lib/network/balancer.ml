@@ -15,35 +15,42 @@ let wire_of_kth_token b k =
   if k < 0 then invalid_arg "Balancer.wire_of_kth_token: negative index";
   (b.init_state + k) mod b.fan_out
 
+let check_port fn b port =
+  if port < 0 || port >= b.fan_out then invalid_arg (fn ^ ": port out of range")
+
+let output_count b ~tokens port =
+  if tokens < 0 then invalid_arg "Balancer.output_count: negative token count";
+  check_port "Balancer.output_count" b port;
+  let q = b.fan_out in
+  (* Wire [port] receives tokens numbered [k] with [(init_state + k) mod q = port],
+     i.e. [k ≡ port - init_state (mod q)], [0 <= k < tokens].  With
+     [d = (port - init_state) mod q] (non-negative), that count is
+     [⌈(tokens - d) / q⌉], which is 0 whenever [d >= tokens]. *)
+  let d = ((port - b.init_state) mod q + q) mod q in
+  max 0 (Sequence.ceil_div (tokens - d) q)
+
 let output_counts b ~tokens =
   if tokens < 0 then invalid_arg "Balancer.output_counts: negative token count";
-  let q = b.fan_out in
-  (* Wire [i] receives tokens numbered [k] with [(init_state + k) mod q = i],
-     i.e. [k ≡ i - init_state (mod q)], [0 <= k < tokens].  With
-     [d = (i - init_state) mod q] (non-negative), that count is
-     [⌈(tokens - d) / q⌉], which is 0 whenever [d >= tokens]. *)
-  Array.init q (fun i ->
-      let d = ((i - b.init_state) mod q + q) mod q in
-      max 0 (Sequence.ceil_div (tokens - d) q))
+  Array.init b.fan_out (output_count b ~tokens)
 
 let state_after b ~tokens =
   if tokens < 0 then invalid_arg "Balancer.state_after: negative token count";
   (b.init_state + tokens) mod b.fan_out
 
-let net_output_counts b ~net =
-  if net >= 0 then output_counts b ~tokens:net
+let net_output_count b ~net port =
+  if net >= 0 then output_count b ~tokens:net port
   else begin
+    check_port "Balancer.net_output_count" b port;
     let q = b.fan_out in
     (* The i-th antitoken (1-based) exits on wire (init_state - i) mod q,
-       each contributing -1 to its wire's net flow. *)
-    Array.init q (fun wire ->
-        let d = ((b.init_state - wire) mod q + q) mod q in
-        (* Antitoken indices hitting [wire] are i ≡ d (mod q), i >= 1;
-           count those with i <= -net. *)
-        let d = if d = 0 then q else d in
-        let hits = if -net >= d then ((-net - d) / q) + 1 else 0 in
-        -hits)
+       each contributing -1 to its wire's net flow.  The indices hitting
+       [port] are i ≡ d (mod q), i >= 1; count those with i <= -net. *)
+    let d = ((b.init_state - port) mod q + q) mod q in
+    let d = if d = 0 then q else d in
+    if -net >= d then -(((-net - d) / q) + 1) else 0
   end
+
+let net_output_counts b ~net = Array.init b.fan_out (net_output_count b ~net)
 
 let state_after_net b ~net = (((b.init_state + net) mod b.fan_out) + b.fan_out) mod b.fan_out
 

@@ -33,6 +33,13 @@ val output_counts : t -> tokens:int -> Cn_sequence.Sequence.t
     step sequence when [init_state = 0].
     @raise Invalid_argument if [tokens < 0]. *)
 
+val output_count : t -> tokens:int -> int -> int
+(** [output_count b ~tokens port] is entry [port] of
+    [output_counts b ~tokens], in closed form without the array: the
+    number of tokens among the first [tokens] that [b] sends to [port].
+    @raise Invalid_argument if [tokens < 0] or [port] is outside
+    [\[0, fan_out)]. *)
+
 val state_after : t -> tokens:int -> int
 (** [state_after b ~tokens] is the balancer state after [tokens]
     transitions: [(init_state + tokens) mod fan_out].
@@ -47,6 +54,11 @@ val net_output_counts : t -> net:int -> Cn_sequence.Sequence.t
     antitokens nets to the same flow as [|k - j|] (anti)tokens alone
     (Aiello et al., “Supporting increment and decrement operations in
     balancing networks”). *)
+
+val net_output_count : t -> net:int -> int -> int
+(** [net_output_count b ~net port] is entry [port] of
+    [net_output_counts b ~net], without the array.
+    @raise Invalid_argument if [port] is outside [\[0, fan_out)]. *)
 
 val state_after_net : t -> net:int -> int
 (** [state_after_net b ~net] is the balancer state after a quiescent

@@ -1,35 +1,44 @@
-module Sequence = Cn_sequence.Sequence
-
 let check_input net x =
   if Array.length x <> Topology.input_width net then
     invalid_arg "Eval: input sequence has wrong length";
   Array.iter (fun v -> if v < 0 then invalid_arg "Eval: negative token count") x
 
-let quiescent_full net x =
-  check_input net x;
-  let n = Topology.size net in
-  (* Token count flowing on each balancer input port, filled in
-     topological order. *)
-  let in_counts = Array.init n (fun b -> Array.make (Topology.balancer net b).Balancer.fan_in 0) in
-  let out_wire_counts = Array.make (Topology.output_width net) 0 in
-  let states = Array.make n 0 in
-  let deliver s count =
+(* One pass in topological order: [totals.(b)] sums the (net) tokens
+   reaching balancer [b]'s input ports, and each output port's share
+   follows from that total in closed form ([signed]: tokens minus
+   antitokens).  Returns the output wires and the totals. *)
+let flow ~signed net x =
+  let totals = Array.make (Topology.size net) 0 in
+  let out = Array.make (Topology.output_width net) 0 in
+  let deliver s c =
     match Topology.consumer net s with
-    | Topology.Bal_input { bal; port } -> in_counts.(bal).(port) <- count
-    | Topology.Net_output i -> out_wire_counts.(i) <- count
+    | Topology.Bal_input { bal; port = _ } -> totals.(bal) <- totals.(bal) + c
+    | Topology.Net_output i -> out.(i) <- c
   in
   Array.iteri (fun i c -> deliver (Topology.Net_input i) c) x;
   Array.iter
     (fun b ->
-      let descriptor = Topology.balancer net b in
-      let tokens = Sequence.sum in_counts.(b) in
-      let outs = Balancer.output_counts descriptor ~tokens in
-      states.(b) <- Balancer.state_after descriptor ~tokens;
-      Array.iteri (fun port c -> deliver (Topology.Bal_output { bal = b; port }) c) outs)
+      let d = Topology.balancer net b and total = totals.(b) in
+      for port = 0 to d.Balancer.fan_out - 1 do
+        deliver (Topology.Bal_output { bal = b; port })
+          (if signed then Balancer.net_output_count d ~net:total port
+           else Balancer.output_count d ~tokens:total port)
+      done)
     (Topology.topo_order net);
-  (out_wire_counts, states)
+  (out, totals)
 
-let quiescent net x = fst (quiescent_full net x)
+let quiescent_full net x =
+  check_input net x;
+  let out, totals = flow ~signed:false net x in
+  (* Each balancer's total becomes its final state, in place. *)
+  Array.iteri
+    (fun b tokens -> totals.(b) <- Balancer.state_after (Topology.balancer net b) ~tokens)
+    totals;
+  (out, totals)
+
+let quiescent net x =
+  check_input net x;
+  fst (flow ~signed:false net x)
 
 (* Token-level stepper.  A token's position is the balancer it is about to
    cross; mutable balancer states advance as tokens win. *)
@@ -62,23 +71,7 @@ let step st b =
 let quiescent_net net x =
   if Array.length x <> Topology.input_width net then
     invalid_arg "Eval.quiescent_net: input sequence has wrong length";
-  let n = Topology.size net in
-  let in_nets = Array.init n (fun b -> Array.make (Topology.balancer net b).Balancer.fan_in 0) in
-  let out_nets = Array.make (Topology.output_width net) 0 in
-  let deliver s count =
-    match Topology.consumer net s with
-    | Topology.Bal_input { bal; port } -> in_nets.(bal).(port) <- count
-    | Topology.Net_output i -> out_nets.(i) <- count
-  in
-  Array.iteri (fun i c -> deliver (Topology.Net_input i) c) x;
-  Array.iter
-    (fun b ->
-      let descriptor = Topology.balancer net b in
-      let total = Sequence.sum in_nets.(b) in
-      let outs = Balancer.net_output_counts descriptor ~net:total in
-      Array.iteri (fun port c -> deliver (Topology.Bal_output { bal = b; port }) c) outs)
-    (Topology.topo_order net);
-  out_nets
+  fst (flow ~signed:true net x)
 
 let trace_signed ?(seed = 0) net ~tokens ~antitokens =
   let w = Topology.input_width net in

@@ -9,6 +9,9 @@
 # stopped the same way under one lone connection: the one connection
 # countnetd polls before it parks in read(2), so that stop lands in
 # the middle of a poll, and its stop line must report polled reads.
+# A third countnetd serves a 4-shard fabric (--shards 4, one certified
+# topology spawned four times): it must announce "C(16,16) x4 shards",
+# carry a mixed Inc/Dec load, and drain clean when stopped under load.
 #
 # Run from the repository root, after `dune build`:
 #   sh scripts/serve_smoke.sh
@@ -27,9 +30,10 @@ fail() {
   exit 1
 }
 
-# Start countnetd with its output in $OUT; sets DAEMON and PORT.
+# Start countnetd (extra flags in "$@") with its output in $OUT; sets
+# DAEMON and PORT.
 start_daemon() {
-  "$COUNTNETD" --width 16 --out-width 16 --validate strict >"$OUT" 2>&1 &
+  "$COUNTNETD" --width 16 --out-width 16 --validate strict "$@" >"$OUT" 2>&1 &
   DAEMON=$!
   # The first stdout line carries the bound port; poll for it.
   PORT=
@@ -79,3 +83,11 @@ stop_under_load --clients 1 --conns 1
 POLLED=$(sed -n 's/.* \([0-9]*\) reads polled.*/\1/p' "$OUT")
 [ "${POLLED:-0}" -gt 0 ] || fail "the lone connection never took a read from the poll"
 echo "serve-smoke: $(grep 'reads polled' "$OUT" | sed 's/^countnetd: //')"
+
+# A sharded fabric daemon: the same load, Inc and Dec mixed, then a stop
+# under load.
+start_daemon --shards 4
+grep -q "C(16,16) x4 shards" "$OUT" || fail "no 4-shard fabric in the listening line"
+"$COUNTNET" load --port "$PORT" --clients 2 --conns 2 --ops 400 --dec-ratio 0.3 \
+  || fail "fabric load run failed"
+stop_under_load --clients 2 --conns 2 --arrival closed:0.0002

@@ -74,6 +74,10 @@ let output_counts =
         Alcotest.check Util.seq "out" [| 1; 2; 1 |] (B.output_counts b ~tokens:4));
     Util.raises_invalid "negative tokens" (fun () ->
         B.output_counts (B.make ~fan_in:2 ~fan_out:2 ()) ~tokens:(-1));
+    Util.raises_invalid "one port's count: port past fan_out" (fun () ->
+        B.output_count (B.make ~fan_in:2 ~fan_out:3 ()) ~tokens:4 3);
+    Util.raises_invalid "one port's net count: negative port" (fun () ->
+        B.net_output_count (B.make ~fan_in:2 ~fan_out:3 ()) ~net:(-4) (-1));
   ]
 
 let gen_bal_run =

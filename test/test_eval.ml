@@ -5,6 +5,7 @@
 module T = Cn_network.Topology
 module E = Cn_network.Eval
 module S = Cn_sequence.Sequence
+module B = Cn_network.Balancer
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -55,6 +56,62 @@ let trace_agreement =
         S.equal (E.trace ~seed net x) (E.quiescent net x));
   ]
 
+(* The flat evaluator against the token stepper beyond C(8,16):
+   irregular fan-ins and fan-outs, wires that skip layers, and non-zero
+   initial states (C(4,8) with randomized balancer states; the
+   construction itself starts every balancer at 0).  The states are checked against a
+   reference that sums each balancer's feeds through the array form
+   [Balancer.output_counts]. *)
+let general_agreement =
+  let reference_totals net x =
+    let memo = Array.make (T.size net) (-1) in
+    let rec total b =
+      if memo.(b) < 0 then
+        memo.(b) <-
+          Array.fold_left
+            (fun acc -> function
+              | T.Net_input i -> acc + x.(i)
+              | T.Bal_output { bal; port } ->
+                  acc + (B.output_counts (T.balancer net bal) ~tokens:(total bal)).(port))
+            0 (T.feeds net b);
+      memo.(b)
+    in
+    Array.init (T.size net) total
+  in
+  let case name ~width make =
+    Util.qtest ~count:100 ("flat evaluator = token stepper on " ^ name)
+      QCheck2.Gen.(
+        triple (int_range 0 1000)
+          (list_repeat width (int_range 0 12))
+          (list_repeat width (int_range 0 12)))
+      (fun (seed, tokens, antitokens) ->
+        let net = make seed in
+        let tokens = Array.of_list tokens and antitokens = Array.of_list antitokens in
+        let out, states = E.quiescent_full net tokens in
+        let totals = reference_totals net tokens in
+        S.equal out (E.trace ~seed net tokens)
+        && S.equal (E.quiescent net tokens) out
+        && S.equal
+             (E.quiescent_net net (Array.map2 ( - ) tokens antitokens))
+             (E.trace_signed ~seed net ~tokens ~antitokens)
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun b s -> s = B.state_after (T.balancer net b) ~tokens:totals.(b))
+                states))
+  in
+  [
+    case "irregular nets" ~width:6 (fun seed -> Cn_network.Random_net.irregular ~seed ~layers:4 6);
+    case "sparse nets" ~width:8 (fun seed -> Cn_network.Random_net.sparse ~seed ~layers:5 8);
+    tc "randomized C(4,8) has non-zero initial states" (fun () ->
+        let net = T.randomize_states ~seed:1 (fig1_network ()) in
+        Alcotest.(check bool) "some init_state > 0" true
+          (List.exists
+             (fun b -> (T.balancer net b).B.init_state > 0)
+             (List.init (T.size net) Fun.id)));
+    case "C(4,8), randomized states" ~width:4 (fun seed ->
+        T.randomize_states ~seed (fig1_network ()));
+  ]
+
 let token_runs =
   [
     tc "counter values are 0..m-1 in some order" (fun () ->
@@ -101,6 +158,7 @@ let suite =
   [
     ("eval.quiescent", quiescent);
     ("eval.trace", trace_agreement);
+    ("eval.general", general_agreement);
     ("eval.token_runs", token_runs);
     ("eval.values", single_process_order);
   ]

@@ -135,6 +135,35 @@ let certification =
         match Fab.increment s with
         | Ok v -> Alcotest.(check int) "stream continues" 1 v
         | Error _ -> Alcotest.fail "shard must still serve");
+    tc "make certifies an initial topology once, whatever the shard count" (fun () ->
+        let certified = ref 0 in
+        let certify _ = incr certified; Ok () in
+        let fab =
+          Fab.make ~spawn:Cn_service.Service.create ~certify ~shards:4
+            (Counting.network ~w:4 ~t:4)
+        in
+        Alcotest.(check int) "certify calls" 1 !certified;
+        Alcotest.(check int) "shards" 4 (Fab.shard_count fab);
+        ignore (Fab.shutdown fab));
+    tc "a rejected initial topology spawns nothing" (fun () ->
+        let spawned = ref 0 in
+        let spawn topo = incr spawned; Cn_service.Service.create topo in
+        (match
+           Fab.make ~spawn ~certify:(fun _ -> Error "refused") ~shards:4
+             (Counting.network ~w:4 ~t:4)
+         with
+        | _ -> Alcotest.fail "expected Rejected"
+        | exception Fab.Rejected msg -> Alcotest.(check string) "message" "refused" msg);
+        Alcotest.(check int) "spawn calls" 0 !spawned);
+    tc "a shard count past the cap is refused before certifying" (fun () ->
+        let certified = ref 0 in
+        let certify _ = incr certified; Ok () in
+        Alcotest.check_raises "17 shards"
+          (Invalid_argument "Fabric_core.make: more shards than max_shards") (fun () ->
+            ignore
+              (Fab.make ~spawn:Cn_service.Service.create ~certify ~shards:17
+                 (Counting.network ~w:4 ~t:4)));
+        Alcotest.(check int) "certify calls" 0 !certified);
     tc "certify_topology accepts C(16,16) with non-refuted evidence" (fun () ->
         match Fab.certify_topology (Counting.network ~w:16 ~t:16) with
         | Error msg -> Alcotest.failf "unexpected rejection: %s" msg
