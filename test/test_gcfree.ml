@@ -98,20 +98,6 @@ let read_and_run =
         Alcotest.(check bool)
           (Printf.sprintf "allocated %.0f minor words for %d reads" d tokens)
           true (d < 64.));
-    tc "a quiescent evaluation allocates per balancer, not per port" (fun () ->
-        let net = Cn_core.Counting.network ~w:16 ~t:16 in
-        let x = Array.make 16 0 in
-        x.(0) <- 1;
-        x.(9) <- 1;
-        ignore (E.quiescent net x);
-        let before = Gc.minor_words () in
-        ignore (Sys.opaque_identity (E.quiescent net x));
-        let d = Gc.minor_words () -. before in
-        let bound = 16 * Cn_network.Topology.size net in
-        Alcotest.(check bool)
-          (Printf.sprintf "allocated %.0f minor words, bound %d" d bound)
-          true
-          (d <= float_of_int bound));
     tc "a service run of 32 allocates per run, not per operation" (fun () ->
         let module Svc = Cn_service.Service in
         let svc = Svc.create (net48 ()) in
@@ -129,6 +115,20 @@ let read_and_run =
         Alcotest.(check bool)
           (Printf.sprintf "allocated %.0f minor words for %d runs of 32" d (tokens / 32))
           true (d < 64.));
+    tc "a quiescent evaluation allocates per balancer, not per port" (fun () ->
+        let net = Cn_core.Counting.network ~w:16 ~t:16 in
+        let x = Array.make 16 0 in
+        x.(0) <- 1;
+        x.(9) <- 1;
+        ignore (E.quiescent net x);
+        let before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (E.quiescent net x));
+        let d = Gc.minor_words () -. before in
+        let bound = 16 * Cn_network.Topology.size net in
+        Alcotest.(check bool)
+          (Printf.sprintf "allocated %.0f minor words, bound %d" d bound)
+          true
+          (d <= float_of_int bound));
   ]
 
 (* The wire codec on the hot frames: decoding requests, Overloaded and
