@@ -383,6 +383,90 @@ let hybrid_tests =
           [ 2; 4; 8; 16; 64 ]);
   ]
 
+(* ---- well-formedness: the full message of every NET code ---- *)
+
+let messages_tests =
+  let b22 = { Raw.fan_in = 2; fan_out = 2; init_state = 0 } in
+  let base =
+    {
+      Raw.input_width = 2;
+      balancers = [| b22 |];
+      feeds = [| [| T.Net_input 0; T.Net_input 1 |] |];
+      outputs = [| T.Bal_output { bal = 0; port = 0 }; T.Bal_output { bal = 0; port = 1 } |];
+    }
+  in
+  let pins name raw expected =
+    tc name (fun () ->
+        Alcotest.(check (list string)) "violations" expected
+          (List.map (Format.asprintf "%a" Raw.pp_violation) (Raw.check raw)))
+  in
+  [
+    pins "NET001" { base with Raw.input_width = 0 }
+      [
+        "NET001: input width must be positive (got 0)";
+        "NET005: feed 0 of balancer 0 refers to missing network input 0";
+        "NET005: feed 1 of balancer 0 refers to missing network input 1";
+      ];
+    pins "NET002" { base with Raw.balancers = [| { b22 with Raw.fan_in = 0 } |] }
+      [ "NET002: balancer 0 has invalid arity (0,2)" ];
+    pins "NET003" { base with Raw.balancers = [| { b22 with Raw.init_state = 2 } |] }
+      [ "NET003: balancer 0 has initial state 2 outside [0, 2)" ];
+    pins "NET004 feed rows" { base with Raw.feeds = [||] }
+      [
+        "NET004: 1 balancers but 0 feed rows";
+        "NET007: network input 0 is never consumed";
+        "NET007: network input 1 is never consumed";
+      ];
+    pins "NET004 feed arity" { base with Raw.feeds = [| [| T.Net_input 0 |] |] }
+      [
+        "NET004: balancer 0 has fan-in 2 but 1 feeds"; "NET007: network input 1 is never consumed";
+      ];
+    pins "NET005 from a feed"
+      { base with Raw.feeds = [| [| T.Net_input 0; T.Bal_output { bal = 3; port = 0 } |] |] }
+      [
+        "NET005: feed 1 of balancer 0 refers to missing output port 0 of balancer 3";
+        "NET007: network input 1 is never consumed";
+      ];
+    pins "NET005 from an output"
+      {
+        base with
+        Raw.outputs = [| T.Bal_output { bal = 0; port = 0 }; T.Bal_output { bal = 0; port = 5 } |];
+      }
+      [
+        "NET005: network output 1 refers to missing output port 5 of balancer 0";
+        "NET007: output port 1 of balancer 0 is never consumed";
+      ];
+    pins "NET006 on a port"
+      {
+        base with
+        Raw.outputs = [| T.Bal_output { bal = 0; port = 0 }; T.Bal_output { bal = 0; port = 0 } |];
+      }
+      [
+        "NET006: output port 0 of balancer 0 consumed 2 times";
+        "NET007: output port 1 of balancer 0 is never consumed";
+      ];
+    pins "NET006 on an input" { base with Raw.feeds = [| [| T.Net_input 0; T.Net_input 0 |] |] }
+      [ "NET006: network input 0 consumed 2 times"; "NET007: network input 1 is never consumed" ];
+    pins "NET008" { base with Raw.outputs = [||] }
+      [
+        "NET008: the network has no output wires";
+        "NET007: output port 0 of balancer 0 is never consumed";
+        "NET007: output port 1 of balancer 0 is never consumed";
+      ];
+    pins "NET009"
+      {
+        base with
+        Raw.balancers = [| b22; b22 |];
+        feeds =
+          [|
+            [| T.Net_input 0; T.Bal_output { bal = 1; port = 0 } |];
+            [| T.Net_input 1; T.Bal_output { bal = 0; port = 0 } |];
+          |];
+        outputs = [| T.Bal_output { bal = 0; port = 1 }; T.Bal_output { bal = 1; port = 1 } |];
+      }
+      [ "NET009: the balancer graph contains a cycle (2 balancers involved)" ];
+  ]
+
 let suite =
   [
     ("lint.wellformed", wellformed_tests);
@@ -393,4 +477,5 @@ let suite =
     ("lint.mutate", mutate_tests);
     ("lint.portfolio", portfolio_tests);
     ("lint.hybrids", hybrid_tests);
+    ("lint.messages", messages_tests);
   ]

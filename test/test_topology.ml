@@ -196,6 +196,63 @@ let builder =
         Alcotest.(check bool) "equal" true (T.equal net (one_balancer ())));
   ]
 
+(* The full text of every [Topology.create] failure, pinned: the labels
+   in these messages are built only on the failing path, so each one is
+   checked here word for word. *)
+let messages =
+  let fails name msg ~input_width ~balancers ~feeds ~outputs =
+    tc name (fun () ->
+        Alcotest.check_raises name (Invalid_argument ("Topology.create: " ^ msg)) (fun () ->
+            ignore (T.create ~input_width ~balancers ~feeds ~outputs)))
+  in
+  let ins = [| T.Net_input 0; T.Net_input 1 |] in
+  let ports = [| T.Bal_output { bal = 0; port = 0 }; T.Bal_output { bal = 0; port = 1 } |] in
+  [
+    fails "non-positive width" "input width must be positive" ~input_width:0 ~balancers:[||]
+      ~feeds:[||] ~outputs:[||];
+    fails "feed rows" "1 balancers but 0 feed rows" ~input_width:2 ~balancers:[| bal22 |]
+      ~feeds:[||] ~outputs:ports;
+    fails "wrong arity" "balancer 0 has fan-in 2 but 1 feeds" ~input_width:2
+      ~balancers:[| bal22 |] ~feeds:[| [| T.Net_input 0 |] |] ~outputs:ports;
+    fails "no outputs" "no output wires" ~input_width:2 ~balancers:[| bal22 |] ~feeds:[| ins |]
+      ~outputs:[||];
+    fails "feed out of range" "feed 1 of balancer 0 refers to network input 5 (width 2)"
+      ~input_width:2 ~balancers:[| bal22 |]
+      ~feeds:[| [| T.Net_input 0; T.Net_input 5 |] |]
+      ~outputs:ports;
+    fails "unknown balancer" "feed 1 of balancer 0 refers to unknown balancer 7" ~input_width:2
+      ~balancers:[| bal22 |]
+      ~feeds:[| [| T.Net_input 0; T.Bal_output { bal = 7; port = 0 } |] |]
+      ~outputs:ports;
+    fails "output port out of range"
+      "network output 1 refers to output port 5 of balancer 0 (fan-out 2)" ~input_width:2
+      ~balancers:[| bal22 |] ~feeds:[| ins |]
+      ~outputs:[| T.Bal_output { bal = 0; port = 0 }; T.Bal_output { bal = 0; port = 5 } |];
+    fails "output of a negative input" "network output 0 refers to network input -1 (width 2)"
+      ~input_width:2 ~balancers:[| bal22 |] ~feeds:[| ins |]
+      ~outputs:[| T.Net_input (-1) |];
+    fails "input consumed twice" "network input 0 consumed twice" ~input_width:2
+      ~balancers:[| bal22 |]
+      ~feeds:[| [| T.Net_input 0; T.Net_input 0 |] |]
+      ~outputs:ports;
+    fails "port consumed twice" "output port 0 of balancer 0 consumed twice" ~input_width:2
+      ~balancers:[| bal22 |] ~feeds:[| ins |]
+      ~outputs:[| T.Bal_output { bal = 0; port = 0 }; T.Bal_output { bal = 0; port = 0 } |];
+    fails "input never consumed" "network input 2 is never consumed" ~input_width:3
+      ~balancers:[| bal22 |] ~feeds:[| ins |] ~outputs:ports;
+    fails "port never consumed" "output port 1 of balancer 0 is never consumed" ~input_width:2
+      ~balancers:[| bal22 |] ~feeds:[| ins |]
+      ~outputs:[| T.Bal_output { bal = 0; port = 0 } |];
+    fails "cycle" "the balancer graph contains a cycle" ~input_width:2
+      ~balancers:[| bal22; bal22 |]
+      ~feeds:
+        [|
+          [| T.Net_input 0; T.Bal_output { bal = 1; port = 0 } |];
+          [| T.Net_input 1; T.Bal_output { bal = 0; port = 0 } |];
+        |]
+      ~outputs:[| T.Bal_output { bal = 0; port = 1 }; T.Bal_output { bal = 1; port = 1 } |];
+  ]
+
 let suite =
   [
     ("topology.construction", construction);
@@ -203,4 +260,5 @@ let suite =
     ("topology.structure", structure);
     ("topology.permutations", permuting);
     ("topology.builder", builder);
+    ("topology.messages", messages);
   ]
