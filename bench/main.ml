@@ -1151,6 +1151,12 @@ let micro () =
        let hist = Cn_sim.Stall_model.history s in
        Test.make ~name:"e12-linearizability-check"
          (Staged.stage (fun () -> Cn_sim.Linearizability.violation hist)));
+      (* Set-up of a served counter: building C(16,16), and the
+         certificate a fabric demands of it. *)
+      Test.make ~name:"build-C(16,16)" (Staged.stage (fun () -> C.network ~w:16 ~t:16));
+      (let net = C.network ~w:16 ~t:16 in
+       Test.make ~name:"certify-C(16,16)"
+         (Staged.stage (fun () -> Cn_fabric.Fabric.certify_topology net)));
       (* E13: one signed evaluation. *)
       (let net = C.network ~w:8 ~t:16 in
        let x = Array.init 8 (fun i -> (i mod 3) - 1) in

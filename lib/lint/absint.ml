@@ -21,10 +21,16 @@ module Q = struct
   let one = { num = 1; den = 1 }
   let of_int n = { num = n; den = 1 }
 
+  (* A zero operand returns the other, already normalised, operand:
+     coefficient vectors are mostly zeros, and this skips their gcds. *)
   let add a b =
-    let g = gcd a.den b.den in
-    let l = a.den / g * b.den in
-    make ((a.num * (l / a.den)) + (b.num * (l / b.den))) l
+    if a.num = 0 then b
+    else if b.num = 0 then a
+    else begin
+      let g = gcd a.den b.den in
+      let l = a.den / g * b.den in
+      make ((a.num * (l / a.den)) + (b.num * (l / b.den))) l
+    end
 
   let sub a b = add a { b with num = -b.num }
 
@@ -33,7 +39,7 @@ module Q = struct
 
   let div_int a q =
     if q <= 0 then invalid_arg "Absint.Q.div_int: non-positive divisor";
-    make a.num (a.den * q)
+    if a.num = 0 then a else make a.num (a.den * q)
 
   let compare a b =
     let g = gcd a.den b.den in
@@ -87,12 +93,14 @@ let analyze net =
       in
       (* Port r emits ⌈(T − d_r)/q⌉ tokens (clamped at 0), with
          d_r = (r − init) mod q; both the exact value and the clamp lie
-         in [(T − d_r)/q, (T − d_r + q − 1)/q]. *)
+         in [(T − d_r)/q, (T − d_r + q − 1)/q].  Every port shares the
+         one divided coefficient vector T/q. *)
+      let coeffs = Array.map (fun c -> Q.div_int c q) total.coeffs in
       bal_out.(b) <-
         Array.init q (fun r ->
             let dr = (((r - init) mod q) + q) mod q in
             {
-              coeffs = Array.map (fun c -> Q.div_int c q) total.coeffs;
+              coeffs;
               lo = Q.div_int (Q.add_int total.lo (-dr)) q;
               hi = Q.div_int (Q.add_int total.hi (q - 1 - dr)) q;
             }))

@@ -1,5 +1,3 @@
-module Sequence = Cn_sequence.Sequence
-
 type t = { fan_in : int; fan_out : int; init_state : int }
 
 let make ?(init_state = 0) ~fan_in ~fan_out () =
@@ -18,16 +16,18 @@ let wire_of_kth_token b k =
 let check_port fn b port =
   if port < 0 || port >= b.fan_out then invalid_arg (fn ^ ": port out of range")
 
+(* Token [k] leaves on wire [(init_state + k) mod q], so of [T] tokens
+   wire [port] receives [⌊T/q⌋], plus one when its offset
+   [(port - init_state) mod q] is below [T mod q]. *)
+let share b ~quotient ~remainder port =
+  let d = port - b.init_state in
+  let d = if d < 0 then d + b.fan_out else d in
+  if d < remainder then quotient + 1 else quotient
+
 let output_count b ~tokens port =
   if tokens < 0 then invalid_arg "Balancer.output_count: negative token count";
   check_port "Balancer.output_count" b port;
-  let q = b.fan_out in
-  (* Wire [port] receives tokens numbered [k] with [(init_state + k) mod q = port],
-     i.e. [k ≡ port - init_state (mod q)], [0 <= k < tokens].  With
-     [d = (port - init_state) mod q] (non-negative), that count is
-     [⌈(tokens - d) / q⌉], which is 0 whenever [d >= tokens]. *)
-  let d = ((port - b.init_state) mod q + q) mod q in
-  max 0 (Sequence.ceil_div (tokens - d) q)
+  share b ~quotient:(tokens / b.fan_out) ~remainder:(tokens mod b.fan_out) port
 
 let output_counts b ~tokens =
   if tokens < 0 then invalid_arg "Balancer.output_counts: negative token count";

@@ -40,6 +40,14 @@ val output_count : t -> tokens:int -> int -> int
     @raise Invalid_argument if [tokens < 0] or [port] is outside
     [\[0, fan_out)]. *)
 
+val share : t -> quotient:int -> remainder:int -> int -> int
+(** [share b ~quotient ~remainder port] is [output_count b ~tokens port]
+    given the split [quotient = tokens / fan_out], [remainder = tokens
+    mod fan_out] of a non-negative [tokens]: [quotient], plus one when
+    [(port - init_state) mod fan_out < remainder].  Evaluating a whole
+    balancer costs one division, however many ports it has.  Unchecked:
+    [port] must lie in [\[0, fan_out)]. *)
+
 val state_after : t -> tokens:int -> int
 (** [state_after b ~tokens] is the balancer state after [tokens]
     transitions: [(init_state + tokens) mod fan_out].

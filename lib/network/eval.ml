@@ -3,28 +3,38 @@ let check_input net x =
     invalid_arg "Eval: input sequence has wrong length";
   Array.iter (fun v -> if v < 0 then invalid_arg "Eval: negative token count") x
 
-(* One pass in topological order: [totals.(b)] sums the (net) tokens
-   reaching balancer [b]'s input ports, and each output port's share
-   follows from that total in closed form ([signed]: tokens minus
-   antitokens).  Returns the output wires and the totals. *)
+(* [c] tokens reach the wire encoded [d]: a balancer's input, or a
+   network output. *)
+let deliver totals out d c = if d >= 0 then totals.(d) <- totals.(d) + c else out.(-d - 1) <- c
+
+(* One pass over the wiring image in topological order: [totals.(b)]
+   sums the (net) tokens reaching balancer [b]'s input ports, and each
+   output port's share follows from that total in closed form — one
+   division per balancer for tokens, [Balancer.net_output_count] per
+   port for signed totals ([signed]: tokens minus antitokens).  Returns
+   the output wires and the totals. *)
 let flow ~signed net x =
+  let { Topology.order; base; next; entry } = Topology.wiring net in
   let totals = Array.make (Topology.size net) 0 in
   let out = Array.make (Topology.output_width net) 0 in
-  let deliver s c =
-    match Topology.consumer net s with
-    | Topology.Bal_input { bal; port = _ } -> totals.(bal) <- totals.(bal) + c
-    | Topology.Net_output i -> out.(i) <- c
-  in
-  Array.iteri (fun i c -> deliver (Topology.Net_input i) c) x;
-  Array.iter
-    (fun b ->
-      let d = Topology.balancer net b and total = totals.(b) in
-      for port = 0 to d.Balancer.fan_out - 1 do
-        deliver (Topology.Bal_output { bal = b; port })
-          (if signed then Balancer.net_output_count d ~net:total port
-           else Balancer.output_count d ~tokens:total port)
-      done)
-    (Topology.topo_order net);
+  for i = 0 to Array.length x - 1 do
+    deliver totals out entry.(i) x.(i)
+  done;
+  for k = 0 to Array.length order - 1 do
+    let b = order.(k) in
+    let d = Topology.balancer net b and total = totals.(b) and row = base.(b) in
+    let q = d.Balancer.fan_out in
+    if signed then
+      for port = 0 to q - 1 do
+        deliver totals out next.(row + port) (Balancer.net_output_count d ~net:total port)
+      done
+    else begin
+      let quotient = total / q and remainder = total mod q in
+      for port = 0 to q - 1 do
+        deliver totals out next.(row + port) (Balancer.share d ~quotient ~remainder port)
+      done
+    end
+  done;
   (out, totals)
 
 let quiescent_full net x =

@@ -5,7 +5,12 @@
     stepper that moves individual tokens under an arbitrary interleaving.
     In any quiescent state both agree — balancer outputs depend only on
     the number of tokens that crossed them — which is itself a tested
-    property. *)
+    property.
+
+    The closed-form evaluators walk {!Topology.wiring} once, in
+    topological order: one division per balancer (see
+    {!Balancer.share}), no allocation per port, and the only arrays they
+    allocate are the per-balancer totals and the output sequence. *)
 
 val quiescent : Topology.t -> Cn_sequence.Sequence.t -> Cn_sequence.Sequence.t
 (** [quiescent net x] is the output sequence of [net] in the quiescent

@@ -73,15 +73,23 @@ let check raw =
         && raw.balancers.(bal).fan_out > 0
         && port < raw.balancers.(bal).fan_out
   in
-  let check_ref what s =
-    if not (source_ok s) then emit (violation "NET005" "%s refers to missing %s" what (source_str s))
+  (* [bal < 0] names network output [index], otherwise feed [index] of
+     balancer [bal]; the label is formatted only for a violation. *)
+  let check_ref ~bal ~index s =
+    if not (source_ok s) then
+      emit
+        (if bal < 0 then
+           violation "NET005" "network output %d refers to missing %s" index (source_str s)
+         else
+           violation "NET005" "feed %d of balancer %d refers to missing %s" index bal
+             (source_str s))
   in
   let each_feed f =
     if Array.length raw.feeds = n then
-      Array.iteri (fun b row -> Array.iteri (fun i s -> f (Printf.sprintf "feed %d of balancer %d" i b) s) row) raw.feeds
+      Array.iteri (fun b row -> Array.iteri (fun i s -> f ~bal:b ~index:i s) row) raw.feeds
   in
   each_feed check_ref;
-  Array.iteri (fun i s -> check_ref (Printf.sprintf "network output %d" i) s) raw.outputs;
+  Array.iteri (fun i s -> check_ref ~bal:(-1) ~index:i s) raw.outputs;
   (* Consumption counts over the sound references only. *)
   let net_uses = Array.make (max raw.input_width 0) 0 in
   let bal_uses = Array.init n (fun b -> Array.make (max raw.balancers.(b).fan_out 0) 0) in
@@ -91,7 +99,7 @@ let check raw =
       | Topology.Net_input i -> net_uses.(i) <- net_uses.(i) + 1
       | Topology.Bal_output { bal; port } -> bal_uses.(bal).(port) <- bal_uses.(bal).(port) + 1
   in
-  each_feed (fun _ s -> consume s);
+  each_feed (fun ~bal:_ ~index:_ s -> consume s);
   Array.iter consume raw.outputs;
   Array.iteri
     (fun i c ->

@@ -1,29 +1,50 @@
 type source = Net_input of int | Bal_output of { bal : int; port : int }
 type dest = Bal_input of { bal : int; port : int } | Net_output of int
 
+type wiring = { order : int array; base : int array; next : int array; entry : int array }
+
 type t = {
   input_width : int;
   balancers : Balancer.t array;
   feeds : source array array;
   outputs : source array;
   consumers_net : dest array; (* consumer of each network input wire *)
-  consumers_bal : dest array array; (* consumer of each balancer output port *)
+  consumers_bal : dest array; (* consumer of port p of balancer b, at wiring.base.(b) + p *)
   depths : int array; (* 1-based depth of each balancer *)
-  topo : int array; (* balancer ids in topological order *)
+  wiring : wiring;
 }
 
 let fail fmt = Format.kasprintf invalid_arg fmt
 
-let check_source ~input_width ~balancers what s =
+(* Diagnostics name a reference by position; the label is formatted only
+   when a check fails, so a valid network builds without formatting. *)
+let reference_label ~bal ~index =
+  if bal < 0 then Printf.sprintf "network output %d" index
+  else Printf.sprintf "feed %d of balancer %d" index bal
+
+(* Checks the source feeding input [index] of balancer [bal], or network
+   output [index] when [bal < 0]. *)
+let check_source ~input_width ~balancers ~bal ~index s =
   match s with
   | Net_input i ->
-      if i < 0 || i >= input_width then fail "Topology.create: %s refers to network input %d (width %d)" what i input_width
-  | Bal_output { bal; port } ->
-      if bal < 0 || bal >= Array.length balancers then
-        fail "Topology.create: %s refers to unknown balancer %d" what bal;
-      let q = (balancers.(bal) : Balancer.t).fan_out in
+      if i < 0 || i >= input_width then
+        fail "Topology.create: %s refers to network input %d (width %d)"
+          (reference_label ~bal ~index) i input_width
+  | Bal_output { bal = b; port } ->
+      if b < 0 || b >= Array.length balancers then
+        fail "Topology.create: %s refers to unknown balancer %d" (reference_label ~bal ~index) b;
+      let q = (balancers.(b) : Balancer.t).fan_out in
       if port < 0 || port >= q then
-        fail "Topology.create: %s refers to output port %d of balancer %d (fan-out %d)" what port bal q
+        fail "Topology.create: %s refers to output port %d of balancer %d (fan-out %d)"
+          (reference_label ~bal ~index) port b q
+
+(* The int encoding of [Network_runtime]: a balancer id, or [-(i + 1)]
+   for network output wire [i]. *)
+let encode = function Bal_input { bal; port = _ } -> bal | Net_output i -> -(i + 1)
+
+(* Placeholder for a wire whose consumer is not yet known; no real
+   consumer is physically equal to it. *)
+let unconsumed = Net_output (-1)
 
 let create ~input_width ~balancers ~feeds ~outputs =
   if input_width <= 0 then fail "Topology.create: input width must be positive";
@@ -40,79 +61,97 @@ let create ~input_width ~balancers ~feeds ~outputs =
   (* Range-check every reference, then record the unique consumer of every
      wire: each network input and each balancer output port must be
      consumed exactly once. *)
-  Array.iteri
-    (fun b row ->
-      Array.iteri (fun i s -> check_source ~input_width ~balancers (Printf.sprintf "feed %d of balancer %d" i b) s) row)
-    feeds;
-  Array.iteri
-    (fun i s -> check_source ~input_width ~balancers (Printf.sprintf "network output %d" i) s)
-    outputs;
-  let consumers_net = Array.make input_width None in
-  let consumers_bal =
-    Array.init n (fun b -> Array.make (balancers.(b) : Balancer.t).fan_out None)
-  in
+  for b = 0 to n - 1 do
+    let row = feeds.(b) in
+    for i = 0 to Array.length row - 1 do
+      check_source ~input_width ~balancers ~bal:b ~index:i row.(i)
+    done
+  done;
+  for i = 0 to Array.length outputs - 1 do
+    check_source ~input_width ~balancers ~bal:(-1) ~index:i outputs.(i)
+  done;
+  let base = Array.make (n + 1) 0 in
+  for b = 0 to n - 1 do
+    base.(b + 1) <- base.(b) + (balancers.(b) : Balancer.t).fan_out
+  done;
+  let consumers_net = Array.make input_width unconsumed in
+  let consumers_bal = Array.make base.(n) unconsumed in
   let consume s d =
     match s with
-    | Net_input i -> (
-        match consumers_net.(i) with
-        | None -> consumers_net.(i) <- Some d
-        | Some _ -> fail "Topology.create: network input %d consumed twice" i)
-    | Bal_output { bal; port } -> (
-        match consumers_bal.(bal).(port) with
-        | None -> consumers_bal.(bal).(port) <- Some d
-        | Some _ -> fail "Topology.create: output port %d of balancer %d consumed twice" port bal)
+    | Net_input i ->
+        if consumers_net.(i) != unconsumed then
+          fail "Topology.create: network input %d consumed twice" i;
+        consumers_net.(i) <- d
+    | Bal_output { bal; port } ->
+        let k = base.(bal) + port in
+        if consumers_bal.(k) != unconsumed then
+          fail "Topology.create: output port %d of balancer %d consumed twice" port bal;
+        consumers_bal.(k) <- d
   in
-  Array.iteri
-    (fun b row -> Array.iteri (fun i s -> consume s (Bal_input { bal = b; port = i })) row)
-    feeds;
-  Array.iteri (fun i s -> consume s (Net_output i)) outputs;
-  let force what = function
-    | Some d -> d
-    | None -> fail "Topology.create: %s is never consumed" what
-  in
-  let consumers_net =
-    Array.mapi (fun i d -> force (Printf.sprintf "network input %d" i) d) consumers_net
-  in
-  let consumers_bal =
-    Array.mapi
-      (fun b row ->
-        Array.mapi (fun p d -> force (Printf.sprintf "output port %d of balancer %d" p b) d) row)
-      consumers_bal
-  in
+  for b = 0 to n - 1 do
+    let row = feeds.(b) in
+    for i = 0 to Array.length row - 1 do
+      consume row.(i) (Bal_input { bal = b; port = i })
+    done
+  done;
+  for i = 0 to Array.length outputs - 1 do
+    consume outputs.(i) (Net_output i)
+  done;
+  for i = 0 to input_width - 1 do
+    if consumers_net.(i) == unconsumed then
+      fail "Topology.create: network input %d is never consumed" i
+  done;
+  for b = 0 to n - 1 do
+    for p = 0 to base.(b + 1) - base.(b) - 1 do
+      if consumers_bal.(base.(b) + p) == unconsumed then
+        fail "Topology.create: output port %d of balancer %d is never consumed" p b
+    done
+  done;
+  let next = Array.map encode consumers_bal in
   (* Kahn's algorithm over the balancer dependency graph: detects cycles
-     and yields a topological order in one pass. *)
+     and yields a topological order in one pass.  The order array doubles
+     as the FIFO queue: [order.(head .. filled - 1)] awaits expansion. *)
   let indeg = Array.make n 0 in
-  Array.iteri
-    (fun b row ->
-      Array.iter (function Bal_output _ -> indeg.(b) <- indeg.(b) + 1 | Net_input _ -> ()) row)
-    feeds;
-  let queue = Queue.create () in
-  Array.iteri (fun b d -> if d = 0 then Queue.add b queue) indeg;
-  let topo = Array.make n 0 in
+  for b = 0 to n - 1 do
+    let row = feeds.(b) in
+    for i = 0 to Array.length row - 1 do
+      match row.(i) with Bal_output _ -> indeg.(b) <- indeg.(b) + 1 | Net_input _ -> ()
+    done
+  done;
+  let order = Array.make n 0 in
   let filled = ref 0 in
-  while not (Queue.is_empty queue) do
-    let b = Queue.pop queue in
-    topo.(!filled) <- b;
-    incr filled;
-    Array.iter
-      (function
-        | Bal_input { bal; port = _ } ->
-            indeg.(bal) <- indeg.(bal) - 1;
-            if indeg.(bal) = 0 then Queue.add bal queue
-        | Net_output _ -> ())
-      consumers_bal.(b)
+  for b = 0 to n - 1 do
+    if indeg.(b) = 0 then begin
+      order.(!filled) <- b;
+      incr filled
+    end
+  done;
+  let head = ref 0 in
+  while !head < !filled do
+    let b = order.(!head) in
+    incr head;
+    for k = base.(b) to base.(b + 1) - 1 do
+      let c = next.(k) in
+      if c >= 0 then begin
+        indeg.(c) <- indeg.(c) - 1;
+        if indeg.(c) = 0 then begin
+          order.(!filled) <- c;
+          incr filled
+        end
+      end
+    done
   done;
   if !filled <> n then fail "Topology.create: the balancer graph contains a cycle";
   let depths = Array.make n 0 in
   Array.iter
     (fun b ->
-      let d =
-        Array.fold_left
-          (fun acc s -> match s with Bal_output { bal; _ } -> max acc depths.(bal) | Net_input _ -> acc)
-          0 feeds.(b)
-      in
-      depths.(b) <- d + 1)
-    topo;
+      let row = feeds.(b) in
+      let d = ref 0 in
+      for i = 0 to Array.length row - 1 do
+        match row.(i) with Bal_output { bal; _ } -> d := max !d depths.(bal) | Net_input _ -> ()
+      done;
+      depths.(b) <- !d + 1)
+    order;
   {
     input_width;
     balancers = Array.copy balancers;
@@ -121,7 +160,7 @@ let create ~input_width ~balancers ~feeds ~outputs =
     consumers_net;
     consumers_bal;
     depths;
-    topo;
+    wiring = { order; base; next; entry = Array.map encode consumers_net };
   }
 
 let input_width net = net.input_width
@@ -147,7 +186,7 @@ let consumer net = function
         invalid_arg "Topology.consumer: balancer out of range";
       if port < 0 || port >= net.balancers.(bal).Balancer.fan_out then
         invalid_arg "Topology.consumer: port out of range";
-      net.consumers_bal.(bal).(port)
+      net.consumers_bal.(net.wiring.base.(bal) + port)
 
 let balancer_depth net b =
   if b < 0 || b >= Array.length net.depths then invalid_arg "Topology.balancer_depth: out of range";
@@ -167,7 +206,8 @@ let layers net =
 
 let is_regular net = Array.for_all Balancer.is_regular net.balancers
 
-let topo_order net = Array.copy net.topo
+let topo_order net = Array.copy net.wiring.order
+let wiring net = net.wiring
 
 let shift_source ~bal_offset ~map_input s =
   match s with

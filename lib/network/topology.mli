@@ -82,6 +82,26 @@ val topo_order : t -> int array
 (** Balancer ids in a topological order of the dependency graph (inputs
     before consumers); stable across calls. *)
 
+type wiring = private {
+  order : int array;  (** balancer ids in topological order: {!topo_order} *)
+  base : int array;
+      (** length [size + 1]: the output ports of balancer [b] are
+          numbered [base.(b)] to [base.(b + 1) - 1] *)
+  next : int array;
+      (** [next.(base.(b) + p)] encodes the consumer of port [p] of
+          balancer [b]: a balancer id, or [-(i + 1)] for network output
+          wire [i] (the encoding of [Cn_runtime.Network_runtime]) *)
+  entry : int array;  (** [entry.(i)]: the encoded consumer of network input [i] *)
+}
+(** The flat wiring image {!create} records alongside the validated
+    topology, for passes that walk every port: no lookup, match or
+    allocation per port. *)
+
+val wiring : t -> wiring
+(** [wiring net] is [net]'s wiring image.  The arrays are shared with
+    [net], not copied: read them, never write them.  {!consumer}
+    answers the same questions one checked query at a time. *)
+
 val cascade : t -> t -> t
 (** [cascade a b] connects the output wires of [a] to the input wires of
     [b] in order, yielding a network computing [b] after [a].

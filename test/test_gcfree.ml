@@ -124,7 +124,18 @@ let read_and_run =
         let before = Gc.minor_words () in
         ignore (Sys.opaque_identity (E.quiescent net x));
         let d = Gc.minor_words () -. before in
-        let bound = 16 * Cn_network.Topology.size net in
+        let bound = 2 * Cn_network.Topology.size net in
+        Alcotest.(check bool)
+          (Printf.sprintf "allocated %.0f minor words, bound %d" d bound)
+          true
+          (d <= float_of_int bound));
+    tc "building C(16,16) allocates per balancer, not per label" (fun () ->
+        let build () = Cn_core.Counting.network ~w:16 ~t:16 in
+        let net = build () in
+        let before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (build ()));
+        let d = Gc.minor_words () -. before in
+        let bound = 128 * Cn_network.Topology.size net in
         Alcotest.(check bool)
           (Printf.sprintf "allocated %.0f minor words, bound %d" d bound)
           true

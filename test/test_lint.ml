@@ -467,6 +467,48 @@ let messages_tests =
       [ "NET009: the balancer graph contains a cycle (2 balancers involved)" ];
   ]
 
+(* ---- abstract interpretation is sound on every load ---- *)
+
+(* Every quiescent output lies in its wire's abstract value
+   [Σ c_j·x_j + [lo, hi]], on irregular fan-ins and fan-outs, wires
+   that skip layers, non-zero initial states and loads with many zero
+   entries (where [Q.add] and [Q.div_int] take their zero shortcut and
+   ports share one coefficient vector).  Flow conservation is a theorem
+   for every balancing network, so [conserves] must hold on each. *)
+let absint_soundness_tests =
+  let module Q = L.Absint.Q in
+  let affine (v : L.Absint.wire) x =
+    let acc = ref Q.zero in
+    Array.iteri
+      (fun j c ->
+        for _ = 1 to x.(j) do
+          acc := Q.add !acc c
+        done)
+      v.L.Absint.coeffs;
+    !acc
+  in
+  let case name ~width make =
+    Util.qtest ~count:100 ("quiescent outputs lie in their absint wires on " ^ name)
+      QCheck2.Gen.(pair (int_range 0 1000) (list_repeat width (int_range 0 12)))
+      (fun (seed, x) ->
+        let net = make seed and x = Array.of_list x in
+        let a = L.Absint.analyze net in
+        L.Absint.conserves a
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i o ->
+                  let v = L.Absint.output a i in
+                  let s = affine v x and o = Q.of_int o in
+                  Q.leq (Q.add s v.L.Absint.lo) o && Q.leq o (Q.add s v.L.Absint.hi))
+                (Cn_network.Eval.quiescent net x)))
+  in
+  [
+    case "irregular nets" ~width:6 (fun seed -> Cn_network.Random_net.irregular ~seed ~layers:4 6);
+    case "sparse nets" ~width:8 (fun seed -> Cn_network.Random_net.sparse ~seed ~layers:5 8);
+    case "randomized-state C(4,8)" ~width:4 (fun seed ->
+        T.randomize_states ~seed (Counting.network ~w:4 ~t:8));
+  ]
+
 let suite =
   [
     ("lint.wellformed", wellformed_tests);
@@ -478,4 +520,5 @@ let suite =
     ("lint.portfolio", portfolio_tests);
     ("lint.hybrids", hybrid_tests);
     ("lint.messages", messages_tests);
+    ("lint.absint_soundness", absint_soundness_tests);
   ]
