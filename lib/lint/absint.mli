@@ -67,7 +67,9 @@ end
 
 type wire = { coeffs : Q.t array; lo : Q.t; hi : Q.t }
 (** Abstract value of one wire: token count lies in
-    [Σ_j coeffs.(j)·x_j + [lo, hi]] for every input load [x]. *)
+    [Σ_j coeffs.(j)·x_j + [lo, hi]] for every input load [x].  The
+    ports of one balancer share a single [coeffs] array: read it,
+    never write it. *)
 
 type t
 (** Analysis result for one topology. *)
