@@ -85,8 +85,8 @@ let resizer run ~shard topo () =
 
 (* A resizer that retries [Busy] until it owns the shard: two of these
    on one shard force genuinely back-to-back resizes in every
-   interleaving — the second claims the slot while the first's park
-   list may still be unsealed, the window of the re-arm race. *)
+   interleaving — the second may claim the slot the moment the first
+   reopens it, while a worker is still waiting the first one out. *)
 let stubborn_resizer run ~shard topo () =
   let rec go () =
     match Fab.resize run.fab ~shard topo with
@@ -278,7 +278,8 @@ let shutdown_after_failstop () =
      stopper must then find that shard stopped rather than wait for it
      to reopen; a stopper that hits the failure itself must still stop
      the other shard.  A worker on the resized shard completes, or is
-     refused if it parked.  The failure surfaces exactly once. *)
+     refused if it met the claimed shard.  The failure surfaces exactly
+     once. *)
   let run = make_run ~fail_shutdown:true ~shards:2 () in
   let s = Fab.session ~key:(key_for run 0) run.fab in
   let resized = ref None in
@@ -304,11 +305,11 @@ let shutdown_after_failstop () =
 
 let resize_vs_resize () =
   (* Two stubborn resizers guarantee two back-to-back swaps of the same
-     shard in every interleaving: the second can claim the slot between
-     the first's reopen and its seal of the park list, so a parked
-     worker's cell survives only if the re-arm refuses to overwrite an
-     unsealed list (a dropped cell deadlocks its worker, which the
-     engine reports). *)
+     shard in every interleaving: the second can claim the slot right
+     after the first reopens it, before a worker waiting out the first
+     has looked again, so the worker must keep waiting and land on the
+     second swap's service (a worker that never resolves deadlocks,
+     which the engine reports). *)
   let run = make_run ~distinct_incs:true ~shards:1 () in
   let s = Fab.session ~key:0 run.fab in
   let topo = Counting.network ~w:2 ~t:2 in
@@ -326,8 +327,8 @@ let resize_vs_resize () =
 let run_vs_resize () =
   (* A 3-op mixed run on the shard being hot-resized: routed once, it
      either runs whole on the old service before its validation point,
-     loses the race and retries its remainder, or parks op by op while
-     the shard is [Resizing] and replays on the new service.  Every
+     or loses the race or meets the shard [Resizing], waits the resize
+     out and retries its remainder as one run on the new service.  Every
      operation must resolve to a value (the fabric never closes here),
      exactly once, with the read conserved. *)
   let run = make_run ~shards:1 () in
@@ -351,6 +352,37 @@ let run_vs_resize () =
     finish;
   }
 
+let shutdown_vs_resize () =
+  (* A resize that succeeds racing the terminal shutdown of its only
+     shard, under a worker: the shutdown must return whether it claims
+     the shard before, after or while the resize holds it, and leave
+     the shard's current service stopped (a swapped-out one was stopped
+     by the resize itself); the resize either swaps ([Ok]), loses the
+     claim ([Busy]) or finds the fabric closed ([Fabric_closed]). *)
+  let run = make_run ~shards:1 () in
+  let s = Fab.session ~key:0 run.fab in
+  let resized = ref None in
+  let finish () =
+    match (!(run.reports), !resized) with
+    | [], _ -> Some "the shutdown did not return"
+    | _, (None | Some (Error (Fab.Cert_rejected _ | Fab.Bad_shard))) ->
+        Some "the resize did not return Ok, Busy or Fabric_closed"
+    | _ ->
+        if not (all_stopped run) then Some "a shard's service is still running"
+        else check run ()
+  in
+  {
+    Engine.name = "fabric-shutdown-vs-resize";
+    fibers =
+      [|
+        worker run s Fab.Inc;
+        (fun () ->
+          resized := Some (Fab.resize run.fab ~shard:0 (Counting.network ~w:2 ~t:2)));
+        stopper run;
+      |];
+    finish;
+  }
+
 let all =
   [
     ("fabric-resize-vs-submit", resize_vs_submit);
@@ -360,4 +392,5 @@ let all =
     ("fabric-shutdown-vs-shutdown", shutdown_vs_shutdown);
     ("fabric-shutdown-after-failstop", shutdown_after_failstop);
     ("fabric-run-vs-resize", run_vs_resize);
+    ("fabric-shutdown-vs-resize", shutdown_vs_resize);
   ]

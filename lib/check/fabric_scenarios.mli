@@ -17,16 +17,18 @@
     - {b resizes succeed}: no resize may fail (certification is
       stubbed [Ok]);
     - {b no spurious refusal}: an operation may only return [Closed]
-      if the scenario actually shuts the fabric down — a racing resize
-      must park and replay, never refuse;
+      if the scenario actually shuts the fabric down — an operation
+      that meets a racing resize must wait it out and run on the new
+      service, never refuse;
     - {b conservation}: the fabric's combining [read] equals successful
       increments minus successful decrements, across every resize —
       the base-fold accounting;
     - {b continuity} (single-shard, elimination off): the shard's value
       stream stays duplicate-free across the base fold at a resize;
-    - {b liveness} (via the engine): parked operations are replayed —
-      a cell never completed shows up as a deadlock — and a shutdown
-      never waits on a shard that nobody will release.
+    - {b liveness} (via the engine): an operation waiting out a resize
+      resumes once the shard is released — a waiter never released
+      shows up as a deadlock — and a shutdown never waits on a shard
+      that nobody will release.
 
     Certification is stubbed to [Ok]: the eight-pass pipeline is pure
     and deterministic (no schedule points), and has its own suite. *)
@@ -36,13 +38,15 @@ module Fab : Cn_fabric.Fabric_core.S with type topo_key = Cn_network.Topology.t
 val resize_vs_submit : unit -> Engine.scenario
 (** Two workers on distinct keys of a one-shard fabric racing a
     hot-resize of that shard — operations must complete before the
-    quiescent validation point or park and replay exactly once. *)
+    quiescent validation point or wait the resize out and complete
+    exactly once on the new service. *)
 
 val resize_vs_resize : unit -> Engine.scenario
 (** Two resizers (each retrying [Busy] until it owns the shard) force
-    back-to-back swaps of one shard under a racing worker — the
-    re-arming of the park buffer must never overwrite the previous
-    resize's still-unsealed list (a dropped parked cell deadlocks). *)
+    back-to-back swaps of one shard under a racing worker — a worker
+    waiting out the first swap may find the second already claiming
+    the shard, and must land on the last service exactly once (a
+    worker never released deadlocks). *)
 
 val drain_vs_route : unit -> Engine.scenario
 (** Workers pinned to both shards of a two-shard fabric racing a
@@ -67,9 +71,16 @@ val shutdown_after_failstop : unit -> Engine.scenario
 val run_vs_resize : unit -> Engine.scenario
 (** A 3-op mixed {!Cn_fabric.Fabric_core.S.run} on the shard a
     hot-resize swaps: routed once, the run completes on the old service
-    before its validation point, retries its unserved remainder, or
-    parks op by op while the shard resizes.  Every operation must
-    resolve to a value exactly once, with the read conserved. *)
+    before its validation point, or waits the resize out and retries
+    its unserved remainder as one run on the new service.  Every
+    operation must resolve to a value exactly once, with the read
+    conserved. *)
+
+val shutdown_vs_resize : unit -> Engine.scenario
+(** A worker, a resizer and a stopper on a one-shard fabric: a resize
+    that succeeds racing the terminal [shutdown].  The shutdown
+    returns, every shard's service ends stopped, the resize returns
+    [Ok], [Busy] or [Fabric_closed], and the read is conserved. *)
 
 val all : (string * (unit -> Engine.scenario)) list
 (** Every scenario above, keyed by name, in a stable order. *)

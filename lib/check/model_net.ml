@@ -20,24 +20,16 @@ type t = {
   mutable validations : (int array * bool) list; (* newest first *)
 }
 
-let encode_dest = function
-  | T.Bal_input { bal; port = _ } -> bal
-  | T.Net_output wire -> -wire - 1
-
 let compile net =
   let n = T.size net in
   let descriptors = Array.init n (T.balancer net) in
   let fan_out = Array.map (fun d -> d.B.fan_out) descriptors in
+  let w = T.wiring net in
   {
     input_width = T.input_width net;
     output_width = T.output_width net;
-    entry =
-      Array.init (T.input_width net) (fun i ->
-          encode_dest (T.consumer net (T.Net_input i)));
-    next =
-      Array.init n (fun b ->
-          Array.init fan_out.(b) (fun port ->
-              encode_dest (T.consumer net (T.Bal_output { bal = b; port }))));
+    entry = w.T.entry;
+    next = Array.init n (fun b -> Array.sub w.T.next w.T.base.(b) fan_out.(b));
     fan_out;
     states = Array.map (fun d -> A.make d.B.init_state) descriptors;
     values = Array.init (T.output_width net) (fun i -> A.make i);

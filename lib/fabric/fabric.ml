@@ -29,7 +29,10 @@ include Core
 (* ------------------------------------------------------------------ *)
 (* Certification. *)
 
-let certificate ?(exhaustive_budget = 2_000) net =
+(* The certifier's bounded-exhaustive pass budget per topology. *)
+let exhaustive_budget = 2_000
+
+let certify_topology net =
   let w = Topology.input_width net and t = Topology.output_width net in
   (* When the dimensions are a legal C(w,t) pair, rebuild the trusted
      construction as the structural reference: fabric topologies built
@@ -40,12 +43,11 @@ let certificate ?(exhaustive_budget = 2_000) net =
       Some (Counting.network ~w ~t, "Busch-Mavronicolas Theorem 4.2, C(w,t)")
     else None
   in
-  Cert.certify ?reference ~exhaustive_budget
-    ~subject:(Printf.sprintf "fabric:C(%d,%d)" w t)
-    ~expectation:Cert.Counting net
-
-let certify_topology ?exhaustive_budget net =
-  let cert = certificate ?exhaustive_budget net in
+  let cert =
+    Cert.certify ?reference ~exhaustive_budget
+      ~subject:(Printf.sprintf "fabric:C(%d,%d)" w t)
+      ~expectation:Cert.Counting net
+  in
   let refuted =
     match cert.Cert.evidence with Cert.Refuted _ -> true | _ -> false
   in
@@ -55,9 +57,9 @@ let certify_topology ?exhaustive_budget net =
 (* ------------------------------------------------------------------ *)
 
 let create ?mode ?(metrics = false) ?max_batch ?queue ?elim ?(validate = V.Strict)
-    ?exhaustive_budget ~shards net =
+    ~shards net =
   let spawn topo = Svc.create ?mode ~metrics ?max_batch ?queue ?elim ~validate topo in
-  let certify topo = Result.map ignore (certify_topology ?exhaustive_budget topo) in
+  let certify topo = Result.map ignore (certify_topology topo) in
   Core.make ~validate ~spawn ~certify ~shards net
 
 (* ------------------------------------------------------------------ *)

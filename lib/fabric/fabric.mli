@@ -8,8 +8,8 @@
     linearizable-at-quiescence global {!read} via a second-level
     combining pass, and can {b hot-resize} any shard:
     drain it through the {!Cn_runtime.Validator.quiescent_runtime}
-    boundary, park in-flight operations, swap in a freshly compiled
-    topology, and replay the parked work — losing no tokens and
+    boundary, swap in a freshly compiled topology, and let operations
+    that waited out the swap run on it — losing no tokens and
     duplicating no values (the shard's value stream continues from a
     [base] offset folded at the validated quiescence point).
 
@@ -36,7 +36,6 @@ val create :
   ?queue:int ->
   ?elim:bool ->
   ?validate:Cn_runtime.Validator.policy ->
-  ?exhaustive_budget:int ->
   shards:int ->
   Cn_network.Topology.t ->
   t
@@ -45,22 +44,18 @@ val create :
     [?metrics], [?max_batch], [?queue], [?elim], [?validate]) pass
     through to
     {!Cn_service.Service.create} for every spawned shard — including
-    the ones hot-resize swaps in later.  [?exhaustive_budget] (default
-    [2_000]) caps the certifier's bounded-exhaustive pass per topology.
+    the ones hot-resize swaps in later.
     @raise Rejected if [net] fails certification.
     @raise Invalid_argument if [shards < 1] or [shards > 16]. *)
 
-val certificate : ?exhaustive_budget:int -> Cn_network.Topology.t -> Cn_lint.Cert.t
-(** The certificate the fabric's gate evaluates: the full
-    {!Cn_lint.Cert.certify} pipeline with expectation [Counting],
-    using a rebuilt [C(w,t)] as structural reference when the
-    dimensions are a legal pair. *)
-
-val certify_topology :
-  ?exhaustive_budget:int -> Cn_network.Topology.t -> (Cn_lint.Cert.t, string) result
-(** The gate itself: [Ok cert] when the certificate is clean and its
-    evidence is not a refutation, [Error summary] otherwise — the
-    string is what {!resize} wraps in [Cert_rejected]. *)
+val certify_topology : Cn_network.Topology.t -> (Cn_lint.Cert.t, string) result
+(** The fabric's certification gate: the full {!Cn_lint.Cert.certify}
+    pipeline with expectation [Counting], using a rebuilt [C(w,t)] as
+    structural reference when the dimensions are a legal pair, and the
+    bounded-exhaustive pass capped at 2,000 inputs.  [Ok cert] when the
+    certificate is clean and its evidence is not a refutation,
+    [Error summary] otherwise — the string is what {!resize} wraps in
+    [Cert_rejected]. *)
 
 (** {2 Reporting} *)
 

@@ -13,13 +13,14 @@
      that shard's state and service whenever it loses a race with a
      resize — it never holds a stale service across a retry;
    - hot-resize: certify first (a rejected certificate aborts with no
-     state change), then CAS the shard [Open -> Resizing] so latecomers
-     park, shut the old service down through the Validator quiescence
-     boundary, fold its net count into the shard's [base] offset, swap
-     in the freshly spawned service, reopen, and replay every parked
-     cell exactly once.  An operation racing the resize either
+     state change), then CAS the shard [Open -> Resizing], shut the old
+     service down through the Validator quiescence boundary, fold its
+     net count into the shard's [base] offset, swap in the freshly
+     spawned service and reopen.  An operation racing the resize either
      completes on the old service before its validation point (the
-     Service_core guarantee) or observes [Closed], retries, and parks;
+     Service_core guarantee) or observes [Closed] or [Resizing], waits
+     until the shard leaves [Resizing], and retries on whatever service
+     the shard then holds;
    - accounting: a shard's logical value is [base + net(svc)].  The
      fold at the swap point keeps the sum invariant, so values handed
      out after a resize continue the shard's stream with no duplicates
@@ -39,7 +40,6 @@ module type SERVICE = sig
   val run :
     session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
 
-  val lifecycle : t -> [ `Running | `Draining | `Stopped ]
   val drain : ?policy:V.policy -> t -> V.report
   val shutdown : ?policy:V.policy -> t -> V.report
 
@@ -117,32 +117,16 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
      in a single store. *)
   type shard = { svc : S.t; topo : Topology.t; base : int; gen : int }
 
-  (* A parked operation: routed to a shard mid-resize, waiting for the
-     resizer to replay it on the swapped-in service.  [value]/[failed]
-     are plain mutable fields published through the [done_] atomic
-     (write fields, then set the flag — the same release/acquire cell
-     idiom as Service_core's submission slots). *)
-  type pending = {
-    kind : op;
-    key : int;
-    mutable value : int;
-    mutable failed : bool;
-    done_ : int A.t;
-  }
-
-  type park = Accepting of pending list | Sealed
-
-  (* [Stopped] is terminal: the shard's service is shut down, by a
-     fabric shutdown or by a fail-stopped resize, and its parked
-     callers are resolved. *)
+  (* [Resizing] is held by whoever claimed the shard: a resizer, or a
+     stopper.  [Stopped] is terminal: the shard's service is shut down,
+     by a fabric shutdown or by a fail-stopped resize. *)
   type shard_state = Open | Resizing | Stopped
 
-  (* One entry per shard in [slots]/[states]/[parked]: every shard
-     [make] spawns serves until shutdown. *)
+  (* One entry per shard in [slots]/[states]: every shard [make]
+     spawns serves until shutdown. *)
   type t = {
     slots : shard A.t array;
     states : shard_state A.t array;
-    parked : park A.t array;
     router : Router.t;
     closed_ : bool A.t;
     session_ctr : int A.t;
@@ -176,7 +160,6 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
     {
       slots = Array.init shards (fun _ -> A.make { svc = spawn topo; topo; base = 0; gen = 0 });
       states = Array.init shards (fun _ -> A.make Open);
-      parked = Array.init shards (fun _ -> A.make Sealed);
       router = Router.make (List.init shards Fun.id);
       closed_ = A.make false;
       session_ctr = A.make 0;
@@ -214,10 +197,19 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
   (* ---------------------------------------------------------------- *)
   (* The operation loop. *)
 
+  (* Wait until whoever claimed shard [sid] (a resizer or a stopper)
+     lets go of it: spin, then nap once the spin budget is spent. *)
+  let wait_out fab sid =
+    let spins = ref 0 in
+    while match A.get fab.states.(sid) with Resizing -> true | Open | Stopped -> false do
+      incr spins;
+      if !spins < 64 then A.relax () else A.nap ()
+    done
+
   (* Serve [ops.(i) .. ops.(stop-1)].  A session's key pins it to one
      shard, so an open shard takes the whole remainder as one service
-     run; only while the shard is [Resizing] does the run fall back to
-     parking one operation at a time. *)
+     run; a shard that is [Resizing] is waited out, and the remainder is
+     then retried against the shard's state and service afresh. *)
   let rec exec sess ops vals i stop =
     let fab = sess.fab in
     if i >= stop then Ok ()
@@ -226,16 +218,9 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
       let sid = Router.route fab.router sess.key in
       match A.get fab.states.(sid) with
       | Stopped -> Error (i, Closed)
-      | Resizing -> (
-          match park sess sid ops.(i) with
-          | Some (Ok v) ->
-              vals.(i) <- v;
-              exec sess ops vals (i + 1) stop
-          | Some (Error e) -> Error (i, e)
-          | None ->
-              (* resize finished (or not yet accepting): resolve afresh *)
-              A.relax ();
-              exec sess ops vals i stop)
+      | Resizing ->
+          wait_out fab sid;
+          exec sess ops vals i stop
       | Open -> (
           let sh = A.get fab.slots.(sid) in
           let ss =
@@ -266,26 +251,6 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
               end)
     end
 
-  (* Park one operation on a resizing shard and wait for its replay;
-     [None] when the park list is sealed (the resize is over). *)
-  and park sess sid op =
-    let fab = sess.fab in
-    match A.get fab.parked.(sid) with
-    | Sealed -> None
-    | Accepting l as cur ->
-        let cell =
-          { kind = op; key = sess.key; value = 0; failed = false; done_ = A.make 0 }
-        in
-        if A.compare_and_set fab.parked.(sid) cur (Accepting (cell :: l)) then begin
-          let spins = ref 0 in
-          while A.get cell.done_ = 0 do
-            incr spins;
-            if !spins < 64 then A.relax () else A.nap ()
-          done;
-          Some (if cell.failed then Error Closed else Ok cell.value)
-        end
-        else park sess sid op
-
   let run sess ops vals ~off ~len =
     if
       off < 0 || len < 0
@@ -304,74 +269,19 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
   let decrement s = run_one s Dec
 
   (* ---------------------------------------------------------------- *)
-  (* Hot resize: certify, seal, drain, swap, replay. *)
-
-  (* Replay a parked cell through the normal routed path, which lands
-     it on the shard's swapped-in service.  [Overloaded]
-     is retried (the caller already committed to waiting), [Closed]
-     means the fabric itself closed — the caller gets the same refusal
-     it would have gotten arriving a moment later. *)
-  let rec replay_cell fab (cell : pending) =
-    match run_one (session ~key:cell.key fab) cell.kind with
-    | Ok v ->
-        cell.value <- v;
-        A.set cell.done_ 1
-    | Error Overloaded ->
-        A.nap ();
-        replay_cell fab cell
-    | Error Closed ->
-        cell.failed <- true;
-        A.set cell.done_ 1
-
-  let seal_parked fab sid =
-    let rec seal () =
-      match A.get fab.parked.(sid) with
-      | Sealed -> []
-      | Accepting l as cur ->
-          if A.compare_and_set fab.parked.(sid) cur Sealed then List.rev l
-          else seal ()
-    in
-    seal ()
-
-  let replay fab sid = List.iter (replay_cell fab) (seal_parked fab sid)
-
-  (* Fail-stop path: seal the park list and refuse every parked caller
-     with [Closed] — a parked cell's owner spins on [done_] with no
-     escape hatch, so an exception that skips the replay must not leave
-     the list armed. *)
-  let abort_parked fab sid =
-    List.iter
-      (fun (cell : pending) ->
-        cell.failed <- true;
-        A.set cell.done_ 1)
-      (seal_parked fab sid)
-
-  (* Arm the park buffer for a freshly claimed shard.  Strictly a CAS
-     from [Sealed]: the previous resize of this slot reopens the shard
-     {e before} sealing and replaying its park list, so a back-to-back
-     claimant can get here while that list is still [Accepting] — a
-     blind store would overwrite it and silently drop the parked
-     operations (their owners would spin on [done_] forever).  Waiting
-     out the seal is live: every prior owner seals, either in [replay]
-     on success or in [abort_parked] on the fail-stop path. *)
-  let rec arm_parked fab sid =
-    if not (A.compare_and_set fab.parked.(sid) Sealed (Accepting [])) then begin
-      A.relax ();
-      arm_parked fab sid
-    end
+  (* Hot resize: certify, claim, shut down, fold, swap, reopen. *)
 
   (* Shut a claimed shard's service down at [policy].  A Strict
      validation failure is an integrity loss, not a recoverable
      condition: the fabric fail-stops (every later operation refuses
-     with [Closed]), the shard's parked callers are refused rather than
-     left spinning, the shard is marked [Stopped] so a later shutdown
-     finds it already stopped, and the exception propagates. *)
+     with [Closed]), the shard is marked [Stopped] so callers waiting
+     out the claim are released into that refusal and a later shutdown
+     finds the shard already stopped, and the exception propagates. *)
   let stop_service fab sid (sh : shard) policy =
     match S.shutdown ~policy sh.svc with
     | report -> report
     | exception e ->
         A.set fab.closed_ true;
-        abort_parked fab sid;
         A.set fab.states.(sid) Stopped;
         raise e
 
@@ -385,8 +295,7 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
           if not (A.compare_and_set fab.states.(shard) Open Resizing) then
             Error Busy
           else begin
-            (* latecomers observing [Resizing] park from here on *)
-            arm_parked fab shard;
+            (* latecomers observing [Resizing] wait in [exec] from here on *)
             let old = A.get fab.slots.(shard) in
             let policy = Option.value policy ~default:fab.validate in
             ignore (stop_service fab shard old policy);
@@ -394,7 +303,6 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
             let svc = fab.spawn topo in
             A.set fab.slots.(shard) { svc; topo; base; gen = old.gen + 1 };
             A.set fab.states.(shard) Open;
-            replay fab shard;
             Ok ()
           end
 
@@ -468,9 +376,9 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
            (sid, S.drain ~policy (A.get fab.slots.(sid)).svc)))
 
   (* Stop one shard terminally.  An [Open] shard is claimed by CAS
-     (waiting out an in-flight resize or a concurrent stopper's claim),
-     its service shut down, and its parked cells replayed into the
-     closed fabric, where they fail [Closed] exactly as if they had
+     (waiting out an in-flight resize or a concurrent stopper's claim)
+     and its service shut down; callers waiting out the claim then find
+     it [Stopped] and refuse with [Closed], exactly as if they had
      arrived after the stop.  A [Stopped] shard (an earlier shutdown,
      or a fail-stopped resize) is not claimed again: its frozen service
      is re-validated, so a second stopper gets the same report, or the
@@ -481,7 +389,6 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
     | Stopped -> S.shutdown ~policy (A.get fab.slots.(sid)).svc
     | Open when A.compare_and_set fab.states.(sid) Open Resizing ->
         let report = stop_service fab sid (A.get fab.slots.(sid)) policy in
-        replay fab sid;
         A.set fab.states.(sid) Stopped;
         report
     | Open | Resizing ->

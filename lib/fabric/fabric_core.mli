@@ -12,8 +12,8 @@
     - {b no lost or duplicated work across a resize}: an operation
       racing a hot-resize either completes on the old service before
       its quiescent validation point (the [Service_core] admission
-      guarantee), or parks and is replayed exactly once on the
-      swapped-in service;
+      guarantee), or is not performed there and, once the resize lets
+      go of the shard, is retried on the swapped-in service;
     - {b continuity}: a shard's logical value is [base + net(svc)] and
       the resize folds the old service's net count into [base] at the
       validated quiescence point, so the shard's value stream continues
@@ -21,13 +21,13 @@
     - {b routing}: the shard set is fixed when the fabric is made and
       every shard serves until shutdown, so the consistent-hash router
       is immutable and never sends an operation to a shard that will
-      not serve or park it. *)
+      not serve it or refuse it. *)
 
 module V := Cn_runtime.Validator
 
 (** What the fabric needs from a service: sessions, the run entry
-    (a single operation is a run of one), the validated drain/shutdown
-    lifecycle, and the net token count that becomes the [base] offset
+    (a single operation is a run of one), the validated drain and
+    shutdown, and the net token count that becomes the [base] offset
     at a resize.
     {!Cn_service.Service} matches this signature once extended with
     [net_count] (see {!Fabric}); the checker's model service wraps
@@ -47,7 +47,6 @@ module type SERVICE = sig
       concurrent run, values into [vals]; [Error (k, e)] when the
       operations from index [k] on were not performed. *)
 
-  val lifecycle : t -> [ `Running | `Draining | `Stopped ]
   val drain : ?policy:V.policy -> t -> V.report
   val shutdown : ?policy:V.policy -> t -> V.report
 
@@ -117,12 +116,14 @@ module type S = sig
       stream value ([base + service value]) to the same index of
       [vals].  The session's key pins it to one shard, so the run is
       routed once and handed to that shard's service as one
-      {!SERVICE.run}; only while the shard is resizing does it fall
-      back to parking (and replaying) one operation at a time.  A run
-      that loses a race with a resize retries its unserved remainder.
+      {!SERVICE.run}.  A run that meets a resizing shard, or loses a
+      race with a resize, waits until the resize is over and retries
+      its unserved remainder as one run on the swapped-in service.
       [Error (k, e)]: the operations before [k] completed, none from
-      [k] on was performed ([Overloaded]: the shard's backpressure;
-      [Closed]: the fabric is shut down).
+      [k] on was performed ([Overloaded]: the backpressure of the
+      service that served the run — after a resize, the new one's,
+      exactly as for a run arriving a moment later; [Closed]: the
+      fabric is shut down, or the resize fail-stopped it).
       @raise Invalid_argument if the range is out of bounds. *)
 
   val increment : session -> (int, error) result
@@ -131,9 +132,11 @@ module type S = sig
       distinct shards are independent (a sharded counter, not a single
       global sequence).  Retries transparently across a racing resize:
       the operation either completes on the pre-resize service before
-      its validation point or parks and is replayed on the new one.
-      [Error Overloaded] propagates the shard's backpressure verbatim;
-      [Error Closed] means the fabric is shut down.  A {!run} of one. *)
+      its validation point or waits the resize out and runs on the new
+      one.  [Error Overloaded] propagates the backpressure of the
+      service that took it verbatim (after a resize, the new one's);
+      [Error Closed] means the fabric is shut down or fail-stopped.  A
+      {!run} of one. *)
 
   val decrement : session -> (int, error) result
 
@@ -170,14 +173,14 @@ module type S = sig
 
   val resize : ?policy:V.policy -> t -> shard:int -> topo_key -> (unit, resize_error) result
   (** [resize t ~shard topo] hot-swaps one shard's topology: certify
-      [topo] (rejection aborts with no state change), seal the shard so
-      latecomers park, shut the old service down through the
+      [topo] (rejection aborts with no state change), claim the shard so
+      latecomers wait, shut the old service down through the
       {!Cn_runtime.Validator.quiescent_runtime} boundary at [?policy]
       (default: the fabric's policy), fold its net count into the
-      shard's [base], spawn and publish the new service, reopen, and
-      replay every parked operation exactly once.  A shard id outside
-      [0 .. shard_count - 1] is [Error Bad_shard] before anything is
-      certified.
+      shard's [base], spawn and publish the new service, and reopen;
+      the waiting operations then run on the new service.  A shard id
+      outside [0 .. shard_count - 1] is [Error Bad_shard] before
+      anything is certified.
       @raise Validator.Invalid under [Strict] when the old service
       fails its quiescence checks; the fabric fail-stops first
       (integrity over availability), and the shard counts as stopped
@@ -190,8 +193,8 @@ module type S = sig
 
   val shutdown : ?policy:V.policy -> t -> V.report
   (** Terminal: mark the fabric closed, shut every shard down through
-      the validated quiescence path, and fail any parked stragglers
-      with [Closed].  {!read} and the shard accessors keep working on
+      the validated quiescence path; operations waiting on a shard's
+      claim fail with [Closed].  {!read} and the shard accessors keep working on
       the frozen state.  Idempotent: a shard already stopped (by an
       earlier or concurrent shutdown, or by a resize that fail-stopped)
       is not stopped again; its frozen service is re-validated at

@@ -3,12 +3,6 @@ module Balancer = Cn_network.Balancer
 
 type mode = Faa | Cas
 
-(* Destinations are encoded as ints: a non-negative value is a balancer
-   id; a negative value [-(wire + 1)] is a network output wire. *)
-let encode_dest = function
-  | Topology.Bal_input { bal; port = _ } -> bal
-  | Topology.Net_output i -> -(i + 1)
-
 (* Port strategies, precompiled per balancer: a non-negative strategy is
    the mask [q - 1] of a power-of-two fan-out [q] (state land mask is
    the port, even for negative post-antitoken states, by two's
@@ -51,23 +45,17 @@ let compile ?(mode = Faa) ?(metrics = false) net =
   let t = Topology.output_width net in
   (* One topology query per balancer; every per-balancer field below is
      derived from this pass.  All routing — including the Lemma 5.3
-     bit-reversal wiring of the butterfly blocks, which the topology
-     layer computes arithmetically — is baked into the [next]/[route]
-     images here, so no walk loop ever re-derives a wire. *)
+     bit-reversal wiring of the butterfly blocks — is already baked into
+     the wiring image [Topology.create] records in this module's
+     destination encoding: [offsets]/[next]/[entry] share its arrays
+     read-only (no walk writes them; [view] copies them), and only
+     [route] is derived here, so no walk loop ever re-derives a wire. *)
   let descriptors = Array.init n (Topology.balancer net) in
   let init_states = Array.map (fun d -> d.Balancer.init_state) descriptors in
   let fan_out = Array.map (fun d -> d.Balancer.fan_out) descriptors in
-  let offsets = Array.make (n + 1) 0 in
-  for b = 0 to n - 1 do
-    offsets.(b + 1) <- offsets.(b) + fan_out.(b)
-  done;
-  let next = Array.make offsets.(n) 0 in
+  let { Topology.base = offsets; next; entry; _ } = Topology.wiring net in
   let route = Array.make (2 * n) 0 in
   for b = 0 to n - 1 do
-    for port = 0 to fan_out.(b) - 1 do
-      next.(offsets.(b) + port) <-
-        encode_dest (Topology.consumer net (Topology.Bal_output { bal = b; port }))
-    done;
     route.(2 * b) <- offsets.(b);
     route.((2 * b) + 1) <- strategy_of fan_out.(b)
   done;
@@ -81,9 +69,7 @@ let compile ?(mode = Faa) ?(metrics = false) net =
     next;
     fan_out;
     route;
-    entry =
-      Array.init (Topology.input_width net) (fun i ->
-          encode_dest (Topology.consumer net (Topology.Net_input i)));
+    entry;
     values = Padded_atomic.make t ~init:Fun.id;
     failures = Padded_atomic.make 1 ~init:(fun _ -> 0);
     metrics = (if metrics then Some (Metrics.create ~balancers:n ~wires:t ()) else None);

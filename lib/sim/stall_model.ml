@@ -34,10 +34,6 @@ type t = {
   received : int array; (* stalls received by each process's current token *)
 }
 
-let encode_dest = function
-  | Topology.Bal_input { bal; port = _ } -> bal
-  | Topology.Net_output i -> -(i + 1)
-
 (* Entry point of process [p]: the consumer of network input wire
    [p mod w].  A bare wire (no balancer) means the token exits
    immediately. *)
@@ -70,25 +66,14 @@ let create net ~concurrency ~tokens =
   if concurrency <= 0 then invalid_arg "Stall_model.create: concurrency must be positive";
   if tokens < 0 then invalid_arg "Stall_model.create: negative token count";
   let n = Topology.size net in
-  (* One topology pass: descriptors, then the flattened jump tables. *)
+  (* One topology pass for the descriptors; the flattened jump tables
+     are the wiring image the topology recorded, shared read-only. *)
   let descriptors = Array.init n (Topology.balancer net) in
-  let offsets = Array.make (n + 1) 0 in
-  for b = 0 to n - 1 do
-    offsets.(b + 1) <- offsets.(b) + descriptors.(b).Balancer.fan_out
-  done;
-  let next = Array.make offsets.(n) 0 in
-  for b = 0 to n - 1 do
-    for port = 0 to descriptors.(b).Balancer.fan_out - 1 do
-      next.(offsets.(b) + port) <-
-        encode_dest (Topology.consumer net (Topology.Bal_output { bal = b; port }))
-    done
-  done;
+  let { Topology.base = offsets; next; entry; _ } = Topology.wiring net in
   let s =
     {
       net;
-      entry =
-        Array.init (Topology.input_width net) (fun i ->
-            encode_dest (Topology.consumer net (Topology.Net_input i)));
+      entry;
       next;
       offsets;
       bal_states = Array.map (fun d -> d.Balancer.init_state) descriptors;

@@ -289,9 +289,9 @@ let ops =
 
 (* The acceptance scenario: a Strict-validated hot-resize from C(8,8)
    to C(16,16) while worker domains hammer the shard.  Every operation
-   completes (before the quiescent validation point, or parked and
-   replayed on the new service); no token is lost, no value duplicated
-   across the base fold. *)
+   completes (before the quiescent validation point, or after waiting
+   the resize out, on the new service); no token is lost, no value
+   duplicated across the base fold. *)
 let resize_under_load =
   [
     tc "strict hot-resize C(8,8) -> C(16,16) under concurrent load" (fun () ->

@@ -140,6 +140,20 @@ let read_and_run =
           (Printf.sprintf "allocated %.0f minor words, bound %d" d bound)
           true
           (d <= float_of_int bound));
+    tc "compiling C(16,16) shares the topology's wiring image" (fun () ->
+        (* the routing arrays are the topology's wiring image, shared;
+           re-deriving them one Topology.consumer query per port costs
+           about 41 x size *)
+        let net = Cn_core.Counting.network ~w:16 ~t:16 in
+        ignore (RT.compile net);
+        let before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (RT.compile net));
+        let d = Gc.minor_words () -. before in
+        let bound = 36 * Cn_network.Topology.size net in
+        Alcotest.(check bool)
+          (Printf.sprintf "allocated %.0f minor words, bound %d" d bound)
+          true
+          (d <= float_of_int bound));
   ]
 
 (* The wire codec on the hot frames: decoding requests, Overloaded and
