@@ -445,7 +445,7 @@ let fabric_flag =
     & flag
     & info [ "fabric" ]
         ~doc:"Drive the sharded counter fabric ($(b,Cn_fabric)): N independently compiled \
-              C(w,t) service shards behind consistent-hash session routing, every topology \
+              C(w,t) service shards, each session routed to shard hash(key) mod N, every topology \
               certified before serving.  Mutually exclusive with $(b,--service).")
 
 let fabric_shards_arg =

@@ -73,7 +73,8 @@ let shards_arg =
     value & opt (some int) None
     & info [ "shards" ] ~docv:"N"
         ~doc:"Serve an N-shard counter fabric (each shard its own certified C(w,t), \
-              consistent-hash session routing, combining global reads) instead of a \
+              each session routed to shard hash(key) mod N, global reads summed over \
+              the shards) instead of a \
               single service.")
 
 let policy_conv =

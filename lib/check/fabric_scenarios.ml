@@ -112,16 +112,24 @@ let failstop run f () = try f () with V.Invalid _ -> incr run.failstops
    would only slow exploration without adding schedule points. *)
 let certify_ok _ = Ok ()
 
-let make_run ?(distinct_incs = false) ?(fail_shutdown = false) ~shards () =
+exception Spawn_failed
+
+(* [~fail_spawn:true]: every spawn after [make]'s raises [Spawn_failed],
+   as a resize whose new topology cannot be compiled would. *)
+let make_run ?(distinct_incs = false) ?(fail_shutdown = false) ?(fail_spawn = false)
+    ~shards () =
   let rts = ref [] in
   let topo = Counting.network ~w:2 ~t:2 in
   let fail_shutdown = Instrumented.make fail_shutdown in
+  let made = ref false in
   let spawn t =
+    if fail_spawn && !made then raise Spawn_failed;
     let rt = Model_net.compile t in
     rts := rt :: !rts;
     { MS.svc = Svc.make ~max_batch:4 ~queue:2 ~validate:V.Off rt; fail_shutdown }
   in
   let fab = Fab.make ~validate:V.Off ~spawn ~certify:certify_ok ~shards topo in
+  made := true;
   {
     rts;
     fab;
@@ -383,6 +391,76 @@ let shutdown_vs_resize () =
     finish;
   }
 
+let resize_spawn_fails () =
+  (* The resize's spawn raises once the old service is shut down, under
+     a worker and a stopper on the one shard: the resize must fail-stop
+     the fabric and leave the shard [Stopped], so the worker completes
+     or is refused and the shutdown returns, re-validating the stopped
+     old service (a claim left [Resizing] deadlocks both).  A resize
+     that loses the race to the stopper returns [Busy] or
+     [Fabric_closed] without spawning. *)
+  let run = make_run ~fail_spawn:true ~shards:1 () in
+  let s = Fab.session ~key:0 run.fab in
+  let resized = ref None in
+  let finish () =
+    match (!(run.reports), !resized) with
+    | [], _ -> Some "the shutdown did not return"
+    | _, Some (Error ()) when not (Fab.closed run.fab) ->
+        Some "a failed spawn left the fabric open"
+    | _, Some (Error () | Ok (Error (Fab.Busy | Fab.Fabric_closed))) ->
+        if not (all_stopped run) then Some "a shard's service is still running"
+        else check run ()
+    | _ -> Some "the resize did not raise, return Busy or return Fabric_closed"
+  in
+  {
+    Engine.name = "fabric-resize-spawn-fails";
+    fibers =
+      [|
+        (fun () ->
+          resized :=
+            Some
+              (match Fab.resize run.fab ~shard:0 (Counting.network ~w:2 ~t:2) with
+              | r -> Ok r
+              | exception Spawn_failed -> Error ()));
+        worker run s Fab.Inc;
+        stopper run;
+      |];
+    finish;
+  }
+
+let read_vs_resize () =
+  (* A reader on a two-shard fabric races one increment on shard 0 and
+     a hot-resize of that shard.  The reader collects on its own, so it
+     returns; its read is 0 or 1, and a read that starts after the
+     increment returned must see it, whether the resize has not begun,
+     holds the shard, or has folded the count into [base].  (One
+     reader: a second multiplies the explored schedules about tenfold,
+     and with no election there is nothing for two readers to share.) *)
+  let run = make_run ~shards:2 () in
+  let s = Fab.session ~key:(key_for run 0) run.fab in
+  let read = ref None in
+  let reader () =
+    let after_inc =
+      List.exists (fun (_, r) -> match r with Val _ -> true | _ -> false) !(run.results)
+    in
+    read := Some (after_inc, Fab.read run.fab)
+  in
+  let finish () =
+    match !read with
+    | None -> Some "the read did not return"
+    | Some (after_inc, v) when not (v = 1 || (v = 0 && not after_inc)) ->
+        Some
+          (Printf.sprintf "a read %s the increment returned %d"
+             (if after_inc then "after" else "racing")
+             v)
+    | Some _ -> check run ()
+  in
+  {
+    Engine.name = "fabric-read-vs-resize";
+    fibers = [| worker run s Fab.Inc; resizer run ~shard:0 (Counting.network ~w:2 ~t:2); reader |];
+    finish;
+  }
+
 let all =
   [
     ("fabric-resize-vs-submit", resize_vs_submit);
@@ -393,4 +471,6 @@ let all =
     ("fabric-shutdown-after-failstop", shutdown_after_failstop);
     ("fabric-run-vs-resize", run_vs_resize);
     ("fabric-shutdown-vs-resize", shutdown_vs_resize);
+    ("fabric-resize-spawn-fails", resize_spawn_fails);
+    ("fabric-read-vs-resize", read_vs_resize);
   ]

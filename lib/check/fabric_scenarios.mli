@@ -20,7 +20,7 @@
       if the scenario actually shuts the fabric down — an operation
       that meets a racing resize must wait it out and run on the new
       service, never refuse;
-    - {b conservation}: the fabric's combining [read] equals successful
+    - {b conservation}: the fabric's global [read] equals successful
       increments minus successful decrements, across every resize —
       the base-fold accounting;
     - {b continuity} (single-shard, elimination off): the shard's value
@@ -81,6 +81,21 @@ val shutdown_vs_resize : unit -> Engine.scenario
     that succeeds racing the terminal [shutdown].  The shutdown
     returns, every shard's service ends stopped, the resize returns
     [Ok], [Busy] or [Fabric_closed], and the read is conserved. *)
+
+val resize_spawn_fails : unit -> Engine.scenario
+(** A resize whose spawn raises once the old service is shut down,
+    beside a worker and a stopper on a one-shard fabric: the resize
+    re-raises with the fabric fail-stopped and the shard [Stopped] (or
+    loses the race and returns [Busy] or [Fabric_closed]), the worker
+    completes or is refused, and the shutdown returns with the old
+    service stopped and the read conserved — a shard left claimed
+    deadlocks both. *)
+
+val read_vs_resize : unit -> Engine.scenario
+(** A reader, an increment on shard 0 of a two-shard fabric and a
+    hot-resize of that shard: the read returns, is 0 or 1, and sees the
+    increment whenever it starts after the increment returned — before,
+    during or after the swap that folds the count into [base]. *)
 
 val all : (string * (unit -> Engine.scenario)) list
 (** Every scenario above, keyed by name, in a stable order. *)

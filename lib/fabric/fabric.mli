@@ -3,10 +3,10 @@
     combining {!Cn_service.Service}.
 
     A fabric owns a fixed set of N independently compiled [C(w,t)]
-    service instances (shards), routes sessions to shards through a
-    consistent-hash ring ({!Router}), merges the shard counters into a
-    linearizable-at-quiescence global {!read} via a second-level
-    combining pass, and can {b hot-resize} any shard:
+    service instances (shards), routes each session to shard
+    [hash(key) mod N] ({!route}), sums the shard counters into a
+    linearizable-at-quiescence global {!read} that every reader
+    double-collects itself, and can {b hot-resize} any shard:
     drain it through the {!Cn_runtime.Validator.quiescent_runtime}
     boundary, swap in a freshly compiled topology, and let operations
     that waited out the swap run on it — losing no tokens and

@@ -8,10 +8,11 @@
 
    Protocol summary (the invariants the checker scenarios pin):
 
-   - routing: the shard set is fixed at [make], so the router is an
-     immutable value; an operation resolves its shard, and re-reads
-     that shard's state and service whenever it loses a race with a
-     resize — it never holds a stale service across a retry;
+   - routing: the shard set is fixed at [make], so a key's shard is a
+     pure hash of the key modulo the shard count; an operation resolves
+     its shard, and re-reads that shard's state and service whenever it
+     loses a race with a resize — it never holds a stale service across
+     a retry;
    - hot-resize: certify first (a rejected certificate aborts with no
      state change), then CAS the shard [Open -> Resizing], shut the old
      service down through the Validator quiescence boundary, fold its
@@ -127,14 +128,8 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
   type t = {
     slots : shard A.t array;
     states : shard_state A.t array;
-    router : Router.t;
     closed_ : bool A.t;
     session_ctr : int A.t;
-    (* flat-combining global read: one collector sweeps, concurrent
-       readers adopt any sweep that started after they arrived *)
-    read_owner : int A.t;
-    read_epoch : int A.t;
-    read_done : (int * int) A.t; (* (sweep id, collected value) *)
     spawn : Topology.t -> S.t;
     certify : Topology.t -> (unit, string) result;
     validate : V.policy;
@@ -160,12 +155,8 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
     {
       slots = Array.init shards (fun _ -> A.make { svc = spawn topo; topo; base = 0; gen = 0 });
       states = Array.init shards (fun _ -> A.make Open);
-      router = Router.make (List.init shards Fun.id);
       closed_ = A.make false;
       session_ctr = A.make 0;
-      read_owner = A.make 0;
-      read_epoch = A.make 1;
-      read_done = A.make (0, 0);
       spawn;
       certify;
       validate;
@@ -173,7 +164,7 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
 
   let closed t = A.get t.closed_
   let shard_count t = Array.length t.slots
-  let route t key = Router.route t.router key
+  let route t key = Cn_runtime.Splitmix.mix key mod Array.length t.slots
 
   let session ?key t =
     let key =
@@ -215,7 +206,7 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
     if i >= stop then Ok ()
     else if A.get fab.closed_ then Error (i, Closed)
     else begin
-      let sid = Router.route fab.router sess.key in
+      let sid = route fab sess.key in
       match A.get fab.states.(sid) with
       | Stopped -> Error (i, Closed)
       | Resizing ->
@@ -271,19 +262,23 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
   (* ---------------------------------------------------------------- *)
   (* Hot resize: certify, claim, shut down, fold, swap, reopen. *)
 
-  (* Shut a claimed shard's service down at [policy].  A Strict
-     validation failure is an integrity loss, not a recoverable
-     condition: the fabric fail-stops (every later operation refuses
-     with [Closed]), the shard is marked [Stopped] so callers waiting
-     out the claim are released into that refusal and a later shutdown
-     finds the shard already stopped, and the exception propagates. *)
-  let stop_service fab sid (sh : shard) policy =
-    match S.shutdown ~policy sh.svc with
-    | report -> report
+  (* Fail-stop around [f] on a claimed shard.  A Strict validation
+     failure, or a spawn that raises once the old service is shut down,
+     is an integrity loss, not a recoverable condition: the fabric
+     fail-stops (every later operation refuses with [Closed]), the
+     shard is marked [Stopped] so callers waiting out the claim are
+     released into that refusal and a later shutdown finds the shard
+     already stopped, and the exception propagates. *)
+  let fail_stop fab sid f =
+    match f () with
+    | v -> v
     | exception e ->
         A.set fab.closed_ true;
         A.set fab.states.(sid) Stopped;
         raise e
+
+  let stop_service fab sid (sh : shard) policy =
+    fail_stop fab sid (fun () -> S.shutdown ~policy sh.svc)
 
   let resize ?policy fab ~shard topo =
     if shard < 0 || shard >= Array.length fab.slots then Error Bad_shard
@@ -300,22 +295,18 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
             let policy = Option.value policy ~default:fab.validate in
             ignore (stop_service fab shard old policy);
             let base = old.base + S.net_count old.svc in
-            let svc = fab.spawn topo in
+            let svc = fail_stop fab shard (fun () -> fab.spawn topo) in
             A.set fab.slots.(shard) { svc; topo; base; gen = old.gen + 1 };
             A.set fab.states.(shard) Open;
             Ok ()
           end
 
   (* ---------------------------------------------------------------- *)
-  (* Global read: a second-level combining pass.  One reader CASes
-     itself collector, double-collects the shard counters until two
-     sweeps agree, and publishes (sweep id, value); concurrent readers
-     adopt any published sweep that {e started} after they arrived
-     (sweep id strictly above the epoch they entered at), so every
-     adopted value was collected inside the adopter's own interval.
-     At quiescence a single sweep is exact — that is the linearizable
-     read the tests pin; under churn the double-collect bounds the
-     skew to in-flight resizes. *)
+  (* Global read: every reader double-collects the shard counters
+     itself until two sweeps agree (at most 8 retries), and waits on no
+     other reader.  At quiescence a single sweep is exact — that is the
+     linearizable read the tests pin; under churn the double-collect
+     bounds the skew to in-flight resizes. *)
 
   let collect fab =
     (* one atomic read per slot: a resize publishes the swapped-in
@@ -328,27 +319,11 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
       0 fab.slots
 
   let read fab =
-    let e0 = A.get fab.read_epoch in
-    let rec attempt () =
-      let e, v = A.get fab.read_done in
-      if e > e0 then v
-      else if A.compare_and_set fab.read_owner 0 1 then begin
-        let sweep = A.fetch_and_add fab.read_epoch 1 + 1 in
-        let rec settle tries prev =
-          let s = collect fab in
-          if s = prev || tries = 0 then s else settle (tries - 1) s
-        in
-        let v = settle 8 (collect fab) in
-        A.set fab.read_done (sweep, v);
-        A.set fab.read_owner 0;
-        v
-      end
-      else begin
-        A.relax ();
-        attempt ()
-      end
+    let rec settle tries prev =
+      let s = collect fab in
+      if s = prev || tries = 0 then s else settle (tries - 1) s
     in
-    attempt ()
+    settle 8 (collect fab)
 
   (* ---------------------------------------------------------------- *)
   (* Fabric-wide drain and shutdown. *)

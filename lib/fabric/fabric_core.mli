@@ -19,9 +19,9 @@
       validated quiescence point, so the shard's value stream continues
       with no duplicates and the global sum is invariant at the swap;
     - {b routing}: the shard set is fixed when the fabric is made and
-      every shard serves until shutdown, so the consistent-hash router
-      is immutable and never sends an operation to a shard that will
-      not serve it or refuse it. *)
+      every shard serves until shutdown, so a key's shard is a pure
+      hash of the key modulo the shard count, and no operation is sent
+      to a shard that will not serve it or refuse it. *)
 
 module V := Cn_runtime.Validator
 
@@ -64,8 +64,8 @@ module type S = sig
   (** What a shard is built from (a {!Cn_network.Topology.t}). *)
 
   type t
-  (** A fabric: a fixed set of shards, their router, and the
-      combining-read state. *)
+  (** A fabric: a fixed set of shards, each a service with its [base]
+      offset, generation and lifecycle state. *)
 
   type session
   (** A fabric client handle: a routing key plus a cached per-shard
@@ -105,9 +105,8 @@ module type S = sig
 
   val session : ?key:int -> t -> session
   (** [session t] registers a client.  [?key] pins the routing key
-      (sessions with equal keys share a shard — the consistent-hash
-      pinning the property tests check); default keys are assigned
-      round-robin from a counter. *)
+      (sessions with equal keys share a shard, {!route}'s hash of the
+      key); default keys are assigned round-robin from a counter. *)
 
   val run :
     session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
@@ -141,22 +140,22 @@ module type S = sig
   val decrement : session -> (int, error) result
 
   val read : t -> int
-  (** Linearizable-at-quiescence global read: one reader CASes itself
-      collector, double-collects [base + net] across shards (a resize
+  (** Linearizable-at-quiescence global read: the caller
+      double-collects [base + net] across shards until two sweeps agree
+      (at most 8 retries), and waits on no other reader.  A resize
       publishes the new service and its folded [base] in one store, so
-      a sweep never under- or double-counts a shard mid-swap) until two
-      sweeps agree, and publishes the sweep;
-      concurrent readers adopt any sweep that started after they
-      arrived — a second-level combining pass, so [n] concurrent reads
-      cost one sweep, not [n].  Under in-flight traffic the value is
-      quiescently consistent (it counts exactly the operations whose
-      tokens have exited). *)
+      a sweep never under- or double-counts a shard mid-swap.  Under
+      in-flight traffic the value is quiescently consistent (it counts
+      exactly the operations whose tokens have exited). *)
 
   val shard_count : t -> int
 
   val route : t -> int -> int
-  (** The shard id the router assigns a key — exposed for the
-      routing-stability tests and the bench rig. *)
+  (** [route t key] is the shard a key's sessions run on:
+      [Cn_runtime.Splitmix.mix key mod shard_count t].  Pure and
+      deterministic; over consecutive keys it holds every shard's share
+      to within a few percent of ideal.  Exposed for the routing tests
+      and the bench rig. *)
 
   val shard_value : t -> int -> int
   (** [shard_value t sid] is the shard's logical counter value
@@ -184,7 +183,13 @@ module type S = sig
       @raise Validator.Invalid under [Strict] when the old service
       fails its quiescence checks; the fabric fail-stops first
       (integrity over availability), and the shard counts as stopped
-      for a later {!shutdown}. *)
+      for a later {!shutdown}.
+      Any exception the fabric's [spawn] raises for [topo], once the
+      old service is shut down, fail-stops the same way and is
+      re-raised: the fabric is closed, the shard is [Stopped] with the
+      old service still in its slot, operations waiting out the resize
+      get [Closed], and a later {!shutdown} re-validates the old,
+      already stopped service. *)
 
   val drain : ?policy:V.policy -> t -> V.report
   (** Quiesce and validate every shard in turn (each re-admits when

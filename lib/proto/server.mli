@@ -109,7 +109,8 @@ val start_fabric :
     runs go to a per-connection {!Cn_fabric.Fabric.session}
     (round-robin routing keys, so connections spread over the shards;
     a run is routed once, since a key pins its shard); [Read] is the
-    fabric's second-level combining {!Cn_fabric.Fabric.read};
+    fabric's global {!Cn_fabric.Fabric.read} (a double-collect over
+    the shards);
     [Drain]/stop walk every shard's validated quiescence path. *)
 
 val port : t -> int

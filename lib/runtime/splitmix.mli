@@ -1,8 +1,8 @@
 (** SplitMix64-style avalanche hashing over OCaml's tagged ints — the
     one mixing finalizer the whole system shares.
 
-    Consumer: the fabric's consistent-hash {!Router} (ring point
-    placement and key routing). *)
+    Consumer: the fabric's session routing, which sends a key to
+    shard [mix key mod shards] ([Cn_fabric.Fabric_core.S.route]). *)
 
 val mix : int -> int
 (** [mix x] is a SplitMix64-style finalizer over the tagged-int range:

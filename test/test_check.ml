@@ -100,7 +100,7 @@ let service_protocol =
 
 let fabric_protocol =
   (* The real Fabric_core.Make body over instrumented model services:
-     hot-resize, drain, shutdown and the combining read must survive
+     hot-resize, drain, shutdown and the global read must survive
      every interleaving within the preemption bound. *)
   List.map
     (fun (name, mk) ->
