@@ -360,46 +360,18 @@ let run_vs_resize () =
     finish;
   }
 
-let shutdown_vs_resize () =
-  (* A resize that succeeds racing the terminal shutdown of its only
-     shard, under a worker: the shutdown must return whether it claims
-     the shard before, after or while the resize holds it, and leave
-     the shard's current service stopped (a swapped-out one was stopped
-     by the resize itself); the resize either swaps ([Ok]), loses the
-     claim ([Busy]) or finds the fabric closed ([Fabric_closed]). *)
-  let run = make_run ~shards:1 () in
-  let s = Fab.session ~key:0 run.fab in
-  let resized = ref None in
-  let finish () =
-    match (!(run.reports), !resized) with
-    | [], _ -> Some "the shutdown did not return"
-    | _, (None | Some (Error (Fab.Cert_rejected _ | Fab.Bad_shard))) ->
-        Some "the resize did not return Ok, Busy or Fabric_closed"
-    | _ ->
-        if not (all_stopped run) then Some "a shard's service is still running"
-        else check run ()
-  in
-  {
-    Engine.name = "fabric-shutdown-vs-resize";
-    fibers =
-      [|
-        worker run s Fab.Inc;
-        (fun () ->
-          resized := Some (Fab.resize run.fab ~shard:0 (Counting.network ~w:2 ~t:2)));
-        stopper run;
-      |];
-    finish;
-  }
-
-let resize_spawn_fails () =
-  (* The resize's spawn raises once the old service is shut down, under
-     a worker and a stopper on the one shard: the resize must fail-stop
-     the fabric and leave the shard [Stopped], so the worker completes
-     or is refused and the shutdown returns, re-validating the stopped
-     old service (a claim left [Resizing] deadlocks both).  A resize
-     that loses the race to the stopper returns [Busy] or
-     [Fabric_closed] without spawning. *)
-  let run = make_run ~fail_spawn:true ~shards:1 () in
+let resize_vs_shutdown ~fail_spawn name () =
+  (* A resize racing the terminal shutdown of its only shard, under a
+     worker: the shutdown must return whether it claims the shard
+     before, after or while the resize holds it, and leave the shard's
+     current service stopped (a swapped-out one was stopped by the
+     resize itself); the resize either swaps ([Ok]), loses the claim
+     ([Busy]) or finds the fabric closed ([Fabric_closed]).  Under
+     [~fail_spawn] a resize that claims the shard raises from its spawn
+     once the old service is shut down, and must fail-stop the fabric
+     with the shard [Stopped] (a claim left [Resizing] deadlocks the
+     worker and the stopper). *)
+  let run = make_run ~fail_spawn ~shards:1 () in
   let s = Fab.session ~key:0 run.fab in
   let resized = ref None in
   let finish () =
@@ -407,35 +379,35 @@ let resize_spawn_fails () =
     | [], _ -> Some "the shutdown did not return"
     | _, Some (Error ()) when not (Fab.closed run.fab) ->
         Some "a failed spawn left the fabric open"
-    | _, Some (Error () | Ok (Error (Fab.Busy | Fab.Fabric_closed))) ->
+    | _, Some (Error () | Ok (Ok () | Error (Fab.Busy | Fab.Fabric_closed))) ->
         if not (all_stopped run) then Some "a shard's service is still running"
         else check run ()
-    | _ -> Some "the resize did not raise, return Busy or return Fabric_closed"
+    | _ -> Some "the resize did not return Ok, Busy or Fabric_closed"
   in
   {
-    Engine.name = "fabric-resize-spawn-fails";
+    Engine.name = name;
     fibers =
       [|
+        worker run s Fab.Inc;
         (fun () ->
           resized :=
             Some
               (match Fab.resize run.fab ~shard:0 (Counting.network ~w:2 ~t:2) with
               | r -> Ok r
               | exception Spawn_failed -> Error ()));
-        worker run s Fab.Inc;
         stopper run;
       |];
     finish;
   }
 
+let shutdown_vs_resize = resize_vs_shutdown ~fail_spawn:false "fabric-shutdown-vs-resize"
+let resize_spawn_fails = resize_vs_shutdown ~fail_spawn:true "fabric-resize-spawn-fails"
+
 let read_vs_resize () =
-  (* A reader on a two-shard fabric races one increment on shard 0 and
-     a hot-resize of that shard.  The reader collects on its own, so it
-     returns; its read is 0 or 1, and a read that starts after the
-     increment returned must see it, whether the resize has not begun,
-     holds the shard, or has folded the count into [base].  (One
-     reader: a second multiplies the explored schedules about tenfold,
-     and with no election there is nothing for two readers to share.) *)
+  (* A read that starts after the increment returned must see it,
+     whether the resize has not begun, holds the shard, or has folded
+     the count into [base].  One reader: a second multiplies the
+     explored schedules about tenfold. *)
   let run = make_run ~shards:2 () in
   let s = Fab.session ~key:(key_for run 0) run.fab in
   let read = ref None in

@@ -83,13 +83,10 @@ val shutdown_vs_resize : unit -> Engine.scenario
     [Ok], [Busy] or [Fabric_closed], and the read is conserved. *)
 
 val resize_spawn_fails : unit -> Engine.scenario
-(** A resize whose spawn raises once the old service is shut down,
-    beside a worker and a stopper on a one-shard fabric: the resize
-    re-raises with the fabric fail-stopped and the shard [Stopped] (or
-    loses the race and returns [Busy] or [Fabric_closed]), the worker
-    completes or is refused, and the shutdown returns with the old
-    service stopped and the read conserved — a shard left claimed
-    deadlocks both. *)
+(** {!shutdown_vs_resize} with a spawn that raises once the old
+    service is shut down: a resize that claims the shard re-raises
+    with the fabric fail-stopped and the shard stopped (a shard left
+    claimed deadlocks the worker and the stopper). *)
 
 val read_vs_resize : unit -> Engine.scenario
 (** A reader, an increment on shard 0 of a two-shard fabric and a

@@ -277,9 +277,6 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
         A.set fab.states.(sid) Stopped;
         raise e
 
-  let stop_service fab sid (sh : shard) policy =
-    fail_stop fab sid (fun () -> S.shutdown ~policy sh.svc)
-
   let resize ?policy fab ~shard topo =
     if shard < 0 || shard >= Array.length fab.slots then Error Bad_shard
     else if A.get fab.closed_ then Error Fabric_closed
@@ -293,7 +290,7 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
             (* latecomers observing [Resizing] wait in [exec] from here on *)
             let old = A.get fab.slots.(shard) in
             let policy = Option.value policy ~default:fab.validate in
-            ignore (stop_service fab shard old policy);
+            ignore (fail_stop fab shard (fun () -> S.shutdown ~policy old.svc));
             let base = old.base + S.net_count old.svc in
             let svc = fail_stop fab shard (fun () -> fab.spawn topo) in
             A.set fab.slots.(shard) { svc; topo; base; gen = old.gen + 1 };
@@ -363,7 +360,7 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
     match A.get fab.states.(sid) with
     | Stopped -> S.shutdown ~policy (A.get fab.slots.(sid)).svc
     | Open when A.compare_and_set fab.states.(sid) Open Resizing ->
-        let report = stop_service fab sid (A.get fab.slots.(sid)) policy in
+        let report = fail_stop fab sid (fun () -> S.shutdown ~policy (A.get fab.slots.(sid)).svc) in
         A.set fab.states.(sid) Stopped;
         report
     | Open | Resizing ->
