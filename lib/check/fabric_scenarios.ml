@@ -429,7 +429,8 @@ let read_vs_resize () =
   in
   {
     Engine.name = "fabric-read-vs-resize";
-    fibers = [| worker run s Fab.Inc; resizer run ~shard:0 (Counting.network ~w:2 ~t:2); reader |];
+    fibers =
+      [| worker run s Fab.Inc; resizer run ~shard:0 (Counting.network ~w:2 ~t:2); reader |];
     finish;
   }
 

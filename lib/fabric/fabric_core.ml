@@ -360,7 +360,8 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
     match A.get fab.states.(sid) with
     | Stopped -> S.shutdown ~policy (A.get fab.slots.(sid)).svc
     | Open when A.compare_and_set fab.states.(sid) Open Resizing ->
-        let report = fail_stop fab sid (fun () -> S.shutdown ~policy (A.get fab.slots.(sid)).svc) in
+        let sh = A.get fab.slots.(sid) in
+        let report = fail_stop fab sid (fun () -> S.shutdown ~policy sh.svc) in
         A.set fab.states.(sid) Stopped;
         report
     | Open | Resizing ->

@@ -1,7 +1,7 @@
 (* Tests for the sharded counter fabric: the hash routing's determinism
-   and balance, the certification gate, hot-resize under
-   concurrent load, the global read, and the fabric's drain and
-   shutdown lifecycle. *)
+   and balance, the certification gate, hot-resize under concurrent
+   load, the global read, and the fabric's drain and shutdown
+   lifecycle. *)
 
 module Fab = Cn_fabric.Fabric
 module Counting = Cn_core.Counting
