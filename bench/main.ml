@@ -160,7 +160,14 @@ let record_section ~smoke key fields =
    doubling again if one of them still came in short — and reports
    their median, min and max rate.  A row with more domains than the
    host has cpus timeshares, and says so.  [~smoke] times one repeat at
-   the given count. *)
+   the given count.
+
+   [measure_rounds] does the same for rows a gate compares: each is
+   calibrated on its own, then their repeats run round-robin (a, b, c,
+   a, b, c, ...), so drift on the host during the run lands on every
+   row alike instead of on whichever was timed last, and the gate takes
+   the ratio within each round ([round_ratios]).  [measure] is the
+   one-row case. *)
 
 let min_repeat_seconds = 0.2
 let full_repeats = 5
@@ -169,6 +176,7 @@ type measured = {
   domains : int;
   ops_per_repeat : int;
   seconds : float array;  (** one per repeat *)
+  rates : float array;  (** ops/s, one per repeat *)
   median : float;  (** ops/s, as are [min] and [max] *)
   min : float;
   max : float;
@@ -180,30 +188,67 @@ let median xs =
   Array.sort compare s;
   s.(Array.length s / 2)
 
-let measure ?(smoke = false) ~domains ~ops run =
+let measure_rounds ?(smoke = false) ~domains ~ops runs =
   let longer ops = Cn_runtime.Harness.next_calibration_ops ~domains ~ops_per_domain:ops in
-  let rec calibrate ops =
+  let rec calibrate run ops =
     if fst (run ops) >= min_repeat_seconds then ops
-    else match longer ops with Some ops -> calibrate ops | None -> ops
+    else match longer ops with Some ops -> calibrate run ops | None -> ops
   in
-  let rec repeat ops =
-    let reps = Array.init (if smoke then 1 else full_repeats) (fun _ -> run ops) in
-    match longer ops with
-    | Some ops when (not smoke) && Array.exists (fun (s, _) -> s < min_repeat_seconds) reps ->
-        repeat ops
-    | _ -> (ops, reps)
+  let runs = Array.of_list runs in
+  let opss = Array.map (fun run -> if smoke then ops else calibrate run ops) runs in
+  (* [reps.(r).(i)] is round [r] of row [i]. *)
+  let rec repeat () =
+    let reps =
+      Array.init (if smoke then 1 else full_repeats) (fun _ ->
+          Array.mapi (fun i run -> run opss.(i)) runs)
+    in
+    let redo = ref false in
+    Array.iteri
+      (fun i ops ->
+        match longer ops with
+        | Some ops when (not smoke) && Array.exists (fun round -> fst round.(i) < min_repeat_seconds) reps ->
+            opss.(i) <- ops;
+            redo := true
+        | _ -> ())
+      opss;
+    if !redo then repeat () else reps
   in
-  let ops, reps = repeat (if smoke then ops else calibrate ops) in
-  let rates = Array.map (fun (s, n) -> float_of_int n /. Float.max s 1e-9) reps in
+  let reps = repeat () in
+  List.init (Array.length runs) (fun i ->
+      let mine = Array.map (fun round -> round.(i)) reps in
+      let rates = Array.map (fun (s, n) -> float_of_int n /. Float.max s 1e-9) mine in
+      {
+        domains;
+        ops_per_repeat = domains * opss.(i);
+        seconds = Array.map fst mine;
+        rates;
+        median = median rates;
+        min = Array.fold_left Float.min infinity rates;
+        max = Array.fold_left Float.max 0. rates;
+        oversubscribed = domains > nproc;
+      })
+
+let measure ?smoke ~domains ~ops run = List.hd (measure_rounds ?smoke ~domains ~ops [ run ])
+
+(* [num]'s rate over [den]'s in each round, summarised as median, min
+   and max. *)
+type ratio = { r_median : float; r_min : float; r_max : float }
+
+let round_ratios num den =
+  let rs = Array.map2 (fun a b -> a /. Float.max b 1e-9) num.rates den.rates in
   {
-    domains;
-    ops_per_repeat = domains * ops;
-    seconds = Array.map fst reps;
-    median = median rates;
-    min = Array.fold_left Float.min infinity rates;
-    max = Array.fold_left Float.max 0. rates;
-    oversubscribed = domains > nproc;
+    r_median = median rs;
+    r_min = Array.fold_left Float.min infinity rs;
+    r_max = Array.fold_left Float.max 0. rs;
   }
+
+let ratio_json r =
+  obj
+    [
+      ("median", Printf.sprintf "%.3f" r.r_median);
+      ("min", Printf.sprintf "%.3f" r.r_min);
+      ("max", Printf.sprintf "%.3f" r.r_max);
+    ]
 
 let measured_fields m =
   let rate = Printf.sprintf "%.1f" in
@@ -768,14 +813,12 @@ let service ?(smoke = false) () =
   let k = 32 in
   (* per-domain ops; divisible by the round size [k] *)
   let ops = if smoke then 512 else 16_000 in
-  (* The stats of every service run, newest first. *)
-  let runs = ref [] in
   let report_json = ref "null" in
   let results, (naive_inc, naive_mixed, batched_inc, batched_mixed) =
     DP.with_pool domains (fun pool ->
         (* Naive baselines: one traverse (or traverse/traverse_decrement
            alternation) per op, strict-validated at quiescence. *)
-        let naive ~mixed ops =
+        let naive ~mixed _runs ops =
           let rt = RT.compile c16 in
           let s =
             DP.run pool ~domains (fun pid ->
@@ -795,8 +838,9 @@ let service ?(smoke = false) () =
         in
         (* Service driver: each domain owns [k] sessions pinned to its
            wire and pipelines one submit per session before awaiting, so
-           every round is served as one combined batch. *)
-        let batched ~mixed ~elim ops =
+           every round is served as one combined batch.  Each run
+           pushes its service stats onto [runs], newest first. *)
+        let batched ~mixed ~elim runs ops =
           let svc = Svc.create ~max_batch:k ~elim c16 in
           let sessions =
             Array.init domains (fun pid -> Array.init k (fun _ -> Svc.session ~wire:(pid mod w) svc))
@@ -829,7 +873,7 @@ let service ?(smoke = false) () =
            increments/decrements under Zipf skew, metrics-instrumented,
            strict-drained; its combined service+network snapshot is
            embedded in the JSON. *)
-        let workload ops =
+        let workload runs ops =
           let svc = Svc.create ~metrics:true ~max_batch:k c16 in
           let spec =
             {
@@ -847,44 +891,62 @@ let service ?(smoke = false) () =
           report_json := Svc.report_json svc;
           (wst.W.seconds, wst.W.completed)
         in
-        (* A row's service stats are those of its last repeat; the
-           stats of all its timed repeats come back for the gates. *)
-        let row name mix ?(ops = ops) run =
-          runs := [];
-          let m = measure ~smoke ~domains ~ops run in
-          let timed = List.filteri (fun i _ -> i < Array.length m.seconds) !runs in
-          let mean_batch, elim, elim_rate, rejected =
-            match timed with
-            | st :: _ ->
-                ( st.Svc.mean_batch,
-                  st.Svc.total_eliminated_pairs,
-                  st.Svc.elimination_rate,
-                  st.Svc.total_rejected )
-            | [] -> (1., 0, 0., 0)
+        (* Rows timed together, their repeats round-robin.  A row's
+           service stats are those of its last repeat; the stats of all
+           its timed repeats come back for the gates. *)
+        let timed_rows ?(ops = ops) specs =
+          let specs = List.map (fun (name, mix, run) -> (name, mix, ref [], run)) specs in
+          let ms =
+            measure_rounds ~smoke ~domains ~ops
+              (List.map (fun (_, _, runs, run) -> run runs) specs)
           in
-          line "%-22s %-6s %11.0f ops/s   mean batch %6.2f   eliminated %6d   rejected %d" name
-            mix m.median mean_batch elim rejected;
-          ( obj
-              ([ ("counter", str name); ("mix", str mix) ]
-              @ measured_fields m
-              @ [
-                  ("mean_batch", Printf.sprintf "%.3f" mean_batch);
-                  ("eliminated_pairs", string_of_int elim);
-                  ("elimination_rate", Printf.sprintf "%.4f" elim_rate);
-                  ("rejected", string_of_int rejected);
-                ]),
-            (m, timed) )
+          List.map2
+            (fun (name, mix, runs, _) m ->
+              let timed = List.filteri (fun i _ -> i < Array.length m.seconds) !runs in
+              let mean_batch, elim, elim_rate, rejected =
+                match timed with
+                | st :: _ ->
+                    ( st.Svc.mean_batch,
+                      st.Svc.total_eliminated_pairs,
+                      st.Svc.elimination_rate,
+                      st.Svc.total_rejected )
+                | [] -> (1., 0, 0., 0)
+              in
+              line "%-22s %-6s %11.0f ops/s   mean batch %6.2f   eliminated %6d   rejected %d"
+                name mix m.median mean_batch elim rejected;
+              ( obj
+                  ([ ("counter", str name); ("mix", str mix) ]
+                  @ measured_fields m
+                  @ [
+                      ("mean_batch", Printf.sprintf "%.3f" mean_batch);
+                      ("eliminated_pairs", string_of_int elim);
+                      ("elimination_rate", Printf.sprintf "%.4f" elim_rate);
+                      ("rejected", string_of_int rejected);
+                    ]),
+                (m, timed) ))
+            specs ms
         in
         line "%-22s %-6s %d domains x %d ops on C(%d,%d), round size %d" "counter" "mix"
           domains ops w w k;
-        let naive_inc = row "naive-traverse" "inc" (naive ~mixed:false) in
-        let naive_mixed = row "naive-traverse" "50/50" (naive ~mixed:true) in
-        let batched_inc = row "service-batched" "inc" (batched ~mixed:false ~elim:true) in
-        let batched_mixed = row "service-batched" "50/50" (batched ~mixed:true ~elim:true) in
-        let noelim = row "service-noelim" "50/50" (batched ~mixed:true ~elim:false) in
-        let closed_loop = row "service-workload" "50/50" ~ops:(ops / 4) workload in
-        ( List.map fst [ naive_inc; naive_mixed; batched_inc; batched_mixed; noelim; closed_loop ],
-          (snd naive_inc, snd naive_mixed, snd batched_inc, snd batched_mixed) ))
+        (* The four rows the speedups compare share their rounds. *)
+        let compared =
+          timed_rows
+            [
+              ("naive-traverse", "inc", naive ~mixed:false);
+              ("naive-traverse", "50/50", naive ~mixed:true);
+              ("service-batched", "inc", batched ~mixed:false ~elim:true);
+              ("service-batched", "50/50", batched ~mixed:true ~elim:true);
+            ]
+        in
+        let noelim = timed_rows [ ("service-noelim", "50/50", batched ~mixed:true ~elim:false) ] in
+        let others =
+          noelim @ timed_rows ~ops:(ops / 4) [ ("service-workload", "50/50", workload) ]
+        in
+        match compared with
+        | [ naive_inc; naive_mixed; batched_inc; batched_mixed ] ->
+            ( List.map fst (compared @ others),
+              (snd naive_inc, snd naive_mixed, snd batched_inc, snd batched_mixed) )
+        | _ -> assert false)
   in
   (* Acceptance gates on the timed repeats' medians: the mixed service
      run must actually eliminate, and batched-service throughput must
@@ -895,11 +957,13 @@ let service ?(smoke = false) () =
          (List.map (fun st -> float_of_int st.Svc.total_eliminated_pairs) (snd batched_mixed)))
   in
   if mixed_elims <= 0. then die "service bench: expected > 0 eliminated pairs in the mixed run";
-  let speedup (batched, _) (naive, _) = batched.median /. Float.max naive.median 1e-9 in
+  let speedup (batched, _) (naive, _) = round_ratios batched naive in
   let speedup_inc = speedup batched_inc naive_inc in
   let speedup_mixed = speedup batched_mixed naive_mixed in
-  line "speedup vs naive: mixed 50/50 %.2fx (elimination), pure-inc rows recorded" speedup_mixed;
-  if speedup_mixed < 1. then
+  line "speedup vs naive per round: mixed 50/50 median %.2fx (min %.2f, max %.2f; elimination), \
+        pure-inc rows recorded"
+    speedup_mixed.r_median speedup_mixed.r_min speedup_mixed.r_max;
+  if speedup_mixed.r_median < 1. then
     if smoke then
       (* One short repeat is too noisy to gate on. *)
       line "note: smoke timing too short to gate on; full run enforces the comparison"
@@ -910,17 +974,18 @@ let service ?(smoke = false) () =
       ("domains", string_of_int domains);
       ("round", string_of_int k);
       ("results", rows results);
-      ("speedup_mixed_vs_naive", Printf.sprintf "%.3f" speedup_mixed);
-      ("speedup_inc_vs_naive", Printf.sprintf "%.3f" speedup_inc);
+      ("speedup_mixed_vs_naive", ratio_json speedup_mixed);
+      ("speedup_inc_vs_naive", ratio_json speedup_inc);
       ("report", String.trim !report_json);
     ]
 
 (* ------------------------------------------------------------------ *)
 (* fabric: the sharded counter fabric — shard-scaling sweep at
-   1/2/4 shards of C(8,8) under 8 domains, plus a hot-resize-under-load
-   row: shard 0 of the 4-shard fabric swapped C(8,8) -> C(16,16) mid-run
-   with token conservation asserted at the Strict drain.  Records the
-   "fabric" section of BENCH_runtime.json.                              *)
+   1/2/4 shards of C(8,8) under 8 domains, their repeats round-robin,
+   plus a hot-resize-under-load row: shard 0 of the 4-shard fabric
+   swapped C(8,8) -> C(16,16) mid-run with token conservation asserted
+   at the Strict drain.  Records the "fabric" section of
+   BENCH_runtime.json.                                                  *)
 
 let fabric ?(smoke = false) () =
   header "fabric  sharded counter fabric: shard scaling + hot resize (BENCH_runtime.json)";
@@ -940,10 +1005,9 @@ let fabric ?(smoke = false) () =
      C(16,16) halfway through its op budget while the other domains keep
      submitting.  Conservation (global read = completed
      increments) and a Strict shutdown gate every run.  The shard
-     dimensions and Closed refusals of the latest run are kept for its
-     row. *)
-  let dims = ref "" and rejected = ref 0 in
-  let run_config pool name ~shards ~resize_mid ops =
+     dimensions and Closed refusals of the latest run go to [last], for
+     its row. *)
+  let run_config pool name ~shards ~resize_mid last ops =
     let fab = Fab.create ~validate:V.Strict ~elim:false ~shards net in
     let completed = Array.make domains 0 in
     let refused = Array.make domains 0 in
@@ -980,39 +1044,52 @@ let fabric ?(smoke = false) () =
     let report = Fab.shutdown ~policy:V.Strict fab in
     if not (V.passed report) then
       die "fabric bench: Strict shutdown failed for %s: %s" name (V.summary report);
-    dims :=
-      String.concat "+"
-        (List.map
-           (fun (i : Fab.shard_info) -> Printf.sprintf "C(%d,%d)" i.Fab.width i.Fab.out_width)
-           (Fab.shard_infos fab));
-    rejected := Array.fold_left ( + ) 0 refused;
+    last :=
+      ( String.concat "+"
+          (List.map
+             (fun (i : Fab.shard_info) -> Printf.sprintf "C(%d,%d)" i.Fab.width i.Fab.out_width)
+             (Fab.shard_infos fab)),
+        Array.fold_left ( + ) 0 refused );
     (s, done_ops)
   in
   line "%d domains x %d ops, %d sessions/domain" domains ops sessions_per;
   let fixed, resized =
     DP.with_pool domains (fun pool ->
-        let row name ~resize_mid shards =
-          let m = measure ~smoke ~domains ~ops (run_config pool name ~shards ~resize_mid) in
-          line "%-18s %d shard%s %-22s %11.0f ops/s   %d rejected%s" name shards
-            (if shards = 1 then " " else "s")
-            !dims m.median !rejected
-            (if resize_mid then "   (hot-resized)" else "");
-          ( obj
-              ([ ("config", str name); ("shards", string_of_int shards); ("dims", str !dims) ]
-              @ measured_fields m
-              @ [ ("rejected", string_of_int !rejected); ("hot_resized", string_of_bool resize_mid) ]
-              ),
-            m )
+        (* Rows timed together, their repeats round-robin. *)
+        let timed_rows name ~resize_mid shard_counts =
+          let specs = List.map (fun shards -> (shards, ref ("", 0))) shard_counts in
+          let ms =
+            measure_rounds ~smoke ~domains ~ops
+              (List.map
+                 (fun (shards, last) -> run_config pool name ~shards ~resize_mid last)
+                 specs)
+          in
+          List.map2
+            (fun (shards, last) m ->
+              let dims, rejected = !last in
+              line "%-18s %d shard%s %-22s %11.0f ops/s   %d rejected%s" name shards
+                (if shards = 1 then " " else "s")
+                dims m.median rejected
+                (if resize_mid then "   (hot-resized)" else "");
+              ( obj
+                  ([ ("config", str name); ("shards", string_of_int shards); ("dims", str dims) ]
+                  @ measured_fields m
+                  @ [
+                      ("rejected", string_of_int rejected);
+                      ("hot_resized", string_of_bool resize_mid);
+                    ]),
+                m ))
+            specs ms
         in
-        let fixed = List.map (row "fixed" ~resize_mid:false) shard_counts in
-        let resized = row "resize-under-load" ~resize_mid:true 4 in
+        let fixed = timed_rows "fixed" ~resize_mid:false shard_counts in
+        let resized = List.hd (timed_rows "resize-under-load" ~resize_mid:true [ 4 ]) in
         (List.combine shard_counts fixed, resized))
   in
-  let ratio num den = if den <= 0. then 0. else num /. den in
-  let fixed_rate shards = (snd (List.assoc shards fixed)).median in
-  let measured_4v1 = ratio (fixed_rate 4) (fixed_rate 1) in
-  line "shard scaling 4 vs 1 (medians): measured %.2fx" measured_4v1;
-  if measured_4v1 < 1. then
+  let fixed_m shards = snd (List.assoc shards fixed) in
+  let measured_4v1 = round_ratios (fixed_m 4) (fixed_m 1) in
+  line "shard scaling 4 vs 1 per round: median %.2fx (min %.2f, max %.2f)"
+    measured_4v1.r_median measured_4v1.r_min measured_4v1.r_max;
+  if measured_4v1.r_median < 1. then
     if smoke then
       (* One short repeat is too noisy to gate on. *)
       line "note: smoke timing too short to gate on; full run enforces the comparison"
@@ -1023,7 +1100,7 @@ let fabric ?(smoke = false) () =
       ("domains", string_of_int domains);
       ("sessions_per_domain", string_of_int sessions_per);
       ("results", rows (List.map (fun (_, (json, _)) -> json) fixed @ [ fst resized ]));
-      ("scaling_4v1_measured", Printf.sprintf "%.3f" measured_4v1);
+      ("scaling_4v1_measured", ratio_json measured_4v1);
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -11,6 +11,9 @@ let make v =
   Engine.register (fun () -> Engine.enc_obj (Obj.repr r.v));
   r
 
+(* Packing is a memory layout, not a protocol: same atom as [make]. *)
+let make_packed = make
+
 let make_stat v = { v; id = Engine.fresh_id (); stat = true }
 
 let get r =

@@ -11,8 +11,12 @@ let deliver totals out d c = if d >= 0 then totals.(d) <- totals.(d) + c else ou
    sums the (net) tokens reaching balancer [b]'s input ports, and each
    output port's share follows from that total in closed form — one
    division per balancer for tokens, [Balancer.net_output_count] per
-   port for signed totals ([signed]: tokens minus antitokens).  Returns
-   the output wires and the totals. *)
+   port for signed totals ([signed]: tokens minus antitokens).  A
+   balancer whose total is 0 delivers 0 on every port, whatever its
+   state, so it is skipped: each wire has one producer and both
+   [totals] and [out] start at 0.  Sparse loads (the certifier's
+   batteries) touch only the balancers their tokens reach.  Returns the
+   output wires and the totals. *)
 let flow ~signed net x =
   let { Topology.order; base; next; entry } = Topology.wiring net in
   let totals = Array.make (Topology.size net) 0 in
@@ -22,17 +26,20 @@ let flow ~signed net x =
   done;
   for k = 0 to Array.length order - 1 do
     let b = order.(k) in
-    let d = Topology.balancer net b and total = totals.(b) and row = base.(b) in
-    let q = d.Balancer.fan_out in
-    if signed then
-      for port = 0 to q - 1 do
-        deliver totals out next.(row + port) (Balancer.net_output_count d ~net:total port)
-      done
-    else begin
-      let quotient = total / q and remainder = total mod q in
-      for port = 0 to q - 1 do
-        deliver totals out next.(row + port) (Balancer.share d ~quotient ~remainder port)
-      done
+    let total = totals.(b) in
+    if total <> 0 then begin
+      let d = Topology.balancer net b and row = base.(b) in
+      let q = d.Balancer.fan_out in
+      if signed then
+        for port = 0 to q - 1 do
+          deliver totals out next.(row + port) (Balancer.net_output_count d ~net:total port)
+        done
+      else begin
+        let quotient = total / q and remainder = total mod q in
+        for port = 0 to q - 1 do
+          deliver totals out next.(row + port) (Balancer.share d ~quotient ~remainder port)
+        done
+      end
     end
   done;
   (out, totals)

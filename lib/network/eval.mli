@@ -10,7 +10,9 @@
     The closed-form evaluators walk {!Topology.wiring} once, in
     topological order: one division per balancer (see
     {!Balancer.share}), no allocation per port, and the only arrays they
-    allocate are the per-balancer totals and the output sequence. *)
+    allocate are the per-balancer totals and the output sequence.  A
+    balancer no token reaches is skipped, so a sparse load costs the
+    balancers it reaches. *)
 
 val quiescent : Topology.t -> Cn_sequence.Sequence.t -> Cn_sequence.Sequence.t
 (** [quiescent net x] is the output sequence of [net] in the quiescent

@@ -2,6 +2,7 @@ module type S = sig
   type 'a t
 
   val make : 'a -> 'a t
+  val make_packed : 'a -> 'a t
   val make_stat : int -> int t
   val get : 'a t -> 'a
   val set : 'a t -> 'a -> unit
@@ -16,6 +17,7 @@ module Real = struct
   type 'a t = 'a Atomic.t
 
   let make v = Padded_atomic.pad (Atomic.make v)
+  let make_packed v = Atomic.make v
   let make_stat v = Atomic.make v
   let get = Atomic.get
   let set = Atomic.set

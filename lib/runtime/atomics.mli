@@ -20,6 +20,13 @@ module type S = sig
       every access to it is a scheduler decision point and its value is
       part of the explored state. *)
 
+  val make_packed : 'a -> 'a t
+  (** A fresh atomic with the protocol role of {!make} but no layout
+      promise: the real implementation leaves it unpadded, for arrays
+      of words whose neighbours are mostly idle.  The instrumented
+      implementation is exactly {!make}, so choosing it never changes
+      the explored state space. *)
+
   val make_stat : int -> int t
   (** A fresh atomic for a {e statistics counter}: a single-writer
       tally that never influences control flow.  The real
@@ -52,7 +59,13 @@ end
 
 module Real : S with type 'a t = 'a Atomic.t
 (** The production implementation.  [make] pads each atomic onto its
-    own cache line (via {!Padded_atomic.pad}) because the service's
-    coordination words — combiner flags, parked counts, submission
-    slots — are exactly the kind of adjacent one-word blocks that
-    false-share; [make_stat] is a plain unpadded atomic. *)
+    own cache line (via {!Padded_atomic.pad}) because the hot
+    coordination words — combiner flags, parked counts, a cell's
+    [done_], the lifecycle words — are exactly the kind of adjacent
+    one-word blocks that false-share.  [make_packed] and [make_stat]
+    are plain unpadded atomics.  The service's submission slots are
+    packed: a lane holds [queue] of them (64 by default) on every
+    input wire, yet a served lane rarely has more than a few parked at
+    once, so padding them cost a 144-byte block per slot at
+    [Service.create] and bought no measured throughput
+    (EXPERIMENTS.md, "Packed submission slots"). *)

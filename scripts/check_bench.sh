@@ -12,6 +12,14 @@
 # and a header that is not smoke must say dirty: false, so every full
 # row was measured on a committed revision that can be checked out.
 #
+# A full section must also be recorded at the code it times: COVERS
+# names, per suite, the paths whose code runs in its timed region
+# (bench/main.ml included), and no commit after the section's
+# git_revision may touch them (git log REV..HEAD -- PATHS).  The
+# staleness check needs the revision in this clone's history (a full
+# fetch); it is skipped when git_revision is null or there is no git
+# repository.
+#
 # Usage: sh scripts/check_bench.sh BENCH_runtime.json
 set -eu
 
@@ -20,7 +28,7 @@ FILE=${1:-BENCH_runtime.json}
 [ -f "$FILE" ] || { echo "check-bench: $FILE not found" >&2; exit 1; }
 
 python3 - "$FILE" <<'EOF'
-import json, sys
+import json, subprocess, sys
 
 path = sys.argv[1]
 dups = []
@@ -49,6 +57,39 @@ REQUIRED = ["runtime", "service", "fabric", "hybrid"]
 missing = [k for k in REQUIRED if k not in record]
 if missing:
     sys.exit(f"check-bench: {path} is missing sections: {', '.join(missing)}")
+
+# The paths whose code runs inside each suite's timed region.
+COVERS = {
+    "runtime": ["bench/main.ml", "lib/runtime", "lib/network"],
+    "service": ["bench/main.ml", "lib/service", "lib/runtime", "lib/network"],
+    "fabric": ["bench/main.ml", "lib/fabric", "lib/service", "lib/runtime", "lib/network"],
+    "hybrid": ["bench/main.ml", "lib/core", "lib/runtime", "lib/network"],
+}
+
+def git(*args):
+    try:
+        r = subprocess.run(["git", *args], capture_output=True, text=True)
+    except OSError:
+        return None
+    return r
+
+inside = git("rev-parse", "--is-inside-work-tree")
+has_git = inside is not None and inside.returncode == 0
+
+def stale(name, rev):
+    """None if the section is current, else why it is not."""
+    if rev is None or not has_git:
+        return None
+    if git("cat-file", "-e", rev + "^{commit}").returncode != 0:
+        return f"git_revision {rev[:12]} is not in this clone's history (fetch it in full)"
+    log = git("log", "--format=%h %s", f"{rev}..HEAD", "--", *COVERS[name])
+    if log.returncode != 0:
+        return f"git log {rev[:12]}..HEAD failed: {log.stderr.strip()}"
+    if log.stdout.strip():
+        changed = log.stdout.strip().splitlines()
+        return (f"recorded at {rev[:12]}, but {len(changed)} later commit(s) touch "
+                f"{' '.join(COVERS[name])}: {'; '.join(changed[:3])}")
+    return None
 
 def is_int(v):
     return isinstance(v, int) and not isinstance(v, bool)
@@ -86,6 +127,10 @@ for name in REQUIRED:
         continue
     if not run["smoke"] and run["dirty"] is not False:
         errors.append(f"{name}: a full run must be recorded at a clean revision (dirty: {json.dumps(run['dirty'])})")
+    if not run["smoke"]:
+        why = stale(name, run["git_revision"])
+        if why:
+            errors.append(f"{name}: a full run must be recorded at the code it times; {why}")
     rows = list(measured_rows(section))
     if not rows:
         errors.append(f"{name}: no measured rows")

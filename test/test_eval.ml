@@ -112,6 +112,67 @@ let general_agreement =
         T.randomize_states ~seed (fig1_network ()));
   ]
 
+(* The closed-form evaluators skip every balancer whose total is 0.
+   Pin that as exact where it bites hardest: every load of at most two
+   tokens (most balancers idle) on networks with fan-out-4 balancers
+   (C(4,8)), layer-skipping wiring (periodic, butterfly) and a single
+   input (the diffracting tree), and signed loads whose token and
+   antitoken cancel at some balancer, zeroing its net total while the
+   balancers above it stay busy. *)
+let sparse_agreement =
+  let nets =
+    [
+      ("C(4,8)", fig1_network ());
+      ("bitonic-8", Cn_baselines.Bitonic.network 8);
+      ("periodic-8", Cn_baselines.Periodic.network 8);
+      ("difftree-8", Cn_baselines.Diffracting.network 8);
+      ("butterfly-8", Cn_core.Butterfly.forward 8);
+    ]
+  in
+  (* Every load on [w] wires with at most two tokens. *)
+  let loads w =
+    let load wires = Array.init w (fun k -> List.length (List.filter (( = ) k) wires)) in
+    let wires = List.init w Fun.id in
+    (load [] :: List.map (fun i -> load [ i ]) wires)
+    @ List.concat_map
+        (fun i -> List.filter_map (fun j -> if j >= i then Some (load [ i; j ]) else None) wires)
+        wires
+  in
+  let per_net name net =
+    let w = T.input_width net in
+    [
+      tc (Printf.sprintf "quiescent = trace on every load of <= 2 tokens, %s" name) (fun () ->
+          let all = loads w in
+          Alcotest.(check int) "load count" (1 + w + (w * (w + 1) / 2)) (List.length all);
+          List.iter
+            (fun x ->
+              for seed = 0 to 2 do
+                Alcotest.check Util.seq (S.to_string x) (E.trace ~seed net x) (E.quiescent net x)
+              done)
+            all);
+      tc (Printf.sprintf "quiescent_net = trace_signed when a token meets an antitoken, %s" name)
+        (fun () ->
+          for i = 0 to w - 1 do
+            for j = 0 to w - 1 do
+              (* One antitoken on [j] against one or two tokens from [i]. *)
+              for n = 1 to 2 do
+                let tokens = Array.init w (fun k -> if k = i then n else 0) in
+                let antitokens = Array.init w (fun k -> if k = j then 1 else 0) in
+                let x = Array.map2 ( - ) tokens antitokens in
+                for seed = 0 to 2 do
+                  Alcotest.check Util.seq
+                    (Printf.sprintf "tokens %s, antitokens %s" (S.to_string tokens)
+                       (S.to_string antitokens))
+                    (E.trace_signed ~seed net ~tokens ~antitokens)
+                    (E.quiescent_net net x)
+                done
+              done
+            done
+          done);
+    ]
+  in
+  List.concat_map (fun (name, net) -> per_net name net) nets
+
 let token_runs =
   [
     tc "counter values are 0..m-1 in some order" (fun () ->
@@ -159,6 +220,7 @@ let suite =
     ("eval.quiescent", quiescent);
     ("eval.trace", trace_agreement);
     ("eval.general", general_agreement);
+    ("eval.sparse", sparse_agreement);
     ("eval.token_runs", token_runs);
     ("eval.values", single_process_order);
   ]

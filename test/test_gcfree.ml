@@ -115,6 +115,22 @@ let read_and_run =
         Alcotest.(check bool)
           (Printf.sprintf "allocated %.0f minor words for %d runs of 32" d (tokens / 32))
           true (d < 64.));
+    tc "Service.create allocates a small constant per submission slot" (fun () ->
+        (* 16 lanes of 64 slots (the default queue).  A slot padded onto
+           its own cache line costs about 20 words, which puts the whole
+           service near 29k; a packed slot costs 2, and the rest (the
+           compiled network, per-lane scratch) fits in the same bound. *)
+        let net = Cn_core.Counting.network ~w:16 ~t:16 in
+        let module Svc = Cn_service.Service in
+        ignore (Svc.create net);
+        let before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Svc.create net));
+        let d = Gc.minor_words () -. before in
+        let bound = 12 * 16 * 64 in
+        Alcotest.(check bool)
+          (Printf.sprintf "allocated %.0f minor words, bound %d" d bound)
+          true
+          (d <= float_of_int bound));
     tc "a quiescent evaluation allocates per balancer, not per port" (fun () ->
         let net = Cn_core.Counting.network ~w:16 ~t:16 in
         let x = Array.make 16 0 in
