@@ -1,10 +1,10 @@
 # Convenience targets; everything is plain dune underneath.
 
 .PHONY: all build test bench micro bench-runtime bench-smoke bench-service \
-        bench-service-smoke bench-fabric bench-fabric-smoke bench-hybrid bench-hybrid-smoke \
+        bench-service-smoke bench-fabric bench-fabric-smoke \
         serve-smoke \
         cnbench-smoke \
-        check-metrics check-races lint lint-hybrids examples clean doc
+        check-metrics check-races lint examples clean doc
 
 all: build
 
@@ -44,17 +44,6 @@ bench-fabric:
 bench-fabric-smoke:
 	dune exec bench/main.exe -- fabric --smoke
 
-# Merger-strategy comparison at C(16,16): depth, size and throughput of
-# the classic difference merger vs the periodic3 hybrids, each row
-# tagged with its two-token step-battery verdict.  The Periodic_k
-# hybrids are refuted past t=4 and not timed; `make lint` keeps their
-# verdicts.  Records the "hybrid" section of BENCH_runtime.json.
-bench-hybrid:
-	dune exec bench/main.exe -- hybrid
-
-bench-hybrid-smoke:
-	dune exec bench/main.exe -- hybrid --smoke
-
 # Out-of-process loopback smoke test: real countnetd daemon + two
 # concurrent `countnet load` clients + SIGTERM under load, asserting a
 # clean quiescent drain, then the same stop on a lone connection and on
@@ -77,22 +66,14 @@ check-races:
 	dune exec bin/countnet.exe -- check -p 3 --selftest
 
 # Static certification: every portfolio family down to its compiled runtime,
-# the merger-substituted hybrid campaign (certified or refuted with
-# pinned counterexamples), the seeded mutant battery (all must be
-# rejected with their pinned diagnostics), and the source-level atomics
-# lint over lib/ and bin/.  Writes the schema_version-2 certificate
-# payload to LINT_certificates.json and fails if any classic row is not
-# ok or if a hybrid row is unadjudicated.
+# the seeded mutant battery (all must be rejected with their pinned
+# diagnostics), and the source-level atomics lint over lib/ and bin/.
+# Writes the schema_version-3 certificate payload to
+# LINT_certificates.json and fails if any row is not ok.
 lint:
-	dune exec bin/countnet.exe -- lint --all --hybrids --mutate --json LINT_certificates.json
+	dune exec bin/countnet.exe -- lint --all --mutate --json LINT_certificates.json
 	dune exec bin/atomlint.exe -- lib bin
 	sh scripts/check_certificates.sh LINT_certificates.json
-
-# Just the hybrid campaign (< 30 s): every (family x merger x scope x
-# width <= 64) combination, certified bounded-exhaustively or refuted
-# with a replayable counterexample.
-lint-hybrids:
-	dune exec bin/countnet.exe -- lint --hybrids
 
 # Quick end-to-end check of the observability layer: metrics JSON out,
 # quiescence validator strict, from the raw network and from both
@@ -107,7 +88,7 @@ check-metrics:
 
 examples:
 	for e in quickstart load_balancing barrier_sync id_server \
-	         contention_lab ticket_pool diffraction_demo sorting_demo; do \
+	         contention_lab ticket_pool sorting_demo; do \
 	  echo "== $$e"; dune exec examples/$$e.exe || exit 1; done
 
 clean:

@@ -2,8 +2,8 @@
    Run with no argument for the full E1-E14 table set, with an
    experiment id ("e1" .. "e14") for one table, with "micro" for the
    Bechamel micro-benchmarks (one Test.make per experiment family), or
-   with a suite name — "runtime", "service", "fabric" or "hybrid",
-   each [--smoke] — to measure that suite and record its section of
+   with a suite name — "runtime", "service" or "fabric", each
+   [--smoke] — to measure that suite and record its section of
    BENCH_runtime.json.  Every timed row goes through [measure].  See
    EXPERIMENTS.md for the experiment index. *)
 
@@ -272,8 +272,8 @@ let timing_note ?(smoke = false) () =
 
 (* The [run] of a shared-counter row: Harness.throughput on a fresh
    counter. *)
-let counter_run ?pool ~make ~domains ops =
-  let r = Cn_runtime.Harness.throughput ?pool ~make ~domains ~ops_per_domain:ops () in
+let counter_run ~pool ~make ~domains ops =
+  let r = Cn_runtime.Harness.throughput ~pool ~make ~domains ~ops_per_domain:ops () in
   (r.Cn_runtime.Harness.seconds, r.Cn_runtime.Harness.total_ops)
 
 (* A table with one row per counter and one median-rate column per
@@ -1104,65 +1104,6 @@ let fabric ?(smoke = false) () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* hybrid: merger-strategy comparison at C(16,16).  Depth/size of each
-   substituted topology plus shared-counter throughput, with the lint's
-   two-token step battery replayed inline so every row carries its own
-   correctness verdict (periodic3 passes it at this width).  The
-   Periodic_k strategies, refuted past t=4, are not timed: the lint's
-   hybrid campaign and mutant battery keep that negative result gated. *)
-
-let hybrid ?(smoke = false) () =
-  header "hybrid  merger strategies at C(16,16): depth/size/throughput (BENCH_runtime.json)";
-  timing_note ~smoke ();
-  let module M = Cn_core.Merger in
-  let w = 16 in
-  let domains = if smoke then 2 else 4 in
-  let ops = if smoke then 10_000 else 100_000 in
-  let battery = Cn_lint.Cert.escalation_loads w in
-  let strategies =
-    [
-      ("difference", M.Difference, M.All_levels);
-      ("periodic3/top", M.Periodic3, M.Top_only);
-      ("periodic3/all", M.Periodic3, M.All_levels);
-    ]
-  in
-  line "%-15s %6s %6s %8s %12s" "merger" "depth" "size" "battery" "ops/s";
-  let results =
-    List.map
-      (fun (name, merger, scope) ->
-        let net = C.network_with ~merger ~scope ~w ~t:w in
-        let battery_ok =
-          List.for_all (fun load -> S.is_step (E.quiescent net load)) battery
-        in
-        (* The classic difference merger must pass its own battery; a
-           failure here is a harness bug, not a finding. *)
-        if name = "difference" && not battery_ok then
-          die "hybrid bench: difference merger failed the step battery";
-        let m =
-          measure ~smoke ~domains ~ops
-            (counter_run ~make:(fun () -> Cn_runtime.Shared_counter.of_topology net) ~domains)
-        in
-        line "%-15s %6d %6d %8s %12.0f" name (T.depth net) (T.size net)
-          (if battery_ok then "ok" else "REFUTED")
-          m.median;
-        obj
-          ([
-             ("merger", str name);
-             ("depth", string_of_int (T.depth net));
-             ("size", string_of_int (T.size net));
-             ("step_battery_ok", string_of_bool battery_ok);
-           ]
-          @ measured_fields m))
-      strategies
-  in
-  record_section ~smoke "hybrid"
-    [
-      ("network", str (Printf.sprintf "C(%d,%d)" w w));
-      ("battery_loads", string_of_int (List.length battery));
-      ("rows", rows results);
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per experiment family.      *)
 
 let micro () =
@@ -1271,10 +1212,8 @@ let () =
   | [| _; "service"; "--smoke" |] -> service ~smoke:true ()
   | [| _; "fabric" |] -> fabric ()
   | [| _; "fabric"; "--smoke" |] -> fabric ~smoke:true ()
-  | [| _; "hybrid" |] -> hybrid ()
-  | [| _; "hybrid"; "--smoke" |] -> hybrid ~smoke:true ()
   | _ ->
       prerr_endline
         "usage: main.exe [e1|...|e14|micro|runtime [--smoke]|service [--smoke]|fabric \
-         [--smoke]|hybrid [--smoke]]";
+         [--smoke]]";
       exit 2

@@ -3,7 +3,7 @@
    Subcommands: draw, depth, verify, simulate, throughput, sort, count,
    iso, save, restore, feasible, latency, check, lint, load.  Those that
    build a network take a family (--family) plus the relevant
-   parameters (--width, --out-width, --delta, --merger). *)
+   parameters (--width, --out-width, --delta). *)
 
 open Cmdliner
 
@@ -79,58 +79,11 @@ let delta_arg =
     & opt int 2
     & info [ "delta" ] ~docv:"DELTA" ~doc:"Merging parameter delta for the merging family.")
 
-let merger_conv =
-  let parse s =
-    match Cn_core.Merger.strategy_of_string s with
-    | Some m -> Ok m
-    | None ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown merger strategy %S (expected difference, periodic3 or pk<k>)"
-                s))
-  in
-  let print ppf m = Format.pp_print_string ppf (Cn_core.Merger.strategy_name m) in
-  Arg.conv (parse, print)
-
-let merger_arg =
-  Arg.(
-    value
-    & opt merger_conv Cn_core.Merger.Difference
-    & info [ "merger" ] ~docv:"STRATEGY"
-        ~doc:
-          "Merger strategy for the counting and merging families: $(b,difference) (the paper's \
-           M(t,delta)), $(b,periodic3) (3-layer mirror+brick period), or $(b,pk<k>) (first k \
-           balanced-block layers as the period).  Periodic strategies build hybrids whose step \
-           property is certified or refuted by $(b,countnet lint), never assumed.")
-
-let merger_scope_conv =
-  let parse s =
-    match Cn_core.Merger.scope_of_string s with
-    | Some sc -> Ok sc
-    | None -> Error (`Msg (Printf.sprintf "unknown merger scope %S (expected all or top)" s))
-  in
-  let print ppf sc = Format.pp_print_string ppf (Cn_core.Merger.scope_name sc) in
-  Arg.conv (parse, print)
-
-let merger_scope_arg =
-  Arg.(
-    value
-    & opt merger_scope_conv Cn_core.Merger.All_levels
-    & info [ "merger-scope" ] ~docv:"SCOPE"
-        ~doc:
-          "Where the counting family substitutes the merger: $(b,all) recursion levels \
-           (default) or the $(b,top) level only.")
-
-let build family ~w ~t ~delta ~merger ~scope =
+let build family ~w ~t ~delta =
   let t = match t with Some t -> t | None -> w in
   match family with
-  | Counting -> Cn_core.Counting.network_with ~merger ~scope ~w ~t
-  | Merging -> (
-      match merger with
-      | Cn_core.Merger.Difference -> Cn_core.Merging.network ~t:w ~delta
-      | strategy -> Cn_core.Merger.network ~strategy ~t:w ~delta)
-  | _ when merger <> Cn_core.Merger.Difference ->
-      invalid_arg "--merger applies to the counting and merging families only"
+  | Counting -> Cn_core.Counting.network ~w ~t
+  | Merging -> Cn_core.Merging.network ~t:w ~delta
   | Bitonic -> Cn_baselines.Bitonic.network w
   | Periodic -> Cn_baselines.Periodic.network w
   | Diffracting -> Cn_baselines.Diffracting.network w
@@ -140,14 +93,10 @@ let build family ~w ~t ~delta ~merger ~scope =
   | C_prime -> Cn_core.Blocks.c_prime ~w ~t
 
 let network_term =
-  let combine family w t delta merger scope =
-    try Ok (build family ~w ~t ~delta ~merger ~scope)
-    with Invalid_argument msg -> Error (`Msg msg)
+  let combine family w t delta =
+    try Ok (build family ~w ~t ~delta) with Invalid_argument msg -> Error (`Msg msg)
   in
-  Term.(
-    term_result
-      (const combine $ family_arg $ width_arg $ out_width_arg $ delta_arg $ merger_arg
-     $ merger_scope_arg))
+  Term.(term_result (const combine $ family_arg $ width_arg $ out_width_arg $ delta_arg))
 
 (* ---------------------------------------------------------------- *)
 (* draw *)
@@ -185,11 +134,7 @@ let iso_cmd =
   in
   let run net family2 w t delta =
     match
-      try
-        Ok
-          (build family2 ~w ~t ~delta ~merger:Cn_core.Merger.Difference
-             ~scope:Cn_core.Merger.All_levels)
-      with Invalid_argument m -> Error m
+      try Ok (build family2 ~w ~t ~delta) with Invalid_argument m -> Error m
     with
     | Error m ->
         prerr_endline m;
@@ -980,24 +925,14 @@ let lint_cmd =
           ~doc:"Certify the whole built-in portfolio (every family at widths 2..64, down to \
                 the compiled runtime) instead of one network.")
   in
-  let hybrids_flag =
-    Arg.(
-      value
-      & flag
-      & info [ "hybrids" ]
-          ~doc:"Run the merger-substituted hybrid campaign: every (family x merger strategy x \
-                scope x width <= 64) combination, certified bounded-exhaustively or refuted \
-                with a replayable counterexample.  Refutations are results; only an \
-                unadjudicated certificate fails.")
-  in
   let mutate_flag =
     Arg.(
       value
       & flag
       & info [ "mutate" ]
           ~doc:"Run the seeded mutant battery: wire flips, dropped balancers, corrupted port \
-                masks, periodic-stage corruptions and truncated CSR rows, each of which must \
-                be rejected with its pinned diagnostic code.")
+                masks, corrupted initial states and truncated CSR rows, each of which must be \
+                rejected with its pinned diagnostic code.")
   in
   let json_arg =
     Arg.(
@@ -1021,81 +956,66 @@ let lint_cmd =
                 certification without a reference construction) instead of a built family.")
   in
   (* Family-specific certification spec: expectation, closed-form
-     depth, the trusted reconstruction with its citation (hybrids have
-     none — no theorem covers a substituted merger), an optional
-     isomorphism hint, and the merger tag recorded in the certificate. *)
-  let spec_of_family family ~w ~t ~delta ~merger ~scope =
+     depth, the trusted reconstruction with its citation, and an
+     optional isomorphism hint. *)
+  let spec_of_family family ~w ~t ~delta =
     let t' = match t with Some t -> t | None -> w in
     let lgw =
       let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
       go 0 w
     in
-    match (family, merger) with
-    | Counting, Cn_core.Merger.Difference ->
+    match family with
+    | Counting ->
         ( Printf.sprintf "C(%d,%d)" w t',
           L.Counting,
           Cn_core.Counting.depth_formula ~w,
-          Some ((fun () -> Cn_core.Counting.network ~w ~t:t'), "Theorems 4.1/4.2"),
-          None, None )
-    | Counting, strategy ->
-        let tag =
-          Cn_core.Merger.strategy_name strategy ^ "/" ^ Cn_core.Merger.scope_name scope
-        in
-        ( Printf.sprintf "C(%d,%d)[%s]" w t' tag,
-          L.Counting,
-          Cn_core.Counting.depth_formula_with ~merger:strategy ~scope ~w ~t:t',
-          None, None, Some tag )
-    | Merging, Cn_core.Merger.Difference ->
+          ((fun () -> Cn_core.Counting.network ~w ~t:t'), "Theorems 4.1/4.2"),
+          None )
+    | Merging ->
         ( Printf.sprintf "M(%d,%d)" w delta,
           L.Merging delta,
           Cn_core.Merging.depth_formula ~delta,
-          Some ((fun () -> Cn_core.Merging.network ~t:w ~delta), "Lemma 3.1"), None, None )
-    | Merging, strategy ->
-        let tag = Cn_core.Merger.strategy_name strategy in
-        ( Printf.sprintf "M(%d,%d)[%s]" w delta tag,
-          L.Merging delta,
-          Cn_core.Merger.depth_formula ~strategy ~t:w ~delta,
-          None, None, Some tag )
-    | Bitonic, _ ->
+          ((fun () -> Cn_core.Merging.network ~t:w ~delta), "Lemma 3.1"), None )
+    | Bitonic ->
         ( Printf.sprintf "BITONIC(%d)" w,
           L.Counting,
           Cn_baselines.Bitonic.depth_formula ~w,
-          Some ((fun () -> Cn_baselines.Bitonic.network w), "Aspnes-Herlihy-Shavit, Section 3"),
-          None, None )
-    | Periodic, _ ->
+          ((fun () -> Cn_baselines.Bitonic.network w), "Aspnes-Herlihy-Shavit, Section 3"),
+          None )
+    | Periodic ->
         ( Printf.sprintf "PERIODIC(%d)" w,
           L.Counting,
           Cn_baselines.Periodic.depth_formula ~w,
-          Some ((fun () -> Cn_baselines.Periodic.network w), "Aspnes-Herlihy-Shavit, Section 4"),
-          None, None )
-    | Diffracting, _ ->
+          ((fun () -> Cn_baselines.Periodic.network w), "Aspnes-Herlihy-Shavit, Section 4"),
+          None )
+    | Diffracting ->
         ( Printf.sprintf "DIFF(%d)" w,
           L.Counting,
           Cn_baselines.Diffracting.depth_formula ~w,
-          Some ((fun () -> Cn_baselines.Diffracting.network w), "Shavit-Zemach"), None, None )
-    | Butterfly_fwd, _ ->
+          ((fun () -> Cn_baselines.Diffracting.network w), "Shavit-Zemach"), None )
+    | Butterfly_fwd ->
         ( Printf.sprintf "D(%d)" w,
           L.Smoothing (Cn_core.Butterfly.smoothness_bound ~w),
           Cn_core.Butterfly.depth_formula ~w,
-          Some ((fun () -> Cn_core.Butterfly.forward w), "Lemma 5.2"), None, None )
-    | Butterfly_bwd, _ ->
+          ((fun () -> Cn_core.Butterfly.forward w), "Lemma 5.2"), None )
+    | Butterfly_bwd ->
         ( Printf.sprintf "E(%d)" w,
           L.Smoothing (Cn_core.Butterfly.smoothness_bound ~w),
           Cn_core.Butterfly.depth_formula ~w,
-          Some ((fun () -> Cn_core.Butterfly.forward w), "Lemma 5.3"),
-          Some (Cn_core.Butterfly.lemma_5_3_mapping w), None )
-    | Ladder, _ ->
+          ((fun () -> Cn_core.Butterfly.forward w), "Lemma 5.3"),
+          Some (Cn_core.Butterfly.lemma_5_3_mapping w) )
+    | Ladder ->
         ( Printf.sprintf "L(%d)" w,
           L.Half_split,
           1,
-          Some ((fun () -> Cn_core.Ladder.network w), "Section 4.1"), None, None )
-    | C_prime, _ ->
+          ((fun () -> Cn_core.Ladder.network w), "Section 4.1"), None )
+    | C_prime ->
         ( Printf.sprintf "C'(%d,%d)" w t',
           L.Smoothing (Cn_core.Blocks.smoothing_parameter ~w ~t:t'),
           lgw,
-          Some ((fun () -> Cn_core.Blocks.c_prime ~w ~t:t'), "Lemma 6.6"), None, None )
+          ((fun () -> Cn_core.Blocks.c_prime ~w ~t:t'), "Lemma 6.6"), None )
   in
-  let run family w t delta merger scope all hybrids mutate json budget file =
+  let run family w t delta all mutate json budget file =
     let failed = ref false in
     let certs = ref [] in
     let mutants = ref [] in
@@ -1131,22 +1051,13 @@ let lint_cmd =
           Format.printf "%a@?" P.pp_summary cs;
           if not (P.all_ok cs) then failed := true
         end;
-        if hybrids then begin
-          let cs = P.run_hybrids ~exhaustive_budget:budget () in
-          certs := !certs @ cs;
-          Format.printf "%a@?" P.pp_hybrid_summary cs;
-          (* A refuted hybrid is an adjudicated result, not a failure;
-             only an unexplained diagnostic fails the campaign. *)
-          if not (P.all_adjudicated cs) then failed := true
-        end;
-        if (not all) && (not hybrids) && not mutate then begin
-          let subject, expectation, expected_depth, reference, iso_hint, merger_tag =
-            spec_of_family family ~w ~t ~delta ~merger ~scope
+        if (not all) && not mutate then begin
+          let subject, expectation, expected_depth, (reference, cite), iso_hint =
+            spec_of_family family ~w ~t ~delta
           in
           match
-            let net = build family ~w ~t ~delta ~merger ~scope in
-            let reference = Option.map (fun (f, cite) -> (f (), cite)) reference in
-            L.certify ?reference ?iso_hint ?merger:merger_tag ~expected_depth
+            let net = build family ~w ~t ~delta in
+            L.certify ~reference:(reference (), cite) ?iso_hint ~expected_depth
               ~exhaustive_budget:budget ~subject ~expectation net
           with
           | exception Invalid_argument m ->
@@ -1187,12 +1098,11 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:"Statically certify topologies and their compiled runtimes: well-formedness, \
              abstract interpretation, bounded-exhaustive and structural step certificates \
-             with two-token escalation, CSR faithfulness of the compiled runtime, the \
-             merger-substituted hybrid campaign, and the seeded mutant battery.")
+             with two-token escalation, CSR faithfulness of the compiled runtime, and the \
+             seeded mutant battery.")
     Term.(
-      const run $ family_arg $ width_arg $ out_width_arg $ delta_arg $ merger_arg
-      $ merger_scope_arg $ all_flag $ hybrids_flag $ mutate_flag $ json_arg $ budget_arg
-      $ lint_file_arg)
+      const run $ family_arg $ width_arg $ out_width_arg $ delta_arg $ all_flag $ mutate_flag
+      $ json_arg $ budget_arg $ lint_file_arg)
 
 (* ---------------------------------------------------------------- *)
 (* load: drive a running countnetd over the wire protocol. *)

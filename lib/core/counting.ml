@@ -2,31 +2,24 @@ open Cn_network
 
 let valid = Params.valid_counting
 
-let rec wires_with b ~merger ~scope ~t ins =
+let rec wires b ~t ins =
   let w = Array.length ins in
   if not (valid ~w ~t) then
     invalid_arg (Printf.sprintf "Counting.wires: invalid parameters w=%d t=%d" w t);
   if w = 2 then Builder.add_balancer b ~fan_out:t ins
   else begin
-    let inner =
-      match scope with Merger.All_levels -> merger | Merger.Top_only -> Merger.Difference
-    in
     let l = Ladder.wires b ins in
     let half = w / 2 in
     let e = Array.sub l 0 half and f = Array.sub l half half in
-    let g = wires_with b ~merger:inner ~scope ~t:(t / 2) e in
-    let h = wires_with b ~merger:inner ~scope ~t:(t / 2) f in
-    Merger.wires merger b ~delta:half (g, h)
+    let g = wires b ~t:(t / 2) e in
+    let h = wires b ~t:(t / 2) f in
+    Merging.wires b ~delta:half (g, h)
   end
 
-let wires b ~t ins = wires_with b ~merger:Merger.Difference ~scope:Merger.All_levels ~t ins
-
-let network_with ~merger ~scope ~w ~t =
+let network ~w ~t =
   if not (valid ~w ~t) then
     invalid_arg (Printf.sprintf "Counting.network: invalid parameters w=%d t=%d" w t);
-  Builder.build ~input_width:w (fun b ins -> wires_with b ~merger ~scope ~t ins)
-
-let network ~w ~t = network_with ~merger:Merger.Difference ~scope:Merger.All_levels ~w ~t
+  Builder.build ~input_width:w (fun b ins -> wires b ~t ins)
 
 let regular w = network ~w ~t:w
 
@@ -44,17 +37,3 @@ let rec size_formula ~w ~t =
     invalid_arg (Printf.sprintf "Counting.size_formula: invalid parameters w=%d t=%d" w t);
   if w = 2 then 1
   else (w / 2) + (2 * size_formula ~w:(w / 2) ~t:(t / 2)) + (t / 2 * Params.ilog2 (w / 2))
-
-let rec depth_formula_with ~merger ~scope ~w ~t =
-  if not (valid ~w ~t) then
-    invalid_arg
-      (Printf.sprintf "Counting.depth_formula_with: invalid parameters w=%d t=%d" w t);
-  if w = 2 then 1
-  else begin
-    let inner =
-      match scope with Merger.All_levels -> merger | Merger.Top_only -> Merger.Difference
-    in
-    1
-    + depth_formula_with ~merger:inner ~scope ~w:(w / 2) ~t:(t / 2)
-    + Merger.depth_formula ~strategy:merger ~t ~delta:(w / 2)
-  end

@@ -27,29 +27,6 @@ val network : w:int -> t:int -> Topology.t
 (** [network ~w ~t] is the standalone topology of [C(w, t)].
     @raise Invalid_argument on invalid parameters. *)
 
-val wires_with :
-  Builder.t ->
-  merger:Merger.strategy ->
-  scope:Merger.scope ->
-  t:int ->
-  Builder.wire array ->
-  Builder.wire array
-(** [wires_with b ~merger ~scope ~t ins] is {!wires} with the merger
-    stage of each recursion level replaced according to [merger] and
-    [scope]: [All_levels] substitutes the strategy at every level,
-    [Top_only] only at the outermost merger (inner levels keep the
-    paper's [M(t, δ)]).  With [merger = Difference] this is exactly
-    {!wires}.  {b The step property of the hybrid is not guaranteed} —
-    it is certified or refuted by the {!Cn_lint} pipeline.
-    @raise Invalid_argument on invalid parameters, including a level
-    whose output width is not a power of two under a periodic
-    strategy. *)
-
-val network_with :
-  merger:Merger.strategy -> scope:Merger.scope -> w:int -> t:int -> Topology.t
-(** Standalone topology of the merger-substituted hybrid.
-    @raise Invalid_argument on invalid parameters. *)
-
 val regular : int -> Topology.t
 (** [regular w = network ~w ~t:w] — the new regular family [C(w, w)]
     (Section 1.3.1, first bullet). *)
@@ -62,14 +39,6 @@ val wide : int -> Topology.t
 
 val depth_formula : w:int -> int
 (** [depth_formula ~w = (lg²w + lgw)/2] (Theorem 4.1). *)
-
-val depth_formula_with :
-  merger:Merger.strategy -> scope:Merger.scope -> w:int -> t:int -> int
-(** Closed-form depth of the merger-substituted hybrid, by the
-    recurrence [D(2, t) = 1],
-    [D(w, t) = 1 + D(w/2, t/2) + depth(merger at width t)].  Unlike
-    Theorem 4.1's bound this depends on [t] for the periodic
-    strategies.  @raise Invalid_argument on invalid parameters. *)
 
 val size_formula : w:int -> t:int -> int
 (** [size_formula ~w ~t] is the number of balancers of [C(w, t)], by the

@@ -25,7 +25,6 @@ type pass_report = {
 type t = {
   subject : string;
   expectation : expectation;
-  merger : string option;
   passes : pass_report list;
   evidence : evidence;
 }
@@ -127,9 +126,9 @@ let exhaustive_plan expectation w budget =
 
 (* The escalation battery: every load placing at most two tokens on at
    most two input wires.  Sparse low-weight loads are exactly where a
-   wrong merger stage first leaves the step regime (a single balancer
-   pair sends both tokens the same way), and the battery stays tiny —
-   1 + 2w + w(w−1)/2 loads — even at w = 64. *)
+   miswired or misinitialised stage first leaves the step regime (a
+   single balancer pair sends both tokens the same way), and the
+   battery stays tiny — 1 + 2w + w(w−1)/2 loads — even at w = 64. *)
 let escalation_loads w =
   let load pairs =
     let a = Array.make w 0 in
@@ -147,7 +146,7 @@ let escalation_loads w =
           (List.init w Fun.id))
       (List.init w Fun.id)
 
-let certify ?reference ?iso_hint ?expected_depth ?merger ?(exhaustive_budget = 20_000)
+let certify ?reference ?iso_hint ?expected_depth ?(exhaustive_budget = 20_000)
     ~subject ~expectation net =
   let w = Topology.input_width net in
   let t_out = Topology.output_width net in
@@ -309,8 +308,7 @@ let certify ?reference ?iso_hint ?expected_depth ?merger ?(exhaustive_budget = 2
      order-sensitive properties — for a counting expectation absint
      proves uniform 1/t mixing at best, never the step property — so
      when the bounded-exhaustive pass was skipped over budget the
-     certificate would otherwise rest on structural evidence alone.
-     A hybrid with a substituted merger has no trusted reference, so
+     certificate would otherwise rest on structural evidence alone, so
      escalate to the directed two-token battery; a violation is a
      concrete replayable counterexample (STEP003). *)
   let escalate =
@@ -438,7 +436,7 @@ let certify ?reference ?iso_hint ?expected_depth ?merger ?(exhaustive_budget = 2
         | Some e -> e
         | None -> ( match !structural_evidence with Some e -> e | None -> Unverified))
   in
-  { subject; expectation; merger; passes; evidence }
+  { subject; expectation; passes; evidence }
 
 let diagnostics c = List.concat_map (fun p -> p.diagnostics) c.passes
 
@@ -467,9 +465,6 @@ let to_json c =
   let buf = Buffer.create 512 in
   Buffer.add_string buf "{";
   Buffer.add_string buf (Printf.sprintf "\"subject\":%s," (Diagnostic.json_string c.subject));
-  Buffer.add_string buf
-    (Printf.sprintf "\"merger\":%s,"
-       (match c.merger with Some m -> Diagnostic.json_string m | None -> "null"));
   Buffer.add_string buf
     (Printf.sprintf "\"expectation\":%s," (Diagnostic.json_string (expectation_string c.expectation)));
   Buffer.add_string buf (Printf.sprintf "\"ok\":%b," (ok c));

@@ -27,12 +27,13 @@
       when the bounded-exhaustive pass was skipped over budget the
       certifier escalates to a directed battery: every load placing at
       most two tokens on at most two input wires
-      ([1 + 2w + w(w−1)/2] loads).  Empirically this refutes every
-      broken merger hybrid in the portfolio at widths the exhaustive
-      pass cannot reach; a violation is [STEP003] with the concrete
-      replayable profile.  Skipped (with the reason on record) when
-      the exhaustive pass was conclusive or a refutation already
-      exists.
+      ([1 + 2w + w(w−1)/2] loads).  In the portfolio 24 rows run it
+      (every family at [w >= 16] but [M(t, δ)]); the [escalate-init]
+      mutant of {!Mutate.battery} shows it refuting what the
+      exhaustive pass cannot reach.  A violation is [STEP003] with the
+      concrete replayable profile.  Skipped (with the reason on
+      record) when the exhaustive pass was conclusive or a refutation
+      already exists.
     + {b structural} — against a [reference] construction: structural
       equality certifies by construction; otherwise an isomorphism
       ({!Cn_network.Iso}, Lemma 2.7) certifies order-insensitive
@@ -79,9 +80,6 @@ type pass_report = {
 type t = {
   subject : string;
   expectation : expectation;
-  merger : string option;
-      (** merger strategy/scope token for hybrid subjects
-          (e.g. ["periodic3/top"]); [None] for the classic families *)
   passes : pass_report list;
   evidence : evidence;
 }
@@ -90,14 +88,13 @@ val escalation_loads : int -> Cn_sequence.Sequence.t list
 (** The directed two-token battery for width [w]: every quiescent load
     of at most two tokens spread over at most two wires ([1 + 2w +
     w(w-1)/2] loads).  This is the input set the escalate pass runs when
-    the bounded-exhaustive check is over budget; exposed so benches and
-    tests can replay the exact battery. *)
+    the bounded-exhaustive check is over budget; exposed so tests can
+    replay the exact battery. *)
 
 val certify :
   ?reference:Cn_network.Topology.t * string ->
   ?iso_hint:int array ->
   ?expected_depth:int ->
-  ?merger:string ->
   ?exhaustive_budget:int ->
   subject:string ->
   expectation:expectation ->
@@ -111,9 +108,6 @@ val certify :
     [Iso.check] before [Iso.find]'s search is attempted, which keeps the
     structural pass cheap where the generic search would blow up
     (backward butterflies at [w >= 32]).
-    [merger] tags the certificate with the merger strategy/scope token
-    of a hybrid subject; it flows into the JSON row as the top-level
-    ["merger"] field ([null] for classic families).
     [exhaustive_budget] (default [20_000]) caps the bounded-exhaustive
     input space. *)
 

@@ -1,10 +1,8 @@
 module Topology = Cn_network.Topology
 module Raw = Cn_network.Raw
-module Builder = Cn_network.Builder
 module Permutation = Cn_network.Permutation
 module Counting = Cn_core.Counting
 module Ladder = Cn_core.Ladder
-module Merger = Cn_core.Merger
 module Rt = Cn_runtime.Network_runtime
 
 type outcome = {
@@ -132,76 +130,14 @@ let semantic_mutants ~w ~t net =
     semantic_mutant ~name:"pad-layer" ~expected:"ABS003" ~w ~t
       ~description:"an extra ladder cascaded after the network (depth bound broken)"
       (Topology.cascade net (Ladder.network t));
-  ]
-
-(* --- Periodic-stage mutants: corruptions inside a substituted merger
-   stage of a certified hybrid; must be rejected by the same pipeline
-   that certifies the intact hybrid (no reference construction — the
-   evidence is exhaustive/shape, exactly as for real hybrids). ------- *)
-
-let hybrid_mutant ~name ~description ~expected ~w ~t mutant =
-  let merger = Merger.Periodic3 and scope = Merger.Top_only in
-  let cert =
-    Cert.certify ~merger:"periodic3/top"
-      ~expected_depth:(Counting.depth_formula_with ~merger ~scope ~w ~t)
-      ~subject:name ~expectation:Cert.Counting mutant
-  in
-  finish ~name ~description ~expected (Cert.codes cert)
-
-let hybrid_mutants ~w ~t =
-  let merger = Merger.Periodic3 and scope = Merger.Top_only in
-  let net = Counting.network_with ~merger ~scope ~w ~t in
-  let cross_merger_layer () =
-    (* Swap the first feed of the first two balancers of the deepest
-       layer — the last brick matching of the periodic stage. *)
-    let layers = Topology.layers net in
-    let last = layers.(Array.length layers - 1) in
-    let b1 = last.(0) and b2 = last.(1) in
-    let r = Raw.of_topology net in
-    let tmp = r.Raw.feeds.(b1).(0) in
-    r.Raw.feeds.(b1).(0) <- r.Raw.feeds.(b2).(0);
-    r.Raw.feeds.(b2).(0) <- tmp;
-    match Raw.validate r with Ok net' -> net' | Error _ -> assert false
-  in
-  let apply_matching b z pairs =
-    let z' = Array.copy z in
-    List.iter
-      (fun (i, j) ->
-        let top, bottom = Builder.balancer2 b z.(i) z.(j) in
-        z'.(i) <- top;
-        z'.(j) <- bottom)
-      pairs;
-    z'
-  in
-  let dropped_round () =
-    (* Rebuild the hybrid with one round of the period omitted. *)
-    Builder.build ~input_width:w (fun b ins ->
-        let l = Ladder.wires b ins in
-        let half = w / 2 in
-        let e = Array.sub l 0 half and f = Array.sub l half half in
-        let g = Counting.wires b ~t:(t / 2) e and h = Counting.wires b ~t:(t / 2) f in
-        let z = ref (Array.append g h) in
-        let layers = Merger.period ~strategy:merger ~t in
-        for _ = 1 to Merger.rounds ~strategy:merger ~t - 1 do
-          List.iter (fun pairs -> z := apply_matching b !z pairs) layers
-        done;
-        !z)
-  in
-  [
-    hybrid_mutant ~name:"periodic-wire-flip" ~expected:"ABS004" ~w ~t
-      ~description:"two feeds crossed inside the last periodic merger layer"
-      (cross_merger_layer ());
-    hybrid_mutant ~name:"periodic-init-corrupt" ~expected:"STEP002" ~w ~t
-      ~description:"deepest merger balancer starts in state 1 instead of 0"
+    (* Always C(16,16): past the bounded-exhaustive budget, so only the
+       escalate pass's two-token battery refutes it (at C(8,8) the
+       exhaustive pass gets there first). *)
+    semantic_mutant ~name:"escalate-init" ~expected:"STEP003" ~w:16 ~t:16
+      ~description:"C(16,16) with balancer 1 starting in state 1 instead of 0"
       (Topology.with_init_states
-         (fun b _ -> if b = Topology.size net - 1 then 1 else 0)
-         net);
-    hybrid_mutant ~name:"periodic-dropped-round" ~expected:"ABS003" ~w ~t
-      ~description:"one round of the 3-layer period omitted from the merger stage"
-      (dropped_round ());
-    hybrid_mutant ~name:"periodic-strategy-swap" ~expected:"ABS003" ~w ~t
-      ~description:"pk2 merger substituted where the periodic3 hybrid was declared"
-      (Counting.network_with ~merger:(Merger.Periodic_k 2) ~scope ~w ~t);
+         (fun b _ -> if b = 1 then 1 else 0)
+         (Counting.network ~w:16 ~t:16));
   ]
 
 (* --- Compiled-runtime mutants: corrupted views; must be rejected by
@@ -277,7 +213,7 @@ let csr_mutants net =
 
 let battery ?(w = 8) ?(t = 8) () =
   let net = Counting.network ~w ~t in
-  raw_mutants net @ semantic_mutants ~w ~t net @ hybrid_mutants ~w ~t @ csr_mutants net
+  raw_mutants net @ semantic_mutants ~w ~t net @ csr_mutants net
 
 let all_rejected outcomes = List.for_all (fun o -> o.rejected) outcomes
 

@@ -2,13 +2,10 @@
 
     A static certifier is only trustworthy if it demonstrably rejects
     broken artifacts.  [battery] derives a fixed set of mutants from
-    [C(w, t)] at four levels — the raw description (well-formedness),
-    the topology's quiescent semantics (certification), the periodic
-    merger stage of the [C(w, t)[periodic3/top]] hybrid (crossed
-    wires, corrupted initial state, a dropped period round, a swapped
-    strategy — certified referee-less, exactly as real hybrids are),
-    and the compiled runtime's jump tables (CSR faithfulness) — and
-    records,
+    [C(w, t)] at three levels — the raw description (well-formedness),
+    the topology's quiescent semantics (certification, including one
+    [C(16, 16)] mutant that only the escalate pass refutes), and the
+    compiled runtime's jump tables (CSR faithfulness) — and records,
     for each, the diagnostics actually emitted.  Every mutant carries a
     {e pinned} expected code; the test suite and the [--mutate] CLI
     mode fail if any mutant escapes or reports a different primary

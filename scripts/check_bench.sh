@@ -53,7 +53,7 @@ if dups:
 if not isinstance(record, dict):
     sys.exit(f"check-bench: {path} is not a JSON object")
 
-REQUIRED = ["runtime", "service", "fabric", "hybrid"]
+REQUIRED = ["runtime", "service", "fabric"]
 missing = [k for k in REQUIRED if k not in record]
 if missing:
     sys.exit(f"check-bench: {path} is missing sections: {', '.join(missing)}")
@@ -63,7 +63,6 @@ COVERS = {
     "runtime": ["bench/main.ml", "lib/runtime", "lib/network"],
     "service": ["bench/main.ml", "lib/service", "lib/runtime", "lib/network"],
     "fabric": ["bench/main.ml", "lib/fabric", "lib/service", "lib/runtime", "lib/network"],
-    "hybrid": ["bench/main.ml", "lib/core", "lib/runtime", "lib/network"],
 }
 
 def git(*args):

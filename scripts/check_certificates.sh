@@ -1,10 +1,8 @@
 #!/bin/sh
 # Gate on the LINT_certificates.json payload before it is uploaded as a
-# CI artifact: the schema must be the expected version, and no classic
-# (non-hybrid) certificate may be refuted or otherwise not-ok.  Hybrid
-# rows (those with a non-null "merger" field) are allowed to be Refuted
-# — a refutation with a pinned counterexample is a campaign result —
-# but classic rows turning Refuted means a certified family regressed.
+# CI artifact: the schema must be the expected version, and no
+# certificate may be refuted or otherwise not-ok — a row turning
+# Refuted means a certified family regressed.
 #
 # Usage: sh scripts/check_certificates.sh LINT_certificates.json
 set -eu
@@ -20,21 +18,17 @@ path = sys.argv[1]
 with open(path) as f:
     payload = json.load(f)
 
-EXPECTED_SCHEMA = 2
+EXPECTED_SCHEMA = 3
 schema = payload.get("schema_version")
 if schema != EXPECTED_SCHEMA:
     sys.exit(f"check-certificates: schema_version {schema!r}, expected {EXPECTED_SCHEMA}")
 
 bad = []
 for row in payload.get("certificates", []):
-    classic = row.get("merger") is None
     refuted = str(row.get("evidence", "")).startswith("refuted")
-    if classic and (refuted or not row.get("ok", False)):
+    if refuted or not row.get("ok", False):
         bad.append(f"{row.get('subject')}: ok={row.get('ok')} "
                    f"evidence={row.get('evidence')}")
-    if not classic and not (row.get("ok", False) or refuted):
-        bad.append(f"{row.get('subject')}: hybrid unadjudicated "
-                   f"(ok={row.get('ok')} evidence={row.get('evidence')})")
 
 if bad:
     print("check-certificates: unexpected certificate rows:", file=sys.stderr)
@@ -43,6 +37,5 @@ if bad:
     sys.exit(1)
 
 n = len(payload.get("certificates", []))
-hybrids = sum(1 for r in payload.get("certificates", []) if r.get("merger") is not None)
-print(f"check-certificates: {n} rows ok ({hybrids} hybrid, schema v{schema})")
+print(f"check-certificates: {n} rows ok (schema v{schema})")
 EOF

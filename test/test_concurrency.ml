@@ -1,8 +1,6 @@
-(* Tests for the higher-level concurrent components: Barrier and the
-   prism-equipped diffracting tree. *)
+(* Tests for the counting-network barrier. *)
 
 module Barrier = Cn_runtime.Barrier
-module D = Cn_runtime.Diffracting_runtime
 
 let tc name f = Alcotest.test_case name `Quick f
 
@@ -50,56 +48,4 @@ let barrier =
         Alcotest.(check int) "rounds" 20 (Barrier.rounds_completed b));
   ]
 
-let diffracting =
-  [
-    tc "sequential values are dense" (fun () ->
-        let tree = D.create ~width:8 () in
-        let vs = List.init 40 (fun _ -> D.next tree) in
-        Alcotest.(check (list int)) "range" (List.init 40 (fun i -> i)) (List.sort compare vs));
-    tc "sequential tokens never diffract" (fun () ->
-        let tree = D.create ~width:8 () in
-        for _ = 1 to 50 do
-          ignore (D.next tree)
-        done;
-        Alcotest.(check int) "no pairs" 0 (D.diffractions tree);
-        (* Every token toggles once per level. *)
-        Alcotest.(check int) "toggles" (50 * 3) (D.toggle_passes tree));
-    tc "exit distribution is step" (fun () ->
-        let tree = D.create ~width:8 () in
-        for _ = 1 to 37 do
-          ignore (D.next tree)
-        done;
-        Util.check_step (D.exit_distribution tree));
-    tc "concurrent uniqueness and density" (fun () ->
-        let tree = D.create ~width:16 ~patience:100 () in
-        let domains = 5 and ops = 3000 in
-        let results = Array.init domains (fun _ -> Array.make ops (-1)) in
-        let body pid () =
-          for i = 0 to ops - 1 do
-            results.(pid).(i) <- D.next tree
-          done
-        in
-        let handles = Array.init domains (fun pid -> Domain.spawn (body pid)) in
-        Array.iter Domain.join handles;
-        let total = domains * ops in
-        let seen = Array.make total false in
-        let ok = ref true in
-        Array.iter
-          (Array.iter (fun v ->
-               if v < 0 || v >= total || seen.(v) then ok := false else seen.(v) <- true))
-          results;
-        Alcotest.(check bool) "unique and dense" true
-          (!ok && Array.for_all (fun b -> b) seen);
-        Util.check_step (D.exit_distribution tree);
-        (* Work conservation: each of the (total * lg w) node visits ends
-           in a toggle or half a diffraction. *)
-        Alcotest.(check int) "visits accounted" (total * 4)
-          (D.toggle_passes tree + (2 * D.diffractions tree)));
-    Util.raises_invalid "width not power of two" (fun () -> ignore (D.create ~width:6 ()));
-    Util.raises_invalid "zero prism width" (fun () ->
-        ignore (D.create ~prism_width:0 ~width:4 ()));
-    Util.raises_invalid "negative patience" (fun () ->
-        ignore (D.create ~patience:(-1) ~width:4 ()));
-  ]
-
-let suite = [ ("concurrency.barrier", barrier); ("concurrency.diffracting", diffracting) ]
+let suite = [ ("concurrency.barrier", barrier) ]

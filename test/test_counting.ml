@@ -177,72 +177,6 @@ let figures =
           && Array.for_all (fun s -> s = (2, 2)) profile.(5)));
   ]
 
-(* Merger-substituted hybrids: C(w,t) with a periodic merger in place
-   of M(t, delta).  The difference strategy must be the identity
-   substitution; periodic3 hybrids still count at the widths the lint
-   campaign certifies (the pk hybrids do not — that negative result
-   lives in test_lint and the portfolio, not here). *)
-
-module Mg = Cn_core.Merger
-module V = Cn_core.Verify
-
-let hybrids =
-  [
-    tc "difference strategy is the identity substitution" (fun () ->
-        List.iter
-          (fun (w, t) ->
-            Alcotest.(check bool)
-              (Printf.sprintf "C(%d,%d)" w t)
-              true
-              (T.equal (C.network ~w ~t)
-                 (C.network_with ~merger:Mg.Difference ~scope:Mg.All_levels ~w ~t)))
-          [ (4, 4); (8, 8); (16, 16); (4, 8) ]);
-    tc "depth_formula_with matches the built topology" (fun () ->
-        List.iter
-          (fun (w, t, merger, scope) ->
-            Alcotest.(check int)
-              (Printf.sprintf "C(%d,%d)[%s/%s]" w t (Mg.strategy_name merger)
-                 (Mg.scope_name scope))
-              (C.depth_formula_with ~merger ~scope ~w ~t)
-              (T.depth (C.network_with ~merger ~scope ~w ~t)))
-          [
-            (4, 4, Mg.Periodic3, Mg.Top_only);
-            (8, 8, Mg.Periodic3, Mg.All_levels);
-            (16, 16, Mg.Periodic3, Mg.Top_only);
-            (16, 16, Mg.Periodic_k 2, Mg.All_levels);
-            (32, 32, Mg.Periodic_k 6, Mg.Top_only);
-            (4, 8, Mg.Periodic3, Mg.All_levels);
-          ]);
-    tc "periodic3 hybrid C(8,8) counts (brute force)" (fun () ->
-        List.iter
-          (fun scope ->
-            let net = C.network_with ~merger:Mg.Periodic3 ~scope ~w:8 ~t:8 in
-            match V.counting ~max_tokens:2 net with
-            | V.Verified n ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "scope %s (%d loads)" (Mg.scope_name scope) n)
-                  true (n > 0)
-            | V.Counterexample cex ->
-                Alcotest.failf "C(8,8)[periodic3/%s] refuted on %s" (Mg.scope_name scope)
-                  (S.to_string cex))
-          [ Mg.Top_only; Mg.All_levels ]);
-    tc "hybrids conserve tokens" (fun () ->
-        List.iter
-          (fun (merger, scope) ->
-            let net = C.network_with ~merger ~scope ~w:16 ~t:16 in
-            let load = Array.init 16 (fun i -> i mod 5) in
-            Alcotest.(check int)
-              (Printf.sprintf "[%s/%s]" (Mg.strategy_name merger) (Mg.scope_name scope))
-              (S.sum load)
-              (S.sum (E.quiescent net load)))
-          [
-            (Mg.Periodic3, Mg.Top_only);
-            (Mg.Periodic3, Mg.All_levels);
-            (Mg.Periodic_k 2, Mg.Top_only);
-            (Mg.Periodic_k 6, Mg.All_levels);
-          ]);
-  ]
-
 let suite =
   [
     ("counting.validity", validity);
@@ -251,5 +185,4 @@ let suite =
     ("counting.step", counting_tests);
     ("counting.convenience", convenience);
     ("counting.figures", figures);
-    ("counting.hybrids", hybrids);
   ]

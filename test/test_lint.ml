@@ -154,6 +154,31 @@ let cert_tests =
             (* the certificate carries a replayable input profile *)
             Alcotest.(check bool) "cex width" true (Cn_sequence.Sequence.length cex = 4)
         | _ -> Alcotest.fail "expected refutation");
+    tc "over-budget C(16,16) escalates to the two-token battery" (fun () ->
+        (* Past the exhaustive budget and without a reference, only the
+           escalate pass can refute a misinitialised balancer. *)
+        let net =
+          T.with_init_states (fun b _ -> if b = 1 then 1 else 0) (Counting.network ~w:16 ~t:16)
+        in
+        let c =
+          L.Cert.certify ~expected_depth:(Counting.depth_formula ~w:16) ~subject:"escalate"
+            ~expectation:L.Cert.Counting net
+        in
+        Alcotest.(check (list string)) "codes" [ "STEP003" ] (L.Cert.codes c);
+        match c.L.Cert.evidence with
+        | L.Cert.Refuted cex ->
+            Alcotest.(check bool) "two-token load" true (Cn_sequence.Sequence.sum cex <= 2);
+            Alcotest.(check bool) "replays" false
+              (Cn_sequence.Sequence.is_step (Cn_network.Eval.quiescent net cex))
+        | _ -> Alcotest.fail "expected refutation");
+    tc "escalation battery has the closed-form size" (fun () ->
+        List.iter
+          (fun w ->
+            Alcotest.(check int)
+              (Printf.sprintf "w=%d" w)
+              (1 + (2 * w) + (w * (w - 1) / 2))
+              (List.length (L.Cert.escalation_loads w)))
+          [ 2; 4; 8; 16; 64 ]);
   ]
 
 (* ---- CSR faithfulness ---- *)
@@ -225,6 +250,7 @@ let pinned_mutants =
     ("wire-flip", "STEP002", [ "ABS004"; "STEP002"; "STEP001" ]);
     ("init-corrupt", "ABS004", [ "ABS004"; "STEP002"; "STEP001" ]);
     ("pad-layer", "ABS003", [ "ABS003"; "STEP001" ]);
+    ("escalate-init", "STEP003", [ "STEP003"; "STEP001" ]);
     ("csr-truncate-row", "CSR001", [ "CSR001" ]);
     ("csr-mask-corrupt", "CSR002", [ "CSR002" ]);
     ("csr-dangling", "CSR003", [ "CSR003" ]);
@@ -235,10 +261,6 @@ let pinned_mutants =
     ("csr-route-strategy", "CSR010", [ "CSR010" ]);
     ("csr-route-shift", "CSR010", [ "CSR010" ]);
     ("csr-drop-output", "CSR004", [ "CSR009"; "CSR004" ]);
-    ("periodic-wire-flip", "ABS004", [ "ABS004"; "STEP002" ]);
-    ("periodic-init-corrupt", "STEP002", [ "STEP002" ]);
-    ("periodic-dropped-round", "ABS003", [ "ABS003" ]);
-    ("periodic-strategy-swap", "ABS003", [ "ABS003"; "ABS004"; "STEP002" ]);
   ]
 
 let mutate_tests =
@@ -276,111 +298,6 @@ let portfolio_tests =
         in
         Alcotest.(check int) "count" 4 (List.length certs);
         Alcotest.(check bool) "all ok" true (L.Portfolio.all_ok certs));
-  ]
-
-(* ---- the hybrid campaign (PAPER-adjacent negative results) ----
-
-   The acceptance bar: every (strategy x scope x size) combination is
-   adjudicated — certified bounded-exhaustively, or refuted with a
-   concrete counterexample that replays.  The pinned verdicts below are
-   genuine findings: the 3-periodic merger substitutes soundly at small
-   widths, the pk prefixes do not. *)
-
-let hybrid_tests =
-  [
-    tc "hybrid campaign covers every strategy x scope x size" (fun () ->
-        let names =
-          List.map (fun (e : L.Portfolio.entry) -> e.L.Portfolio.name) (L.Portfolio.hybrid_entries ())
-        in
-        Alcotest.(check int) "campaign size" 57 (List.length names);
-        List.iter
-          (fun n -> Alcotest.(check bool) n true (List.mem n names))
-          [
-            "C(4,4)[periodic3/top]"; "C(8,8)[pk2/all]"; "C(16,16)[periodic3/all]";
-            "C(16,64)[pk6/top]"; "C(32,32)[periodic3/top]"; "C(64,64)[pk6/all]";
-            "M(4,2)[periodic3]"; "M(16,8)[pk2]"; "M(64,32)[periodic3]";
-          ]);
-    tc "hybrid entries carry merger tags and no reference" (fun () ->
-        List.iter
-          (fun (e : L.Portfolio.entry) ->
-            Alcotest.(check bool) (e.L.Portfolio.name ^ " tagged") true
-              (e.L.Portfolio.merger <> None);
-            Alcotest.(check bool) (e.L.Portfolio.name ^ " referee-less") true
-              (e.L.Portfolio.reference = None))
-          (L.Portfolio.hybrid_entries ()));
-    tc "periodic3 hybrid C(8,8) certifies exhaustively, both scopes" (fun () ->
-        List.iter
-          (fun name ->
-            let e =
-              List.find
-                (fun (e : L.Portfolio.entry) -> e.L.Portfolio.name = name)
-                (L.Portfolio.hybrid_entries ())
-            in
-            let c = L.Portfolio.certify e in
-            Alcotest.(check bool) (name ^ " ok") true (L.Cert.ok c);
-            match c.L.Cert.evidence with
-            | L.Cert.Exhaustive _ -> ()
-            | _ -> Alcotest.failf "%s: expected exhaustive evidence" name)
-          [ "C(8,8)[periodic3/top]"; "C(8,8)[periodic3/all]" ]);
-    tc "pk hybrids are refuted with replayable counterexamples" (fun () ->
-        List.iter
-          (fun name ->
-            let e =
-              List.find
-                (fun (e : L.Portfolio.entry) -> e.L.Portfolio.name = name)
-                (L.Portfolio.hybrid_entries ())
-            in
-            let c = L.Portfolio.certify e in
-            Alcotest.(check bool) (name ^ " refuted") true (L.Portfolio.refuted c);
-            match c.L.Cert.evidence with
-            | L.Cert.Refuted cex ->
-                (* replay: the counterexample's quiescent output really
-                   violates the step property *)
-                let out = Cn_network.Eval.quiescent (e.L.Portfolio.build ()) cex in
-                Alcotest.(check bool) (name ^ " replays") false
-                  (Cn_sequence.Sequence.is_step out)
-            | _ -> Alcotest.failf "%s: expected a refutation" name)
-          [ "C(8,8)[pk2/top]"; "C(8,8)[pk6/all]"; "C(16,64)[periodic3/top]" ]);
-    tc "over-budget hybrid escalates to the two-token battery" (fun () ->
-        (* C(32,32)[periodic3/top] is over the exhaustive budget; the
-           escalate pass refutes it with a STEP003 two-token load. *)
-        let e =
-          List.find
-            (fun (e : L.Portfolio.entry) -> e.L.Portfolio.name = "C(32,32)[periodic3/top]")
-            (L.Portfolio.hybrid_entries ())
-        in
-        let c = L.Portfolio.certify e in
-        Alcotest.(check bool) "refuted" true (L.Portfolio.refuted c);
-        Alcotest.(check bool) "STEP003" true (List.mem "STEP003" (L.Cert.codes c));
-        match c.L.Cert.evidence with
-        | L.Cert.Refuted cex ->
-            Alcotest.(check bool) "two-token load" true
-              (Cn_sequence.Sequence.sum cex <= 2)
-        | _ -> Alcotest.fail "expected refutation");
-    tc "small hybrid slice is fully adjudicated" (fun () ->
-        let certs =
-          L.Portfolio.hybrid_entries ()
-          |> List.filter (fun (e : L.Portfolio.entry) ->
-                 List.mem e.L.Portfolio.name
-                   [
-                     "C(4,4)[periodic3/top]"; "C(4,8)[pk2/all]"; "C(8,8)[periodic3/all]";
-                     "M(8,4)[periodic3]"; "M(8,4)[pk6]";
-                   ])
-          |> List.map L.Portfolio.certify
-        in
-        Alcotest.(check int) "count" 5 (List.length certs);
-        Alcotest.(check bool) "all adjudicated" true (L.Portfolio.all_adjudicated certs);
-        (* and not trivially: the slice mixes both verdicts *)
-        Alcotest.(check bool) "has certified" true (List.exists L.Cert.ok certs);
-        Alcotest.(check bool) "has refuted" true (List.exists L.Portfolio.refuted certs));
-    tc "escalation battery has the closed-form size" (fun () ->
-        List.iter
-          (fun w ->
-            Alcotest.(check int)
-              (Printf.sprintf "w=%d" w)
-              (1 + (2 * w) + (w * (w - 1) / 2))
-              (List.length (L.Cert.escalation_loads w)))
-          [ 2; 4; 8; 16; 64 ]);
   ]
 
 (* ---- well-formedness: the full message of every NET code ---- *)
@@ -518,7 +435,6 @@ let suite =
     ("lint.slice", slice_tests);
     ("lint.mutate", mutate_tests);
     ("lint.portfolio", portfolio_tests);
-    ("lint.hybrids", hybrid_tests);
     ("lint.messages", messages_tests);
     ("lint.absint_soundness", absint_soundness_tests);
   ]

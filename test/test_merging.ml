@@ -128,80 +128,10 @@ let beyond_contract =
         Alcotest.(check bool) "not step" false (S.is_step (E.quiescent net (S.concat x y))));
   ]
 
-(* Periodic merger stages (Cn_core.Merger).  Balancers only route
-   tokens, so on valid step-input pairs the difference merger and every
-   periodic strategy produce the same output *multiset* — even the pk
-   strategies that scramble the order.  The step property itself is
-   what separates them: brute force certifies periodic3 up to t = 16
-   and refutes the pk strategies at every t >= 8. *)
-
-module Mg = Cn_core.Merger
-module V = Cn_core.Verify
-
-let multiset a = List.sort compare (Array.to_list a)
-
-let periodic =
-  [
-    Util.qtest ~count:300 "difference and periodic mergers agree as output multisets"
-      QCheck2.Gen.(
-        bind
-          (oneofl [ (4, 2); (8, 2); (8, 4); (16, 2); (16, 4); (16, 8) ])
-          (fun (t, delta) ->
-            bind
-              (oneofl [ Mg.Periodic3; Mg.Periodic_k 2; Mg.Periodic_k 6 ])
-              (fun strategy ->
-                bind (int_range 0 100) (fun sy ->
-                    map (fun d -> (t, delta, strategy, sy + d, sy)) (int_range 0 delta)))))
-      (fun (t, delta, strategy, sx, sy) ->
-        let x = S.make_step ~total:sx ~width:(t / 2) in
-        let y = S.make_step ~total:sy ~width:(t / 2) in
-        let input = S.concat x y in
-        multiset (E.quiescent (M.network ~t ~delta) input)
-        = multiset (E.quiescent (Mg.network ~strategy ~t ~delta) input));
-    tc "periodic3 satisfies the merging contract at t <= 16 (brute force)" (fun () ->
-        List.iter
-          (fun t ->
-            let delta = t / 2 in
-            let net = Mg.network ~strategy:Mg.Periodic3 ~t ~delta in
-            match V.merging ~delta ~max_half_sum:(2 * t) net with
-            | V.Verified n ->
-                Alcotest.(check bool) (Printf.sprintf "t=%d (%d loads)" t n) true (n > 0)
-            | V.Counterexample cex ->
-                Alcotest.failf "periodic3 t=%d refuted on %s" t (S.to_string cex))
-          [ 4; 8; 16 ]);
-    tc "pk strategies merge only at t = 4 (clamped period)" (fun () ->
-        List.iter
-          (fun strategy ->
-            match V.merging ~delta:2 ~max_half_sum:8 (Mg.network ~strategy ~t:4 ~delta:2) with
-            | V.Verified _ -> ()
-            | V.Counterexample cex ->
-                Alcotest.failf "%s t=4 refuted on %s" (Mg.strategy_name strategy)
-                  (S.to_string cex))
-          [ Mg.Periodic_k 2; Mg.Periodic_k 6 ]);
-    tc "pk strategies are refuted at t >= 8 (brute force, replayed)" (fun () ->
-        List.iter
-          (fun (strategy, t) ->
-            let delta = t / 2 in
-            let net = Mg.network ~strategy ~t ~delta in
-            match V.merging ~delta ~max_half_sum:(2 * t) net with
-            | V.Counterexample cex ->
-                (* The counterexample must replay: a genuinely non-step
-                   output, not a verifier artifact. *)
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s t=%d counterexample replays" (Mg.strategy_name strategy) t)
-                  false
-                  (S.is_step (E.quiescent net cex))
-            | V.Verified n ->
-                Alcotest.failf "%s t=%d unexpectedly verified (%d loads)"
-                  (Mg.strategy_name strategy) t n)
-          [ (Mg.Periodic_k 2, 8); (Mg.Periodic_k 2, 16); (Mg.Periodic_k 6, 8); (Mg.Periodic_k 6, 16) ]);
-  ]
-
 let suite =
   [
     ("merging.validity", validity);
     ("merging.structure", structure);
     ("merging.contract", contract);
     ("merging.beyond", beyond_contract);
-    ("merging.periodic", periodic);
   ]
