@@ -14,6 +14,7 @@ let () =
          Test_ladder.suite;
          Test_merging.suite;
          Test_counting.suite;
+         Test_verify.suite;
          Test_butterfly.suite;
          Test_blocks.suite;
          Test_sorting.suite;

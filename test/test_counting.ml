@@ -139,6 +139,14 @@ let convenience =
           (T.equal (C.regular 8) (C.network ~w:8 ~t:8)));
     tc "wide w = C(w, w lg w)" (fun () ->
         Alcotest.(check bool) "equal" true (T.equal (C.wide 8) (C.network ~w:8 ~t:24)));
+    tc "wires on a builder is the standalone network" (fun () ->
+        List.iter
+          (fun (w, t) ->
+            let built = Cn_network.Builder.build ~input_width:w (fun b ins -> C.wires b ~t ins) in
+            Alcotest.(check bool) (Printf.sprintf "C(%d,%d)" w t) true (T.equal built (C.network ~w ~t)))
+          [ (2, 6); (4, 4); (8, 24); (16, 32) ]);
+    Util.raises_invalid "wires rejects t not a multiple of w" (fun () ->
+        Cn_network.Builder.build ~input_width:4 (fun b ins -> C.wires b ~t:6 ins));
     tc "irregular balancers appear exactly when t > w" (fun () ->
         Alcotest.(check bool) "C(8,8) regular" true (T.is_regular (C.network ~w:8 ~t:8));
         Alcotest.(check bool) "C(8,16) irregular" false

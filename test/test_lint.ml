@@ -15,6 +15,9 @@ module L = Cn_lint
 let tc name f = Alcotest.test_case name `Quick f
 let lg w = Cn_core.Params.ilog2 w
 
+let pass_facts (c : L.Cert.t) name =
+  (List.find (fun (p : L.Cert.pass_report) -> p.L.Cert.pass = name) c.L.Cert.passes).L.Cert.facts
+
 let codes_of_violations vs = List.map (fun (v : Raw.violation) -> v.code) vs
 
 (* ---- well-formedness: pinned NET codes on hand-broken raws ---- *)
@@ -179,6 +182,50 @@ let cert_tests =
               (1 + (2 * w) + (w * (w - 1) / 2))
               (List.length (L.Cert.escalation_loads w)))
           [ 2; 4; 8; 16; 64 ]);
+    tc "escalation loads put at most two tokens on at most two wires, once each" (fun () ->
+        List.iter
+          (fun w ->
+            let loads = L.Cert.escalation_loads w in
+            List.iter
+              (fun load ->
+                Alcotest.(check int) "width" w (Cn_sequence.Sequence.length load);
+                Alcotest.(check bool) "tokens" true (Cn_sequence.Sequence.sum load <= 2);
+                Alcotest.(check bool) "wires" true
+                  (Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0 load <= 2))
+              loads;
+            Alcotest.(check int)
+              (Printf.sprintf "distinct w=%d" w)
+              (List.length loads)
+              (List.length (List.sort_uniq compare (List.map Array.to_list loads))))
+          [ 2; 4; 16 ]);
+    tc "a sound over-budget C(16,16) runs the whole battery and stays ok" (fun () ->
+        let c =
+          L.Cert.certify ~expected_depth:(Counting.depth_formula ~w:16) ~subject:"C(16,16)"
+            ~expectation:L.Cert.Counting (Counting.network ~w:16 ~t:16)
+        in
+        Alcotest.(check (list string)) "codes" [] (L.Cert.codes c);
+        Alcotest.(check (option string)) "loads"
+          (Some (string_of_int (List.length (L.Cert.escalation_loads 16))))
+          (List.assoc_opt "loads" (pass_facts c "escalate")));
+    tc "escalate is skipped after a conclusive exhaustive pass" (fun () ->
+        let c =
+          L.Cert.certify ~subject:"C(4,4)" ~expectation:L.Cert.Counting (Counting.network ~w:4 ~t:4)
+        in
+        (match c.L.Cert.evidence with
+        | L.Cert.Exhaustive _ -> ()
+        | _ -> Alcotest.fail "expected exhaustive evidence");
+        Alcotest.(check (option string)) "skipped"
+          (Some "bounded-exhaustive check was conclusive")
+          (List.assoc_opt "skipped" (pass_facts c "escalate")));
+    tc "escalate is skipped for the merging contract" (fun () ->
+        let c =
+          L.Cert.certify ~subject:"M(16,8)" ~expectation:(L.Cert.Merging 8)
+            (Cn_core.Merging.network ~t:16 ~delta:8)
+        in
+        Alcotest.(check bool) "ok" true (L.Cert.ok c);
+        Alcotest.(check (option string)) "skipped"
+          (Some "merging loads are enumerable within budget")
+          (List.assoc_opt "skipped" (pass_facts c "escalate")));
   ]
 
 (* ---- CSR faithfulness ---- *)

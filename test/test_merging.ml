@@ -24,6 +24,9 @@ let validity =
           [ (4, 4); (8, 3); (8, 8); (6, 2); (10, 4); (8, 1); (0, 2); (8, 0) ]);
     Util.raises_invalid "network rejects invalid" (fun () -> M.network ~t:8 ~delta:8);
     Util.raises_invalid "network rejects odd delta" (fun () -> M.network ~t:12 ~delta:3);
+    Util.raises_invalid "wires rejects halves of different lengths" (fun () ->
+        Cn_network.Builder.build ~input_width:12 (fun b ins ->
+            M.wires b ~delta:2 (Array.sub ins 0 4, Array.sub ins 4 8)));
   ]
 
 let structure =
@@ -45,6 +48,18 @@ let structure =
         let net = M.network ~t:12 ~delta:2 in
         Alcotest.(check int) "size" 6 (T.size net);
         Alcotest.(check int) "depth" 1 (T.depth net));
+    tc "wires on a builder is the standalone network" (fun () ->
+        List.iter
+          (fun (t, delta) ->
+            let built =
+              Cn_network.Builder.build ~input_width:t (fun b ins ->
+                  M.wires b ~delta (Array.sub ins 0 (t / 2), Array.sub ins (t / 2) (t / 2)))
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "M(%d,%d)" t delta)
+              true
+              (T.equal built (M.network ~t ~delta)))
+          [ (4, 2); (16, 8); (24, 4) ]);
     tc "size is (t/2) lg delta" (fun () ->
         List.iter
           (fun (t, delta) ->
