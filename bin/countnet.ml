@@ -14,7 +14,7 @@ module S = Cn_sequence.Sequence
 (* ---------------------------------------------------------------- *)
 (* Network selection. *)
 
-type family =
+type family = Cn_lint.Portfolio.family =
   | Counting
   | Bitonic
   | Periodic
@@ -955,66 +955,6 @@ let lint_cmd =
           ~doc:"Lint a serialized network from $(docv) (full well-formedness diagnostics, then \
                 certification without a reference construction) instead of a built family.")
   in
-  (* Family-specific certification spec: expectation, closed-form
-     depth, the trusted reconstruction with its citation, and an
-     optional isomorphism hint. *)
-  let spec_of_family family ~w ~t ~delta =
-    let t' = match t with Some t -> t | None -> w in
-    let lgw =
-      let rec go acc v = if v <= 1 then acc else go (acc + 1) (v / 2) in
-      go 0 w
-    in
-    match family with
-    | Counting ->
-        ( Printf.sprintf "C(%d,%d)" w t',
-          L.Counting,
-          Cn_core.Counting.depth_formula ~w,
-          ((fun () -> Cn_core.Counting.network ~w ~t:t'), "Theorems 4.1/4.2"),
-          None )
-    | Merging ->
-        ( Printf.sprintf "M(%d,%d)" w delta,
-          L.Merging delta,
-          Cn_core.Merging.depth_formula ~delta,
-          ((fun () -> Cn_core.Merging.network ~t:w ~delta), "Lemma 3.1"), None )
-    | Bitonic ->
-        ( Printf.sprintf "BITONIC(%d)" w,
-          L.Counting,
-          Cn_baselines.Bitonic.depth_formula ~w,
-          ((fun () -> Cn_baselines.Bitonic.network w), "Aspnes-Herlihy-Shavit, Section 3"),
-          None )
-    | Periodic ->
-        ( Printf.sprintf "PERIODIC(%d)" w,
-          L.Counting,
-          Cn_baselines.Periodic.depth_formula ~w,
-          ((fun () -> Cn_baselines.Periodic.network w), "Aspnes-Herlihy-Shavit, Section 4"),
-          None )
-    | Diffracting ->
-        ( Printf.sprintf "DIFF(%d)" w,
-          L.Counting,
-          Cn_baselines.Diffracting.depth_formula ~w,
-          ((fun () -> Cn_baselines.Diffracting.network w), "Shavit-Zemach"), None )
-    | Butterfly_fwd ->
-        ( Printf.sprintf "D(%d)" w,
-          L.Smoothing (Cn_core.Butterfly.smoothness_bound ~w),
-          Cn_core.Butterfly.depth_formula ~w,
-          ((fun () -> Cn_core.Butterfly.forward w), "Lemma 5.2"), None )
-    | Butterfly_bwd ->
-        ( Printf.sprintf "E(%d)" w,
-          L.Smoothing (Cn_core.Butterfly.smoothness_bound ~w),
-          Cn_core.Butterfly.depth_formula ~w,
-          ((fun () -> Cn_core.Butterfly.forward w), "Lemma 5.3"),
-          Some (Cn_core.Butterfly.lemma_5_3_mapping w) )
-    | Ladder ->
-        ( Printf.sprintf "L(%d)" w,
-          L.Half_split,
-          1,
-          ((fun () -> Cn_core.Ladder.network w), "Section 4.1"), None )
-    | C_prime ->
-        ( Printf.sprintf "C'(%d,%d)" w t',
-          L.Smoothing (Cn_core.Blocks.smoothing_parameter ~w ~t:t'),
-          lgw,
-          ((fun () -> Cn_core.Blocks.c_prime ~w ~t:t'), "Lemma 6.6"), None )
-  in
   let run family w t delta all mutate json budget file =
     let failed = ref false in
     let certs = ref [] in
@@ -1052,13 +992,9 @@ let lint_cmd =
           if not (P.all_ok cs) then failed := true
         end;
         if (not all) && not mutate then begin
-          let subject, expectation, expected_depth, (reference, cite), iso_hint =
-            spec_of_family family ~w ~t ~delta
-          in
           match
-            let net = build family ~w ~t ~delta in
-            L.certify ~reference:(reference (), cite) ?iso_hint ~expected_depth
-              ~exhaustive_budget:budget ~subject ~expectation net
+            P.certify ~exhaustive_budget:budget
+              (P.entry family ~w ~t:(Option.value t ~default:w) ~delta)
           with
           | exception Invalid_argument m ->
               prerr_endline m;

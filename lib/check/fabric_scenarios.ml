@@ -25,8 +25,7 @@ module MS = struct
       raise (V.Invalid "injected shutdown failure");
     report
 
-  let net_count t =
-    Sequence.sum (Model_net.exit_distribution (Svc.runtime t.svc))
+  let net t = Svc.net t.svc
 end
 
 module Fab = Cn_fabric.Fabric_core.Make (Instrumented) (MS)

@@ -1,8 +1,7 @@
 (** Fabric resize scenarios: the {e real} shard-fabric protocol
     ({!Cn_fabric.Fabric_core.Make} — the same functor body production
     runs) instantiated with {!Instrumented} atomics over the checker's
-    model service ({!Scenarios.Svc} plus [net_count] and a
-    fault-injection flag that makes one shutdown raise), driven over
+    model service ({!Scenarios.Svc} plus a fault-injection flag that makes one shutdown raise), driven over
     miniature C(2,2) shards.
 
     Every scenario's oracle checks, on the final state:

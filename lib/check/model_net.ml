@@ -77,6 +77,8 @@ let exit_distribution t =
   Array.init t.output_width (fun i ->
       (A.get t.values.(i) - i) / t.output_width)
 
+let net_count t = Sequence.sum (exit_distribution t)
+
 let quiescent t =
   let dist = exit_distribution t in
   let expected = t.tokens - t.antitokens in

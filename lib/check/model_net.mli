@@ -34,6 +34,11 @@ val quiescent : t -> Cn_runtime.Validator.report
     schedulable, like the real validator's).  Every call is recorded for
     {!validations}. *)
 
+val net_count : t -> int
+(** The summed {!exit_distribution}, reading through instrumented
+    atomics: what the service checks its net word against at a
+    validated quiescence point. *)
+
 val exit_distribution : t -> int array
 (** Tokens handed out per output wire.  Reads are silent outside an
     engine execution, so oracles can call this on the final state. *)

@@ -86,6 +86,8 @@ let check run () =
         if Sequence.sum dist <> expected then
           fail "token conservation: %d exits vs %d ok(inc) - ok(dec)"
             (Sequence.sum dist) expected
+        else if Svc.net run.svc <> expected then
+          fail "net word %d vs %d ok(inc) - ok(dec)" (Svc.net run.svc) expected
         else if not (Sequence.is_step dist) then
           fail "final distribution is not a step: %s" (Sequence.to_string dist)
         else if run.distinct_incs then begin
@@ -227,6 +229,49 @@ let run_cap () =
     finish;
   }
 
+(* Two sessions on one lane, so one's increment can be published and
+   drained by the other's combiner; each fiber reads the net word once
+   its own increment has returned.  Every read must count the reader's
+   own operation: a combiner that released its waiters before adding
+   the batch to the word would let the drained fiber read 0. *)
+let read_own_op () =
+  let run = make_run ~w:2 ~t:2 ~distinct_incs:true () in
+  let reads = ref [] in
+  let reader sess () =
+    let r = Svc.increment sess in
+    run.results := (Svc.Inc, op_outcome r) :: !(run.results);
+    if Result.is_ok r then begin
+      (* the load yields: read it before touching the shared list *)
+      let v = Svc.net run.svc in
+      reads := v :: !reads
+    end
+  in
+  let s0 = Svc.session ~wire:0 run.svc in
+  let s1 = Svc.session ~wire:0 run.svc in
+  let finish () =
+    match check run () with
+    | Some _ as failure -> failure
+    | None ->
+        if List.length !reads <> 2 then
+          Some
+            (Printf.sprintf "%d of 2 increments returned a value (%s)" (List.length !reads)
+               (String.concat ","
+                  (List.map
+                     (fun (_, r) ->
+                       match r with
+                       | Val v -> string_of_int v
+                       | Rejected -> "overloaded"
+                       | Refused -> "closed"
+                       | Unset -> "unset")
+                     !(run.results))))
+        else if List.exists (fun v -> v < 1) !reads then
+          Some
+            (Printf.sprintf "a read after its own increment returned saw net %s"
+               (String.concat "," (List.map string_of_int !reads)))
+        else None
+  in
+  { Engine.name = "read-own-op"; fibers = [| reader s0; reader s1 |]; finish }
+
 let all =
   [
     ("drain-vs-shutdown", drain_vs_shutdown);
@@ -237,4 +282,5 @@ let all =
     ("run-vs-drain", run_vs_drain);
     ("run-vs-shutdown", run_vs_shutdown);
     ("run-cap", run_cap);
+    ("read-own-op", read_own_op);
   ]

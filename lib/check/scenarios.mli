@@ -16,6 +16,8 @@
       minus successful decrements (Theorem 4.2's quiescent step property
       plus value conservation);
     - {b step property} on the final distribution;
+    - {b net word}: the service's {!Cn_service.Service_core.S.net}
+      equals successful increments minus successful decrements;
     - {b liveness} (via the engine): every accepted operation's wait
       completes — a cell parked forever or an [await] that never
       returns shows up as a deadlock.
@@ -60,6 +62,12 @@ val run_cap : unit -> Engine.scenario
 (** Two runs on one lane, of 3 and 2 operations, whose total overflows
     [max_batch] 4: no combined batch may serve more than [max_batch]
     operations, and every increment value is distinct. *)
+
+val read_own_op : unit -> Engine.scenario
+(** Two sessions on one lane each increment once, then read
+    {!Cn_service.Service_core.S.net}: whichever fiber's increment is
+    drained by the other's combiner, each read must count the reader's
+    own operation (the word is added before any waiter is released). *)
 
 val all : (string * (unit -> Engine.scenario)) list
 (** Every scenario above, keyed by name, in a stable order. *)

@@ -9,21 +9,11 @@
 
 module Topology = Cn_network.Topology
 module Counting = Cn_core.Counting
-module RT = Cn_runtime.Network_runtime
 module V = Cn_runtime.Validator
 module Svc = Cn_service.Service
 module Cert = Cn_lint.Cert
 
-(* Service, extended with the one accessor the fabric's accounting
-   needs: the logical counter value behind a service (net tokens
-   handed out, from the runtime's assignment cells). *)
-module Service_ext = struct
-  include Svc
-
-  let net_count svc = RT.net_count (Svc.runtime svc)
-end
-
-module Core = Fabric_core.Make (Cn_runtime.Atomics.Real) (Service_ext)
+module Core = Fabric_core.Make (Cn_runtime.Atomics.Real) (Svc)
 include Core
 
 (* ------------------------------------------------------------------ *)

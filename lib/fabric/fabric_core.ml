@@ -44,10 +44,11 @@ module type SERVICE = sig
   val drain : ?policy:V.policy -> t -> V.report
   val shutdown : ?policy:V.policy -> t -> V.report
 
-  val net_count : t -> int
-  (** Net tokens handed out so far (tokens minus antitokens, from the
-      runtime's assignment cells).  Exact at quiescence — the fabric
-      only folds it into [base] after [shutdown]'s validation point. *)
+  val net : t -> int
+  (** Net operations counted so far (increments minus decrements of
+      every completed batch), one load.  Every [read] sums it across
+      shards; the [base] fold takes it after [shutdown]'s validation
+      point, where it is exact. *)
 end
 
 module type S = sig
@@ -179,7 +180,7 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
 
   let shard_value t sid =
     let sh = shard_slot t sid in
-    sh.base + S.net_count sh.svc
+    sh.base + S.net sh.svc
 
   let shard_gen t sid = (shard_slot t sid).gen
   let shard_topology t sid = (shard_slot t sid).topo
@@ -291,7 +292,7 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
             let old = A.get fab.slots.(shard) in
             let policy = Option.value policy ~default:fab.validate in
             ignore (fail_stop fab shard (fun () -> S.shutdown ~policy old.svc));
-            let base = old.base + S.net_count old.svc in
+            let base = old.base + S.net old.svc in
             let svc = fail_stop fab shard (fun () -> fab.spawn topo) in
             A.set fab.slots.(shard) { svc; topo; base; gen = old.gen + 1 };
             A.set fab.states.(shard) Open;
@@ -301,26 +302,34 @@ module Make (A : Cn_runtime.Atomics.S) (S : SERVICE) :
   (* ---------------------------------------------------------------- *)
   (* Global read: every reader double-collects the shard counters
      itself until two sweeps agree (at most 8 retries), and waits on no
-     other reader.  At quiescence a single sweep is exact — that is the
-     linearizable read the tests pin; under churn the double-collect
-     bounds the skew to in-flight resizes. *)
+     other reader.  A shard counter is one word per service, so a sweep
+     costs one load per shard plus one per slot.  At quiescence a single
+     sweep is exact — that is the linearizable read the tests pin; under
+     churn it counts the operations whose batch completed. *)
 
   let collect fab =
     (* one atomic read per slot: a resize publishes the swapped-in
        service and its folded [base] as one store, so a sweep never
        counts a shard twice or not at all *)
-    Array.fold_left
-      (fun sum slot ->
-        let sh = A.get slot in
-        sum + sh.base + S.net_count sh.svc)
-      0 fab.slots
+    let slots = fab.slots in
+    let sum = ref 0 in
+    for i = 0 to Array.length slots - 1 do
+      let sh = A.get slots.(i) in
+      sum := !sum + sh.base + S.net sh.svc
+    done;
+    !sum
 
+  (* Loops, not closures: a read allocates nothing. *)
   let read fab =
-    let rec settle tries prev =
-      let s = collect fab in
-      if s = prev || tries = 0 then s else settle (tries - 1) s
-    in
-    settle 8 (collect fab)
+    let prev = ref (collect fab) in
+    let cur = ref (collect fab) in
+    let tries = ref 8 in
+    while !cur <> !prev && !tries > 0 do
+      prev := !cur;
+      cur := collect fab;
+      decr tries
+    done;
+    !cur
 
   (* ---------------------------------------------------------------- *)
   (* Fabric-wide drain and shutdown. *)

@@ -27,12 +27,12 @@ module V := Cn_runtime.Validator
 
 (** What the fabric needs from a service: sessions, the run entry
     (a single operation is a run of one), the validated drain and
-    shutdown, and the net token count that becomes the [base] offset
-    at a resize.
-    {!Cn_service.Service} matches this signature once extended with
-    [net_count] (see {!Fabric}); the checker's model service wraps
-    [Service_core.Make (Instrumented) (Model_net)] the same way, plus a
-    flag that injects one failing shutdown. *)
+    shutdown, and the net count that every {!S.read} sums and that
+    becomes the [base] offset at a resize.
+    {!Cn_service.Service} matches this signature as it is (see
+    {!Fabric}); the checker's model service wraps
+    [Service_core.Make (Instrumented) (Model_net)] plus a flag that
+    injects one failing shutdown. *)
 module type SERVICE = sig
   type t
   type session
@@ -50,10 +50,13 @@ module type SERVICE = sig
   val drain : ?policy:V.policy -> t -> V.report
   val shutdown : ?policy:V.policy -> t -> V.report
 
-  val net_count : t -> int
-  (** Net tokens handed out so far (tokens minus antitokens).  Exact at
-      quiescence — the fabric only reads it for the [base] fold after
-      [shutdown]'s validation point. *)
+  val net : t -> int
+  (** Net operations counted so far: increments minus decrements of
+      every batch that completed, each counted before its caller sees
+      its value.  The fabric reads it on every {!S.read} and
+      {!S.shard_value} (one load per shard, so it should cost
+      O(1)), and for the [base] fold after [shutdown]'s validation
+      point, where it is exact. *)
 end
 
 module type S = sig
@@ -144,9 +147,11 @@ module type S = sig
       double-collects [base + net] across shards until two sweeps agree
       (at most 8 retries), and waits on no other reader.  A resize
       publishes the new service and its folded [base] in one store, so
-      a sweep never under- or double-counts a shard mid-swap.  Under
-      in-flight traffic the value is quiescently consistent (it counts
-      exactly the operations whose tokens have exited). *)
+      a sweep never under- or double-counts a shard mid-swap.  A sweep
+      reads one net word per shard ({!SERVICE.net}), so it costs
+      O(shards) whatever the shards' output width.  Under in-flight
+      traffic it counts exactly the operations whose batch completed,
+      so a read that starts after an operation returned counts it. *)
 
   val shard_count : t -> int
 

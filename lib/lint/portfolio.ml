@@ -25,101 +25,82 @@ let lg w =
   let rec go acc w = if w <= 1 then acc else go (acc + 1) (w / 2) in
   go 0 w
 
+type family =
+  | Counting
+  | Bitonic
+  | Periodic
+  | Diffracting
+  | Butterfly_fwd
+  | Butterfly_bwd
+  | Ladder
+  | Merging
+  | C_prime
+
+let entry family ~w ~t ~delta =
+  let plain name expectation expected_depth build cite =
+    { name; expectation; expected_depth; build; reference = (build, cite); iso_hint = None }
+  in
+  match family with
+  | Counting ->
+      plain (Printf.sprintf "C(%d,%d)" w t) Cert.Counting (Counting.depth_formula ~w)
+        (fun () -> Counting.network ~w ~t)
+        "Theorems 4.1/4.2"
+  | Merging ->
+      plain (Printf.sprintf "M(%d,%d)" w delta) (Cert.Merging delta)
+        (Merging.depth_formula ~delta)
+        (fun () -> Merging.network ~t:w ~delta)
+        "Lemma 3.1"
+  | Bitonic ->
+      plain (Printf.sprintf "BITONIC(%d)" w) Cert.Counting (Bitonic.depth_formula ~w)
+        (fun () -> Bitonic.network w)
+        "Aspnes-Herlihy-Shavit, Section 3"
+  | Periodic ->
+      plain (Printf.sprintf "PERIODIC(%d)" w) Cert.Counting (Periodic.depth_formula ~w)
+        (fun () -> Periodic.network w)
+        "Aspnes-Herlihy-Shavit, Section 4"
+  | Diffracting ->
+      plain (Printf.sprintf "DIFF(%d)" w) Cert.Counting (Diffracting.depth_formula ~w)
+        (fun () -> Diffracting.network w)
+        "Shavit-Zemach"
+  | Butterfly_fwd ->
+      plain (Printf.sprintf "D(%d)" w)
+        (Cert.Smoothing (Butterfly.smoothness_bound ~w))
+        (Butterfly.depth_formula ~w)
+        (fun () -> Butterfly.forward w)
+        "Lemma 5.2"
+  | Butterfly_bwd ->
+      (* E(w) is certified against D(w): structural equality fails and
+         the Lemma 5.3 isomorphism carries the evidence. *)
+      {
+        name = Printf.sprintf "E(%d)" w;
+        expectation = Cert.Smoothing (Butterfly.smoothness_bound ~w);
+        expected_depth = Butterfly.depth_formula ~w;
+        build = (fun () -> Butterfly.backward w);
+        reference = ((fun () -> Butterfly.forward w), "Lemma 5.3");
+        iso_hint = Some (fun () -> Butterfly.lemma_5_3_mapping w);
+      }
+  | Ladder ->
+      plain (Printf.sprintf "L(%d)" w) Cert.Half_split 1 (fun () -> Ladder.network w) "Section 4.1"
+  | C_prime ->
+      plain (Printf.sprintf "C'(%d,%d)" w t)
+        (Cert.Smoothing (Blocks.smoothing_parameter ~w ~t))
+        (lg w)
+        (fun () -> Blocks.c_prime ~w ~t)
+        "Lemma 6.6"
+
 let entries () =
   List.concat_map
     (fun w ->
-      let lgw = lg w in
-      let counting_entries =
-        List.filter_map
-          (fun (suffix, t) ->
-            if Counting.valid ~w ~t then
-              Some
-                {
-                  name = Printf.sprintf "C(%d,%s)" w suffix;
-                  expectation = Cert.Counting;
-                  expected_depth = Counting.depth_formula ~w;
-                  build = (fun () -> Counting.network ~w ~t);
-                  reference = ((fun () -> Counting.network ~w ~t), "Theorems 4.1/4.2");
-                  iso_hint = None;
-                }
-            else None)
-          ([ (string_of_int w, w) ] @ if w >= 4 then [ (Printf.sprintf "%d" (w * lgw), w * lgw) ] else [])
-      in
-      counting_entries
-      @ [
-          {
-            name = Printf.sprintf "C'(%d,%d)" w w;
-            expectation = Cert.Smoothing (Blocks.smoothing_parameter ~w ~t:w);
-            expected_depth = lgw;
-            build = (fun () -> Blocks.c_prime ~w ~t:w);
-            reference = ((fun () -> Blocks.c_prime ~w ~t:w), "Lemma 6.6");
-            iso_hint = None;
-          };
-          {
-            name = Printf.sprintf "D(%d)" w;
-            expectation = Cert.Smoothing (Butterfly.smoothness_bound ~w);
-            expected_depth = Butterfly.depth_formula ~w;
-            build = (fun () -> Butterfly.forward w);
-            reference = ((fun () -> Butterfly.forward w), "Lemma 5.2");
-            iso_hint = None;
-          };
-          {
-            (* E(w) is certified against D(w): structural equality fails
-               and the Lemma 5.3 isomorphism carries the evidence. *)
-            name = Printf.sprintf "E(%d)" w;
-            expectation = Cert.Smoothing (Butterfly.smoothness_bound ~w);
-            expected_depth = Butterfly.depth_formula ~w;
-            build = (fun () -> Butterfly.backward w);
-            reference = ((fun () -> Butterfly.forward w), "Lemma 5.3");
-            iso_hint = Some (fun () -> Butterfly.lemma_5_3_mapping w);
-          };
-          {
-            name = Printf.sprintf "L(%d)" w;
-            expectation = Cert.Half_split;
-            expected_depth = 1;
-            build = (fun () -> Ladder.network w);
-            reference = ((fun () -> Ladder.network w), "Section 4.1");
-            iso_hint = None;
-          };
-          {
-            name = Printf.sprintf "BITONIC(%d)" w;
-            expectation = Cert.Counting;
-            expected_depth = Bitonic.depth_formula ~w;
-            build = (fun () -> Bitonic.network w);
-            reference = ((fun () -> Bitonic.network w), "Aspnes-Herlihy-Shavit, Section 3");
-            iso_hint = None;
-          };
-          {
-            name = Printf.sprintf "PERIODIC(%d)" w;
-            expectation = Cert.Counting;
-            expected_depth = Periodic.depth_formula ~w;
-            build = (fun () -> Periodic.network w);
-            reference = ((fun () -> Periodic.network w), "Aspnes-Herlihy-Shavit, Section 4");
-            iso_hint = None;
-          };
-          {
-            name = Printf.sprintf "DIFF(%d)" w;
-            expectation = Cert.Counting;
-            expected_depth = Diffracting.depth_formula ~w;
-            build = (fun () -> Diffracting.network w);
-            reference = ((fun () -> Diffracting.network w), "Shavit-Zemach");
-            iso_hint = None;
-          };
-        ])
+      List.filter_map
+        (fun t -> if Counting.valid ~w ~t then Some (entry Counting ~w ~t ~delta:0) else None)
+        (w :: (if w >= 4 then [ w * lg w ] else []))
+      @ List.map
+          (fun family -> entry family ~w ~t:w ~delta:0)
+          [ C_prime; Butterfly_fwd; Butterfly_bwd; Ladder; Bitonic; Periodic; Diffracting ])
     widths
   @ List.filter_map
       (fun (t, delta) ->
-        if Merging.valid ~t ~delta then
-          Some
-            {
-              name = Printf.sprintf "M(%d,%d)" t delta;
-              expectation = Cert.Merging delta;
-              expected_depth = Merging.depth_formula ~delta;
-              build = (fun () -> Merging.network ~t ~delta);
-              reference = ((fun () -> Merging.network ~t ~delta), "Lemma 3.1");
-              iso_hint = None;
-            }
-        else None)
+        if Merging.valid ~t ~delta then Some (entry Merging ~w:t ~t ~delta) else None)
       [ (8, 2); (16, 2); (16, 4); (32, 4); (64, 8) ]
 
 let certify ?exhaustive_budget entry =

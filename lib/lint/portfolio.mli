@@ -33,6 +33,29 @@ type entry = {
 val schema_version : int
 (** Version of the [LINT_certificates.json] payload: 3. *)
 
+type family =
+  | Counting  (** [C(w,t)] *)
+  | Bitonic
+  | Periodic
+  | Diffracting
+  | Butterfly_fwd  (** [D(w)] *)
+  | Butterfly_bwd  (** [E(w)] *)
+  | Ladder  (** [L(w)] *)
+  | Merging  (** [M(w,δ)] *)
+  | C_prime  (** [C'(w,t)] *)
+
+val entry : family -> w:int -> t:int -> delta:int -> entry
+(** [entry family ~w ~t ~delta] is the certification contract of one
+    family member: subject name, expectation, closed-form depth,
+    builder, trusted reference with its citation, and isomorphism hint.
+    [w] is the input width, [t] the output width of [C(w,t)] and
+    [C'(w,t)], and [delta] the parameter of [M(w,δ)]; a family ignores
+    the parameters it does not take.  The one per-family table behind
+    {!entries} and [countnet lint -f].  The builders are lazy; the
+    closed forms are evaluated here.
+    @raise Invalid_argument where a closed form rejects its
+    parameters. *)
+
 val entries : unit -> entry list
 
 val certify :

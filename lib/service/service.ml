@@ -16,6 +16,7 @@ module Rt_real = struct
   let traverse_batch = RT.traverse_batch
   let traverse_batch_decrement = RT.traverse_batch_decrement
   let quiescent = V.quiescent_runtime
+  let net_count = RT.net_count
 end
 
 module Core = Service_core.Make (Cn_runtime.Atomics.Real) (Rt_real)

@@ -45,7 +45,8 @@
     submission fails fast with [Error Overloaded] instead of queueing
     unboundedly — the caller decides whether to retry, shed, or back
     off.  {!drain} stops admissions, helps every lane run dry, then
-    checks {!Validator.quiescent_runtime} on the quiesced network;
+    checks {!Validator.quiescent_runtime} on the quiesced network and
+    the service's {!net} word against the network's exits;
     {!shutdown} does the same and leaves the service closed
     ([Error Closed] thereafter).
 
@@ -148,6 +149,20 @@ val max_batch : t -> int
 (** The [max_batch] the service was created with: the most operations
     one {!run} entry carries. *)
 
+val net : t -> int
+(** [net t] is the service's counter value: increments minus decrements
+    served so far, eliminated pairs included (they cancel).  It is one
+    padded atomic word, so a read costs one load whatever the network's
+    output width; {!Cn_runtime.Network_runtime.net_count} sums all [t]
+    assignment cells instead.  Each combined batch adds its nonzero
+    net after its traversals and before any of its operations returns
+    (the one-operation fast path adds [±1] the same way), so a read
+    that starts after an operation returned counts that operation;
+    under churn it counts exactly the operations whose batch completed.
+    At quiescence it equals the runtime's net count, and {!drain} and
+    {!shutdown} report that as their [net-agreement] check.
+    Allocation-free. *)
+
 val run :
   session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
 (** [run s ops vals ~off ~len] performs the operations
@@ -214,7 +229,9 @@ val drain :
   ?policy:Cn_runtime.Validator.policy -> t -> Cn_runtime.Validator.report
 (** [drain t] stops admitting operations, helps every lane run dry
     (combining any parked submissions), then runs
-    {!Validator.quiescent_runtime} on the quiesced network, applies
+    {!Validator.quiescent_runtime} on the quiesced network, adds a
+    [net-agreement] check ({!net} against the runtime's
+    {!Cn_runtime.Network_runtime.net_count}), applies
     [?policy] (default: the service's [validate] policy) and re-opens
     the service.  Callers should quiesce their own sessions first:
     operations racing with the admission flip either fail with

@@ -9,6 +9,7 @@ module type RUNTIME = sig
   val traverse_batch : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
   val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
   val quiescent : t -> V.report
+  val net_count : t -> int
 end
 
 module type S = sig
@@ -48,6 +49,7 @@ module type S = sig
   val session : ?wire:int -> t -> session
   val session_wire : session -> int
   val max_batch : t -> int
+  val net : t -> int
 
   val run :
     session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result
@@ -130,6 +132,9 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
         (* sticky shutdown intent: set before competing for the drain,
            read by whoever owns it, so a drain racing a shutdown can
            never re-open a service the shutdown is about to stop *)
+    net : int A.t;
+        (* increments minus decrements of every completed batch, added
+           before the batch's waiters can see their values *)
     next_wire : int A.t;
     next_session : int A.t;
     layers : int array;  (* per-balancer 1-based depth, for metrics JSON *)
@@ -204,6 +209,7 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       validate;
       state = A.make st_running;
       stop_requested = A.make false;
+      net = A.make 0;
       next_wire = A.make 0;
       next_session = A.make 0;
       layers;
@@ -213,6 +219,7 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
   let layers t = t.layers
   let input_width t = Array.length t.lanes
   let max_batch t = t.max_batch
+  let net t = A.get t.net
 
   let session ?wire t =
     let w = input_width t in
@@ -329,6 +336,11 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
         R.traverse_batch svc.rt ~wire:lane.wire ~n:run_incs ~f:lane.inc_f;
       if run_decs > 0 then
         R.traverse_batch_decrement svc.rt ~wire:lane.wire ~n:run_decs ~f:lane.dec_f;
+      (* Count the batch before any waiter is released: a client that
+         reads [net] after its operation returned sees it counted.  An
+         eliminated pair adds nothing, so a balanced batch skips the
+         shared word. *)
+      if incs <> decs then ignore (A.fetch_and_add svc.net (incs - decs));
       let anchor =
         if run_incs > 0 then inc_vals.(0)
         else if run_decs > 0 then dec_vals.(0)
@@ -465,10 +477,13 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
             bump lane.batches 1;
             bump lane.ops_combined 1;
             raise_to lane.max_batch_observed 1;
-            vals.(off) <-
-              (match ops.(off) with
-              | Inc -> R.traverse svc.rt ~wire:lane.wire
-              | Dec -> R.traverse_decrement svc.rt ~wire:lane.wire)
+            match ops.(off) with
+            | Inc ->
+                vals.(off) <- R.traverse svc.rt ~wire:lane.wire;
+                A.incr svc.net
+            | Dec ->
+                vals.(off) <- R.traverse_decrement svc.rt ~wire:lane.wire;
+                ignore (A.fetch_and_add svc.net (-1))
           end
           else begin
             load sess.cell ops vals off len;
@@ -580,20 +595,35 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
      [stop_requested] intent first, so an owner that validated before
      the shutdown could compete never resurrects the service — it reads
      the intent after validation and closes instead of re-opening. *)
+  (* The runtime's quiescence checks plus the net word against the
+     runtime's own count.  Once every lane is quiet each batch has added
+     its share, so the two agree unless an update was lost or doubled. *)
+  let validate t =
+    let report = R.quiescent t.rt in
+    let word = A.get t.net and cells = R.net_count t.rt in
+    let agreement =
+      {
+        V.name = "net-agreement";
+        ok = word = cells;
+        detail = Printf.sprintf "net word %d, runtime net %d" word cells;
+      }
+    in
+    { report with V.checks = report.V.checks @ [ agreement ] }
+
   let rec drain_to ~final ~policy t =
     if final = st_stopped then A.set t.stop_requested true;
     let s = A.get t.state in
     if s = st_stopped then begin
       (* Terminal: the network is quiesced and frozen; validate and
          report without touching the lifecycle. *)
-      let report = R.quiescent t.rt in
+      let report = validate t in
       V.enforce policy report;
       report
     end
     else if s = st_running && A.compare_and_set t.state st_running st_draining
     then begin
       sweep_until_quiet t;
-      let report = R.quiescent t.rt in
+      let report = validate t in
       (match V.enforce policy report with
       | () ->
           let final' =

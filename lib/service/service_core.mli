@@ -21,7 +21,9 @@
       cell stays parked forever;
     - {b runs}: every operation of an admitted run resolves to a value
       or [Closed] — a run entry is taken by a combiner whole or
-      withdrawn whole. *)
+      withdrawn whole;
+    - {b read your own operation}: the service's net word counts an
+      operation before the operation's caller can see its value. *)
 
 module type RUNTIME = sig
   type t
@@ -38,6 +40,11 @@ module type RUNTIME = sig
   val quiescent : t -> Cn_runtime.Validator.report
   (** Quiescent-state validation ({!Cn_runtime.Validator}-shaped): only
       called by [drain]/[shutdown] once every lane is quiet. *)
+
+  val net_count : t -> int
+  (** Tokens minus antitokens that have exited, from the runtime's own
+      state: [drain]/[shutdown] check the service's net word against it
+      at the validated quiescence point ([net-agreement]). *)
 end
 
 module type S = sig
@@ -83,6 +90,14 @@ module type S = sig
 
   val max_batch : t -> int
   (** The most operations one run entry carries; longer runs are split. *)
+
+  val net : t -> int
+  (** Increments minus decrements of every completed batch: one padded
+      word, read with one atomic load.  A batch adds its nonzero net
+      after its traversals and before any of its operations returns, so
+      a read that starts after an operation returned counts it.  Equal
+      to the runtime's net count at quiescence, which [drain] and
+      [shutdown] check. *)
 
   val run :
     session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result

@@ -27,11 +27,7 @@ let engine =
   ]
 
 let selftest =
-  let contains hay needle =
-    let lh = String.length hay and ln = String.length needle in
-    let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-    go 0
-  in
+  let contains = Util.contains in
   [
     tc "explorer finds the lifecycle race (stopped resurrected)" (fun () ->
         let out = E.explore ~preemptions:2 Self.lifecycle_race in

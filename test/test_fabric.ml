@@ -308,10 +308,60 @@ let resize_under_load =
         Alcotest.(check bool) "post-resize quiescence" true (V.passed report));
   ]
 
+(* The global read sums one net word per shard: it must equal what the
+   shards' networks handed out, the services a resize retired included,
+   and every drain must find each shard's word in agreement. *)
+let read_sums_words =
+  [
+    tc "read on C(16,64) x 4 equals the summed exits after mixed runs and a resize"
+      (fun () ->
+        let net = Counting.network ~w:16 ~t:64 in
+        let fab = Fab.create ~shards:4 ~validate:V.Strict net in
+        let exits svc =
+          Cn_sequence.Sequence.sum
+            (Cn_runtime.Network_runtime.exit_distribution (Cn_service.Service.runtime svc))
+        in
+        let ops = Array.init 11 (fun i -> if i mod 4 = 3 then Fab.Dec else Fab.Inc) in
+        let traffic () =
+          ignore
+            (Cn_runtime.Domain_pool.round ~domains:2 (fun pid ->
+                 let vals = Array.make 11 0 in
+                 for k = 0 to 39 do
+                   let s = Fab.session ~key:((k * 2) + pid) fab in
+                   match Fab.run s ops vals ~off:0 ~len:11 with
+                   | Ok () -> ()
+                   | Error _ -> Alcotest.fail "run refused"
+                 done))
+        in
+        traffic ();
+        let retired = Fab.shard_service fab 1 in
+        (match Fab.resize fab ~shard:1 net with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "resize failed");
+        traffic ();
+        let live = List.init 4 (fun sid -> exits (Fab.shard_service fab sid)) in
+        Alcotest.(check int) "read = summed exit distributions"
+          (exits retired + List.fold_left ( + ) 0 live)
+          (Fab.read fab);
+        Alcotest.(check int) "read = ok(inc) - ok(dec)" (2 * 2 * 40 * (9 - 2)) (Fab.read fab);
+        Alcotest.(check int) "resized shard continues from its base"
+          (exits retired + List.nth live 1)
+          (Fab.shard_value fab 1);
+        let report = Fab.drain fab in
+        List.iter
+          (fun sid ->
+            let name = Printf.sprintf "shard%d.net-agreement" sid in
+            match List.find_opt (fun (c : V.check) -> c.V.name = name) report.V.checks with
+            | Some c -> Alcotest.(check bool) name true c.V.ok
+            | None -> Alcotest.failf "%s missing from the drain report" name)
+          (ids 4));
+  ]
+
 let suite =
   [
     ("fabric.router", router);
     ("fabric.certification", certification);
     ("fabric.ops", ops);
     ("fabric.resize", resize_under_load);
+    ("fabric.read", read_sums_words);
   ]

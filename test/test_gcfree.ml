@@ -97,7 +97,28 @@ let read_and_run =
         Alcotest.(check int) "value" (100 * (tokens + 64)) !sum;
         Alcotest.(check bool)
           (Printf.sprintf "allocated %.0f minor words for %d reads" d tokens)
-          true (d < 64.));
+          true (d < 64.);
+        (* the service's net word and the fabric read built on it *)
+        let module Svc = Cn_service.Service in
+        let module Fab = Cn_fabric.Fabric in
+        let svc = Svc.create (net48 ()) in
+        ignore (Svc.run (Svc.session svc) (Array.make 5 Svc.Inc) (Array.make 5 0) ~off:0 ~len:5);
+        let fab = Fab.create ~shards:4 (Cn_core.Counting.network ~w:16 ~t:64) in
+        ignore (Fab.increment (Fab.session fab));
+        List.iter
+          (fun (what, read, each) ->
+            let sum = ref 0 in
+            let d =
+              delta_words (fun n ->
+                  for _ = 1 to n do
+                    sum := !sum + read ()
+                  done)
+            in
+            Alcotest.(check int) (what ^ " value") (each * (tokens + 64)) !sum;
+            Alcotest.(check bool)
+              (Printf.sprintf "%s allocated %.0f minor words for %d reads" what d tokens)
+              true (d < 64.))
+          [ ("Service.net", (fun () -> Svc.net svc), 5); ("Fabric.read", (fun () -> Fab.read fab), 1) ]);
     tc "a service run of 32 allocates per run, not per operation" (fun () ->
         let module Svc = Cn_service.Service in
         let svc = Svc.create (net48 ()) in

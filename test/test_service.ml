@@ -508,6 +508,71 @@ let runs =
         ignore (Svc.run s [| Svc.Inc |] [| 0 |] ~off:0 ~len:1));
   ]
 
+(* The net word: counted before a caller sees its value, cross-checked
+   against the runtime's exits at every validated quiescence point. *)
+let net_word =
+  let agreement (report : V.report) =
+    match List.find_opt (fun (c : V.check) -> c.V.name = "net-agreement") report.V.checks with
+    | Some c -> c.V.ok
+    | None -> Alcotest.fail "no net-agreement check in the report"
+  in
+  [
+    tc "net counts every served op, eliminated pairs included" (fun () ->
+        let svc = Svc.create (net48 ()) in
+        let s = Svc.session ~wire:1 svc in
+        let same label =
+          Alcotest.(check int) label (RT.net_count (Svc.runtime svc)) (Svc.net svc)
+        in
+        same "fresh";
+        ignore (check_ok "inc" (Svc.increment s));
+        ignore (check_ok "inc" (Svc.increment s));
+        ignore (check_ok "dec" (Svc.decrement s));
+        same "solo fast path";
+        let ops = [| Svc.Inc; Svc.Dec; Svc.Inc; Svc.Inc; Svc.Dec |] in
+        (match Svc.run s ops (Array.make 5 0) ~off:0 ~len:5 with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "run refused");
+        Alcotest.(check bool) "pairs eliminated" true
+          ((Svc.stats svc).Svc.total_eliminated_pairs > 0);
+        same "combined run";
+        Alcotest.(check int) "2 - 1 + 3 - 2" 2 (Svc.net svc));
+    tc "drain and shutdown agree with the runtime after mixed runs" (fun () ->
+        List.iter
+          (fun elim ->
+            let svc = Svc.create ~elim ~max_batch:8 (net816 ()) in
+            let ss = Array.init 2 (fun pid -> Svc.session ~wire:(pid mod 2) svc) in
+            let ops = Array.init 13 (fun i -> if i mod 3 = 1 then Svc.Dec else Svc.Inc) in
+            ignore
+              (Cn_runtime.Domain_pool.round ~domains:2 (fun pid ->
+                   let vals = Array.make 13 0 in
+                   for _ = 1 to 50 do
+                     match Svc.run ss.(pid) ops vals ~off:0 ~len:13 with
+                     | Ok () -> ()
+                     | Error _ -> Alcotest.fail "run refused"
+                   done));
+            let label what = Printf.sprintf "%s, elim %b" what elim in
+            Alcotest.(check bool) (label "drain net-agreement") true
+              (agreement (Svc.drain svc));
+            Alcotest.(check int) (label "net") (2 * 50 * (9 - 4)) (Svc.net svc);
+            Alcotest.(check bool) (label "shutdown net-agreement") true
+              (agreement (Svc.shutdown svc)))
+          [ true; false ]);
+    tc "a net word that drifted from the runtime fails a Strict drain" (fun () ->
+        let svc = Svc.create (net48 ()) in
+        let s = Svc.session svc in
+        for _ = 1 to 3 do
+          ignore (check_ok "inc" (Svc.increment s))
+        done;
+        RT.reset (Svc.runtime svc);
+        Alcotest.(check bool) "Off still reports the drift" false
+          (agreement (Svc.drain ~policy:V.Off svc));
+        match Svc.drain ~policy:V.Strict svc with
+        | _ -> Alcotest.fail "a Strict drain passed with net 3 over an empty network"
+        | exception V.Invalid msg ->
+            Alcotest.(check bool) ("names the check: " ^ msg) true
+              (Util.contains msg "net-agreement"));
+  ]
+
 let suite =
   [
     ("service.sessions", sessions);
@@ -519,4 +584,5 @@ let suite =
     ("service.races", races);
     ("service.workload", workload_spec);
     ("service.grammars", grammars);
+    ("service.net", net_word);
   ]

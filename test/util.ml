@@ -25,6 +25,11 @@ let for_random_inputs ?(trials = 100) ?(seed = 0) ?max_tokens net assert_io =
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
 
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
 let raises_invalid name f =
   Alcotest.test_case name `Quick (fun () ->
       match f () with
