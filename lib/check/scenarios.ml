@@ -253,17 +253,7 @@ let read_own_op () =
     | Some _ as failure -> failure
     | None ->
         if List.length !reads <> 2 then
-          Some
-            (Printf.sprintf "%d of 2 increments returned a value (%s)" (List.length !reads)
-               (String.concat ","
-                  (List.map
-                     (fun (_, r) ->
-                       match r with
-                       | Val v -> string_of_int v
-                       | Rejected -> "overloaded"
-                       | Refused -> "closed"
-                       | Unset -> "unset")
-                     !(run.results))))
+          Some (Printf.sprintf "%d of 2 increments returned a value" (List.length !reads))
         else if List.exists (fun v -> v < 1) !reads then
           Some
             (Printf.sprintf "a read after its own increment returned saw net %s"

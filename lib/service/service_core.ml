@@ -588,13 +588,6 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       end
     done
 
-  (* Lifecycle transitions are CAS-elected and [st_stopped] is terminal:
-     exactly one caller owns a running -> draining transition; everyone
-     else waits for the owner to finish and then takes its own turn (or
-     observes the terminal stop).  A shutdown publishes its sticky
-     [stop_requested] intent first, so an owner that validated before
-     the shutdown could compete never resurrects the service — it reads
-     the intent after validation and closes instead of re-opening. *)
   (* The runtime's quiescence checks plus the net word against the
      runtime's own count.  Once every lane is quiet each batch has added
      its share, so the two agree unless an update was lost or doubled. *)
@@ -610,6 +603,13 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
     in
     { report with V.checks = report.V.checks @ [ agreement ] }
 
+  (* Lifecycle transitions are CAS-elected and [st_stopped] is terminal:
+     exactly one caller owns a running -> draining transition; everyone
+     else waits for the owner to finish and then takes its own turn (or
+     observes the terminal stop).  A shutdown publishes its sticky
+     [stop_requested] intent first, so an owner that validated before
+     the shutdown could compete never resurrects the service — it reads
+     the intent after validation and closes instead of re-opening. *)
   let rec drain_to ~final ~policy t =
     if final = st_stopped then A.set t.stop_requested true;
     let s = A.get t.state in
