@@ -190,8 +190,18 @@ let check run () =
             else begin
               let expected = oks Fab.Inc - oks Fab.Dec in
               let got = Fab.read run.fab in
+              (* [read] sums the services' net words; the exits of every
+                 network spawned, retired ones included, must agree too *)
+              let exits =
+                List.fold_left
+                  (fun sum rt -> sum + Model_net.net_count rt)
+                  0 !(run.rts)
+              in
               if got <> expected then
                 fail "fabric read %d but ok(inc) - ok(dec) = %d" got expected
+              else if exits <> expected then
+                fail "the networks' exits net %d but ok(inc) - ok(dec) = %d"
+                  exits expected
               else if run.distinct_incs then begin
                 let vals =
                   List.filter_map

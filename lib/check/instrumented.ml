@@ -67,5 +67,6 @@ let fetch_and_add r d =
   end
 
 let incr r = ignore (fetch_and_add r 1)
+let sum a = Array.fold_left (fun s r -> s + get r) 0 a
 let relax () = Engine.yield ~blocking:true
 let nap () = Engine.yield ~blocking:true

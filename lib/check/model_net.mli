@@ -36,7 +36,7 @@ val quiescent : t -> Cn_runtime.Validator.report
 
 val net_count : t -> int
 (** The summed {!exit_distribution}, reading through instrumented
-    atomics: what the service checks its net word against at a
+    atomics: what the service checks its net count against at a
     validated quiescence point. *)
 
 val exit_distribution : t -> int array

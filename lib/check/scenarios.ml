@@ -87,7 +87,7 @@ let check run () =
           fail "token conservation: %d exits vs %d ok(inc) - ok(dec)"
             (Sequence.sum dist) expected
         else if Svc.net run.svc <> expected then
-          fail "net word %d vs %d ok(inc) - ok(dec)" (Svc.net run.svc) expected
+          fail "net count %d vs %d ok(inc) - ok(dec)" (Svc.net run.svc) expected
         else if not (Sequence.is_step dist) then
           fail "final distribution is not a step: %s" (Sequence.to_string dist)
         else if run.distinct_incs then begin
@@ -230,10 +230,10 @@ let run_cap () =
   }
 
 (* Two sessions on one lane, so one's increment can be published and
-   drained by the other's combiner; each fiber reads the net word once
+   drained by the other's combiner; each fiber reads the net count once
    its own increment has returned.  Every read must count the reader's
    own operation: a combiner that released its waiters before adding
-   the batch to the word would let the drained fiber read 0. *)
+   the batch to its lane's word would let the drained fiber read 0. *)
 let read_own_op () =
   let run = make_run ~w:2 ~t:2 ~distinct_incs:true () in
   let reads = ref [] in

@@ -16,7 +16,7 @@
       minus successful decrements (Theorem 4.2's quiescent step property
       plus value conservation);
     - {b step property} on the final distribution;
-    - {b net word}: the service's {!Cn_service.Service_core.S.net}
+    - {b net count}: the service's {!Cn_service.Service_core.S.net}
       equals successful increments minus successful decrements;
     - {b liveness} (via the engine): every accepted operation's wait
       completes — a cell parked forever or an [await] that never

@@ -54,9 +54,10 @@ module type SERVICE = sig
   (** Net operations counted so far: increments minus decrements of
       every batch that completed, each counted before its caller sees
       its value.  The fabric reads it on every {!S.read} and
-      {!S.shard_value} (one load per shard, so it should cost
-      O(1)), and for the [base] fold after [shutdown]'s validation
-      point, where it is exact. *)
+      {!S.shard_value}, so it should not grow with the output width
+      ({!Cn_service.Service.net} costs one load per input wire), and
+      for the [base] fold after [shutdown]'s validation point, where
+      it is exact. *)
 end
 
 module type S = sig
@@ -148,10 +149,11 @@ module type S = sig
       (at most 8 retries), and waits on no other reader.  A resize
       publishes the new service and its folded [base] in one store, so
       a sweep never under- or double-counts a shard mid-swap.  A sweep
-      reads one net word per shard ({!SERVICE.net}), so it costs
-      O(shards) whatever the shards' output width.  Under in-flight
-      traffic it counts exactly the operations whose batch completed,
-      so a read that starts after an operation returned counts it. *)
+      reads each shard's {!SERVICE.net} (for {!Cn_service.Service},
+      one word per input wire), so it costs O(shards × w) whatever the
+      shards' output width.  Under in-flight traffic it counts every
+      operation whose batch completed before the read began, so a read
+      that starts after an operation returned counts it. *)
 
   val shard_count : t -> int
 

@@ -1,7 +1,6 @@
 module A = Cn_runtime.Atomics.Real
 module Svc = Cn_service.Service
 module Fab = Cn_fabric.Fabric
-module RT = Cn_runtime.Network_runtime
 module V = Cn_runtime.Validator
 
 (* One handler thread per connection, one backend session per handler:
@@ -35,7 +34,7 @@ let service_backend svc =
         let s = Svc.session svc in
         fun ops vals ~len -> Svc.run s ops vals ~off:0 ~len);
     be_max_batch = Svc.max_batch svc;
-    be_value = (fun () -> RT.net_count (Svc.runtime svc));
+    be_value = (fun () -> Svc.net svc);
     be_drain = (fun () -> Svc.drain ~policy:V.Off svc);
     be_shutdown = (fun policy -> Svc.shutdown ?policy svc);
     be_report_json = (fun () -> Svc.report_json svc);

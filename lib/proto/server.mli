@@ -14,8 +14,8 @@
       ([Error Closed]) surface as the protocol-level
       [Overloaded]/[Closed] replies for the refused part of the run —
       the client decides whether to retry, shed, or back off;
-    - [Read] replies with the counter's current value (net tokens
-      handed out, derived from the runtime's assignment cells) without
+    - [Read] replies with the counter's current value
+      ({!Service.net}: increments minus decrements served) without
       traversing;
     - [Drain] runs {!Service.drain} — quiesce, validate the step
       property and token conservation, re-admit — and replies
@@ -94,8 +94,8 @@ val start :
     {!Frame.default_max_payload}) caps accepted frame payloads.
 
     [Inc]/[Dec] runs go to a per-connection
-    {!Cn_service.Service.session}; [Read] is the runtime's net exit
-    count ({!Cn_runtime.Network_runtime.net_count}, allocation-free).
+    {!Cn_service.Service.session}; [Read] is the service's net count
+    ({!Cn_service.Service.net}, allocation-free).
     @raise Unix.Unix_error when the socket cannot be bound. *)
 
 val start_fabric :

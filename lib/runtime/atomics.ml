@@ -9,6 +9,7 @@ module type S = sig
   val compare_and_set : 'a t -> 'a -> 'a -> bool
   val fetch_and_add : int t -> int -> int
   val incr : int t -> unit
+  val sum : int t array -> int
   val relax : unit -> unit
   val nap : unit -> unit
 end
@@ -24,6 +25,14 @@ module Real = struct
   let compare_and_set = Atomic.compare_and_set
   let fetch_and_add = Atomic.fetch_and_add
   let incr = Atomic.incr
+
+  (* A loop over inlined loads: one call for the whole array. *)
+  let sum a =
+    let s = ref 0 in
+    for i = 0 to Array.length a - 1 do
+      s := !s + Atomic.get (Array.unsafe_get a i)
+    done;
+    !s
   let relax = Domain.cpu_relax
 
   (* Same patience as Domain_pool's waiters. *)

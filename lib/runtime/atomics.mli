@@ -45,6 +45,13 @@ module type S = sig
   val fetch_and_add : int t -> int -> int
   val incr : int t -> unit
 
+  val sum : int t array -> int
+  (** The sum of the atomics' values, each read with {!get} in index
+      order: not a snapshot, so under writers it may mix old and new
+      values.  Real: one call whose loads are inlined, which is what
+      makes a per-lane count cheap to read.  Instrumented: one yield
+      point per element, as a loop of {!get}s. *)
+
   val relax : unit -> unit
   (** A failed-spin hint: the caller observed no progress and is about
       to retry.  Real: [Domain.cpu_relax].  Instrumented: deschedule

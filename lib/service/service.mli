@@ -46,7 +46,7 @@
     unboundedly — the caller decides whether to retry, shed, or back
     off.  {!drain} stops admissions, helps every lane run dry, then
     checks {!Validator.quiescent_runtime} on the quiesced network and
-    the service's {!net} word against the network's exits;
+    the service's {!net} count against the network's exits;
     {!shutdown} does the same and leaves the service closed
     ([Error Closed] thereafter).
 
@@ -151,14 +151,18 @@ val max_batch : t -> int
 
 val net : t -> int
 (** [net t] is the service's counter value: increments minus decrements
-    served so far, eliminated pairs included (they cancel).  It is one
-    padded atomic word, so a read costs one load whatever the network's
-    output width; {!Cn_runtime.Network_runtime.net_count} sums all [t]
-    assignment cells instead.  Each combined batch adds its nonzero
-    net after its traversals and before any of its operations returns
-    (the one-operation fast path adds [±1] the same way), so a read
-    that starts after an operation returned counts that operation;
-    under churn it counts exactly the operations whose batch completed.
+    served so far, eliminated pairs included (they cancel).  Each lane
+    keeps one padded word that only its combining-flag holder writes,
+    with a plain load and store, and [net] sums them, so a read costs
+    one load per input wire whatever the network's output width, and
+    no two lanes write one cache line;
+    {!Cn_runtime.Network_runtime.net_count} sums all [t] assignment
+    cells instead.  Each combined batch adds its nonzero net to its
+    lane's word after its traversals and before any of its operations
+    returns (the one-operation fast path adds [±1] the same way), so a
+    read that starts after an operation returned counts that
+    operation; under churn it counts every operation that returned
+    before the read began, and possibly some that complete during it.
     At quiescence it equals the runtime's net count, and {!drain} and
     {!shutdown} report that as their [net-agreement] check.
     Allocation-free. *)

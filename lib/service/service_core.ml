@@ -109,6 +109,11 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
     dec_scr : int array;
     inc_f : int -> int -> unit;  (* stores into [inc_scr]; built once *)
     dec_f : int -> int -> unit;
+    net : int A.t;
+        (* increments minus decrements of this lane's completed batches,
+           added before the batch's waiters can see their values.  Only
+           the flag holder writes it, and it is padded, so no two lanes
+           write one cache line; [net] sums the lanes. *)
     batches : int A.t;
     ops_combined : int A.t;
     max_batch_observed : int A.t;
@@ -132,12 +137,10 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
         (* sticky shutdown intent: set before competing for the drain,
            read by whoever owns it, so a drain racing a shutdown can
            never re-open a service the shutdown is about to stop *)
-    net : int A.t;
-        (* increments minus decrements of every completed batch, added
-           before the batch's waiters can see their values *)
     next_wire : int A.t;
     next_session : int A.t;
     layers : int array;  (* per-balancer 1-based depth, for metrics JSON *)
+    nets : int A.t array;  (* every lane's [net], for one [A.sum] *)
   }
 
   type session = {
@@ -185,6 +188,7 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       dec_scr;
       inc_f = (fun i v -> inc_scr.(i) <- v);
       dec_f = (fun i v -> dec_scr.(i) <- v);
+      net = A.make 0;
       batches = A.make_stat 0;
       ops_combined = A.make_stat 0;
       max_batch_observed = A.make_stat 0;
@@ -200,26 +204,27 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
     if queue < 1 then invalid_arg "Service.create: queue must be at least 1";
     let empty = dummy_cell () in
     let w = R.input_width rt in
+    let lanes = Array.init w (fun wire -> make_lane ~empty ~wire ~queue ~max_batch) in
     {
       rt;
-      lanes = Array.init w (fun wire -> make_lane ~empty ~wire ~queue ~max_batch);
+      lanes;
       empty;
       max_batch;
       elim;
       validate;
       state = A.make st_running;
       stop_requested = A.make false;
-      net = A.make 0;
       next_wire = A.make 0;
       next_session = A.make 0;
       layers;
+      nets = Array.map (fun lane -> lane.net) lanes;
     }
 
   let runtime t = t.rt
   let layers t = t.layers
   let input_width t = Array.length t.lanes
   let max_batch t = t.max_batch
-  let net t = A.get t.net
+  let net t = A.sum t.nets
 
   let session ?wire t =
     let w = input_width t in
@@ -337,10 +342,8 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       if run_decs > 0 then
         R.traverse_batch_decrement svc.rt ~wire:lane.wire ~n:run_decs ~f:lane.dec_f;
       (* Count the batch before any waiter is released: a client that
-         reads [net] after its operation returned sees it counted.  An
-         eliminated pair adds nothing, so a balanced batch skips the
-         shared word. *)
-      if incs <> decs then ignore (A.fetch_and_add svc.net (incs - decs));
+         reads [net] after its operation returned sees it counted. *)
+      if incs <> decs then bump lane.net (incs - decs);
       let anchor =
         if run_incs > 0 then inc_vals.(0)
         else if run_decs > 0 then dec_vals.(0)
@@ -480,10 +483,10 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
             match ops.(off) with
             | Inc ->
                 vals.(off) <- R.traverse svc.rt ~wire:lane.wire;
-                A.incr svc.net
+                bump lane.net 1
             | Dec ->
                 vals.(off) <- R.traverse_decrement svc.rt ~wire:lane.wire;
-                ignore (A.fetch_and_add svc.net (-1))
+                bump lane.net (-1)
           end
           else begin
             load sess.cell ops vals off len;
@@ -588,17 +591,18 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       end
     done
 
-  (* The runtime's quiescence checks plus the net word against the
-     runtime's own count.  Once every lane is quiet each batch has added
-     its share, so the two agree unless an update was lost or doubled. *)
+  (* The runtime's quiescence checks plus the lanes' net words against
+     the runtime's own count.  Once every lane is quiet each batch has
+     added its share, so the two agree unless an update was lost or
+     doubled. *)
   let validate t =
     let report = R.quiescent t.rt in
-    let word = A.get t.net and cells = R.net_count t.rt in
+    let count = net t and cells = R.net_count t.rt in
     let agreement =
       {
         V.name = "net-agreement";
-        ok = word = cells;
-        detail = Printf.sprintf "net word %d, runtime net %d" word cells;
+        ok = count = cells;
+        detail = Printf.sprintf "net count %d, runtime net %d" count cells;
       }
     in
     { report with V.checks = report.V.checks @ [ agreement ] }

@@ -22,7 +22,7 @@
     - {b runs}: every operation of an admitted run resolves to a value
       or [Closed] — a run entry is taken by a combiner whole or
       withdrawn whole;
-    - {b read your own operation}: the service's net word counts an
+    - {b read your own operation}: the service's net count counts an
       operation before the operation's caller can see its value. *)
 
 module type RUNTIME = sig
@@ -43,7 +43,7 @@ module type RUNTIME = sig
 
   val net_count : t -> int
   (** Tokens minus antitokens that have exited, from the runtime's own
-      state: [drain]/[shutdown] check the service's net word against it
+      state: [drain]/[shutdown] check the service's net count against it
       at the validated quiescence point ([net-agreement]). *)
 end
 
@@ -92,12 +92,14 @@ module type S = sig
   (** The most operations one run entry carries; longer runs are split. *)
 
   val net : t -> int
-  (** Increments minus decrements of every completed batch: one padded
-      word, read with one atomic load.  A batch adds its nonzero net
-      after its traversals and before any of its operations returns, so
-      a read that starts after an operation returned counts it.  Equal
-      to the runtime's net count at quiescence, which [drain] and
-      [shutdown] check. *)
+  (** Increments minus decrements of every completed batch: the sum of
+      one padded word per lane, each written only by the lane's
+      combining-flag holder, so a read costs one load per input wire.
+      A batch adds its nonzero net to its lane's word after its
+      traversals and before any of its operations returns, so a read
+      that starts after an operation returned counts it.  Equal to the
+      runtime's net count at quiescence, which [drain] and [shutdown]
+      check. *)
 
   val run :
     session -> op array -> int array -> off:int -> len:int -> (unit, int * error) result

@@ -308,9 +308,9 @@ let resize_under_load =
         Alcotest.(check bool) "post-resize quiescence" true (V.passed report));
   ]
 
-(* The global read sums one net word per shard: it must equal what the
+(* The global read sums each shard's net count: it must equal what the
    shards' networks handed out, the services a resize retired included,
-   and every drain must find each shard's word in agreement. *)
+   and every drain must find each shard's count in agreement. *)
 let read_sums_words =
   [
     tc "read on C(16,64) x 4 equals the summed exits after mixed runs and a resize"

@@ -98,7 +98,7 @@ let read_and_run =
         Alcotest.(check bool)
           (Printf.sprintf "allocated %.0f minor words for %d reads" d tokens)
           true (d < 64.);
-        (* the service's net word and the fabric read built on it *)
+        (* the service's net count and the fabric read built on it *)
         let module Svc = Cn_service.Service in
         let module Fab = Cn_fabric.Fabric in
         let svc = Svc.create (net48 ()) in

@@ -508,8 +508,9 @@ let runs =
         ignore (Svc.run s [| Svc.Inc |] [| 0 |] ~off:0 ~len:1));
   ]
 
-(* The net word: counted before a caller sees its value, cross-checked
-   against the runtime's exits at every validated quiescence point. *)
+(* The net count (one word per lane): counted before a caller sees its
+   value, cross-checked against the runtime's exits at every validated
+   quiescence point. *)
 let net_word =
   let agreement (report : V.report) =
     match List.find_opt (fun (c : V.check) -> c.V.name = "net-agreement") report.V.checks with
@@ -557,7 +558,7 @@ let net_word =
             Alcotest.(check bool) (label "shutdown net-agreement") true
               (agreement (Svc.shutdown svc)))
           [ true; false ]);
-    tc "a net word that drifted from the runtime fails a Strict drain" (fun () ->
+    tc "a net count that drifted from the runtime fails a Strict drain" (fun () ->
         let svc = Svc.create (net48 ()) in
         let s = Svc.session svc in
         for _ = 1 to 3 do
