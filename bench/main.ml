@@ -708,12 +708,12 @@ let e14 () =
 
 (* ------------------------------------------------------------------ *)
 (* runtime: the compiled counting networks against the central-FAA and
-   lock baselines across 1-8 domains, plus the batched and pipelined
-   walks, reusing one warmed domain pool for every cell; records the
-   "runtime" section of BENCH_runtime.json.                             *)
+   lock baselines across 1-8 domains, plus the batched walk, reusing
+   one warmed domain pool for every cell; records the "runtime" section
+   of BENCH_runtime.json.                                               *)
 
 let runtime ?(smoke = false) () =
-  header "runtime  network vs central baselines, batched and pipelined walks (BENCH_runtime.json)";
+  header "runtime  network vs central baselines and the batched walk (BENCH_runtime.json)";
   timing_note ~smoke ();
   let module RT = Cn_runtime.Network_runtime in
   let module DP = Cn_runtime.Domain_pool in
@@ -725,17 +725,23 @@ let runtime ?(smoke = false) () =
   let results =
     DP.with_pool 8 (fun pool ->
         let counter make = counter_run ~pool ~make in
-        (* One walk of each domain's whole quota over a freshly
-           compiled network: the batched traversal API amortizes the
-           bounds check and dispatch across it. *)
+        (* Each domain walks its quota over a freshly compiled network
+           in batches of the service's default [max_batch] (64), the
+           longest batch a combiner hands the network: one batch of the
+           whole quota would time the count walk's value hand-out, not
+           its balancer visits. *)
         let walk traverse ~domains n =
           let rt = RT.compile c16 in
-          (DP.run pool ~domains (fun pid -> traverse rt pid ~n), domains * n)
+          let chunked pid =
+            let left = ref n in
+            while !left > 0 do
+              let k = min 64 !left in
+              traverse rt pid ~n:k;
+              left := !left - k
+            done
+          in
+          (DP.run pool ~domains chunked, domains * n)
         in
-        (* The layer-pipelined walk advances a wavefront of tokens one
-           crossing per round; its buffers are per-domain single-owner
-           scratch. *)
-        let bufs = Array.init 8 (fun _ -> RT.buffer ~capacity:128 ()) in
         let discard _ _ = () in
         sweep ~smoke ~ops_total ~domain_counts:[ 1; 2; 4; 8 ]
           [
@@ -746,16 +752,15 @@ let runtime ?(smoke = false) () =
             ("lock", counter SC.with_lock);
             ( name ^ "+batch",
               walk (fun rt pid ~n -> RT.traverse_batch rt ~wire:(pid mod w) ~n ~f:discard) );
-            ( name ^ "+pipe",
-              walk (fun rt pid ~n ->
-                  RT.traverse_batch_pipelined rt bufs.(pid) ~wire:(pid mod w) ~n ~f:discard) );
           ])
   in
   (* Observability pass: one metrics-instrumented CAS run on C(16,16)
      at 4 domains.  The validator runs Strict — any lost update or
      broken step property fails the whole sweep — and the per-layer
      stall profile (the empirical shape Theorem 6.7 bounds) is printed
-     and recorded in BENCH_runtime.json. *)
+     and recorded in BENCH_runtime.json.  Tokens walk one at a time
+     ([traverse]), so the profile measures per-token contention, not
+     a count walk's one CAS per balancer. *)
   let metrics_json =
     let rt = RT.compile ~mode:RT.Cas ~metrics:true c16 in
     let domains = 4 in
@@ -763,7 +768,9 @@ let runtime ?(smoke = false) () =
     Cn_runtime.Domain_pool.with_pool domains (fun pool ->
         ignore
           (Cn_runtime.Domain_pool.run pool ~domains (fun pid ->
-               RT.traverse_batch rt ~wire:(pid mod w) ~n ~f:(fun _ _ -> ()))));
+               for _ = 1 to n do
+                 ignore (RT.traverse rt ~wire:(pid mod w))
+               done)));
     Cn_runtime.Validator.enforce Cn_runtime.Validator.Strict
       (Cn_runtime.Validator.quiescent_runtime rt);
     let m = Option.get (RT.metrics rt) in

@@ -317,15 +317,6 @@ let batch_arg =
               of $(docv) tokens (bare $(b,--batch): one chunk covering all ops), instead of one \
               $(b,traverse) call per increment.")
 
-let pipeline_arg =
-  Arg.(
-    value
-    & opt ~vopt:(Some 64) (some int) None
-    & info [ "pipeline" ] ~docv:"CAP"
-        ~doc:"Drive each domain through the layer-pipelined batch walk \
-              ($(b,traverse_batch_pipelined)) with a wavefront buffer of $(docv) tokens (bare \
-              $(b,--pipeline): 64) instead of one $(b,traverse) call per increment.")
-
 let metrics_flag =
   Arg.(
     value
@@ -426,9 +417,9 @@ let arrival_arg =
               Requires $(b,--service).")
 
 (* What [countnet throughput] drives, fixed from its flags before any
-   domain runs: the raw network with one of its three walks, or one of
+   domain runs: the raw network with one of its two walks, or one of
    the two combining front-ends. *)
-type walk = Per_op | Batch of int | Pipeline of int
+type walk = Per_op | Batch of int
 
 type driver =
   | Network of walk
@@ -445,7 +436,7 @@ let throughput_cmd =
     prerr_endline ("countnet throughput: " ^ msg);
     exit 2
   in
-  let run net domains ops mode batch pipeline metrics policy service elim max_batch
+  let run net domains ops mode batch metrics policy service elim max_batch
       sessions dec_ratio skew arrival fabric fabric_shards =
     (* Validate once: every check below runs in this order before any
        domain is spawned, and each usage error exits 2. *)
@@ -458,9 +449,6 @@ let throughput_cmd =
     positive "--domains" (Some domains);
     positive "--ops" (Some ops);
     positive "--batch" batch;
-    positive "--pipeline capacity" pipeline;
-    if batch <> None && pipeline <> None then
-      fail_usage "--batch and --pipeline are mutually exclusive (pick one batched driver)";
     if service && fabric then
       fail_usage "--service and --fabric are mutually exclusive (pick one front-end)";
     if (not fabric) && fabric_shards <> None then fail_usage "--shards requires --fabric";
@@ -480,8 +468,6 @@ let throughput_cmd =
         ];
     if (service || fabric) && batch <> None then
       fail_usage "--batch and --service/--fabric are mutually exclusive (they batch internally)";
-    if (service || fabric) && pipeline <> None then
-      fail_usage "--pipeline and --service/--fabric are mutually exclusive (they batch internally)";
     positive "--max-batch" max_batch;
     positive "--sessions" sessions;
     (match dec_ratio with
@@ -510,10 +496,7 @@ let throughput_cmd =
             arrival = Option.value arrival ~default:(W.Closed 0.);
           }
       else
-        match (batch, pipeline) with
-        | Some b, _ -> Network (Batch (min b ops))
-        | None, Some cap -> Network (Pipeline (min cap ops))
-        | None, None -> Network Per_op
+        match batch with Some b -> Network (Batch (min b ops)) | None -> Network Per_op
     in
     (* Drive once.  Opening the pool is where a domain count the runtime
        cannot host fails; that is a usage error, not a crash. *)
@@ -562,10 +545,7 @@ let throughput_cmd =
                     let n = min chunk !remaining in
                     RT.traverse_batch rt ~wire ~n ~f:(fun _ _ -> ());
                     remaining := !remaining - n
-                  done
-              | Pipeline capacity ->
-                  RT.traverse_batch_pipelined rt (RT.buffer ~capacity ()) ~wire ~n:ops
-                    ~f:(fun _ _ -> ()))
+                  done)
         in
         valid (fun () -> V.enforce policy (V.quiescent_runtime rt));
         print_rate "network" seconds;
@@ -633,7 +613,7 @@ let throughput_cmd =
        ~doc:"Measure Fetch&Increment throughput of the network-backed shared counter.")
     Term.(
       const run $ network_term $ domains_arg $ ops_arg $ mode_arg $ batch_arg
-      $ pipeline_arg $ metrics_flag $ validate_arg $ service_flag $ elim_arg $ max_batch_arg
+      $ metrics_flag $ validate_arg $ service_flag $ elim_arg $ max_batch_arg
       $ sessions_arg $ dec_ratio_arg $ skew_arg $ arrival_arg $ fabric_flag
       $ fabric_shards_arg)
 

@@ -8,6 +8,8 @@ type t = {
   input_width : int;
   output_width : int;
   entry : int array; (* encoded dests, like Network_runtime *)
+  order : int array; (* topological: the count walk's visit order *)
+  crossover : int; (* Network_runtime.batch_crossover's *)
   next : int array array;
   fan_out : int array;
   states : int A.t array;
@@ -29,6 +31,8 @@ let compile net =
     input_width = T.input_width net;
     output_width = T.output_width net;
     entry = w.T.entry;
+    order = w.T.order;
+    crossover = (let d = T.depth net in if d = 0 then 1 else max 1 (((2 * n) + d - 1) / d));
     next = Array.init n (fun b -> Array.sub w.T.next w.T.base.(b) fan_out.(b));
     fan_out;
     states = Array.map (fun d -> A.make d.B.init_state) descriptors;
@@ -63,15 +67,68 @@ let traverse_decrement t ~wire =
   let out = -walk t (-1) t.entry.(wire) - 1 in
   A.fetch_and_add t.values.(out) (-t.output_width) - t.output_width
 
+(* The count walk of Network_runtime.traverse_batch, written plainly:
+   one schedulable fetch-and-add of +-k per balancer reached, in
+   topological order, the k tokens spread one by one over the ports
+   from the returned state; one of +-c*t per exit wire reached; the
+   values handed out sorted, ascending for tokens. *)
+let count_walk t ~wire ~n ~anti ~f =
+  let sign = if anti then -1 else 1 in
+  let at = Array.make (Array.length t.states) 0 in
+  let exits = Array.make t.output_width 0 in
+  let reach d c = if d >= 0 then at.(d) <- at.(d) + c else exits.(-d - 1) <- exits.(-d - 1) + c in
+  reach t.entry.(wire) n;
+  Array.iter
+    (fun b ->
+      let k = at.(b) in
+      if k > 0 then begin
+        let s = A.fetch_and_add t.states.(b) (sign * k) in
+        let first = if anti then s - k else s in
+        for j = 0 to k - 1 do
+          reach t.next.(b).(port_of (first + j) t.fan_out.(b)) 1
+        done
+      end)
+    t.order;
+  let tw = t.output_width in
+  let values = ref [] in
+  Array.iteri
+    (fun o c ->
+      if c > 0 then begin
+        let v = A.fetch_and_add t.values.(o) (sign * c * tw) in
+        for j = 0 to c - 1 do
+          values := (if anti then v - ((j + 1) * tw) else v + (j * tw)) :: !values
+        done
+      end)
+    exits;
+  List.iteri f (List.sort (fun a b -> sign * compare a b) !values)
+
 let traverse_batch t ~wire ~n ~f =
-  for i = 0 to n - 1 do
-    f i (traverse t ~wire)
-  done
+  if n < t.crossover then
+    for i = 0 to n - 1 do
+      f i (traverse t ~wire)
+    done
+  else begin
+    t.tokens <- t.tokens + n;
+    count_walk t ~wire ~n ~anti:false ~f
+  end
 
 let traverse_batch_decrement t ~wire ~n ~f =
-  for i = 0 to n - 1 do
-    f i (traverse_decrement t ~wire)
-  done
+  if n < t.crossover then
+    for i = 0 to n - 1 do
+      f i (traverse_decrement t ~wire)
+    done
+  else begin
+    t.antitokens <- t.antitokens + n;
+    count_walk t ~wire ~n ~anti:true ~f
+  end
+
+(* Network_runtime.peek: every balancer state and the exit cell read,
+   nothing written. *)
+let peek t ~wire =
+  let rec go dest =
+    if dest >= 0 then go t.next.(dest).(port_of (A.get t.states.(dest)) t.fan_out.(dest)) else dest
+  in
+  A.get t.values.(-go t.entry.(wire) - 1)
 
 let exit_distribution t =
   Array.init t.output_width (fun i ->

@@ -23,10 +23,19 @@ val output_width : t -> int
 val traverse : t -> wire:int -> int
 val traverse_decrement : t -> wire:int -> int
 val traverse_batch : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
+(** The model of [Network_runtime.traverse_batch]: below the same
+    crossover, one schedulable crossing at a time; from it on, the
+    count walk, one schedulable fetch-and-add per balancer and per exit
+    wire the batch reaches. *)
 
 val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
-(** Batched antitoken runs, one schedulable crossing at a time — the
-    model analogue of [Network_runtime.traverse_batch_decrement]. *)
+(** Batched antitoken runs — the model analogue of
+    [Network_runtime.traverse_batch_decrement], with the same two
+    walks. *)
+
+val peek : t -> wire:int -> int
+(** The model of [Network_runtime.peek]: one schedulable read per
+    balancer on the path and one of the exit cell, no write. *)
 
 val quiescent : t -> Cn_runtime.Validator.report
 (** Step-property plus token-conservation checks on the current exit

@@ -86,6 +86,16 @@ let antitoken_exit sk ~wire =
   ignore (Padded_atomic.fetch_and_add sk.exits wire (-1));
   Padded_atomic.incr sk.flows 1
 
+let crossings sk b k = ignore (Padded_atomic.fetch_and_add sk.crossings b k)
+
+let token_exits sk ~wire c =
+  ignore (Padded_atomic.fetch_and_add sk.exits wire c);
+  ignore (Padded_atomic.fetch_and_add sk.flows 0 c)
+
+let antitoken_exits sk ~wire c =
+  ignore (Padded_atomic.fetch_and_add sk.exits wire (-c));
+  ignore (Padded_atomic.fetch_and_add sk.flows 1 c)
+
 let sample_begin sk =
   let tick = Padded_atomic.fetch_and_add sk.lat_state tick_slot 1 in
   if tick mod sk.period = 0 then now_ns () else -1

@@ -67,6 +67,17 @@ val token_exit : sink -> wire:int -> unit
 val antitoken_exit : sink -> wire:int -> unit
 (** Record an antitoken exiting on [wire] (a net tally decrement). *)
 
+val crossings : sink -> int -> int -> unit
+(** [crossings sk b k] records [k] crossings of balancer [b] at once:
+    a batch that walks as counts reaches [b] with [k] tokens. *)
+
+val token_exits : sink -> wire:int -> int -> unit
+(** [token_exits sk ~wire c] records [c] tokens exiting on [wire]. *)
+
+val antitoken_exits : sink -> wire:int -> int -> unit
+(** [antitoken_exits sk ~wire c] records [c] antitokens exiting on
+    [wire]. *)
+
 val sample_begin : sink -> int
 (** [sample_begin sk] advances the sampling tick; a non-negative result
     is a monotonic timestamp (ns) to pass to {!sample_end} when the

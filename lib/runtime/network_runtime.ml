@@ -38,7 +38,15 @@ type t = {
   values : Padded_atomic.t; (* per output wire: next value to hand out *)
   failures : Padded_atomic.t; (* single slot, always padded *)
   metrics : Metrics.t option;
+  order : int array; (* balancer ids in topological order: the count walk's visit order *)
+  crossover : int; (* smallest batch walked as counts: n * depth >= 2 * size *)
 }
+
+(* A per-token walk of [n] tokens makes [n * depth] crossings; a count
+   walk makes at most one fetch-and-add per balancer and reads every
+   balancer's count once, about [2 * size] steps.  Counts win from the
+   [n] where the first reaches the second. *)
+let crossover ~size ~depth = if depth = 0 then 1 else max 1 (((2 * size) + depth - 1) / depth)
 
 let compile ?(mode = Faa) ?(metrics = false) net =
   let n = Topology.size net in
@@ -53,7 +61,7 @@ let compile ?(mode = Faa) ?(metrics = false) net =
   let descriptors = Array.init n (Topology.balancer net) in
   let init_states = Array.map (fun d -> d.Balancer.init_state) descriptors in
   let fan_out = Array.map (fun d -> d.Balancer.fan_out) descriptors in
-  let { Topology.base = offsets; next; entry; _ } = Topology.wiring net in
+  let { Topology.base = offsets; next; entry; order } = Topology.wiring net in
   let route = Array.make (2 * n) 0 in
   for b = 0 to n - 1 do
     route.(2 * b) <- offsets.(b);
@@ -70,6 +78,8 @@ let compile ?(mode = Faa) ?(metrics = false) net =
     fan_out;
     route;
     entry;
+    order;
+    crossover = crossover ~size:n ~depth:(Topology.depth net);
     values = Padded_atomic.make t ~init:Fun.id;
     failures = Padded_atomic.make 1 ~init:(fun _ -> 0);
     metrics = (if metrics then Some (Metrics.create ~balancers:n ~wires:t ()) else None);
@@ -225,7 +235,7 @@ let check_batch_args rt ~who ~wire ~n =
     invalid_arg (Printf.sprintf "Network_runtime.%s: wire out of range" who);
   if n < 0 then invalid_arg (Printf.sprintf "Network_runtime.%s: negative batch size" who)
 
-(* Sequential batch: bounds check and dispatch paid once for the whole
+(* Per-token batch: bounds check and dispatch paid once for the whole
    batch, tokens walked one after the other. *)
 let batch_loop rt ~wire ~n ~f ~anti =
   let entry = rt.entry.(wire) in
@@ -248,81 +258,197 @@ let batch_loop rt ~wire ~n ~f ~anti =
           f i (exit_increment rt (walk rt sk cross entry))
         done
 
+(* ------------------------------------------------------------------ *)
+(* The count walk.  A balancer's outputs depend only on how many tokens
+   reach it (Eval.flow), so a batch can cross each balancer it reaches
+   in one transition of +-k: from the returned state [s], its k tokens
+   take ports (s + j) mod q and its k antitokens (s - k + j) mod q, for
+   j < k, exactly the ports k single crossings would take back to back.
+   Balancers are visited in topological order, so every count is
+   complete before its balancer is visited.  Each exit wire then takes
+   one fetch-and-add of +-c*t for its c tokens.
+
+   Visits share one shape, [t -> Metrics.sink -> int -> int -> int]:
+   balancer, signed step, and the state before it. *)
+
+let visit_faa rt _sk b step = Padded_atomic.fetch_and_add rt.states b step
+let visit_cas rt _sk b step = cas_retry rt b step 0 1 false
+
+let metered_visit_faa rt sk b step =
+  Metrics.crossings sk b (abs step);
+  Padded_atomic.fetch_and_add rt.states b step
+
+let metered_visit_cas rt sk b step =
+  Metrics.crossings sk b (abs step);
+  metered_cas_retry rt sk b step 0 1 false
+
+let visit_fn mode ~metered =
+  match (mode, metered) with
+  | Faa, false -> visit_faa
+  | Cas, false -> visit_cas
+  | Faa, true -> metered_visit_faa
+  | Cas, true -> metered_visit_cas
+
+(* Count-walk scratch, one per domain (Domain.DLS), never in [t]:
+   [counts.(t + d)] is the number of tokens that reached encoded
+   destination [d] (a balancer, or output wire [-d - 1] below [t]), and
+   is zero outside a walk; [pending.(o)] and [cursor.(o)] are output
+   wire [o]'s values still to hand out and the next of them.  [busy]
+   marks a walk in progress: a caller's [f] that walks again, or a
+   thread of the same domain scheduled mid-walk, walks per token
+   instead of sharing the arrays. *)
+type scratch = {
+  mutable busy : bool;
+  mutable counts : int array;
+  mutable pending : int array;
+  mutable cursor : int array;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { busy = false; counts = [||]; pending = [||]; cursor = [||] })
+
+let scratch rt =
+  let sc = Domain.DLS.get scratch_key in
+  let t = rt.output_width in
+  let need = t + Array.length rt.fan_out in
+  if Array.length sc.counts < need then sc.counts <- Array.make need 0;
+  if Array.length sc.pending < t then begin
+    sc.pending <- Array.make t 0;
+    sc.cursor <- Array.make t 0
+  end;
+  sc
+
+let count_walk rt sk visit cnt ~entry ~n ~anti =
+  let t = rt.output_width in
+  Array.unsafe_set cnt (t + entry) n;
+  let order = rt.order in
+  for i = 0 to Array.length order - 1 do
+    let b = Array.unsafe_get order i in
+    let k = Array.unsafe_get cnt (t + b) in
+    if k > 0 then begin
+      Array.unsafe_set cnt (t + b) 0;
+      let s = visit rt sk b (if anti then -k else k) in
+      let base = Array.unsafe_get rt.route (2 * b) in
+      let strat = Array.unsafe_get rt.route ((2 * b) + 1) in
+      let p0 = port_of_strategy (if anti then s - k else s) strat in
+      let q = Array.unsafe_get rt.fan_out b in
+      (* j < k takes port p0 + j; past q the ports repeat, each taking
+         [k / q] tokens and the first [k mod q] one more. *)
+      let full = if k < q then 0 else k / q in
+      let rem = k - (full * q) in
+      for j = 0 to (if k < q then k else q) - 1 do
+        let p = p0 + j in
+        let d = t + Array.unsafe_get rt.next (base + if p >= q then p - q else p) in
+        Array.unsafe_set cnt d (Array.unsafe_get cnt d + full + if j < rem then 1 else 0)
+      done
+    end
+  done
+
+(* One fetch-and-add per exit wire that the batch reached. *)
+let count_exits rt sk sc ~metered ~anti =
+  let t = rt.output_width in
+  let cnt = sc.counts and pending = sc.pending and cursor = sc.cursor in
+  for o = 0 to t - 1 do
+    let c = Array.unsafe_get cnt (t - 1 - o) in
+    Array.unsafe_set pending o c;
+    if c > 0 then begin
+      Array.unsafe_set cnt (t - 1 - o) 0;
+      if anti then begin
+        Array.unsafe_set cursor o (Padded_atomic.fetch_and_add rt.values o (-c * t) - t);
+        if metered then Metrics.antitoken_exits sk ~wire:o c
+      end
+      else begin
+        Array.unsafe_set cursor o (Padded_atomic.fetch_and_add rt.values o (c * t));
+        if metered then Metrics.token_exits sk ~wire:o c
+      end
+    end
+  done
+
+(* The wire holding the lowest (highest, [~up:false]) pending value. *)
+let extreme_wire pending cursor t ~up =
+  let w = ref (-1) in
+  for o = 0 to t - 1 do
+    if
+      Array.unsafe_get pending o > 0
+      && (!w < 0
+         ||
+         if up then Array.unsafe_get cursor o < Array.unsafe_get cursor !w
+         else Array.unsafe_get cursor o > Array.unsafe_get cursor !w)
+    then w := o
+  done;
+  !w
+
+(* Hand the values out in ascending order (descending for antitokens),
+   the order n single traversals of a counting network return them.
+   Every value of wire [o] is congruent to [o] mod t, so the next value
+   is [v +- 1] on the neighbouring wire unless another domain took it;
+   only then is the next pending value searched for. *)
+let hand_out rt sc ~n ~f ~anti =
+  let t = rt.output_width in
+  let pending = sc.pending and cursor = sc.cursor in
+  let up = not anti in
+  let w = ref (extreme_wire pending cursor t ~up) in
+  let v = ref (Array.unsafe_get cursor !w) in
+  for i = 0 to n - 1 do
+    if not (Array.unsafe_get pending !w > 0 && Array.unsafe_get cursor !w = !v) then begin
+      w := extreme_wire pending cursor t ~up;
+      v := Array.unsafe_get cursor !w
+    end;
+    let o = !w and x = !v in
+    Array.unsafe_set pending o (Array.unsafe_get pending o - 1);
+    if up then begin
+      Array.unsafe_set cursor o (x + t);
+      v := x + 1;
+      w := if o + 1 = t then 0 else o + 1
+    end
+    else begin
+      Array.unsafe_set cursor o (x - t);
+      v := x - 1;
+      w := if o = 0 then t - 1 else o - 1
+    end;
+    f i x
+  done
+
+(* A batch walked as counts records its crossings and exits; like any
+   interleaved walk it takes no latency sample. *)
+let count_batch rt sc ~wire ~n ~f ~anti =
+  sc.busy <- true;
+  match
+    let sk = match rt.metrics with Some m -> Metrics.sink m | None -> Metrics.null in
+    let metered = Option.is_some rt.metrics in
+    count_walk rt sk (visit_fn rt.mode ~metered) sc.counts ~entry:rt.entry.(wire) ~n ~anti;
+    count_exits rt sk sc ~metered ~anti;
+    hand_out rt sc ~n ~f ~anti
+  with
+  | () -> sc.busy <- false
+  | exception e ->
+      Array.fill sc.counts 0 (Array.length sc.counts) 0;
+      sc.busy <- false;
+      raise e
+
+let[@inline] batch rt ~wire ~n ~f ~anti =
+  if n < rt.crossover then batch_loop rt ~wire ~n ~f ~anti
+  else
+    let sc = scratch rt in
+    if sc.busy then batch_loop rt ~wire ~n ~f ~anti else count_batch rt sc ~wire ~n ~f ~anti
+
 let traverse_batch rt ~wire ~n ~f =
   check_batch_args rt ~who:"traverse_batch" ~wire ~n;
-  batch_loop rt ~wire ~n ~f ~anti:false
+  batch rt ~wire ~n ~f ~anti:false
 
 let traverse_batch_decrement rt ~wire ~n ~f =
   check_batch_args rt ~who:"traverse_batch_decrement" ~wire ~n;
-  batch_loop rt ~wire ~n ~f ~anti:true
+  batch rt ~wire ~n ~f ~anti:true
 
-(* ------------------------------------------------------------------ *)
-(* Layer-pipelined batch traversal.  A wavefront of up to [capacity]
-   tokens advances one balancer crossing per round, so while one
-   crossing waits on a cache miss the next token's crossing — on a
-   different balancer bank of the same layer — is already in flight.
-   The scratch buffer is caller-owned and reused across batches, so the
-   steady-state loop allocates nothing. *)
+let batch_crossover rt = rt.crossover
 
-type buffer = { dests : int array }
+(* A read-only walk: each balancer's state read where a token would
+   cross it, and the exit cell read where it would take its value. *)
+let read_state rt _sk b = Padded_atomic.get rt.states b
 
-let buffer ?(capacity = 64) () =
-  if capacity < 1 then invalid_arg "Network_runtime.buffer: capacity must be positive";
-  { dests = Array.make capacity 0 }
-
-let buffer_capacity buf = Array.length buf.dests
-
-let wavefront rt sk cross dests k base ~metered ~anti f =
-  let live = ref k in
-  while !live > 0 do
-    for i = 0 to k - 1 do
-      let d = Array.unsafe_get dests i in
-      if d >= 0 then begin
-        let s = cross rt sk d in
-        let rbase = Array.unsafe_get rt.route (2 * d) in
-        let strat = Array.unsafe_get rt.route ((2 * d) + 1) in
-        let nd = Array.unsafe_get rt.next (rbase + port_of_strategy s strat) in
-        Array.unsafe_set dests i nd;
-        if nd < 0 then begin
-          decr live;
-          let out = -nd - 1 in
-          let v = if anti then exit_decrement rt nd else exit_increment rt nd in
-          if metered then
-            if anti then Metrics.antitoken_exit sk ~wire:out
-            else Metrics.token_exit sk ~wire:out;
-          f (base + i) v
-        end
-      end
-    done
-  done
-
-(* Pipelined tokens are interleaved, so per-token latency sampling does
-   not bracket a single walk; the pipelined paths record crossings,
-   stalls and exits but skip the latency reservoir. *)
-let pipelined_loop rt buf ~wire ~n ~f ~anti =
-  let entry = rt.entry.(wire) in
-  let sk, cross, metered =
-    match rt.metrics with
-    | Some m -> (Metrics.sink m, metered_fn rt.mode ~anti, true)
-    | None -> (Metrics.null, cross_fn rt.mode ~anti, false)
-  in
-  let dests = buf.dests in
-  let cap = Array.length dests in
-  let base = ref 0 in
-  while !base < n do
-    let k = if n - !base < cap then n - !base else cap in
-    Array.fill dests 0 k entry;
-    wavefront rt sk cross dests k !base ~metered ~anti f;
-    base := !base + k
-  done
-
-let traverse_batch_pipelined rt buf ~wire ~n ~f =
-  check_batch_args rt ~who:"traverse_batch_pipelined" ~wire ~n;
-  pipelined_loop rt buf ~wire ~n ~f ~anti:false
-
-let traverse_batch_pipelined_decrement rt buf ~wire ~n ~f =
-  check_batch_args rt ~who:"traverse_batch_pipelined_decrement" ~wire ~n;
-  pipelined_loop rt buf ~wire ~n ~f ~anti:true
+let peek rt ~wire =
+  if wire < 0 || wire >= rt.input_width then invalid_arg "Network_runtime.peek: wire out of range";
+  Padded_atomic.get rt.values (-walk rt Metrics.null read_state rt.entry.(wire) - 1)
 
 let exit_distribution rt =
   (* Output wire [i] hands out [i, i + t, ...]; its next value [v]

@@ -35,12 +35,13 @@
     {2 Allocation}
 
     Traversals are GC-free: with metrics off, {!traverse},
-    {!traverse_decrement}, the batch walks and the pipelined walks
-    allocate zero words per token (the crossing functions are top-level,
-    the walks are loops over preallocated int arrays); with metrics on,
-    recording goes to preallocated sharded counters and an unboxed
-    nanosecond reservoir, so the metered paths are allocation-free too.
-    The test suite pins both claims with [Gc.minor_words] deltas. *)
+    {!traverse_decrement}, {!peek} and the batch walks, per token and
+    as counts, allocate zero words per token (the crossing functions
+    are top-level, the walks are loops over preallocated int arrays);
+    with metrics on, recording goes to preallocated sharded counters
+    and an unboxed nanosecond reservoir, so the metered paths are
+    allocation-free too.  The test suite pins both claims with
+    [Gc.minor_words] deltas. *)
 
 type mode = Faa | Cas
 (** Balancer implementation: atomic fetch-and-add, or an instrumented
@@ -81,9 +82,37 @@ val traverse : t -> wire:int -> int
 val traverse_batch : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
 (** [traverse_batch rt ~wire ~n ~f] shepherds [n] tokens from input
     wire [wire], calling [f i value] with each token's index and
-    assigned counter value.  Equivalent to [n] calls to {!traverse},
-    but the bounds check and mode dispatch are paid once for
-    the whole batch — the preferred shape for throughput loops.
+    assigned counter value, in index order.  The bounds check and mode
+    dispatch are paid once for the whole batch.
+
+    {b Below the crossover} ([n < batch_crossover rt]) the tokens walk
+    one after the other, exactly as [n] calls to {!traverse}.
+
+    {b From the crossover on} the batch walks as counts: it visits the
+    balancers in {!Cn_network.Topology.wiring}'s topological order, and
+    each balancer [k] of its tokens reach takes one transition of [+k]
+    (one fetch-and-add, or one CAS) from state [s] and sends one token
+    to each of the ports [(s + j) mod q], [j < k]; each output wire
+    its [c] tokens reach takes one fetch-and-add of [c * t].  The
+    values are handed to [f] in ascending order.  This is legal: a
+    balancer's outputs depend only on how many tokens reach it, so the
+    walk is the execution of [n] tokens in which every balancer sees
+    the batch's tokens back to back, and each balancer is visited only
+    after every balancer that feeds it.  Run alone, the batch leaves
+    the balancer states and exit cells [n] {!traverse} calls would
+    leave; on a counting network it also returns, per index, the
+    values they would return (sequential tokens count up).  Under
+    concurrency it is one legal execution, like any other
+    interleaving.  It costs at most one atomic per balancer and per
+    output wire instead of [depth + 1] per token; the crossover,
+    [n * depth >= 2 * size], is where that starts to pay.
+
+    In [Cas] mode a contended visit counts as one stall, as a contended
+    crossing does.  With metrics on, a visit records [k] crossings and
+    an exit wire [c] exits; the batch takes no latency sample.  The
+    count walk allocates nothing: its scratch is the calling domain's
+    ({!Domain.DLS}), sized on first use, and an [f] that itself walks
+    on the same domain walks per token.
     @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
 
 val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
@@ -91,41 +120,28 @@ val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) 
     from input wire [wire] (see {!traverse_decrement}), calling
     [f i value] with each antitoken's index and reclaimed value.  The
     batched analogue of {!traverse_decrement}, used by the service layer
-    to drain elimination-remainder decrement runs without falling back
-    to per-operation traversals.
+    to drain elimination-remainder decrement runs.  It walks as counts
+    from the same crossover as {!traverse_batch}: a balancer reached by
+    [k] antitokens from state [s] takes [-k] and sends them to ports
+    [(s - k + j) mod q], each output wire takes [-c * t], and the
+    reclaimed values are handed out in descending order.
     @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
 
-type buffer
-(** A caller-owned scratch buffer for the pipelined batch walks: one
-    preallocated wavefront of token positions, reused across batches so
-    the steady-state pipelined loop allocates nothing. *)
+val batch_crossover : t -> int
+(** The smallest batch {!traverse_batch} and
+    {!traverse_batch_decrement} walk as counts: the least [n] with
+    [n * depth >= 2 * size] (at least [1]).  16 on [C(16,16)]. *)
 
-val buffer : ?capacity:int -> unit -> buffer
-(** [buffer ()] is a pipelined-traversal scratch buffer holding up to
-    [?capacity] (default 64) in-flight tokens.  Buffers are not
-    thread-safe: use one per domain (or per service lane).
-    @raise Invalid_argument if [capacity < 1]. *)
-
-val buffer_capacity : buffer -> int
-(** Wavefront width of the buffer. *)
-
-val traverse_batch_pipelined : t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
-(** [traverse_batch_pipelined rt buf ~wire ~n ~f] shepherds [n] tokens
-    from input wire [wire] layer-by-layer: a wavefront of up to
-    [buffer_capacity buf] tokens advances one balancer crossing per
-    round, overlapping the cache misses of independent crossings instead
-    of serializing whole walks.  [f i value] receives each token's batch
-    index and assigned value; completion order follows the wavefront,
-    not the index order.  The multiset of values handed out matches
-    {!traverse_batch} — individual index/value pairings may differ, as
-    they already do under concurrent traversals.  With metrics on,
-    crossings, stalls and exits are recorded, but tokens are interleaved
-    so the per-token latency reservoir is not sampled on this path.
-    @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
-
-val traverse_batch_pipelined_decrement :
-  t -> buffer -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
-(** Antitoken analogue of {!traverse_batch_pipelined}. *)
+val peek : t -> wire:int -> int
+(** [peek rt ~wire] walks from input wire [wire] reading, never
+    writing: at each balancer it follows the port a token would take
+    from the current state, and it returns the exit cell's current
+    value.  That is the value of a token followed at once by its
+    antitoken: the pair takes the same port at every balancer and
+    restores its state, so the lockstep execution writes nothing and
+    both return this value.  The service hands it to a perfectly
+    matched batch.  Allocates nothing and records no metrics.
+    @raise Invalid_argument if [wire] is out of range. *)
 
 val traverse_decrement : t -> wire:int -> int
 (** [traverse_decrement rt ~wire] shepherds one *antitoken* from input

@@ -15,6 +15,7 @@ module Rt_real = struct
   let traverse_decrement = RT.traverse_decrement
   let traverse_batch = RT.traverse_batch
   let traverse_batch_decrement = RT.traverse_batch_decrement
+  let peek = RT.peek
   let quiescent = V.quiescent_runtime
   let net_count = RT.net_count
 end

@@ -35,9 +35,14 @@
     sequential counter history (the decrement hands back [v], the
     increment immediately re-takes it), so both halves of the pair may
     return [v].  When a batch is perfectly matched (same number of
-    increments and decrements), one pair is kept real to serve as the
-    anchor — a batch never eliminates down to zero network work with
-    results left to invent.
+    increments and decrements), every pair is eliminated and the anchor
+    is a read-only walk ({!Network_runtime.peek}): a token followed at
+    once by its antitoken takes the same port at every balancer and
+    restores it, so that lockstep pair writes no shared word, and [v]
+    is the value it would return.  Such a batch does no network write
+    at all, so a batch now can eliminate down to zero network work;
+    [eliminated_pairs] keeps its meaning and does not count the anchor
+    pair.
 
     {2 Backpressure and lifecycle}
 

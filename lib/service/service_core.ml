@@ -8,6 +8,7 @@ module type RUNTIME = sig
   val traverse_decrement : t -> wire:int -> int
   val traverse_batch : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
   val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
+  val peek : t -> wire:int -> int
   val quiescent : t -> V.report
   val net_count : t -> int
 end
@@ -328,13 +329,10 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       done;
       let incs = !incs in
       let decs = n - incs in
-      (* Eliminate matched pairs locally; when the batch is perfectly
-         matched keep one pair real so an anchor value exists. *)
-      let elim =
-        if (not svc.elim) || incs = 0 || decs = 0 then 0
-        else if incs = decs then incs - 1
-        else min incs decs
-      in
+      (* Eliminate matched pairs locally.  A perfectly matched batch
+         sends nothing through the network: its anchor pair walks
+         read-only (R.peek). *)
+      let elim = if svc.elim then min incs decs else 0 in
       let run_incs = incs - elim and run_decs = decs - elim in
       let inc_vals = lane.inc_scr and dec_vals = lane.dec_scr in
       if run_incs > 0 then
@@ -347,7 +345,7 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       let anchor =
         if run_incs > 0 then inc_vals.(0)
         else if run_decs > 0 then dec_vals.(0)
-        else 0 (* unreachable: elim > 0 forces run_incs > 0 or run_decs > 0 *)
+        else R.peek svc.rt ~wire:lane.wire
       in
       let ii = ref 0 and di = ref 0 in
       for k = 0 to nc - 1 do
@@ -375,7 +373,9 @@ module Make (A : Cn_runtime.Atomics.S) (R : RUNTIME) = struct
       done;
       bump lane.batches 1;
       bump lane.ops_combined n;
-      bump lane.eliminated_pairs elim;
+      (* the read-only anchor pair is the batch's anchor, not an
+         eliminated pair *)
+      bump lane.eliminated_pairs (if elim > 0 && incs = decs then elim - 1 else elim);
       raise_to lane.max_batch_observed n
     end;
     nc - own_n

@@ -37,6 +37,12 @@ module type RUNTIME = sig
   (** Batched antitoken runs: the combiner drains the decrement half of
       a mixed batch through this instead of per-operation traversals. *)
 
+  val peek : t -> wire:int -> int
+  (** The value a token from [wire] followed at once by its antitoken
+      would return, read without writing
+      ({!Cn_runtime.Network_runtime.peek}): the anchor value of a
+      perfectly matched batch. *)
+
   val quiescent : t -> Cn_runtime.Validator.report
   (** Quiescent-state validation ({!Cn_runtime.Validator}-shaped): only
       called by [drain]/[shutdown] once every lane is quiet. *)

@@ -1,16 +1,13 @@
 (* Allocation regressions for the token hot path.
 
-   The runtime promises a GC-free traversal: once a runtime (and, for
-   the pipelined walks, a buffer) exists, crossing tokens allocates
-   zero minor-heap words per token — no closures, no boxed floats, no
-   tuples.  These tests pin that with [Gc.minor_words] deltas: a run of
-   many tokens may cost at most a small constant (the boxed float the
-   measurement itself creates), never a per-token amount.
-
-   The second half checks that the layer-pipelined batch walk is an
-   observational refinement of the sequential one: same quiescent
-   distribution as the combinatorial evaluator, and the multiset of
-   values handed out is exactly the range a counter must produce. *)
+   The runtime promises a GC-free traversal: once a runtime exists,
+   crossing tokens allocates zero minor-heap words per token — no
+   closures, no boxed floats, no tuples — whether a batch walks per
+   token or as counts (whose per-domain scratch is made on a domain's
+   first count walk).  These tests pin that with [Gc.minor_words]
+   deltas: a run of many tokens may cost at most a small constant (the
+   boxed float the measurement itself creates), never a per-token
+   amount. *)
 
 module RT = Cn_runtime.Network_runtime
 module E = Cn_network.Eval
@@ -58,15 +55,22 @@ let zero_alloc =
     RT.traverse_batch rt ~wire:1 ~n ~f:sink;
     RT.traverse_batch_decrement rt ~wire:1 ~n ~f:sink
   in
-  let pipelined rt =
-    let buf = RT.buffer ~capacity:32 () in
-    fun n -> RT.traverse_batch_pipelined rt buf ~wire:2 ~n ~f:sink
+  (* [n] tokens, then as many antitokens, in batches of twice the
+     crossover: every batch walks as counts. *)
+  let counted rt n =
+    let k = 2 * RT.batch_crossover rt in
+    for _ = 1 to max 1 (n / k) do
+      RT.traverse_batch rt ~wire:2 ~n:k ~f:sink
+    done;
+    for _ = 1 to max 1 (n / k) do
+      RT.traverse_batch_decrement rt ~wire:1 ~n:k ~f:sink
+    done
   in
-  let pipelined_dec rt =
-    let buf = RT.buffer ~capacity:32 () in
-    fun n ->
-      RT.traverse_batch_pipelined rt buf ~wire:0 ~n ~f:sink;
-      RT.traverse_batch_pipelined_decrement rt buf ~wire:0 ~n ~f:sink
+  let peek rt n =
+    RT.traverse_batch rt ~wire:0 ~n:5 ~f:sink;
+    for i = 1 to n do
+      ignore (Sys.opaque_identity (RT.peek rt ~wire:(i land 3)))
+    done
   in
   [
     case "traverse, faa, padded csr" ~mode:RT.Faa ~metrics:false traverse;
@@ -76,9 +80,12 @@ let zero_alloc =
     case "batch + batched antitokens, cas, padded csr" ~mode:RT.Cas ~metrics:false batch_dec;
     case "metered traverse, faa, padded csr" ~mode:RT.Faa ~metrics:true traverse;
     case "metered batch, faa, padded csr" ~mode:RT.Faa ~metrics:true batch;
-    case "pipelined batch" ~mode:RT.Faa ~metrics:false pipelined;
-    case "pipelined batched antitokens" ~mode:RT.Faa ~metrics:false pipelined_dec;
-    case "metered pipelined batch + antitokens, cas" ~mode:RT.Cas ~metrics:true pipelined_dec;
+    case "count walk + antitokens, faa" ~mode:RT.Faa ~metrics:false counted;
+    case "count walk + antitokens, cas" ~mode:RT.Cas ~metrics:false counted;
+    case "metered count walk + antitokens, faa" ~mode:RT.Faa ~metrics:true counted;
+    case "metered count walk + antitokens, cas" ~mode:RT.Cas ~metrics:true counted;
+    case "peek" ~mode:RT.Faa ~metrics:false peek;
+    case "peek, metered cas" ~mode:RT.Cas ~metrics:true peek;
   ]
 
 (* The counter read and the service's run entry, beyond the walks. *)
@@ -243,86 +250,9 @@ let codec =
           true (dw < 64.));
   ]
 
-(* ------------------------------------------------------------------ *)
-(* Pipelined walks against the evaluator and the sequential batch. *)
-
-let sorted_values collect =
-  let out = ref [] in
-  collect (fun (_ : int) v -> out := v :: !out);
-  List.sort compare !out
-
-let pipelined =
-  [
-    tc "pipelined batch matches the evaluator's quiescent distribution" (fun () ->
-        let net = Cn_core.Counting.network ~w:8 ~t:16 in
-        let x = [| 5; 2; 0; 9; 3; 1; 7; 4 |] in
-        let rt = RT.compile net in
-        let buf = RT.buffer ~capacity:4 () in
-        Array.iteri
-          (fun wire n -> if n > 0 then RT.traverse_batch_pipelined rt buf ~wire ~n ~f:sink)
-          x;
-        Alcotest.check Util.seq "distribution" (E.quiescent net x) (RT.exit_distribution rt));
-    tc "pipelined batch hands out the same value multiset as traverse_batch" (fun () ->
-        let net = net48 () in
-        let n = 77 in
-        let seq =
-          let rt = RT.compile net in
-          sorted_values (fun f -> RT.traverse_batch rt ~wire:1 ~n ~f)
-        in
-        let pip =
-          let rt = RT.compile net in
-          let buf = RT.buffer ~capacity:8 () in
-          sorted_values (fun f -> RT.traverse_batch_pipelined rt buf ~wire:1 ~n ~f)
-        in
-        Alcotest.(check (list int)) "same values" seq pip;
-        Alcotest.(check (list int)) "a fresh counter hands out 0..n-1" (List.init n Fun.id) pip);
-    tc "pipelined decrement reclaims every value and re-quiesces" (fun () ->
-        let net = net48 () in
-        let rt = RT.compile net in
-        let buf = RT.buffer ~capacity:8 () in
-        let n = 41 in
-        RT.traverse_batch_pipelined rt buf ~wire:3 ~n ~f:sink;
-        let reclaimed =
-          sorted_values (fun f -> RT.traverse_batch_pipelined_decrement rt buf ~wire:3 ~n ~f)
-        in
-        Alcotest.(check (list int)) "reclaimed 0..n-1" (List.init n Fun.id) reclaimed;
-        Alcotest.check Util.seq "back to empty"
-          (Array.make (RT.output_width rt) 0)
-          (RT.exit_distribution rt));
-    tc "batched decrement agrees with per-op traverse_decrement" (fun () ->
-        let net = net48 () in
-        let a = RT.compile net and b = RT.compile net in
-        let n = 29 in
-        RT.traverse_batch a ~wire:2 ~n ~f:sink;
-        RT.traverse_batch b ~wire:2 ~n ~f:sink;
-        let batched = sorted_values (fun f -> RT.traverse_batch_decrement a ~wire:2 ~n ~f) in
-        let one_by_one =
-          List.sort compare (List.init n (fun _ -> RT.traverse_decrement b ~wire:2))
-        in
-        Alcotest.(check (list int)) "same values" one_by_one batched;
-        Alcotest.check Util.seq "same distribution" (RT.exit_distribution b)
-          (RT.exit_distribution a));
-    tc "buffer capacity is validated and reported" (fun () ->
-        Alcotest.(check int) "default" 64 (RT.buffer_capacity (RT.buffer ()));
-        Alcotest.(check int) "explicit" 7 (RT.buffer_capacity (RT.buffer ~capacity:7 ()));
-        Alcotest.check_raises "zero capacity"
-          (Invalid_argument "Network_runtime.buffer: capacity must be positive") (fun () ->
-            ignore (RT.buffer ~capacity:0 ())));
-    tc "pipelined batch validates its arguments" (fun () ->
-        let rt = RT.compile (net48 ()) in
-        let buf = RT.buffer () in
-        Alcotest.check_raises "wire"
-          (Invalid_argument "Network_runtime.traverse_batch_pipelined: wire out of range")
-          (fun () -> RT.traverse_batch_pipelined rt buf ~wire:4 ~n:1 ~f:sink);
-        Alcotest.check_raises "negative n"
-          (Invalid_argument "Network_runtime.traverse_batch_pipelined: negative batch size")
-          (fun () -> RT.traverse_batch_pipelined rt buf ~wire:0 ~n:(-1) ~f:sink));
-  ]
-
 let suite =
   [
     ("gcfree.zero_alloc", zero_alloc);
     ("gcfree.read_and_run", read_and_run);
     ("gcfree.codec", codec);
-    ("gcfree.pipelined", pipelined);
   ]

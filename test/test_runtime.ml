@@ -381,6 +381,182 @@ let multi_domain =
         Util.check_step (RT.exit_distribution rt));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* The count walk: batches from the crossover on visit each balancer
+   once.  Checked against per-token walks on twin runtimes. *)
+
+module V = Cn_runtime.Validator
+module M = Cn_runtime.Metrics
+
+let count_walk_nets () =
+  [
+    ("C(4,8)", net48 ());
+    ("C(4,12)", Cn_core.Counting.network ~w:4 ~t:12);
+    ("C(8,32)", Cn_core.Counting.network ~w:8 ~t:32);
+    ("C(16,16)", Cn_core.Counting.network ~w:16 ~t:16);
+    ("C(16,64)", Cn_core.Counting.network ~w:16 ~t:64);
+    ("bitonic-8", Cn_baselines.Bitonic.network 8);
+    ("periodic-8", Cn_baselines.Periodic.network 8);
+    ("difftree-8", Cn_baselines.Diffracting.network 8);
+  ]
+
+let collect n walk =
+  let got = Array.make n min_int in
+  walk (fun i v -> got.(i) <- v);
+  Array.to_list got
+
+let crossings rt = (M.snapshot (Option.get (RT.metrics rt))).M.crossings
+
+let count_walk =
+  [
+    tc "crossover is n * depth >= 2 * size" (fun () ->
+        List.iter
+          (fun (name, net) ->
+            let size = Cn_network.Topology.size net and depth = Cn_network.Topology.depth net in
+            let c = RT.batch_crossover (RT.compile net) in
+            Alcotest.(check bool) (name ^ " reaches") true (c * depth >= 2 * size);
+            Alcotest.(check bool) (name ^ " least") true (c = 1 || (c - 1) * depth < 2 * size))
+          (count_walk_nets ());
+        Alcotest.(check int) "C(16,16)" 16
+          (RT.batch_crossover (RT.compile (Cn_core.Counting.network ~w:16 ~t:16))));
+    tc "batches equal per-token walks: values per index and balancer states" (fun () ->
+        List.iter
+          (fun (name, net) ->
+            let w = Cn_network.Topology.input_width net in
+            let c = RT.batch_crossover (RT.compile net) in
+            for n = 0 to 3 * c do
+              let batch = RT.compile ~metrics:true net and one = RT.compile ~metrics:true net in
+              (* a reachable quiescent state that is not the initial one *)
+              List.iter
+                (fun rt ->
+                  for i = 0 to 6 do
+                    ignore (RT.traverse rt ~wire:(i * 3 mod w))
+                  done)
+                [ batch; one ];
+              let wire = n mod w in
+              let what s = Printf.sprintf "%s n=%d %s" name n s in
+              Alcotest.(check (list int)) (what "token values")
+                (List.init n (fun _ -> RT.traverse one ~wire))
+                (collect n (fun f -> RT.traverse_batch batch ~wire ~n ~f));
+              Alcotest.(check (array int)) (what "token states") (crossings one) (crossings batch);
+              let wire = (wire + 1) mod w in
+              Alcotest.(check (list int)) (what "antitoken values")
+                (List.init n (fun _ -> RT.traverse_decrement one ~wire))
+                (collect n (fun f -> RT.traverse_batch_decrement batch ~wire ~n ~f));
+              Alcotest.(check (array int)) (what "antitoken states") (crossings one) (crossings batch);
+              Alcotest.check Util.seq (what "exits") (RT.exit_distribution one)
+                (RT.exit_distribution batch)
+            done)
+          (count_walk_nets ()));
+    tc "batched decrement agrees with per-op traverse_decrement" (fun () ->
+        let net = net48 () in
+        let a = RT.compile net and b = RT.compile net in
+        let n = 29 in
+        RT.traverse_batch a ~wire:2 ~n ~f:(fun _ _ -> ());
+        RT.traverse_batch b ~wire:2 ~n ~f:(fun _ _ -> ());
+        let batched = List.sort compare (collect n (fun f -> RT.traverse_batch_decrement a ~wire:2 ~n ~f)) in
+        let one_by_one = List.sort compare (List.init n (fun _ -> RT.traverse_decrement b ~wire:2)) in
+        Alcotest.(check (list int)) "same values" one_by_one batched;
+        Alcotest.check Util.seq "same distribution" (RT.exit_distribution b) (RT.exit_distribution a));
+    tc "4 domains, faa and cas, metered, batch sizes straddling the crossover" (fun () ->
+        let net = Cn_core.Counting.network ~w:16 ~t:16 in
+        let domains = 4 and batches = 150 in
+        DP.with_pool domains (fun pool ->
+            List.iter
+              (fun (mode_name, mode) ->
+                List.iter
+                  (fun anti ->
+                    let rt = RT.compile ~mode ~metrics:true net in
+                    let c = RT.batch_crossover rt in
+                    let vals = Array.make domains [] in
+                    ignore
+                      (DP.run pool ~domains (fun pid ->
+                           let rng = Random.State.make [| pid; 41 |] in
+                           let wire = pid * 5 mod 16 in
+                           for _ = 1 to batches do
+                             let n = 1 + Random.State.int rng (2 * c) in
+                             RT.traverse_batch rt ~wire ~n ~f:(fun _ v -> vals.(pid) <- v :: vals.(pid));
+                             if anti then begin
+                               let n = Random.State.int rng (n + 1) in
+                               RT.traverse_batch_decrement rt ~wire:((wire + 1) mod 16) ~n
+                                 ~f:(fun _ _ -> ())
+                             end
+                           done));
+                    let what = Printf.sprintf "%s%s" mode_name (if anti then " +antitokens" else "") in
+                    V.enforce V.Strict (V.quiescent_runtime rt);
+                    V.enforce V.Strict (V.snapshot_invariants (M.snapshot (Option.get (RT.metrics rt))));
+                    if not anti then
+                      Alcotest.(check bool) (what ^ ": values form 0..m-1") true
+                        (V.values_form_a_range (Array.map Array.of_list vals)))
+                  [ false; true ])
+              [ ("faa", RT.Faa); ("cas", RT.Cas) ]));
+    tc "peek is the value of a token-then-antitoken pair on a twin" (fun () ->
+        let rng = Random.State.make [| 7 |] in
+        List.iter
+          (fun (name, net) ->
+            let w = Cn_network.Topology.input_width net in
+            let a = RT.compile net and b = RT.compile net in
+            for step = 1 to 200 do
+              (* the same random op on both twins: a reachable state *)
+              let wire = Random.State.int rng w and n = Random.State.int rng 40 in
+              let walk =
+                if Random.State.bool rng then RT.traverse_batch else RT.traverse_batch_decrement
+              in
+              walk a ~wire ~n ~f:(fun _ _ -> ());
+              walk b ~wire ~n ~f:(fun _ _ -> ());
+              let wire = Random.State.int rng w in
+              let seen = RT.peek a ~wire in
+              let what = Printf.sprintf "%s step %d" name step in
+              Alcotest.(check int) (what ^ " token") seen (RT.traverse b ~wire);
+              Alcotest.(check int) (what ^ " antitoken") seen (RT.traverse_decrement b ~wire);
+              Alcotest.check Util.seq (what ^ " peek wrote nothing") (RT.exit_distribution b)
+                (RT.exit_distribution a)
+            done;
+            Alcotest.(check int) (name ^ " twins agree") (RT.traverse b ~wire:0) (RT.traverse a ~wire:0))
+          (count_walk_nets ());
+        Alcotest.check_raises "wire" (Invalid_argument "Network_runtime.peek: wire out of range")
+          (fun () -> ignore (RT.peek (RT.compile (net48 ())) ~wire:4)));
+    tc "an f that walks again, or raises, leaves the count walk sound" (fun () ->
+        let net = Cn_core.Counting.network ~w:8 ~t:8 in
+        let rt = RT.compile net in
+        let n = 2 * RT.batch_crossover rt in
+        let seen = ref [] in
+        let keep _ v = seen := v :: !seen in
+        RT.traverse_batch rt ~wire:0 ~n ~f:(fun _ v ->
+            keep 0 v;
+            if v mod 5 = 0 then RT.traverse_batch rt ~wire:1 ~n ~f:keep);
+        Alcotest.(check bool) "nested walks still count" true
+          (V.values_form_a_range [| Array.of_list !seen |]);
+        (match RT.traverse_batch rt ~wire:2 ~n ~f:(fun i _ -> if i = 3 then raise Exit) with
+        | () -> Alcotest.fail "f raised"
+        | exception Exit -> ());
+        let m = RT.net_count rt in
+        Alcotest.(check (list int)) "the next batch counts on" (List.init n (fun i -> m + i))
+          (collect n (fun f -> RT.traverse_batch rt ~wire:3 ~n ~f));
+        V.enforce V.Strict (V.quiescent_runtime rt));
+    tc "the model network's walks agree with the runtime's" (fun () ->
+        let module Mn = Cn_check.Model_net in
+        let rng = Random.State.make [| 3 |] in
+        List.iter
+          (fun (name, net) ->
+            let w = Cn_network.Topology.input_width net in
+            let rt = RT.compile net and mn = Mn.compile net in
+            for step = 1 to 100 do
+              let wire = Random.State.int rng w and n = Random.State.int rng 40 in
+              let what s = Printf.sprintf "%s step %d %s" name step s in
+              Alcotest.(check int) (what "peek") (RT.peek rt ~wire) (Mn.peek mn ~wire);
+              if Random.State.bool rng then
+                Alcotest.(check (list int)) (what "tokens")
+                  (collect n (fun f -> RT.traverse_batch rt ~wire ~n ~f))
+                  (collect n (fun f -> Mn.traverse_batch mn ~wire ~n ~f))
+              else
+                Alcotest.(check (list int)) (what "antitokens")
+                  (collect n (fun f -> RT.traverse_batch_decrement rt ~wire ~n ~f))
+                  (collect n (fun f -> Mn.traverse_batch_decrement mn ~wire ~n ~f))
+            done)
+          (count_walk_nets ()));
+  ]
+
 let suite =
   [
     ("runtime.single", single_threaded);
@@ -388,4 +564,5 @@ let suite =
     ("runtime.counters", counters);
     ("runtime.concurrent", concurrent);
     ("runtime.multi_domain", multi_domain);
+    ("runtime.count_walk", count_walk);
   ]
