@@ -9,7 +9,7 @@ type t = {
   output_width : int;
   entry : int array; (* encoded dests, like Network_runtime *)
   order : int array; (* topological: the count walk's visit order *)
-  crossover : int; (* Network_runtime.batch_crossover's *)
+  crossover : int; (* Network_runtime's *)
   next : int array array;
   fan_out : int array;
   states : int A.t array;
@@ -32,7 +32,7 @@ let compile net =
     output_width = T.output_width net;
     entry = w.T.entry;
     order = w.T.order;
-    crossover = (let d = T.depth net in if d = 0 then 1 else max 1 (((2 * n) + d - 1) / d));
+    crossover = Cn_runtime.Network_runtime.batch_crossover net;
     next = Array.init n (fun b -> Array.sub w.T.next w.T.base.(b) fan_out.(b));
     fan_out;
     states = Array.map (fun d -> A.make d.B.init_state) descriptors;

@@ -46,7 +46,9 @@ type t = {
    walk makes at most one fetch-and-add per balancer and reads every
    balancer's count once, about [2 * size] steps.  Counts win from the
    [n] where the first reaches the second. *)
-let crossover ~size ~depth = if depth = 0 then 1 else max 1 (((2 * size) + depth - 1) / depth)
+let batch_crossover net =
+  let depth = Topology.depth net in
+  if depth = 0 then 1 else max 1 (((2 * Topology.size net) + depth - 1) / depth)
 
 let compile ?(mode = Faa) ?(metrics = false) net =
   let n = Topology.size net in
@@ -79,7 +81,7 @@ let compile ?(mode = Faa) ?(metrics = false) net =
     route;
     entry;
     order;
-    crossover = crossover ~size:n ~depth:(Topology.depth net);
+    crossover = batch_crossover net;
     values = Padded_atomic.make t ~init:Fun.id;
     failures = Padded_atomic.make 1 ~init:(fun _ -> 0);
     metrics = (if metrics then Some (Metrics.create ~balancers:n ~wires:t ()) else None);
@@ -439,8 +441,6 @@ let traverse_batch rt ~wire ~n ~f =
 let traverse_batch_decrement rt ~wire ~n ~f =
   check_batch_args rt ~who:"traverse_batch_decrement" ~wire ~n;
   batch rt ~wire ~n ~f ~anti:true
-
-let batch_crossover rt = rt.crossover
 
 (* A read-only walk: each balancer's state read where a token would
    cross it, and the exit cell read where it would take its value. *)

@@ -85,7 +85,7 @@ val traverse_batch : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
     assigned counter value, in index order.  The bounds check and mode
     dispatch are paid once for the whole batch.
 
-    {b Below the crossover} ([n < batch_crossover rt]) the tokens walk
+    {b Below the crossover} ([n < batch_crossover net]) the tokens walk
     one after the other, exactly as [n] calls to {!traverse}.
 
     {b From the crossover on} the batch walks as counts: it visits the
@@ -127,10 +127,11 @@ val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) 
     reclaimed values are handed out in descending order.
     @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
 
-val batch_crossover : t -> int
+val batch_crossover : Cn_network.Topology.t -> int
 (** The smallest batch {!traverse_batch} and
-    {!traverse_batch_decrement} walk as counts: the least [n] with
-    [n * depth >= 2 * size] (at least [1]).  16 on [C(16,16)]. *)
+    {!traverse_batch_decrement} walk as counts on a runtime compiled
+    from this topology: the least [n] with [n * depth >= 2 * size] (at
+    least [1]).  16 on [C(16,16)]. *)
 
 val peek : t -> wire:int -> int
 (** [peek rt ~wire] walks from input wire [wire] reading, never

@@ -57,8 +57,8 @@ let zero_alloc =
   in
   (* [n] tokens, then as many antitokens, in batches of twice the
      crossover: every batch walks as counts. *)
+  let k = 2 * RT.batch_crossover (net48 ()) in
   let counted rt n =
-    let k = 2 * RT.batch_crossover rt in
     for _ = 1 to max 1 (n / k) do
       RT.traverse_batch rt ~wire:2 ~n:k ~f:sink
     done;

@@ -413,17 +413,17 @@ let count_walk =
         List.iter
           (fun (name, net) ->
             let size = Cn_network.Topology.size net and depth = Cn_network.Topology.depth net in
-            let c = RT.batch_crossover (RT.compile net) in
+            let c = RT.batch_crossover net in
             Alcotest.(check bool) (name ^ " reaches") true (c * depth >= 2 * size);
             Alcotest.(check bool) (name ^ " least") true (c = 1 || (c - 1) * depth < 2 * size))
           (count_walk_nets ());
         Alcotest.(check int) "C(16,16)" 16
-          (RT.batch_crossover (RT.compile (Cn_core.Counting.network ~w:16 ~t:16))));
+          (RT.batch_crossover (Cn_core.Counting.network ~w:16 ~t:16)));
     tc "batches equal per-token walks: values per index and balancer states" (fun () ->
         List.iter
           (fun (name, net) ->
             let w = Cn_network.Topology.input_width net in
-            let c = RT.batch_crossover (RT.compile net) in
+            let c = RT.batch_crossover net in
             for n = 0 to 3 * c do
               let batch = RT.compile ~metrics:true net and one = RT.compile ~metrics:true net in
               (* a reachable quiescent state that is not the initial one *)
@@ -467,7 +467,7 @@ let count_walk =
                 List.iter
                   (fun anti ->
                     let rt = RT.compile ~mode ~metrics:true net in
-                    let c = RT.batch_crossover rt in
+                    let c = RT.batch_crossover net in
                     let vals = Array.make domains [] in
                     ignore
                       (DP.run pool ~domains (fun pid ->
@@ -519,7 +519,7 @@ let count_walk =
     tc "an f that walks again, or raises, leaves the count walk sound" (fun () ->
         let net = Cn_core.Counting.network ~w:8 ~t:8 in
         let rt = RT.compile net in
-        let n = 2 * RT.batch_crossover rt in
+        let n = 2 * RT.batch_crossover net in
         let seen = ref [] in
         let keep _ v = seen := v :: !seen in
         RT.traverse_batch rt ~wire:0 ~n ~f:(fun _ v ->
