@@ -412,9 +412,9 @@ let hand_out rt sc ~n ~f ~anti =
   done
 
 (* A batch walked as counts records its crossings and exits; like any
-   interleaved walk it takes no latency sample. *)
+   interleaved walk it takes no latency sample.  The caller has set
+   [sc.busy]. *)
 let count_batch rt sc ~wire ~n ~f ~anti =
-  sc.busy <- true;
   match
     let sk = match rt.metrics with Some m -> Metrics.sink m | None -> Metrics.null in
     let metered = Option.is_some rt.metrics in
@@ -428,11 +428,17 @@ let count_batch rt sc ~wire ~n ~f ~anti =
       sc.busy <- false;
       raise e
 
+(* [busy] is read and set with no call or allocation in between, so no
+   thread switch (a poll point) can fall between them. *)
 let[@inline] batch rt ~wire ~n ~f ~anti =
   if n < rt.crossover then batch_loop rt ~wire ~n ~f ~anti
   else
     let sc = scratch rt in
-    if sc.busy then batch_loop rt ~wire ~n ~f ~anti else count_batch rt sc ~wire ~n ~f ~anti
+    if sc.busy then batch_loop rt ~wire ~n ~f ~anti
+    else begin
+      sc.busy <- true;
+      count_batch rt sc ~wire ~n ~f ~anti
+    end
 
 let traverse_batch rt ~wire ~n ~f =
   check_batch_args rt ~who:"traverse_batch" ~wire ~n;

@@ -534,6 +534,45 @@ let count_walk =
         Alcotest.(check (list int)) "the next batch counts on" (List.init n (fun i -> m + i))
           (collect n (fun f -> RT.traverse_batch rt ~wire:3 ~n ~f));
         V.enforce V.Strict (V.quiescent_runtime rt));
+    tc "threads of one domain never share a walk's scratch" (fun () ->
+        (* Thread a stops in its first f, mid-hand-out, until thread b
+           has run a whole batch on the same domain. *)
+        let net = Cn_core.Counting.network ~w:8 ~t:8 in
+        let rt = RT.compile net in
+        let n = 2 * RT.batch_crossover net in
+        let m = Mutex.create () and c = Condition.create () and stage = ref 0 in
+        let advance k =
+          Mutex.lock m;
+          stage := k;
+          Condition.broadcast c;
+          Mutex.unlock m
+        in
+        let wait_for k =
+          Mutex.lock m;
+          while !stage < k do
+            Condition.wait c m
+          done;
+          Mutex.unlock m
+        in
+        let seen = Array.make 2 [] in
+        let keep id v = seen.(id) <- v :: seen.(id) in
+        let a () =
+          RT.traverse_batch rt ~wire:0 ~n ~f:(fun i v ->
+              keep 0 v;
+              if i = 0 then begin
+                advance 1;
+                wait_for 2
+              end)
+        in
+        let b () =
+          wait_for 1;
+          RT.traverse_batch rt ~wire:1 ~n ~f:(fun _ v -> keep 1 v);
+          advance 2
+        in
+        List.iter Thread.join [ Thread.create a (); Thread.create b () ];
+        Alcotest.(check bool) "values form 0..2n-1" true
+          (V.values_form_a_range (Array.map Array.of_list seen));
+        V.enforce V.Strict (V.quiescent_runtime rt));
     tc "the model network's walks agree with the runtime's" (fun () ->
         let module Mn = Cn_check.Model_net in
         let rng = Random.State.make [| 3 |] in
