@@ -131,11 +131,11 @@ let cross_dec_cas rt _sk b = cas_retry rt b (-1) (-1) 1 false
    stall recording into the calling domain's metrics sink. *)
 
 let metered_faa rt sk b =
-  Metrics.crossing sk b;
+  Metrics.crossings sk b 1;
   Padded_atomic.fetch_and_add rt.states b 1
 
 let metered_dec_faa rt sk b =
-  Metrics.crossing sk b;
+  Metrics.crossings sk b 1;
   Padded_atomic.fetch_and_add rt.states b (-1) - 1
 
 let rec metered_cas_retry rt sk b step bias spins contended =
@@ -157,11 +157,11 @@ let rec metered_cas_retry rt sk b step bias spins contended =
   end
 
 let metered_cas rt sk b =
-  Metrics.crossing sk b;
+  Metrics.crossings sk b 1;
   metered_cas_retry rt sk b 1 0 1 false
 
 let metered_dec_cas rt sk b =
-  Metrics.crossing sk b;
+  Metrics.crossings sk b 1;
   metered_cas_retry rt sk b (-1) (-1) 1 false
 
 (* Dispatch: each arm is a statically allocated top-level function, so
@@ -210,7 +210,7 @@ let metered_one rt sk cross entry ~anti =
   let dest = walk rt sk cross entry in
   let out = -dest - 1 in
   let v = if anti then exit_decrement rt dest else exit_increment rt dest in
-  if anti then Metrics.antitoken_exit sk ~wire:out else Metrics.token_exit sk ~wire:out;
+  if anti then Metrics.antitoken_exits sk ~wire:out 1 else Metrics.token_exits sk ~wire:out 1;
   if t0 >= 0 then Metrics.sample_end sk t0;
   v
 
@@ -298,7 +298,9 @@ let visit_fn mode ~metered =
    wire [o]'s values still to hand out and the next of them.  [busy]
    marks a walk in progress: a caller's [f] that walks again, or a
    thread of the same domain scheduled mid-walk, walks per token
-   instead of sharing the arrays. *)
+   instead of sharing the arrays.  Only the walk that set [busy] grows
+   (replaces) the arrays, so none is replaced under a walk that holds
+   it. *)
 type scratch = {
   mutable busy : bool;
   mutable counts : int array;
@@ -309,16 +311,14 @@ type scratch = {
 let scratch_key =
   Domain.DLS.new_key (fun () -> { busy = false; counts = [||]; pending = [||]; cursor = [||] })
 
-let scratch rt =
-  let sc = Domain.DLS.get scratch_key in
+let grow sc rt =
   let t = rt.output_width in
   let need = t + Array.length rt.fan_out in
   if Array.length sc.counts < need then sc.counts <- Array.make need 0;
   if Array.length sc.pending < t then begin
     sc.pending <- Array.make t 0;
     sc.cursor <- Array.make t 0
-  end;
-  sc
+  end
 
 let count_walk rt sk visit cnt ~entry ~n ~anti =
   let t = rt.output_width in
@@ -347,9 +347,8 @@ let count_walk rt sk visit cnt ~entry ~n ~anti =
   done
 
 (* One fetch-and-add per exit wire that the batch reached. *)
-let count_exits rt sk sc ~metered ~anti =
+let count_exits rt sk cnt pending cursor ~metered ~anti =
   let t = rt.output_width in
-  let cnt = sc.counts and pending = sc.pending and cursor = sc.cursor in
   for o = 0 to t - 1 do
     let c = Array.unsafe_get cnt (t - 1 - o) in
     Array.unsafe_set pending o c;
@@ -385,9 +384,8 @@ let extreme_wire pending cursor t ~up =
    Every value of wire [o] is congruent to [o] mod t, so the next value
    is [v +- 1] on the neighbouring wire unless another domain took it;
    only then is the next pending value searched for. *)
-let hand_out rt sc ~n ~f ~anti =
+let hand_out rt pending cursor ~n ~f ~anti =
   let t = rt.output_width in
-  let pending = sc.pending and cursor = sc.cursor in
   let up = not anti in
   let w = ref (extreme_wire pending cursor t ~up) in
   let v = ref (Array.unsafe_get cursor !w) in
@@ -413,14 +411,18 @@ let hand_out rt sc ~n ~f ~anti =
 
 (* A batch walked as counts records its crossings and exits; like any
    interleaved walk it takes no latency sample.  The caller has set
-   [sc.busy]. *)
+   [sc.busy]: the arrays are grown and then read once, and all three
+   phases work on those.  On an exception, [sc.counts] is still the
+   array the walk used. *)
 let count_batch rt sc ~wire ~n ~f ~anti =
   match
+    grow sc rt;
+    let cnt = sc.counts and pending = sc.pending and cursor = sc.cursor in
     let sk = match rt.metrics with Some m -> Metrics.sink m | None -> Metrics.null in
     let metered = Option.is_some rt.metrics in
-    count_walk rt sk (visit_fn rt.mode ~metered) sc.counts ~entry:rt.entry.(wire) ~n ~anti;
-    count_exits rt sk sc ~metered ~anti;
-    hand_out rt sc ~n ~f ~anti
+    count_walk rt sk (visit_fn rt.mode ~metered) cnt ~entry:rt.entry.(wire) ~n ~anti;
+    count_exits rt sk cnt pending cursor ~metered ~anti;
+    hand_out rt pending cursor ~n ~f ~anti
   with
   | () -> sc.busy <- false
   | exception e ->
@@ -429,11 +431,12 @@ let count_batch rt sc ~wire ~n ~f ~anti =
       raise e
 
 (* [busy] is read and set with no call or allocation in between, so no
-   thread switch (a poll point) can fall between them. *)
+   thread switch (a poll point) can fall between them, and nothing
+   touches the arrays before it is set. *)
 let[@inline] batch rt ~wire ~n ~f ~anti =
   if n < rt.crossover then batch_loop rt ~wire ~n ~f ~anti
   else
-    let sc = scratch rt in
+    let sc = Domain.DLS.get scratch_key in
     if sc.busy then batch_loop rt ~wire ~n ~f ~anti
     else begin
       sc.busy <- true;

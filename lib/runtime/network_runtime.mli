@@ -111,8 +111,15 @@ val traverse_batch : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
     crossing does.  With metrics on, a visit records [k] crossings and
     an exit wire [c] exits; the batch takes no latency sample.  The
     count walk allocates nothing: its scratch is the calling domain's
-    ({!Domain.DLS}), sized on first use, and an [f] that itself walks
-    on the same domain walks per token.
+    ({!Domain.DLS}), sized on first use, and a batch that starts on
+    the same domain while one is in progress (from its [f], or from
+    another thread of the domain) walks per token.
+
+    An exception raised by [f i v] propagates.  Below the crossover the
+    tokens [0..i] have then entered the network and no later one has.
+    From the crossover on all [n] tokens were counted before the first
+    [f] call, so the values of the indices after [i] are taken and
+    never handed out: the counter skips them.
     @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
 
 val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) -> unit
@@ -124,7 +131,9 @@ val traverse_batch_decrement : t -> wire:int -> n:int -> f:(int -> int -> unit) 
     from the same crossover as {!traverse_batch}: a balancer reached by
     [k] antitokens from state [s] takes [-k] and sends them to ports
     [(s - k + j) mod q], each output wire takes [-c * t], and the
-    reclaimed values are handed out in descending order.
+    reclaimed values are handed out in descending order.  A raising
+    [f] behaves as in {!traverse_batch}: from the crossover on, the
+    values of the later indices are reclaimed and never handed out.
     @raise Invalid_argument if [wire] is out of range or [n < 0]. *)
 
 val batch_crossover : Cn_network.Topology.t -> int
