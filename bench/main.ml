@@ -758,18 +758,23 @@ let runtime ?(smoke = false) () =
      at 4 domains.  The validator runs Strict — any lost update or
      broken step property fails the whole sweep — and the per-layer
      stall profile (the empirical shape Theorem 6.7 bounds) is printed
-     and recorded in BENCH_runtime.json.  Tokens walk one at a time
-     ([traverse]), so the profile measures per-token contention, not
-     a count walk's one CAS per balancer. *)
+     and recorded in BENCH_runtime.json.  Each domain walks its quota
+     in batches one short of the crossover, so every token walks on
+     its own (the per-token batch loop): the profile measures
+     per-token contention, not a count walk's one CAS per balancer. *)
   let metrics_json =
     let rt = RT.compile ~mode:RT.Cas ~metrics:true c16 in
     let domains = 4 in
     let n = ops_total / domains in
+    let chunk = RT.batch_crossover c16 - 1 in
     Cn_runtime.Domain_pool.with_pool domains (fun pool ->
         ignore
           (Cn_runtime.Domain_pool.run pool ~domains (fun pid ->
-               for _ = 1 to n do
-                 ignore (RT.traverse rt ~wire:(pid mod w))
+               let left = ref n in
+               while !left > 0 do
+                 let k = min chunk !left in
+                 RT.traverse_batch rt ~wire:(pid mod w) ~n:k ~f:(fun _ _ -> ());
+                 left := !left - k
                done)));
     Cn_runtime.Validator.enforce Cn_runtime.Validator.Strict
       (Cn_runtime.Validator.quiescent_runtime rt);

@@ -75,18 +75,8 @@ let create ?(shards = 16) ?(reservoir = 512) ?(sample_period = 16) ~balancers ~w
 
 let sink m = m.sinks.((Domain.self () :> int) mod Array.length m.sinks)
 
-let crossing sk b = Padded_atomic.incr sk.crossings b
-let stall sk b = Padded_atomic.incr sk.stalls b
-
-let token_exit sk ~wire =
-  Padded_atomic.incr sk.exits wire;
-  Padded_atomic.incr sk.flows 0
-
-let antitoken_exit sk ~wire =
-  ignore (Padded_atomic.fetch_and_add sk.exits wire (-1));
-  Padded_atomic.incr sk.flows 1
-
 let crossings sk b k = ignore (Padded_atomic.fetch_and_add sk.crossings b k)
+let stall sk b = Padded_atomic.incr sk.stalls b
 
 let token_exits sk ~wire c =
   ignore (Padded_atomic.fetch_and_add sk.exits wire c);

@@ -55,28 +55,20 @@ val null : sink
     uninstrumented runtime walk loops pass it so bare and metered
     crossing functions share one (closure-free) signature. *)
 
-val crossing : sink -> int -> unit
-(** Record one token (or antitoken) crossing balancer [b]. *)
+val crossings : sink -> int -> int -> unit
+(** [crossings sk b k] records [k] token (or antitoken) crossings of
+    balancer [b]: [1] for a token walk, [k] for a batch that walks as
+    counts and reaches [b] with [k] tokens. *)
 
 val stall : sink -> int -> unit
 (** Record one contended CAS crossing at balancer [b]. *)
-
-val token_exit : sink -> wire:int -> unit
-(** Record a token exiting on [wire]. *)
-
-val antitoken_exit : sink -> wire:int -> unit
-(** Record an antitoken exiting on [wire] (a net tally decrement). *)
-
-val crossings : sink -> int -> int -> unit
-(** [crossings sk b k] records [k] crossings of balancer [b] at once:
-    a batch that walks as counts reaches [b] with [k] tokens. *)
 
 val token_exits : sink -> wire:int -> int -> unit
 (** [token_exits sk ~wire c] records [c] tokens exiting on [wire]. *)
 
 val antitoken_exits : sink -> wire:int -> int -> unit
 (** [antitoken_exits sk ~wire c] records [c] antitokens exiting on
-    [wire]. *)
+    [wire] (a net tally decrement). *)
 
 val sample_begin : sink -> int
 (** [sample_begin sk] advances the sampling tick; a non-negative result
