@@ -407,24 +407,6 @@ let collect n walk =
 
 let crossings rt = (M.snapshot (Option.get (RT.metrics rt))).M.crossings
 
-(* [advance k] lets every [wait_for j], j <= k, return. *)
-let stages () =
-  let m = Mutex.create () and c = Condition.create () and stage = ref 0 in
-  let advance k =
-    Mutex.lock m;
-    stage := k;
-    Condition.broadcast c;
-    Mutex.unlock m
-  in
-  let wait_for k =
-    Mutex.lock m;
-    while !stage < k do
-      Condition.wait c m
-    done;
-    Mutex.unlock m
-  in
-  (advance, wait_for)
-
 let count_walk =
   [
     tc "crossover is n * depth >= 2 * size" (fun () ->
@@ -558,7 +540,20 @@ let count_walk =
         let net = Cn_core.Counting.network ~w:8 ~t:8 in
         let rt = RT.compile net in
         let n = 2 * RT.batch_crossover net in
-        let advance, wait_for = stages () in
+        let m = Mutex.create () and c = Condition.create () and stage = ref 0 in
+        let advance k =
+          Mutex.lock m;
+          stage := k;
+          Condition.broadcast c;
+          Mutex.unlock m
+        in
+        let wait_for k =
+          Mutex.lock m;
+          while !stage < k do
+            Condition.wait c m
+          done;
+          Mutex.unlock m
+        in
         let seen = Array.make 2 [] in
         let keep id v = seen.(id) <- v :: seen.(id) in
         let a () =
@@ -578,58 +573,6 @@ let count_walk =
         Alcotest.(check bool) "values form 0..2n-1" true
           (V.values_form_a_range (Array.map Array.of_list seen));
         V.enforce V.Strict (V.quiescent_runtime rt));
-    tc "a larger runtime walked mid-batch on the same domain, from f or another thread" (fun () ->
-        (* Each case runs on a fresh domain, so the small runtime's
-           batch sizes the domain's scratch and the larger runtime's
-           batch, started while it is in progress, would need more. *)
-        let small_net = net48 () and large_net = Cn_core.Counting.network ~w:16 ~t:64 in
-        let n_small = 2 * RT.batch_crossover small_net
-        and n_large = 2 * RT.batch_crossover large_net in
-        let case name interrupt =
-          Domain.join
-            (Domain.spawn (fun () ->
-                 let small = RT.compile small_net and large = RT.compile large_net in
-                 let small_twin = RT.compile small_net and large_twin = RT.compile large_net in
-                 let per_token twin n = List.init n (fun _ -> RT.traverse twin ~wire:0) in
-                 let what s = name ^ ": " ^ s in
-                 let large_got = ref [] in
-                 let run_large () =
-                   large_got := collect n_large (fun f -> RT.traverse_batch large ~wire:0 ~n:n_large ~f)
-                 in
-                 let small_got =
-                   collect n_small (fun f ->
-                       interrupt
-                         (fun pause -> RT.traverse_batch small ~wire:0 ~n:n_small ~f:(fun i v ->
-                              f i v;
-                              if i = 1 then pause ()))
-                         run_large)
-                 in
-                 Alcotest.(check (list int)) (what "interrupted batch") (per_token small_twin n_small)
-                   small_got;
-                 Alcotest.(check (list int)) (what "inner batch") (per_token large_twin n_large) !large_got;
-                 (* The scratch now grows for the larger runtime. *)
-                 run_large ();
-                 Alcotest.(check (list int)) (what "larger count walk") (per_token large_twin n_large)
-                   !large_got;
-                 Alcotest.(check (list int)) (what "smaller count walk") (per_token small_twin n_small)
-                   (collect n_small (fun f -> RT.traverse_batch small ~wire:0 ~n:n_small ~f));
-                 V.enforce V.Strict (V.quiescent_runtime small);
-                 V.enforce V.Strict (V.quiescent_runtime large)))
-        in
-        case "from f" (fun outer inner -> outer inner);
-        case "from another thread" (fun outer inner ->
-            let advance, wait_for = stages () in
-            let a () =
-              outer (fun () ->
-                  advance 1;
-                  wait_for 2)
-            in
-            let b () =
-              wait_for 1;
-              inner ();
-              advance 2
-            in
-            List.iter Thread.join [ Thread.create a (); Thread.create b () ]));
     tc "a thread switched in mid-walk with a larger runtime leaves the walk sound" (fun () ->
         (* Thread a walks batches on one runtime until the domain's tick
            switches to thread b at some poll point of a's walk, and b
